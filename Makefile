@@ -32,9 +32,11 @@ verify:
 	PYTHONPATH=src $(PYTHON) tools/serve_smoke.py --only chaos
 	@echo "--- seeded conformance slice ---"
 	PYTHONPATH=src $(PYTHON) -m repro conform --design realm-16-m4-q5 --budget 20000 --seed 0
-	@echo "--- compiled-kernel smoke ---"
+	@echo "--- compiled-kernel smoke (the default path vs the interpreted model) ---"
 	PYTHONPATH=src $(PYTHON) -m repro conform --design realm-16-m4-q5 --budget 20000 --seed 0 \
 		--layers model kernel exact
+	PYTHONPATH=src $(PYTHON) -m repro conform --design am2-nb13 --budget 20000 --seed 0 \
+		--layers model rtl kernel exact
 	@echo "--- formal smoke (8-bit equivalence proof + certified peaks) ---"
 	PYTHONPATH=src $(PYTHON) -m repro formal --design realm-8-m4-q5 --prove-equiv --max-error --no-cache
 	@echo "--- warehouse smoke (record, warm reuse, trend report) ---"

@@ -4,8 +4,10 @@ The headline numbers of the kernel subsystem: each benchmark evaluates
 one operand batch through both engines and records the measured
 speedup in ``extra_info`` (the CI artifact tabulates these).  Model
 kernels are expected to clear ~5x on the log families at Monte-Carlo
-batch sizes; the bit-parallel netlist kernel clears ~5x over the
-per-gate simulator at fuzzing batch sizes.
+batch sizes and ~3x on the AM1/AM2 chunk tables; the JPEG-shaped case
+times an N-d ``(..., 8, 8, 8)`` DCT product stack, which the kernels
+evaluate in blocks along its leading axis.  The bit-parallel netlist
+kernel clears ~5x over the per-gate simulator at fuzzing batch sizes.
 
 Run directly (``python benchmarks/bench_kernels.py``) for a quick
 wall-clock table without pytest-benchmark.
@@ -27,11 +29,16 @@ MODEL_PAIRS = 1 << 19
 #: fuzzing-sized batch for the gate-level engines
 NETLIST_PAIRS = 1 << 15
 
-MODEL_DESIGNS = ["realm16-t3", "mbm-t4", "calm", "alm-soa-m9", "drum-k6", "ssm-m9"]
+MODEL_DESIGNS = [
+    "realm16-t3", "mbm-t4", "calm", "alm-soa-m9", "drum-k6", "ssm-m9",
+    "am1-nb13", "am2-nb13",
+]
+#: one 256x256 image's DCT products: (block rows, block cols, i, k, j)
+JPEG_STACK = (32, 32, 8, 8, 8)
 NETLIST_DESIGNS = ["realm16-t3", "accurate", "mbm-t4", "drum-k6"]
 
 
-def _operands(seed: int, pairs: int, bitwidth: int = 16):
+def _operands(seed: int, pairs, bitwidth: int = 16):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 1 << bitwidth, pairs, dtype=np.int64)
     b = rng.integers(0, 1 << bitwidth, pairs, dtype=np.int64)
@@ -58,10 +65,10 @@ def _record_speedup(benchmark, pairs: int, interpreted_seconds: float):
     )
 
 
-def _model_case(design: str):
+def _model_case(design: str, shape=MODEL_PAIRS):
     model = build(design, 16)
     kernel = kernel_for(model)
-    a, b = _operands(11, MODEL_PAIRS)
+    a, b = _operands(11, shape)
     assert np.array_equal(kernel(a, b), model._multiply(a, b))
     return model, kernel, a, b
 
@@ -78,13 +85,13 @@ def _netlist_case(design: str):
     return netlist, kernel, buses, a, b
 
 
-def _bench_model(benchmark, design: str):
-    model, kernel, a, b = _model_case(design)
+def _bench_model(benchmark, design: str, shape=MODEL_PAIRS):
+    model, kernel, a, b = _model_case(design, shape)
     interpreted = _time(lambda: model._multiply(a, b))
     benchmark(lambda: kernel(a, b))
     benchmark.extra_info["design"] = design
     benchmark.extra_info["kind"] = kernel.kind
-    _record_speedup(benchmark, MODEL_PAIRS, interpreted)
+    _record_speedup(benchmark, a.size, interpreted)
 
 
 def _bench_netlist(benchmark, design: str):
@@ -113,6 +120,21 @@ def test_perf_kernel_mitchell(benchmark):
     _bench_model(benchmark, "calm")
 
 
+def test_perf_kernel_am1(benchmark):
+    """AM1: chunk OR-product tables vs the interpreted OR tree."""
+    _bench_model(benchmark, "am1-nb13")
+
+
+def test_perf_kernel_am2(benchmark):
+    """AM2: chunk OR-product tables vs the interpreted OR tree."""
+    _bench_model(benchmark, "am2-nb13")
+
+
+def test_perf_kernel_jpeg_stack(benchmark):
+    """REALM16 on a JPEG-shaped N-d DCT product stack."""
+    _bench_model(benchmark, "realm16-t3", JPEG_STACK)
+
+
 def test_perf_netlist_kernel_realm(benchmark):
     """REALM16 gate-level: bit-parallel program vs per-gate simulation."""
     _bench_netlist(benchmark, "realm16-t3")
@@ -124,15 +146,17 @@ def test_perf_netlist_kernel_wallace(benchmark):
 
 
 def main() -> None:
-    print(f"model kernels ({MODEL_PAIRS} pairs):")
-    for design in MODEL_DESIGNS:
-        model, kernel, a, b = _model_case(design)
+    print(f"model kernels ({MODEL_PAIRS} pairs; jpeg-stack {JPEG_STACK}):")
+    cases = [(design, design, MODEL_PAIRS) for design in MODEL_DESIGNS]
+    cases.append(("jpeg-stack", "realm16-t3", JPEG_STACK))
+    for label, design, shape in cases:
+        model, kernel, a, b = _model_case(design, shape)
         ti = _time(lambda: model._multiply(a, b))
         tk = _time(lambda: kernel(a, b), repeat=5)
         print(
-            f"  {design:<14} {kernel.kind:<12} "
-            f"interp {MODEL_PAIRS / ti / 1e6:7.1f}M/s   "
-            f"kernel {MODEL_PAIRS / tk / 1e6:7.1f}M/s   "
+            f"  {label:<14} {kernel.kind:<12} "
+            f"interp {a.size / ti / 1e6:7.1f}M/s   "
+            f"kernel {a.size / tk / 1e6:7.1f}M/s   "
             f"speedup {ti / tk:5.1f}x"
         )
     print(f"netlist kernels ({NETLIST_PAIRS} pairs):")

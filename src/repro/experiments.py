@@ -454,12 +454,7 @@ def cnn_study(
 
     from .analysis.cache import cache_key
     from .multipliers.registry import fingerprint
-    from .nn import (
-        cnn_logit_distortion,
-        evaluate_cnn_multipliers,
-        float_cnn_accuracy,
-        trained_cnn_setup,
-    )
+    from .nn import cnn_scores, float_cnn_accuracy, trained_cnn_setup
     from .synth.cost import reductions
 
     if ids is None:
@@ -494,9 +489,7 @@ def cnn_study(
             row = wh.latest(cache_key(payloads[name]))
             if row is not None and isinstance(row.data, dict):
                 reused[name] = row.data
-    fresh_ids = [name for name in ids if name not in reused]
-    accuracy = evaluate_cnn_multipliers(fresh_ids, seed)
-    distortion = cnn_logit_distortion(fresh_ids, seed)
+    scores = cnn_scores([name for name in ids if name not in reused], seed)
 
     rows = []
     for name in ids:
@@ -504,10 +497,11 @@ def cnn_study(
             data_row = dict(reused[name])
         else:
             area_reduction, power_reduction = reductions(name)
+            accuracy, distortion = scores[name]
             data_row = {
-                "accuracy": accuracy[name],
-                "accuracy_drop": reference - accuracy[name],
-                "logit_distortion": distortion[name],
+                "accuracy": accuracy,
+                "accuracy_drop": reference - accuracy,
+                "logit_distortion": distortion,
                 "area_reduction": area_reduction,
                 "power_reduction": power_reduction,
                 "float_reference": reference,

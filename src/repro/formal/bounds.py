@@ -129,15 +129,15 @@ class WorstCaseBounds:
 
 
 def _replay(model, a: int, b: int, claimed: Fraction) -> bool:
-    """Self-check: the concrete model must reproduce the witness error."""
-    product = int(model.multiply(a, b))
+    """Self-check: the interpreted model must reproduce the witness error."""
+    product = int(model.multiply(a, b, compiled=False))
     return a > 0 and b > 0 and Fraction(product - a * b, a * b) == claimed
 
 
 def _certificate(
     model, direction: str, a: int, b: int, bound: Fraction, exact: bool
 ) -> ErrorCertificate:
-    witness = Fraction(int(model.multiply(a, b)) - a * b, a * b)
+    witness = Fraction(int(model.multiply(a, b, compiled=False)) - a * b, a * b)
     if exact:
         bound = witness if bound is None else bound
     return ErrorCertificate(
@@ -496,7 +496,7 @@ def _branch_and_bound(model, engine, direction: str, budget: int):
         nonlocal best, best_pair
         a_vals = np.asarray(a_vals, dtype=np.int64)
         b_vals = np.asarray(b_vals, dtype=np.int64)
-        products = model.multiply(a_vals, b_vals)
+        products = model.multiply(a_vals, b_vals, compiled=False)
         for a, b, p in zip(a_vals, b_vals, products):
             value = sign * Fraction(int(p) - int(a) * int(b), int(a) * int(b))
             if best is None or value > best:

@@ -1,38 +1,46 @@
-"""Compiled evaluation kernels — the fastest multiply path in the repo.
+"""Compiled evaluation kernels — the default multiply path of the repo.
 
-Every other layer *interprets* a design per call: the functional models
-walk a handful of NumPy ops per batch, and the gate-level simulator
-walks the netlist gate by gate through Python dicts.  This package
-**compiles** each design once into a fused evaluator and caches it:
+The functional models *interpret* a design per call, walking a handful
+of NumPy ops per batch, and the gate-level simulator walks the netlist
+gate by gate through Python dicts.  This package **compiles** each
+design once into a fused evaluator and caches it:
 
 * :func:`compile_kernel` / :func:`kernel_for` specialize a
   :class:`~repro.multipliers.base.Multiplier` into a
   :class:`CompiledKernel` — for the log/segment families the quantized
   ``s_ij`` LUT, ``t``-truncation and LOD collapse into per-operand
-  table lookups plus a few vectorized int64 ops; for narrow designs an
+  table lookups plus a few vectorized int64 ops; AM1/AM2 become gathers
+  from one 8-bit-chunk OR-product table; other narrow designs get an
   exhaustive product table; otherwise a transparent interpreted
-  fallback (still bit-identical, by construction).
+  fallback (still bit-identical, by construction).  Large batches are
+  evaluated in cache-sized blocks along their leading axis.
 * :func:`compile_netlist` lowers a levelized
   :class:`~repro.logic.netlist.Netlist` into a straight-line
   bit-parallel program over uint64-packed stimulus lanes
   (:class:`NetlistKernel`) — 64 vectors per word, one NumPy call per
   ``(level, cell)`` group instead of one dict walk per gate.
 
-Kernels are **bit-identical** to the interpreted paths (sworn to by the
-Hypothesis sweep in ``tests/test_kernels.py`` and the ``kernel``
-conformance layer of :mod:`repro.conformance`).  The compile cache is
-keyed on the registry fingerprint *and* :data:`KERNEL_VERSION`, so a
-kernel-generation change can never serve stale tables.
-
-Enable globally with ``REPRO_COMPILED=1`` or per call with
-``Multiplier.multiply(a, b, compiled=True)``.
+:meth:`Multiplier.multiply <repro.multipliers.base.Multiplier.multiply>`
+runs every batch through :func:`kernel_for` unless called with
+``compiled=False``, which selects the interpreted datapath: the
+reference the conformance ``model`` layer, the metamorphic relations
+and the formal replays must use, so that their checks stay
+model-versus-kernel.  Kernels are **bit-identical** to the interpreted
+paths (sworn to by the Hypothesis sweep in ``tests/test_kernels.py``
+and the ``kernel`` conformance layer of :mod:`repro.conformance`).
+The compile cache is keyed on the registry fingerprint *and*
+:data:`KERNEL_VERSION`, so a kernel-generation change can never serve
+stale tables, and holds at most :data:`KERNEL_CACHE_BYTES` of tables,
+evicting the least recently used kernels.
 """
 
 from __future__ import annotations
 
 from .compiler import (
+    KERNEL_CACHE_BYTES,
     KERNEL_VERSION,
     CompiledKernel,
+    cached_kernel_bytes,
     cached_kernel_count,
     clear_kernel_cache,
     compile_kernel,
@@ -41,9 +49,11 @@ from .compiler import (
 from .netlist import NetlistKernel, compile_netlist
 
 __all__ = [
+    "KERNEL_CACHE_BYTES",
     "KERNEL_VERSION",
     "CompiledKernel",
     "NetlistKernel",
+    "cached_kernel_bytes",
     "cached_kernel_count",
     "clear_kernel_cache",
     "compile_kernel",

@@ -1,22 +1,28 @@
 """Kernel compiler: model -> fused evaluator, with a fingerprint cache.
 
 Dispatch is structural: each registered family maps to the table
-specializer of :mod:`repro.kernels.tables` that folds its datapath.
-Families with no per-operand decomposition (IntALP's joint plane walk,
-AM's cross-operand error trees) get the exhaustive product table when
-the operand width allows and a transparent interpreted fallback
-otherwise — every model therefore *has* a kernel, and every kernel is
-bit-identical to the interpreted datapath.
+specializer of :mod:`repro.kernels.tables` that folds its datapath, and
+a specializer applies only where the model runs its family's own
+datapath methods — a subclass that overrides ``_multiply`` (or AM's
+``_accumulate``/``_recover``) gets the generic ladder, which evaluates
+through the override.  Models with no specializer (IntALP's joint plane
+walk) get the exhaustive product table when the operand width allows
+and a transparent interpreted fallback otherwise — every model
+therefore *has* a kernel, and every kernel is bit-identical to the
+interpreted datapath.
 
 The compile cache is keyed on ``(registry fingerprint, KERNEL_VERSION)``:
 the fingerprint covers every functional attribute of the instance (the
 same content address the metrics cache trusts), and the version bumps
 whenever kernel *generation* changes — so a new kernel scheme can never
-serve tables compiled by an old one.
+serve tables compiled by an old one.  The cache is bounded by
+:data:`KERNEL_CACHE_BYTES` of tables and evicts least recently used
+kernels, since the kernel is every multiply's default path.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import threading
 
@@ -28,6 +34,7 @@ from ..analysis.cache import cache_key
 from ..core.realm import RealmMultiplier
 from ..multipliers.alm import ApproxAdderLogMultiplier
 from ..multipliers.accurate import AccurateMultiplier
+from ..multipliers.am import Am1Multiplier, Am2Multiplier
 from ..multipliers.base import Multiplier
 from ..multipliers.dnnco import DnnCoMultiplier
 from ..multipliers.drum import DrumMultiplier
@@ -40,8 +47,10 @@ from ..multipliers.ssm import EssmMultiplier, SsmMultiplier
 from . import tables
 
 __all__ = [
+    "KERNEL_CACHE_BYTES",
     "KERNEL_VERSION",
     "CompiledKernel",
+    "cached_kernel_bytes",
     "cached_kernel_count",
     "clear_kernel_cache",
     "compile_kernel",
@@ -49,7 +58,13 @@ __all__ = [
 ]
 
 #: bump on ANY change to kernel generation; part of every cache key
-KERNEL_VERSION = 1
+KERNEL_VERSION = 2
+
+#: table bytes the compile cache may hold before it evicts the least
+#: recently used kernels.  Table I alone compiles ~50 MB of tables; a
+#: sweep uses one design at a time, and recompiling is cheap (the shared
+#: operand tables of :mod:`repro.kernels.tables` are cached apart)
+KERNEL_CACHE_BYTES = 4 << 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,19 +116,23 @@ _BLOCK = 1 << 15
 
 
 def _blocked(evaluate):
+    """Evaluate in blocks of about :data:`_BLOCK` elements, split along
+    the leading axis (whole rows of an N-d batch per block)."""
+
     def run(a, b):
-        if a.ndim != 1 or a.size <= _BLOCK:
+        if a.size <= _BLOCK:
             return evaluate(a, b)
+        step = max(1, _BLOCK * a.shape[0] // a.size)
         out = np.empty(a.shape, dtype=np.int64)
-        for start in range(0, a.size, _BLOCK):
-            stop = start + _BLOCK
+        for start in range(0, a.shape[0], step):
+            stop = start + step
             out[start:stop] = evaluate(a[start:stop], b[start:stop])
         return out
 
     return run
 
 
-#: family -> specializer; order matters only for subclass shadowing
+#: family -> specializer; see :func:`_specializer` for when one applies
 _SPECIALIZERS: tuple[tuple[type, Callable], ...] = (
     (AccurateMultiplier, _compile_direct),
     (RealmMultiplier, tables.compile_realm),
@@ -126,25 +145,39 @@ _SPECIALIZERS: tuple[tuple[type, Callable], ...] = (
     (EssmMultiplier, tables.compile_segment),
     (ScaleTrimMultiplier, tables.compile_scaletrim),
     (DnnCoMultiplier, tables.compile_dnnco),
+    (Am1Multiplier, tables.compile_am),
+    (Am2Multiplier, tables.compile_am),
 )
+
+#: the methods a specializer folds: it applies only to models whose class
+#: resolves each of them exactly as the family class does
+_DATAPATH = ("_multiply", "_accumulate", "_recover")
+
+
+def _specializer(model) -> Callable | None:
+    for klass, specializer in _SPECIALIZERS:
+        if isinstance(model, klass):
+            exact = all(
+                getattr(type(model), name, None) is getattr(klass, name, None)
+                for name in _DATAPATH
+            )
+            return specializer if exact else None
+    return None
 
 
 def compile_kernel(model: Multiplier) -> CompiledKernel:
     """Specialize one model into a :class:`CompiledKernel` (uncached)."""
-    builder = None
-    for klass, specializer in _SPECIALIZERS:
-        if isinstance(model, klass):
-            builder = specializer
-            break
-    if builder is not None and builder not in (_compile_direct,):
-        if model.bitwidth > tables.OPERAND_TABLE_MAX_BITWIDTH:
-            builder = None  # decomposition tables would stop fitting cache
-    if builder is None:
+    builder = _specializer(model)
+    wide = model.bitwidth > tables.OPERAND_TABLE_MAX_BITWIDTH
+    if wide and builder is not _compile_direct:
+        builder = None  # decomposition tables would stop fitting cache
+    built = builder(model) if builder is not None else None
+    if built is None:
         if model.bitwidth <= tables.FULL_TABLE_MAX_BITWIDTH:
-            builder = tables.compile_full_table
+            built = tables.compile_full_table(model)
         else:
-            builder = _compile_interpreted
-    evaluate, kind, table_bytes = builder(model)
+            built = _compile_interpreted(model)
+    evaluate, kind, table_bytes = built
     if kind in ("table", "full-table"):
         evaluate = _blocked(evaluate)
     return CompiledKernel(
@@ -162,7 +195,10 @@ def compile_kernel(model: Multiplier) -> CompiledKernel:
 # compile cache
 # ----------------------------------------------------------------------
 
-_CACHE: dict[tuple[str, int], CompiledKernel] = {}
+#: least recently used first
+_CACHE: collections.OrderedDict[tuple[str, int], CompiledKernel] = (
+    collections.OrderedDict()
+)
 _LOCK = threading.Lock()
 
 
@@ -172,16 +208,20 @@ def kernel_for(model: Multiplier) -> CompiledKernel:
     Two model instances with equal registry fingerprints (same class,
     bitwidth and functional attributes) share one kernel; a kernel
     compiled under a different :data:`KERNEL_VERSION` is never returned.
+    Compiling evicts the least recently used kernels until the cached
+    tables fit :data:`KERNEL_CACHE_BYTES`; the newest kernel always stays.
     """
     key = (cache_key(fingerprint(model)), KERNEL_VERSION)
-    kernel = _CACHE.get(key)
-    if kernel is not None:
-        return kernel
     with _LOCK:
         kernel = _CACHE.get(key)
-        if kernel is None:
-            kernel = compile_kernel(model)
-            _CACHE[key] = kernel
+        if kernel is not None:
+            _CACHE.move_to_end(key)
+            return kernel
+        kernel = _CACHE[key] = compile_kernel(model)
+        held = sum(cached.table_bytes for cached in _CACHE.values())
+        while held > KERNEL_CACHE_BYTES and len(_CACHE) > 1:
+            _, evicted = _CACHE.popitem(last=False)
+            held -= evicted.table_bytes
     return kernel
 
 
@@ -194,3 +234,10 @@ def clear_kernel_cache() -> None:
 def cached_kernel_count() -> int:
     """Number of kernels currently cached."""
     return len(_CACHE)
+
+
+def cached_kernel_bytes() -> int:
+    """Table bytes the cached kernels hold (at most
+    :data:`KERNEL_CACHE_BYTES`, unless one kernel alone exceeds it)."""
+    with _LOCK:
+        return sum(kernel.table_bytes for kernel in _CACHE.values())

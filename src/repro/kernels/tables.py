@@ -10,31 +10,49 @@ the datapath collapses into int64 tables built once at compile time
 is the cross-operand tail: one or two adds, a carry select, a shift —
 a handful of vectorized int64 ops regardless of family.
 
-Narrow designs skip even that: at ``N <= FULL_TABLE_MAX_BITWIDTH`` the
-entire ``2**N x 2**N`` product space is enumerated through the
-*interpreted* model into one flat table (``8 * 4**N`` bytes: 512 KB at
-``N = 8``), making the kernel a single gather — and bit-identity true
-by construction for any family, however irregular.
+The AM1/AM2 array families have no per-operand front end, but their OR
+tree splits over 8-bit operand chunks: one ``4**8``-entry table of
+chunk-pair OR-products serves every width and recovery width.
+
+Designs without a specializer fall back, at ``N <=
+FULL_TABLE_MAX_BITWIDTH``, to the entire ``2**N x 2**N`` product space
+enumerated through the *interpreted* model into one flat table (``8 *
+4**N`` bytes: 512 KB at ``N = 8``), making the kernel a single gather —
+and bit-identity true by construction for any family, however
+irregular.
 
 Each builder returns ``(evaluate, kind, table_bytes)`` where
 ``evaluate(a, b)`` takes validated, broadcast, at-least-1-D int64
 arrays (the :meth:`~repro.multipliers.base.Multiplier._multiply`
-contract) and ``table_bytes`` accounts the precomputed memory.
+contract) and ``table_bytes`` accounts the precomputed memory.  A
+builder returns ``None`` instead when the model is out of its reach,
+and the compiler falls back to its generic ladder.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from ..core.bitops import mask, shift_value
-from ..multipliers.mitchell import antilog, log_operands
+from ..core.bitops import (
+    floor_log2,
+    log_fraction,
+    mask,
+    shift_value,
+    truncate_fraction,
+)
+from ..multipliers.am import Am1Multiplier
+from ..multipliers.mitchell import antilog
 
 __all__ = [
     "FULL_TABLE_MAX_BITWIDTH",
     "OPERAND_TABLE_MAX_BITWIDTH",
+    "am_chunk_table",
     "build_full_table",
     "build_log_tables",
     "compile_alm",
+    "compile_am",
     "compile_drum",
     "compile_full_table",
     "compile_implm",
@@ -44,6 +62,7 @@ __all__ = [
     "compile_realm",
     "compile_scaletrim",
     "compile_segment",
+    "dnnco_deficit_table",
 ]
 
 #: widest operand for which the exhaustive pair table is built
@@ -62,15 +81,22 @@ def _operand_space(bitwidth: int) -> np.ndarray:
     return np.arange(np.int64(1) << bitwidth, dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=4)
 def build_log_tables(bitwidth: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-operand LOD + input-barrel-shifter tables ``(k, x)``.
 
     ``k[v]`` is the characteristic (leading-one position) and ``x[v]``
     the ``N-1``-bit log fraction; index 0 holds the zero-safe values the
-    models use (callers mask zero operands separately).
+    models use (callers mask zero operands separately).  Built once per
+    bitwidth and shared by every log-family specializer, so the arrays
+    are read-only.
     """
     v = _operand_space(bitwidth)
-    k, _, x, _, _ = log_operands(v, v, bitwidth)
+    safe = np.where(v > 0, v, 1)
+    k = floor_log2(safe)
+    x = log_fraction(safe, k, bitwidth)
+    k.flags.writeable = False
+    x.flags.writeable = False
     return k, x
 
 
@@ -155,15 +181,11 @@ def compile_mbm(model):
     cross field boundaries (``xt`` sums stay under ``2**(width+1)``,
     ``k`` sums under 128).
     """
-    from ..core.bitops import log_fraction, truncate_fraction, floor_log2
-
     n = model.bitwidth
     raw_width = n - 1
     width = raw_width - model.t
-    v = _operand_space(n)
-    safe = np.where(v > 0, v, 1)
-    k = floor_log2(safe)
-    xt = truncate_fraction(log_fraction(safe, k, n), model.t, raw_width)
+    k, x = build_log_tables(n)
+    xt = truncate_fraction(x, model.t, raw_width)
     packed = (k << (width + 1)) | xt
     code = np.int64(model.correction_code)
     c_full = shift_value(code, width - model.q)
@@ -207,7 +229,6 @@ def compile_realm(model):
     small gather instead of a branch.  Per call: two 2**N-word gathers,
     one LUT gather, and ~10 elementwise int64 ops.
     """
-    from ..core.bitops import log_fraction, truncate_fraction, floor_log2
     from ..core.factors import segment_index
 
     cfg = model.config
@@ -219,10 +240,7 @@ def compile_realm(model):
     if seg_shift + 2 * logm >= 63:  # packed fields would overflow int64
         return _compile_realm_unpacked(model)
 
-    v = _operand_space(n)
-    safe = np.where(v > 0, v, 1)
-    k = floor_log2(safe)
-    x = log_fraction(safe, k, n)
+    k, x = build_log_tables(n)
     xt = truncate_fraction(x, cfg.t, raw_width)
     seg = segment_index(x, raw_width, cfg.m)
     left = ((seg << logm) << seg_shift) | (k << (width + 1)) | xt
@@ -257,7 +275,6 @@ def _compile_realm_unpacked(model):
     """REALM fallback when the packed fields exceed int64: separate
     per-operand tables, same arithmetic (reachable only for extreme
     ``N``/``M`` combinations)."""
-    from ..core.bitops import log_fraction, truncate_fraction, floor_log2
     from ..core.factors import segment_index
 
     cfg = model.config
@@ -266,10 +283,7 @@ def _compile_realm_unpacked(model):
     width = cfg.fraction_width
     logm = cfg.m.bit_length() - 1
 
-    v = _operand_space(n)
-    safe = np.where(v > 0, v, 1)
-    k = floor_log2(safe)
-    x = log_fraction(safe, k, n)
+    k, x = build_log_tables(n)
     xt = truncate_fraction(x, cfg.t, raw_width)
     seg = segment_index(x, raw_width, cfg.m)
     seg_row = seg << logm
@@ -327,9 +341,7 @@ def compile_scaletrim(model):
     lut = np.ascontiguousarray(model.lut, dtype=np.int64)
     one_2t = np.int64(1) << (2 * t)
 
-    v = _operand_space(n)
-    safe = np.where(v > 0, v, 1)
-    k, _, x, _, _ = log_operands(safe, safe, n)
+    k, x = build_log_tables(n)
     xs = scaled_fraction(x, n, t)
     bucket = xs >> (t - c)
     bucket_shift = t + 8
@@ -374,8 +386,20 @@ def compile_scaletrim(model):
 
 #: widest OR-approximated column window for which the pair-deficit table
 #: is built (``8 * 4**l`` bytes: 512 KB at l=8, matching the full-table
-#: budget; wider windows fall back to the generic ladder)
+#: budget; wider windows fall back to the compiler's generic ladder)
 DNNCO_TABLE_MAX_COLUMNS = 8
+
+
+@functools.lru_cache(maxsize=DNNCO_TABLE_MAX_COLUMNS)
+def dnnco_deficit_table(l: int) -> np.ndarray:
+    """OR-column deficit of every low-bits pair, ``table[(a_l << l) |
+    b_l]``; shared by every DNNCO kernel with this ``l``, so read-only."""
+    from ..multipliers.dnnco import column_deficit
+
+    low = np.arange(np.int64(1) << l, dtype=np.int64)
+    table = column_deficit(np.repeat(low, low.size), np.tile(low, low.size), l)
+    table.flags.writeable = False
+    return table
 
 
 def compile_dnnco(model):
@@ -387,22 +411,76 @@ def compile_dnnco(model):
     operand width.  Beyond ``l = 8`` the table budget is exceeded and
     the compiler's generic ladder takes over.
     """
-    from ..multipliers.dnnco import column_deficit
-
     l = model.l
     if l > DNNCO_TABLE_MAX_COLUMNS:
-        if model.bitwidth <= FULL_TABLE_MAX_BITWIDTH:
-            return compile_full_table(model)
-        return model._multiply, "interpreted", 0
-
-    low = np.arange(np.int64(1) << l, dtype=np.int64)
-    deficit = column_deficit(np.repeat(low, low.size), np.tile(low, low.size), l)
+        return None
+    deficit = dnnco_deficit_table(l)
     low_mask = mask(l)
 
     def evaluate(a, b):
         return a * b - deficit[((a & low_mask) << l) | (b & low_mask)]
 
     return evaluate, "table", deficit.nbytes
+
+
+#: operand chunk width of the AM OR-product table (``4**8`` chunk pairs)
+AM_CHUNK_BITS = 8
+
+
+@functools.lru_cache(maxsize=1)
+def am_chunk_table() -> np.ndarray:
+    """Partial-product bit sets of every 8-bit chunk pair ``(x, y)``.
+
+    ``table[(x << 8) | y]`` holds, in its low 16 bits, the bits set in at
+    least one partial-product row ``x << i`` (``y_i = 1``) — the OR
+    product — and above them the bits set in at least two rows.  Shared
+    by every AM kernel, so read-only.
+    """
+    v = np.arange(1 << AM_CHUNK_BITS, dtype=np.int64)
+    x, y = np.repeat(v, v.size), np.tile(v, v.size)
+    once = twice = np.zeros_like(x)
+    for i in range(AM_CHUNK_BITS):
+        row = np.where((y >> i) & 1 == 1, x << i, 0)
+        twice = twice | (once & row)
+        once = once | row
+    table = once | (twice << 16)
+    table.flags.writeable = False
+    return table
+
+
+def compile_am(model):
+    """AM1/AM2: the OR tree and its error recovery from chunk tables.
+
+    The OR tree's sum is the OR of all partial-product rows.  Any two
+    rows meet at exactly one tree node, so the OR of the error vectors
+    (AM1's recovery) is the set of bits present in at least two rows,
+    and ``x + y == (x | y) + (x & y)`` at every node makes the error
+    vectors sum to ``a * b - approx`` (AM2's recovery).  Both split over
+    8-bit operand chunks: a chunk pair's rows land at the sum of the
+    chunk offsets, where the (at least once, at least twice) bit sets
+    of the pairs combine as a saturating two-bit count.
+    """
+    table = am_chunk_table()
+    offsets = range(0, model.bitwidth, AM_CHUNK_BITS)
+    recovery = model._recovery_mask()
+    or_recovery = isinstance(model, Am1Multiplier)
+    low = mask(AM_CHUNK_BITS)
+
+    def evaluate(a, b):
+        once = twice = 0
+        for i in offsets:
+            rows = ((a >> i) & low) << AM_CHUNK_BITS
+            for j in offsets:
+                entry = table[rows | ((b >> j) & low)]
+                ones = (entry & 0xFFFF) << (i + j)
+                if or_recovery:
+                    twice = twice | ((entry >> 16) << (i + j)) | (once & ones)
+                once = once | ones
+        if or_recovery:
+            return once + (twice & recovery)
+        return once + ((a * b - once) & recovery)
+
+    return evaluate, "table", table.nbytes
 
 
 def compile_drum(model):

@@ -12,22 +12,10 @@ test suite.
 from __future__ import annotations
 
 import abc
-import os
 
 import numpy as np
 
-__all__ = ["Multiplier", "as_operands", "compiled_default"]
-
-
-def compiled_default() -> bool:
-    """Whether the compiled kernel path is enabled by default.
-
-    Controlled by the ``REPRO_COMPILED`` environment variable: ``1`` /
-    ``true`` / ``on`` / ``yes`` enable it for every
-    :meth:`Multiplier.multiply` call that does not pass ``compiled=``
-    explicitly.  Read per call so tests can flip it with ``monkeypatch``.
-    """
-    return os.environ.get("REPRO_COMPILED", "").lower() in ("1", "true", "on", "yes")
+__all__ = ["Multiplier", "as_operands"]
 
 
 def as_operands(a, b, bitwidth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,27 +98,25 @@ class Multiplier(abc.ABC):
     def multiply(self, a, b, *, compiled: bool | None = None) -> np.ndarray:
         """Approximate (or exact) product of unsigned operands.
 
-        ``compiled`` selects the evaluation engine: ``True`` routes the
-        batch through the fused kernel from :mod:`repro.kernels`
-        (table-specialized, bit-identical, compiled once per design and
-        cached on the registry fingerprint), ``False`` forces the
-        interpreted NumPy datapath, and ``None`` (default) follows the
-        ``REPRO_COMPILED`` environment variable.
+        By default (``compiled`` ``None`` or ``True``) the batch runs
+        through the design's fused kernel from :mod:`repro.kernels`
+        (compiled once per design, cached on the registry fingerprint,
+        bit-identical to the datapath).  ``compiled=False`` runs the
+        interpreted NumPy datapath :meth:`_multiply` instead: the
+        reference that the conformance model layer and the formal
+        replays compare the kernel against.
         """
         a, b = as_operands(a, b, self.bitwidth)
-        if compiled is None:
-            compiled = compiled_default()
-        if compiled:
+        if compiled is None or compiled:
             from ..kernels import kernel_for  # deferred: kernels imports us
 
-            kernel = kernel_for(self)
-            if a.ndim == 0:
-                return kernel(a.reshape(1), b.reshape(1))[0]
-            return kernel(a, b)
+            evaluate = kernel_for(self)
+        else:
+            evaluate = self._multiply
         if a.ndim == 0:
-            # _multiply implementations assume at least 1-D arrays
-            return self._multiply(a.reshape(1), b.reshape(1))[0]
-        return self._multiply(a, b)
+            # kernels and _multiply implementations assume >= 1-D arrays
+            return evaluate(a.reshape(1), b.reshape(1))[0]
+        return evaluate(a, b)
 
     def __call__(self, a, b) -> np.ndarray:
         return self.multiply(a, b)

@@ -4,6 +4,7 @@ from .cnn import CnnParams, FixedPointCnn, train_cnn
 from .dataset import IMAGE_SIZE, NUM_CLASSES, GlyphData, make_dataset
 from .evaluate import (
     cnn_logit_distortion,
+    cnn_scores,
     evaluate_cnn_multipliers,
     evaluate_multipliers,
     float_accuracy,
@@ -23,6 +24,7 @@ __all__ = [
     "MlpParams",
     "NUM_CLASSES",
     "cnn_logit_distortion",
+    "cnn_scores",
     "evaluate_cnn_multipliers",
     "evaluate_multipliers",
     "float_accuracy",

@@ -91,17 +91,13 @@ class ModelCache:
     ids that construct identical configurations also share an entry.
     Raises ``KeyError`` for unknown design ids (the registry's error).
 
-    ``compiled`` selects the evaluation engine for every request served
-    from this cache: ``True``/``False`` force the fused kernel or the
-    interpreted datapath, ``None`` (default) follows ``REPRO_COMPILED``
-    (see :meth:`repro.multipliers.base.Multiplier.multiply`).  Compiled
-    kernels share the same fingerprint keying through
-    :func:`repro.kernels.kernel_for`, so a long-lived server compiles
-    each design once no matter how many requests name it.
+    Requests evaluate through the compiled kernels, which share the same
+    fingerprint keying through :func:`repro.kernels.kernel_for`, so a
+    long-lived server compiles each design once no matter how many
+    requests name it (while it stays in the kernel cache's budget).
     """
 
-    def __init__(self, *, compiled: bool | None = None):
-        self.compiled = compiled
+    def __init__(self):
         self._by_request: dict[tuple[str, int], Multiplier] = {}
         self._by_fingerprint: dict[str, Multiplier] = {}
 
@@ -292,19 +288,14 @@ class MicroBatcher:
                 requests=len(items),
             ):
                 try:
-                    compiled = self.models.compiled
                     if fused:
                         a = np.concatenate([i.a for i in items])
                         b = np.concatenate([i.b for i in items])
-                        products = model.multiply(a, b, compiled=compiled)
+                        products = model.multiply(a, b)
                         offsets = np.cumsum([i.pairs for i in items])[:-1]
                         slices = np.split(products, offsets)
                     else:
-                        slices = [
-                            model.multiply(
-                                items[0].a, items[0].b, compiled=compiled
-                            )
-                        ]
+                        slices = [model.multiply(items[0].a, items[0].b)]
                 except Exception as exc:  # pragma: no cover - defensive
                     for item in items:
                         if not item.future.done():

@@ -58,9 +58,6 @@ class Service:
 
     ``policy``/``models``/``sleep`` configure the micro-batcher (the
     injectable ``sleep`` is what the deterministic test harness uses);
-    ``compiled`` selects the evaluation engine for multiply requests
-    (forwarded to the :class:`ModelCache`; ``None`` follows
-    ``REPRO_COMPILED``);
     ``workers`` > 1 gives characterize requests a :class:`SharedPool`
     whose worker processes are reused across requests; ``engine`` is a
     dict of extra :func:`~repro.analysis.montecarlo.characterize`
@@ -79,16 +76,11 @@ class Service:
         workers: int | None = None,
         engine: dict | None = None,
         characterize_slots: int = 1,
-        compiled: bool | None = None,
     ):
         if characterize_slots < 1:
             raise ValueError(
                 f"characterize_slots must be >= 1, got {characterize_slots}"
             )
-        if models is None:
-            models = ModelCache(compiled=compiled)
-        elif compiled is not None:
-            models.compiled = compiled
         self.batcher = MicroBatcher(policy, models=models, sleep=sleep)
         self.workers = workers
         self.pool = SharedPool(workers) if workers and workers > 1 else None

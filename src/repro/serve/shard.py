@@ -75,7 +75,6 @@ class ShardConfig:
     name: str
     host: str = "127.0.0.1"
     policy: BatchPolicy | None = None
-    compiled: bool | None = None
     workers: int | None = None
     engine: dict | None = None
 
@@ -136,7 +135,6 @@ def _build_service(config: ShardConfig) -> ShardService:
     return ShardService(
         config.name,
         policy=config.policy,
-        compiled=config.compiled,
         workers=config.workers,
         engine=config.engine,
     )
@@ -184,12 +182,10 @@ class LocalShard:
         name: str,
         *,
         policy: BatchPolicy | None = None,
-        compiled: bool | None = None,
         sleep=None,
     ):
         self.name = name
         self._policy = policy
-        self._compiled = compiled
         self._sleep = sleep
         self.service: ShardService | None = None
         self.restarts = 0
@@ -202,7 +198,6 @@ class LocalShard:
         self.service = ShardService(
             self.name,
             policy=self._policy,
-            compiled=self._compiled,
             sleep=self._sleep,
         )
         self.service.start()

@@ -278,7 +278,6 @@ class Supervisor:
         *,
         policy: SupervisorPolicy | None = None,
         models: ModelCache | None = None,
-        compiled: bool | None = None,
     ):
         shards = list(shards)
         self.policy = policy if policy is not None else SupervisorPolicy()
@@ -286,7 +285,7 @@ class Supervisor:
         if len(self.shards) != len(shards):
             raise ValueError("shard names must be distinct")
         self.ring = HashRing(self.shards, replicas=self.policy.replicas)
-        self.models = models if models is not None else ModelCache(compiled=compiled)
+        self.models = models if models is not None else ModelCache()
         self.breakers = {
             name: CircuitBreaker(self.policy) for name in self.shards
         }
@@ -562,9 +561,7 @@ class Supervisor:
             return error_response(request.id, "unknown-design", str(exc.args[0]))
         except ValueError as exc:
             return error_response(request.id, "bad-operands", str(exc))
-        products = model.multiply(
-            np.atleast_1d(a), np.atleast_1d(b), compiled=self.models.compiled
-        )
+        products = model.multiply(np.atleast_1d(a), np.atleast_1d(b))
         result = {"products": [int(value) for value in products]}
         if request.scalar:
             result["product"] = result["products"][0]

@@ -155,8 +155,8 @@ class TestInjectedBugs:
 
         original = RealmMultiplier.multiply
 
-        def broken(self, a, b):
-            products = original(self, a, b)
+        def broken(self, a, b, *, compiled=None):
+            products = original(self, a, b, compiled=compiled)
             a = np.asarray(a)
             b = np.asarray(b)
             return np.where((a > 0) & (b > 0), products + 1, products)
@@ -369,8 +369,8 @@ class TestReport:
 
         original = RealmMultiplier.multiply
 
-        def broken(self, a, b):
-            products = original(self, a, b)
+        def broken(self, a, b, *, compiled=None):
+            products = original(self, a, b, compiled=compiled)
             a = np.asarray(a)
             b = np.asarray(b)
             return np.where((a > 0) & (b > 0), products + 1, products)

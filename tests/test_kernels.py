@@ -5,10 +5,14 @@ Three fronts: a Hypothesis sweep of every registry family at every
 supported width against the interpreted model, the bit-parallel netlist
 kernel against the per-gate simulator, and a seeded compiled-layer
 conformance slice through the differential oracle.  Plus the cache
-contract: one kernel per (fingerprint, version), flushable.
+contract (one kernel per (fingerprint, version), bounded, flushable)
+and the default path: the paper's tables come out the same when every
+multiply is forced onto the interpreted datapath.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,7 +21,9 @@ from hypothesis import strategies as st
 
 from repro.circuits.catalog import netlist_for
 from repro.kernels import (
+    KERNEL_CACHE_BYTES,
     KERNEL_VERSION,
+    cached_kernel_bytes,
     cached_kernel_count,
     clear_kernel_cache,
     compile_kernel,
@@ -27,9 +33,13 @@ from repro.kernels import (
 from repro.kernels.compiler import _BLOCK
 from repro.kernels.netlist import _pack_words, _unpack_words
 from repro.logic.sim import evaluate_words
-from repro.multipliers.base import compiled_default
-from repro.multipliers.registry import build
+from repro.multipliers.accurate import AccurateMultiplier
+from repro.multipliers.am import Am1Multiplier
+from repro.multipliers.base import Multiplier
+from repro.multipliers.registry import TABLE1_IDS, build
 from tests.strategies import ALL_IDS, bitwidths, design_ids, operands
+
+AM_IDS = [name for name in ALL_IDS if name.startswith(("am1", "am2"))]
 
 
 def build_or_skip(name: str, bitwidth: int):
@@ -131,17 +141,65 @@ class TestModelKernelEquivalence:
             model.multiply(12345, b, compiled=False),
         )
 
-    def test_env_opt_in(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        assert compiled_default() is False
-        monkeypatch.setenv("REPRO_COMPILED", "1")
-        assert compiled_default() is True
-        model = build("calm", 8)
+    def test_default_path_matches_both_engines(self):
         a = np.arange(256, dtype=np.int64)
-        assert np.array_equal(
-            model.multiply(a, a[::-1]),  # compiled via the env default
-            model.multiply(a, a[::-1], compiled=False),
-        )
+        for name in ("calm", "am1-nb13", "intalp-l2"):
+            model = build(name, 8)
+            default = model.multiply(a, a[::-1])
+            assert np.array_equal(default, model.multiply(a, a[::-1], compiled=True))
+            assert np.array_equal(default, model.multiply(a, a[::-1], compiled=False))
+
+    def test_broadcast_nd_batch_is_blocked(self):
+        # a CNN-style broadcast batch, several blocks along the leading axis
+        model = build("realm16-t3", 16)
+        rng = np.random.default_rng(6)
+        x = rng.integers(0, 1 << 16, (40, 36, 9, 1))
+        w = rng.integers(0, 1 << 16, (1, 9, 8))
+        a, b = np.broadcast_arrays(x, w)
+        assert a.size > _BLOCK
+        got = model.multiply(x, w)
+        assert got.shape == a.shape
+        assert np.array_equal(got, model._multiply(a, b))
+
+    @pytest.mark.parametrize("bitwidth", [12, 16, 20])
+    @pytest.mark.parametrize("name", ["am1-nb13", "am2-nb13", "am1-nb5"])
+    def test_am_kernels_are_tables(self, name, bitwidth):
+        model = build(name, bitwidth)
+        kernel = compile_kernel(model)
+        assert kernel.kind == "table"
+        rng = np.random.default_rng(bitwidth)
+        a = rng.integers(0, 1 << bitwidth, 4096).astype(np.int64)
+        b = rng.integers(0, 1 << bitwidth, 4096).astype(np.int64)
+        a[:2], b[:2] = (1 << bitwidth) - 1, (1 << bitwidth) - 1
+        assert np.array_equal(kernel(a, b), model._multiply(a, b))
+
+    @pytest.mark.parametrize("name", AM_IDS)
+    def test_am_kernels_exhaustive_8bit(self, name, exhaustive8):
+        model = build(name, 8)
+        kernel = compile_kernel(model)
+        assert kernel.kind == "table"
+        a, b = exhaustive8
+        assert np.array_equal(kernel(a, b), model._multiply(a, b))
+
+    def test_overriding_subclass_is_not_specialized(self):
+        # a subclass that changes the product must never be served its
+        # parent family's kernel: the ladder evaluates through the override
+        class OffByOne(AccurateMultiplier):
+            def _multiply(self, a, b):
+                return a * b + 1
+
+        class NoRecovery(Am1Multiplier):
+            def _recover(self, errors):
+                return np.zeros_like(errors[0])
+
+        for model in (OffByOne(16), NoRecovery(16), OffByOne(8)):
+            kernel = compile_kernel(model)
+            assert kernel.kind in ("interpreted", "full-table")
+            a = np.array([3, 40000, 65535]) % (1 << model.bitwidth)
+            assert np.array_equal(
+                model.multiply(a, a), model.multiply(a, a, compiled=False)
+            )
+        assert int(OffByOne(16).multiply(3, 5)) == 16
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +324,25 @@ class TestKernelCache:
         assert compile_kernel(build("intalp-l2", 16)).kind == "interpreted"
         assert compile_kernel(build("accurate", 16)).kind == "direct"
 
+    def test_cache_stays_within_budget(self):
+        clear_kernel_cache()
+        for name in TABLE1_IDS:
+            newest = kernel_for(build(name, 16))
+        assert 0 < cached_kernel_bytes() <= KERNEL_CACHE_BYTES
+        count = cached_kernel_count()
+        assert kernel_for(build(TABLE1_IDS[-1], 16)) is newest
+        assert cached_kernel_count() == count
+
+    def test_oversized_kernel_stays_cached(self):
+        # one kernel beyond the budget on its own evicts the rest but stays
+        clear_kernel_cache()
+        kernel_for(build("calm", 16))
+        wide = kernel_for(build("realm16-t0", 20))
+        assert wide.table_bytes > KERNEL_CACHE_BYTES
+        assert cached_kernel_count() == 1
+        assert kernel_for(build("realm16-t0", 20)) is wide
+        clear_kernel_cache()
+
 
 # ----------------------------------------------------------------------
 # conformance: the kernel layer through the differential oracle
@@ -299,6 +376,27 @@ class TestCompiledConformanceSlice:
         )
         assert total == 0, records
 
+    def test_wrong_cached_kernel_is_caught(self, monkeypatch):
+        # the model layer stays interpreted, so a kernel that disagrees
+        # with the datapath shows up as kernel divergences instead of
+        # silently becoming the reference
+        from repro.conformance.oracles import DifferentialOracle
+        from repro.kernels import compiler
+
+        def wrong(model):
+            kernel = compile_kernel(model)
+            return dataclasses.replace(kernel, evaluate=lambda a, b: kernel(a, b) + 1)
+
+        clear_kernel_cache()
+        monkeypatch.setattr(compiler, "compile_kernel", wrong)
+        try:
+            oracle = DifferentialOracle("mbm-t4", layers=("model", "kernel"))
+            records, total = oracle.evaluate(np.arange(1, 65), np.arange(64, 0, -1))
+        finally:
+            clear_kernel_cache()
+        assert total == 64
+        assert {record.key() for record in records} == {("layer", "kernel")}
+
     def test_rtl_layer_interpreted_escape(self):
         from repro.conformance.oracles import DifferentialOracle
 
@@ -306,3 +404,47 @@ class TestCompiledConformanceSlice:
         assert oracle._rtl_kernel is None
         _, total = oracle.evaluate(np.array([3, 200]), np.array([7, 9]))
         assert total == 0
+
+
+# ----------------------------------------------------------------------
+# the default path: the paper's tables with every multiply interpreted
+# ----------------------------------------------------------------------
+
+
+def interpreted_only(monkeypatch):
+    """Force every ``Multiplier.multiply`` onto the interpreted datapath."""
+    original = Multiplier.multiply
+
+    def multiply(self, a, b, *, compiled=None):
+        return original(self, a, b, compiled=False)
+
+    monkeypatch.setattr(Multiplier, "multiply", multiply)
+
+
+class TestDefaultPathRows:
+    def test_table1_rows(self, monkeypatch):
+        from repro.experiments import table1_errors
+
+        def rows():
+            return table1_errors(1 << 10, TABLE1_IDS, 7, cache=False, warehouse=False)
+
+        compiled = rows()
+        interpreted_only(monkeypatch)
+        assert rows() == compiled
+
+    def test_table2_image_rows(self, monkeypatch):
+        from repro import paper
+        from repro.experiments import table2_jpeg
+
+        monkeypatch.setattr(paper, "TABLE2_IMAGES", paper.TABLE2_IMAGES[:1])
+        compiled = table2_jpeg(50, 7)
+        interpreted_only(monkeypatch)
+        assert table2_jpeg(50, 7) == compiled
+
+    def test_cnn_study_rows(self, monkeypatch):
+        from repro.experiments import cnn_study
+
+        designs = ("am2-nb13", "realm16-t3")
+        compiled = cnn_study(designs, 7, warehouse=False)
+        interpreted_only(monkeypatch)
+        assert cnn_study(designs, 7, warehouse=False) == compiled
