@@ -37,6 +37,8 @@ verify:
 		--layers model kernel exact
 	PYTHONPATH=src $(PYTHON) -m repro conform --design am2-nb13 --budget 20000 --seed 0 \
 		--layers model rtl kernel exact
+	PYTHONPATH=src $(PYTHON) -m repro conform --design intalp-l2 --budget 20000 --seed 0 \
+		--layers model rtl kernel exact
 	@echo "--- formal smoke (8-bit equivalence proof + certified peaks) ---"
 	PYTHONPATH=src $(PYTHON) -m repro formal --design realm-8-m4-q5 --prove-equiv --max-error --no-cache
 	@echo "--- warehouse smoke (record, warm reuse, trend report) ---"

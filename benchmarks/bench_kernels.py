@@ -4,9 +4,10 @@ The headline numbers of the kernel subsystem: each benchmark evaluates
 one operand batch through both engines and records the measured
 speedup in ``extra_info`` (the CI artifact tabulates these).  Model
 kernels are expected to clear ~5x on the log families at Monte-Carlo
-batch sizes and ~3x on the AM1/AM2 chunk tables; the JPEG-shaped case
-times an N-d ``(..., 8, 8, 8)`` DCT product stack, which the kernels
-evaluate in blocks along its leading axis.  The bit-parallel netlist
+batch sizes, ~3x on the AM1/AM2 chunk tables and 5-9x on IntALP's
+table-driven plane walk; the JPEG-shaped case times an N-d
+``(..., 8, 8, 8)`` DCT product stack, which the kernels evaluate in
+blocks along its leading axis.  The bit-parallel netlist
 kernel clears ~5x over the per-gate simulator at fuzzing batch sizes.
 
 Run directly (``python benchmarks/bench_kernels.py``) for a quick
@@ -31,7 +32,7 @@ NETLIST_PAIRS = 1 << 15
 
 MODEL_DESIGNS = [
     "realm16-t3", "mbm-t4", "calm", "alm-soa-m9", "drum-k6", "ssm-m9",
-    "am1-nb13", "am2-nb13",
+    "am1-nb13", "am2-nb13", "intalp-l1", "intalp-l2",
 ]
 #: one 256x256 image's DCT products: (block rows, block cols, i, k, j)
 JPEG_STACK = (32, 32, 8, 8, 8)
@@ -128,6 +129,11 @@ def test_perf_kernel_am1(benchmark):
 def test_perf_kernel_am2(benchmark):
     """AM2: chunk OR-product tables vs the interpreted OR tree."""
     _bench_model(benchmark, "am2-nb13")
+
+
+def test_perf_kernel_intalp(benchmark):
+    """IntALP L=2: table-driven plane walk vs the interpreted walk."""
+    _bench_model(benchmark, "intalp-l2")
 
 
 def test_perf_kernel_jpeg_stack(benchmark):

@@ -18,6 +18,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for
 paper-vs-measured results of every table and figure.
 """
 
+from . import _malloc
 from .core.config import RealmConfig
 from .core.factors import (
     compute_factors,
@@ -32,6 +33,10 @@ from .multipliers.base import Multiplier
 from .multipliers.registry import REGISTRY, TABLE1_IDS, build
 from .explore import Candidate, Constraints, explore
 from .multipliers.signed import SignedMultiplier, convolve2d, dot_product
+
+# every entry point (library, CLI, serve shards, pool workers) imports
+# this package, so each process runs with the same allocator thresholds
+_malloc.pin()
 
 __version__ = "1.0.0"
 

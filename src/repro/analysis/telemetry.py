@@ -153,19 +153,25 @@ class MemorySink:
 class JsonlSink:
     """Appends one JSON line per event to ``path``.
 
-    The file opens lazily on the first event and every line is flushed
-    immediately, so events from a worker that is later killed (chaos
-    ``crash`` faults, OOM) survive up to the last completed emit.
+    The file opens lazily on the first event (or at :meth:`prepare`) and
+    every line is flushed immediately, so events from a worker that is
+    later killed (chaos ``crash`` faults, OOM) survive up to the last
+    completed emit.
     """
 
     def __init__(self, path):
         self.path = pathlib.Path(path)
         self._handle = None
 
-    def emit(self, record: dict) -> None:
+    def prepare(self) -> None:
+        """Open the file now, so the open is not timed inside the span
+        whose end emits the first event."""
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "a", encoding="utf-8")
+
+    def emit(self, record: dict) -> None:
+        self.prepare()
         self._handle.write(json.dumps(record, sort_keys=True) + "\n")
         self._handle.flush()
 
@@ -586,7 +592,9 @@ def tracing(path):
         pass
     dropzone = path.parent / f"{path.name}.workers-{os.getpid()}"
     previous_env = os.environ.get(TELEMETRY_ENV)
-    telemetry = enable(JsonlSink(path), directory=dropzone)
+    sink = JsonlSink(path)
+    sink.prepare()
+    telemetry = enable(sink, directory=dropzone)
     start = telemetry.wall()
     try:
         yield telemetry

@@ -10,10 +10,13 @@ design once into a fused evaluator and caches it:
   :class:`CompiledKernel` — for the log/segment families the quantized
   ``s_ij`` LUT, ``t``-truncation and LOD collapse into per-operand
   table lookups plus a few vectorized int64 ops; AM1/AM2 become gathers
-  from one 8-bit-chunk OR-product table; other narrow designs get an
-  exhaustive product table; otherwise a transparent interpreted
-  fallback (still bit-identical, by construction).  Large batches are
-  evaluated in cache-sized blocks along their leading axis.
+  from one 8-bit-chunk OR-product table; IntALP walks its plane
+  hierarchy through per-level half-plane tables.  Every registered
+  family compiles so; a model with no specializer (a subclass that
+  overrides the datapath) gets an exhaustive product table when narrow,
+  otherwise a transparent interpreted fallback (still bit-identical, by
+  construction).  Large batches are evaluated in cache-sized blocks
+  along their leading axis.
 * :func:`compile_netlist` lowers a levelized
   :class:`~repro.logic.netlist.Netlist` into a straight-line
   bit-parallel program over uint64-packed stimulus lanes

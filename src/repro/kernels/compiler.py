@@ -5,11 +5,12 @@ specializer of :mod:`repro.kernels.tables` that folds its datapath, and
 a specializer applies only where the model runs its family's own
 datapath methods — a subclass that overrides ``_multiply`` (or AM's
 ``_accumulate``/``_recover``) gets the generic ladder, which evaluates
-through the override.  Models with no specializer (IntALP's joint plane
-walk) get the exhaustive product table when the operand width allows
-and a transparent interpreted fallback otherwise — every model
-therefore *has* a kernel, and every kernel is bit-identical to the
-interpreted datapath.
+through the override.  Every registered family has a specializer; the
+models left without one (such overriding subclasses, DNNCO windows
+beyond the deficit-table budget) get the exhaustive product table when
+the operand width allows and a transparent interpreted fallback
+otherwise — every model therefore *has* a kernel, and every kernel is
+bit-identical to the interpreted datapath.
 
 The compile cache is keyed on ``(registry fingerprint, KERNEL_VERSION)``:
 the fingerprint covers every functional attribute of the instance (the
@@ -39,6 +40,7 @@ from ..multipliers.base import Multiplier
 from ..multipliers.dnnco import DnnCoMultiplier
 from ..multipliers.drum import DrumMultiplier
 from ..multipliers.implm import ImpLmMultiplier
+from ..multipliers.intalp import IntAlpMultiplier
 from ..multipliers.mbm import MbmMultiplier
 from ..multipliers.mitchell import MitchellMultiplier
 from ..multipliers.registry import fingerprint
@@ -58,7 +60,7 @@ __all__ = [
 ]
 
 #: bump on ANY change to kernel generation; part of every cache key
-KERNEL_VERSION = 2
+KERNEL_VERSION = 3
 
 #: table bytes the compile cache may hold before it evicts the least
 #: recently used kernels.  Table I alone compiles ~50 MB of tables; a
@@ -147,6 +149,7 @@ _SPECIALIZERS: tuple[tuple[type, Callable], ...] = (
     (DnnCoMultiplier, tables.compile_dnnco),
     (Am1Multiplier, tables.compile_am),
     (Am2Multiplier, tables.compile_am),
+    (IntAlpMultiplier, tables.compile_intalp),
 )
 
 #: the methods a specializer folds: it applies only to models whose class

@@ -14,6 +14,12 @@ The AM1/AM2 array families have no per-operand front end, but their OR
 tree splits over 8-bit operand chunks: one ``4**8``-entry table of
 chunk-pair OR-products serves every width and recovery width.
 
+IntALP's float log fraction is per operand too, and its comparator
+walk down the triangle hierarchy needs only per-*triangle* constants:
+each level is one half-plane test whose median and sign come from a
+table of at most ``2**(L-1)`` entries, built with the model's own float
+operations, so the walk and its plane tail stay bit-identical.
+
 Designs without a specializer fall back, at ``N <=
 FULL_TABLE_MAX_BITWIDTH``, to the entire ``2**N x 2**N`` product space
 enumerated through the *interpreted* model into one flat table (``8 *
@@ -56,6 +62,7 @@ __all__ = [
     "compile_drum",
     "compile_full_table",
     "compile_implm",
+    "compile_intalp",
     "compile_mbm",
     "compile_dnnco",
     "compile_mitchell",
@@ -63,6 +70,7 @@ __all__ = [
     "compile_scaletrim",
     "compile_segment",
     "dnnco_deficit_table",
+    "intalp_walk_tables",
 ]
 
 #: widest operand for which the exhaustive pair table is built
@@ -481,6 +489,76 @@ def compile_am(model):
         return once + ((a * b - once) & recovery)
 
     return evaluate, "table", table.nbytes
+
+
+@functools.lru_cache(maxsize=16)
+def intalp_walk_tables(level: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The half-plane test of every IntALP walk step, per triangle.
+
+    Entry ``d`` holds, for every triangle id ``t`` at level ``d + 1``,
+    ``(dxm, dym, rx, ry, side_h1)``: the median direction, the
+    right-angle vertex and the side of the median that ``h1`` lies on.
+    They come from :func:`~repro.multipliers.intalp.interpolate_xy`'s
+    own float operations, applied once per triangle instead of once per
+    sample, and child ``c`` of ``t`` gets id ``2 * t + c`` as there.
+    Shared by every IntALP kernel of this level, so read-only.
+    """
+    from ..multipliers.intalp import _ROOTS
+
+    current = np.array(_ROOTS)
+    steps = []
+    for _ in range(level - 1):
+        h1, h2, right = current[:, 0], current[:, 1], current[:, 2]
+        mid = (h1 + h2) / 2.0
+        dxm, dym = mid[:, 0] - right[:, 0], mid[:, 1] - right[:, 1]
+        side_h1 = dxm * (h1[:, 1] - right[:, 1]) - dym * (h1[:, 0] - right[:, 0])
+        step = (dxm, dym, right[:, 0].copy(), right[:, 1].copy(), side_h1)
+        for table in step:
+            table.flags.writeable = False
+        steps.append(step)
+        first = np.stack([h1, right, mid], axis=1)
+        second = np.stack([right, h2, mid], axis=1)
+        current = np.stack([first, second], axis=1).reshape(-1, 3, 2)
+    return tuple(steps)
+
+
+def compile_intalp(model):
+    """IntALP: float fraction table, table-driven plane walk, model tail.
+
+    The level-1 triangle is ``x < y``; each deeper level is one
+    half-plane test against the per-triangle constants of
+    :func:`intalp_walk_tables` (ties go to child 0, as in the model),
+    and the plane coefficients are gathered from the model's own
+    ``triangle_table``.  The tail repeats ``_multiply`` operation by
+    operation — ``1.0 + x + y + plane``, then ``floor(mantissa *
+    exp2(ka + kb))`` with ``exp2`` tabulated over every ``ka + kb`` —
+    so every float result is the model's, bit for bit.
+    """
+    from ..multipliers.intalp import triangle_table
+
+    n = model.bitwidth
+    k, x = build_log_tables(n)
+    fraction = x / np.float64(1 << (n - 1))
+    steps = intalp_walk_tables(model.level)
+    _, planes = triangle_table(model.level, model.fit)
+    c0, c1, c2 = np.ascontiguousarray(planes.T)
+    pow2 = np.exp2(np.arange(2 * n - 1, dtype=np.float64))
+
+    def evaluate(a, b):
+        xa, yb = fraction[a], fraction[b]
+        t = (xa < yb).astype(np.intp)
+        for dxm, dym, rx, ry, side_h1 in steps:
+            side = dxm[t] * (yb - ry[t]) - dym[t] * (xa - rx[t])
+            t = 2 * t + (side * side_h1[t] < 0)
+        plane = c0[t] * xa + c1[t] * yb + c2[t]
+        mantissa = 1.0 + xa + yb + plane
+        product = np.floor(mantissa * pow2[k[a] + k[b]])
+        product = np.maximum(product.astype(np.int64), 0)
+        return np.where((a > 0) & (b > 0), product, 0)
+
+    walk = sum(table.nbytes for step in steps for table in step)
+    small = walk + planes.nbytes + pow2.nbytes
+    return evaluate, "table", fraction.nbytes + k.nbytes + small
 
 
 def compile_drum(model):

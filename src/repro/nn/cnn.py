@@ -39,6 +39,9 @@ CONV_SIZE = IMAGE_SIZE - KERNEL_SIZE + 1  # 6x6 valid convolution
 POOL_SIZE = CONV_SIZE // 2  # 3x3 after 2x2 max-pool
 FLAT_FEATURES = POOL_SIZE * POOL_SIZE * CONV_CHANNELS
 
+#: products per multiply-accumulate block of :meth:`FixedPointCnn._matmul`
+MAC_BLOCK = 1 << 17
+
 
 @dataclasses.dataclass
 class CnnParams:
@@ -178,13 +181,22 @@ class FixedPointCnn:
     def _matmul(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Batched ``x @ weights`` with approximate products, exact sums.
 
-        ``x``: (..., in) non-negative ints; ``weights``: (in, out) signed.
+        ``x``: (n, ..., in) non-negative ints; ``weights``: (in, out)
+        signed.  Evaluated over blocks of whole images along ``n`` of
+        about :data:`MAC_BLOCK` products each, so the product tensor and
+        its signed copy stay a few MB at any batch size; the integer sums
+        make the rows independent of the block size.
         """
-        magnitude = self.multiplier.multiply(
-            x[..., :, None], np.abs(weights)[None, :, :]
-        )
-        signed = np.where(weights < 0, -magnitude, magnitude)
-        return signed.sum(axis=-2)
+        magnitudes = np.abs(weights)[None, :, :]
+        negative = weights < 0
+        out = np.empty(x.shape[:-1] + weights.shape[1:], dtype=np.int64)
+        step = max(1, MAC_BLOCK // max(1, x[:1].size * weights.shape[1]))
+        for start in range(0, len(x), step):
+            block = x[start : start + step]
+            magnitude = self.multiplier.multiply(block[..., :, None], magnitudes)
+            signed = np.where(negative, -magnitude, magnitude)
+            out[start : start + step] = signed.sum(axis=-2)
+        return out
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Fixed-point forward pass; returns integer logits."""

@@ -36,6 +36,8 @@ from repro.logic.sim import evaluate_words
 from repro.multipliers.accurate import AccurateMultiplier
 from repro.multipliers.am import Am1Multiplier
 from repro.multipliers.base import Multiplier
+from repro.multipliers.dnnco import DnnCoMultiplier
+from repro.multipliers.intalp import IntAlpMultiplier
 from repro.multipliers.registry import TABLE1_IDS, build
 from tests.strategies import ALL_IDS, bitwidths, design_ids, operands
 
@@ -106,8 +108,6 @@ class TestModelKernelEquivalence:
         # beyond l = 8 the 4**l deficit table would blow the budget; the
         # specializer hands the model back to the interpreted path and
         # stays bit-identical
-        from repro.multipliers.dnnco import DnnCoMultiplier
-
         model = DnnCoMultiplier(16, l=10)
         kernel = compile_kernel(model)
         assert kernel.kind == "interpreted"
@@ -179,6 +179,46 @@ class TestModelKernelEquivalence:
         kernel = compile_kernel(model)
         assert kernel.kind == "table"
         a, b = exhaustive8
+        assert np.array_equal(kernel(a, b), model._multiply(a, b))
+
+    @pytest.mark.parametrize("fit", ["interp", "ls"])
+    @pytest.mark.parametrize("level", range(1, 9))
+    def test_intalp_kernel_exhaustive_8bit(self, level, fit, exhaustive8):
+        model = IntAlpMultiplier(8, level=level, fit=fit)
+        kernel = compile_kernel(model)
+        assert kernel.kind == "table"
+        a, b = exhaustive8
+        assert np.array_equal(kernel(a, b), model._multiply(a, b))
+
+    @pytest.mark.parametrize("fit", ["interp", "ls"])
+    @pytest.mark.parametrize("level", range(1, 9))
+    @pytest.mark.parametrize("bitwidth", [12, 16])
+    def test_intalp_kernel_wide(self, bitwidth, level, fit):
+        # random pairs plus pairs on the walk's boundaries: the diagonal
+        # x == y, the anti-diagonal x + y == 1, and a grid of fractions
+        # in eighths (on the deeper medians) with powers of two and their
+        # neighbours
+        model = IntAlpMultiplier(bitwidth, level=level, fit=fit)
+        kernel = compile_kernel(model)
+        assert kernel.kind == "table"
+        rng = np.random.default_rng(bitwidth * 100 + level)
+        octave = np.int64(1) << rng.integers(1, bitwidth, 4096)
+        diagonal = octave + rng.integers(1, octave)
+        anti_diagonal = 3 * octave - diagonal
+        grid = np.unique(
+            [(1 << k) + j * (1 << k >> 3) for k in range(bitwidth) for j in range(8)]
+            + [0, (1 << bitwidth) - 1]
+            + [(1 << k) + 1 for k in range(1, bitwidth - 1)]
+            + [(1 << k) - 1 for k in range(2, bitwidth + 1)]
+        )
+        a = np.concatenate(
+            [rng.integers(0, 1 << bitwidth, 1 << 14), diagonal, diagonal,
+             np.repeat(grid, grid.size)]
+        )
+        b = np.concatenate(
+            [rng.integers(0, 1 << bitwidth, 1 << 14), diagonal, anti_diagonal,
+             np.tile(grid, grid.size)]
+        )
         assert np.array_equal(kernel(a, b), model._multiply(a, b))
 
     def test_overriding_subclass_is_not_specialized(self):
@@ -318,11 +358,21 @@ class TestKernelCache:
         assert kernel.table_bytes > 0
 
     def test_fallback_kinds(self):
-        # IntALP has no per-operand decomposition: full table while the
-        # operand space is small, interpreted wrap beyond
-        assert compile_kernel(build("intalp-l2", 8)).kind == "full-table"
-        assert compile_kernel(build("intalp-l2", 16)).kind == "interpreted"
+        # models with no specializer: full table while the operand space
+        # is small, interpreted wrap beyond
+        class Shifted(IntAlpMultiplier):
+            def _multiply(self, a, b):
+                return super()._multiply(a, b) >> 1
+
+        assert compile_kernel(Shifted(8)).kind == "full-table"
+        assert compile_kernel(DnnCoMultiplier(16, l=10)).kind == "interpreted"
         assert compile_kernel(build("accurate", 16)).kind == "direct"
+        for bitwidth in (8, 16):
+            assert compile_kernel(build("intalp-l2", bitwidth)).kind == "table"
+
+    @pytest.mark.parametrize("name", ALL_IDS)
+    def test_no_registered_design_runs_interpreted(self, name):
+        assert compile_kernel(build(name, 16)).kind != "interpreted"
 
     def test_cache_stays_within_budget(self):
         clear_kernel_cache()
@@ -351,7 +401,8 @@ class TestKernelCache:
 
 class TestCompiledConformanceSlice:
     @pytest.mark.parametrize(
-        "design", ["realm16-t3", "mbm-t4", "calm", "drum-k6", "intalp-l2"]
+        "design",
+        ["realm16-t3", "mbm-t4", "calm", "drum-k6", "intalp-l1", "intalp-l2"],
     )
     def test_seeded_fuzz_slice_is_clean(self, design):
         from repro.conformance import fuzz

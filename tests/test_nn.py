@@ -198,6 +198,21 @@ class TestCnn:
         hidden = np.maximum(acc, 0) >> WEIGHT_FRACTION_BITS
         assert hidden.max() < (1 << 16)
 
+    @pytest.mark.parametrize("name", ["intalp-l2", "scaletrim-t4-c2"])
+    def test_cnn_mac_blocks_are_invisible(self, name, monkeypatch):
+        # the MAC evaluates blocks of whole images; integer sums make the
+        # logits the same at one image per block and in one block
+        from repro.nn import cnn
+        from repro.nn.evaluate import trained_cnn_setup
+
+        data, params = trained_cnn_setup()
+        model = cnn.FixedPointCnn(params, build(name))
+        default = model.logits(data.test_x)
+        assert len(data.test_x) * 36 * 9 * 8 > cnn.MAC_BLOCK
+        for block in (1, 1 << 40):
+            monkeypatch.setattr(cnn, "MAC_BLOCK", block)
+            assert np.array_equal(model.logits(data.test_x), default)
+
     def test_approximate_cnn_accuracy(self):
         from repro.nn.evaluate import evaluate_cnn_multipliers
 
