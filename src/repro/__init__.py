@@ -32,7 +32,13 @@ from .analysis.montecarlo import characterize
 from .multipliers.base import Multiplier
 from .multipliers.registry import REGISTRY, TABLE1_IDS, build
 from .explore import Candidate, Constraints, explore
-from .multipliers.signed import SignedMultiplier, convolve2d, dot_product
+from .multipliers.signed import (
+    SignedMultiplier,
+    convolve2d,
+    dot_product,
+    signed_matmul,
+    signed_product,
+)
 
 # every entry point (library, CLI, serve shards, pool workers) imports
 # this package, so each process runs with the same allocator thresholds
@@ -60,5 +66,7 @@ __all__ = [
     "explore",
     "mitchell_relative_error",
     "quantize_factors",
+    "signed_matmul",
+    "signed_product",
     "__version__",
 ]

@@ -12,8 +12,9 @@ Fixed-point layout (mirrors a DSP MAC slice):
 * samples are signed Q15-scaled integers in ``[-2**15, 2**15 - 1]``;
 * coefficients are Q15 too (a unity-gain low-pass has taps well inside
   ±0.5 so the magnitudes stay far below ``2**15``);
-* products go through the unsigned multiplier with sign-magnitude
-  wrapping; the accumulator is exact; the final ``>> 15`` rescales.
+* products go through the shared sign-magnitude MAC,
+  :func:`repro.multipliers.signed.signed_matmul`; the accumulator is
+  exact; the final ``>> 15`` rescales.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..multipliers.base import Multiplier
+from ..multipliers.signed import signed_matmul
 
 __all__ = [
     "lowpass_taps",
@@ -65,20 +67,13 @@ def fir_filter(
     """
     samples_q = np.asarray(samples_q, dtype=np.int64)
     taps_q = np.asarray(taps_q, dtype=np.int64)
-    length = len(samples_q) - len(taps_q) + 1
-    if length <= 0:
+    if len(samples_q) < len(taps_q):
         raise ValueError(
             f"signal of {len(samples_q)} samples too short for "
             f"{len(taps_q)} taps"
         )
-    accumulator = np.zeros(length, dtype=np.int64)
-    for index, tap in enumerate(taps_q):
-        window = samples_q[index : index + length]
-        magnitude = multiplier.multiply(
-            np.abs(window), np.full(length, abs(int(tap)), dtype=np.int64)
-        )
-        signed = np.where((window < 0) ^ (tap < 0), -magnitude, magnitude)
-        accumulator += signed
+    windows = np.lib.stride_tricks.sliding_window_view(samples_q, len(taps_q))
+    accumulator = signed_matmul(multiplier, windows, taps_q[:, None])[:, 0]
     half = np.int64(1) << (Q - 1)
     return (accumulator + half) >> Q
 

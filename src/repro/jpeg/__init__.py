@@ -1,7 +1,7 @@
 """Fixed-point JPEG substrate for the Table II application study."""
 
 from .codec import CompressedImage, compress, decompress, roundtrip_psnr
-from .dct import dct_matrix_q7, forward_dct, inverse_dct, signed_multiply
+from .dct import dct_matrix_q7, forward_dct, inverse_dct
 from .huffman import decode_blocks, encode_blocks
 from .images import IMAGE_NAMES, test_image
 from .psnr import mse, psnr
@@ -28,7 +28,6 @@ __all__ = [
     "quantize",
     "roundtrip_psnr",
     "ssim",
-    "signed_multiply",
     "test_image",
     "to_zigzag",
     "zigzag_order",

@@ -5,9 +5,10 @@ accurate and approximate multipliers".  This module is that arithmetic
 core: the 2-D type-II DCT computed as ``C @ X @ C.T`` (and its inverse
 ``C.T @ Z @ C``) where the orthonormal basis ``C`` is quantized to Q7
 fixed point and **every multiplication is routed through the supplied
-unsigned multiplier** via sign-magnitude wrapping (the paper's signed
-extension, Section III-C).  Accumulation is exact, as in a hardware MAC
-whose multiplier is the approximate unit.
+unsigned multiplier** by :func:`repro.multipliers.signed.signed_matmul`,
+the shared sign-magnitude MAC (the paper's signed extension, Section
+III-C).  Accumulation is exact, as in a hardware MAC whose multiplier is
+the approximate unit; only the rounding shift after each pass is local.
 
 Ranges (proof the datapath stays within 16-bit magnitudes):
 
@@ -23,8 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..multipliers.base import Multiplier
+from ..multipliers.signed import signed_matmul
 
-__all__ = ["dct_matrix_q7", "signed_multiply", "forward_dct", "inverse_dct"]
+__all__ = ["dct_matrix_q7", "forward_dct", "inverse_dct"]
 
 #: fixed-point fraction bits of the DCT basis
 COEFF_BITS = 7
@@ -39,36 +41,12 @@ def dct_matrix_q7() -> np.ndarray:
     return np.rint(basis * (1 << COEFF_BITS)).astype(np.int64)
 
 
-def signed_multiply(multiplier: Multiplier, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sign-magnitude product through an unsigned multiplier.
-
-    Magnitudes must fit the multiplier's bitwidth — the DCT datapath
-    guarantees that (see module docstring), and the operand validation in
-    the multiplier raises otherwise rather than silently wrapping.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    magnitude = multiplier.multiply(np.abs(a), np.abs(b))
-    return np.where((a < 0) ^ (b < 0), -magnitude, magnitude)
-
-
 def _fixed_point_matmul(
     multiplier: Multiplier, left: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
-    """``(left @ right) >> COEFF_BITS`` with approximate products.
-
-    Works on stacks: ``left`` is ``(..., 8, 8)``, ``right`` ``(8, 8)`` or
-    ``(..., 8, 8)``.  Products go through the multiplier; the accumulation
-    and the rounding shift are exact.
-    """
-    left = np.asarray(left, dtype=np.int64)
-    right = np.asarray(right, dtype=np.int64)
-    lhs = left[..., :, :, None]  # (..., i, k, 1)
-    rhs = right[..., None, :, :]  # (..., 1, k, j)
-    products = signed_multiply(multiplier, *np.broadcast_arrays(lhs, rhs))
-    total = products.sum(axis=-2)  # contract over k
+    """``(left @ right) >> COEFF_BITS``, rounded, with approximate products."""
     half = 1 << (COEFF_BITS - 1)
-    return (total + half) >> COEFF_BITS
+    return (signed_matmul(multiplier, left, right) + half) >> COEFF_BITS
 
 
 def forward_dct(multiplier: Multiplier, blocks: np.ndarray) -> np.ndarray:

@@ -16,7 +16,13 @@ from .intalp import IntAlpMultiplier
 from .mbm import MbmMultiplier
 from .mitchell import MitchellMultiplier
 from .registry import REGISTRY, TABLE1_IDS, build, iter_multipliers, names
-from .signed import SignedMultiplier, convolve2d, dot_product
+from .signed import (
+    SignedMultiplier,
+    convolve2d,
+    dot_product,
+    signed_matmul,
+    signed_product,
+)
 from .ssm import EssmMultiplier, SsmMultiplier
 
 __all__ = [
@@ -47,4 +53,6 @@ __all__ = [
     "dot_product",
     "iter_multipliers",
     "names",
+    "signed_matmul",
+    "signed_product",
 ]

@@ -12,6 +12,11 @@ complement operands in ``[-2**(N-1), 2**(N-1) - 1]``.  The magnitude of
 bit wider than the signed interface — the same widening a hardware wrapper
 performs.
 
+This module is the only home of that recipe: :func:`signed_product`
+applies it elementwise, and :func:`signed_matmul` is the multiply-
+accumulate (MAC) that the JPEG DCT, the FIR filter and the MLP and CNN
+layers all share.
+
 The module also provides :func:`dot_product` and :func:`convolve2d`
 helpers used by the application-level examples: they route every
 multiplication of a reduction through the wrapped multiplier while
@@ -21,11 +26,67 @@ model in DSP/ML kernels.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import Multiplier
 
-__all__ = ["SignedMultiplier", "dot_product", "convolve2d"]
+__all__ = [
+    "SignedMultiplier",
+    "convolve2d",
+    "dot_product",
+    "signed_matmul",
+    "signed_product",
+]
+
+#: products per block of :func:`signed_matmul`
+MAC_BLOCK = 1 << 17
+
+
+def signed_product(multiplier: Multiplier, a, b) -> np.ndarray:
+    """Signed ``a * b`` as ``multiplier(|a|, |b|)`` with the sign restored.
+
+    The sign goes on as ±1 factors in each operand's own, unbroadcast
+    shape, skipping an operand without negatives, so no mask of the
+    product's full shape is built.  Magnitudes must fit the multiplier's
+    bitwidth; its operand validation raises otherwise.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    product = multiplier.multiply(np.abs(a), np.abs(b))
+    for operand in (a, b):
+        negative = operand < 0
+        if negative.any():
+            product = product * np.where(negative, np.int8(-1), np.int8(1))
+    return product
+
+
+def signed_matmul(multiplier: Multiplier, left, right) -> np.ndarray:
+    """``left @ right`` with every product through ``multiplier``.
+
+    Broadcasts like ``np.matmul`` over ``(..., i, k) @ (..., k, j)``
+    stacks; each product is ``signed_product(multiplier, left[..., i, k],
+    right[..., k, j])`` and the sums are exact int64.  Products are taken
+    in blocks of about :data:`MAC_BLOCK` along the leading axis of the
+    broadcast ``(..., i, k, j)`` shape, which keeps temporaries a few MB;
+    integer sums make the result independent of the block size.
+    """
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    if left.ndim < 2 or right.ndim < 2 or left.shape[-1] != right.shape[-2]:
+        raise ValueError(f"cannot contract shapes {left.shape} and {right.shape}")
+    operands = (left[..., :, :, None], right[..., None, :, :])  # (..., i, k, j)
+    shape = np.broadcast_shapes(*(x.shape for x in operands))
+    # equal ndim, so both operands share the leading axis the blocks split
+    operands = [x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in operands]
+    out = np.empty(shape[:-2] + shape[-1:], dtype=np.int64)
+    step = max(1, MAC_BLOCK // max(1, math.prod(shape[1:])))
+    for start in range(0, shape[0], step):
+        rows = slice(start, start + step)
+        block = [x[rows] if len(x) > 1 else x for x in operands]
+        out[rows] = signed_product(multiplier, *block).sum(axis=-2)
+    return out
 
 
 class SignedMultiplier:
@@ -62,8 +123,7 @@ class SignedMultiplier:
                     f"operand {label} outside [{low}, {high}] for a "
                     f"{self.bitwidth}-bit signed multiplier"
                 )
-        magnitude = self.core.multiply(np.abs(a), np.abs(b))
-        return np.where((a < 0) ^ (b < 0), -magnitude, magnitude)
+        return signed_product(self.core, a, b)
 
     def __call__(self, a, b) -> np.ndarray:
         return self.multiply(a, b)

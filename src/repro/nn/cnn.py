@@ -10,13 +10,13 @@ convolution layers.  Architecture on the 8x8 glyph images:
   needs no multiplier);
 * **fc**: flattened 72 features -> 10 class logits.
 
-The fixed-point datapath mirrors the MLP's 16-bit MAC-array contract:
-uint8 inputs (scale 1), weights quantized to signed Q8, every product
-routed through the supplied unsigned multiplier with sign-magnitude
-wrapping, exact accumulation, and a ``>> 8`` rescale after the conv
-ReLU so the FC layer sees operands on the input's integer scale.  Conv
-activations are sums of nine products, so FC operands stay well below
-``2**16`` for Q8 weights.
+The fixed-point datapath is the MLP's 16-bit MAC-array contract, set up
+by the same :class:`repro.nn.mlp.FixedPointNet`: uint8 inputs (scale 1),
+weights quantized to signed Q8, every product routed through the shared
+MAC :func:`repro.multipliers.signed.signed_matmul`, exact accumulation,
+and a ``>> 8`` rescale after the conv ReLU so the FC layer sees operands
+on the input's integer scale.  Conv activations are sums of nine
+products, so FC operands stay well below ``2**16`` for Q8 weights.
 
 Training is plain float SGD over the im2col form; everything is seeded.
 """
@@ -29,7 +29,7 @@ import numpy as np
 
 from ..multipliers.base import Multiplier
 from .dataset import IMAGE_SIZE, NUM_CLASSES
-from .mlp import WEIGHT_FRACTION_BITS
+from .mlp import FixedPointNet, WEIGHT_FRACTION_BITS
 
 __all__ = ["CnnParams", "train_cnn", "float_cnn_logits", "FixedPointCnn"]
 
@@ -38,9 +38,6 @@ CONV_CHANNELS = 8
 CONV_SIZE = IMAGE_SIZE - KERNEL_SIZE + 1  # 6x6 valid convolution
 POOL_SIZE = CONV_SIZE // 2  # 3x3 after 2x2 max-pool
 FLAT_FEATURES = POOL_SIZE * POOL_SIZE * CONV_CHANNELS
-
-#: products per multiply-accumulate block of :meth:`FixedPointCnn._matmul`
-MAC_BLOCK = 1 << 17
 
 
 @dataclasses.dataclass
@@ -51,10 +48,6 @@ class CnnParams:
     conv_b: np.ndarray  # (channels,)
     fc_w: np.ndarray  # (FLAT_FEATURES, classes)
     fc_b: np.ndarray  # (classes,)
-
-    @property
-    def channels(self) -> int:
-        return self.conv_w.shape[1]
 
 
 def _patches(x: np.ndarray) -> np.ndarray:
@@ -157,61 +150,18 @@ def float_cnn_logits(params: CnnParams, x: np.ndarray) -> np.ndarray:
     return pooled.reshape(len(pooled), -1) @ params.fc_w + params.fc_b
 
 
-class FixedPointCnn:
+class FixedPointCnn(FixedPointNet):
     """Quantized CNN whose multiplications go through ``multiplier``."""
 
     def __init__(self, params: CnnParams, multiplier: Multiplier):
-        if multiplier.bitwidth < 16:
-            raise ValueError(
-                "the fixed-point datapath needs a >=16-bit multiplier, got "
-                f"{multiplier.bitwidth}"
-            )
-        scale = 1 << WEIGHT_FRACTION_BITS
-        self.multiplier = multiplier
-        self.channels = params.channels
-        self.conv_w_q = np.rint(params.conv_w * scale).astype(np.int64)
-        self.fc_w_q = np.rint(params.fc_w * scale).astype(np.int64)
-        # biases live at the accumulator scale: 255 (input) * 2^8 (weights)
-        self.conv_b_q = np.rint(params.conv_b * 255.0 * scale).astype(np.int64)
-        self.fc_b_q = np.rint(params.fc_b * 255.0 * scale).astype(np.int64)
-        limit = (1 << 16) - 1
-        if max(np.abs(self.conv_w_q).max(), np.abs(self.fc_w_q).max()) > limit:
-            raise ValueError("quantized weights exceed the 16-bit operand range")
-
-    def _matmul(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Batched ``x @ weights`` with approximate products, exact sums.
-
-        ``x``: (n, ..., in) non-negative ints; ``weights``: (in, out)
-        signed.  Evaluated over blocks of whole images along ``n`` of
-        about :data:`MAC_BLOCK` products each, so the product tensor and
-        its signed copy stay a few MB at any batch size; the integer sums
-        make the rows independent of the block size.
-        """
-        magnitudes = np.abs(weights)[None, :, :]
-        negative = weights < 0
-        out = np.empty(x.shape[:-1] + weights.shape[1:], dtype=np.int64)
-        step = max(1, MAC_BLOCK // max(1, x[:1].size * weights.shape[1]))
-        for start in range(0, len(x), step):
-            block = x[start : start + step]
-            magnitude = self.multiplier.multiply(block[..., :, None], magnitudes)
-            signed = np.where(negative, -magnitude, magnitude)
-            out[start : start + step] = signed.sum(axis=-2)
-        return out
+        super().__init__(
+            multiplier, (params.conv_w, params.conv_b), (params.fc_w, params.fc_b)
+        )
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Fixed-point forward pass; returns integer logits."""
-        x = np.asarray(x, dtype=np.int64)
-        if x.ndim == 1:
-            x = x[None]
-        patches = _patches(x)  # (n, 36, 9)
-        acc = self._matmul(patches, self.conv_w_q) + self.conv_b_q
+        x = np.atleast_2d(np.asarray(x, dtype=np.int64))
+        acc = self._mac(_patches(x), 0)  # (n, 36, channels)
         act = np.maximum(acc, 0) >> WEIGHT_FRACTION_BITS  # back to x's scale
         pooled, _ = _pool_forward(act)
-        hidden = pooled.reshape(len(pooled), -1)
-        return self._matmul(hidden, self.fc_w_q) + self.fc_b_q
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits(x), axis=1)
-
-    def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.mean(self.predict(x) == np.asarray(y)))
+        return self._mac(pooled.reshape(len(pooled), -1), 1)

@@ -7,15 +7,17 @@ approximate.  The fixed-point datapath here mirrors a 16-bit MAC array:
 * inputs are uint8 pixels (scale 1);
 * weights are quantized to signed Q8 fixed point (``w_q = round(w * 256)``,
   magnitudes < 2 after training, so ``|w_q| < 512``);
-* every product routes through the supplied unsigned multiplier with
-  sign-magnitude wrapping (both operand magnitudes stay far below
+* every product routes through the supplied unsigned multiplier by
+  :func:`repro.multipliers.signed.signed_matmul`, the shared
+  sign-magnitude MAC (both operand magnitudes stay far below
   ``2**16``); accumulation and the ``>> 8`` rescale are exact, like a
   hardware accumulator following the approximate multiplier;
 * the hidden ReLU output keeps the input's integer scale, so the second
   layer sees the same operand ranges as the first.
 
-``float_logits`` and ``fixed_logits`` expose both datapaths; classification
-uses argmax, so the softmax never needs computing at inference time.
+``float_logits`` and ``FixedPointMlp.logits`` expose both datapaths;
+classification uses argmax, so the softmax never needs computing at
+inference time.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import dataclasses
 import numpy as np
 
 from ..multipliers.base import Multiplier
+from ..multipliers.signed import signed_matmul
 
 __all__ = ["MlpParams", "train_mlp", "FixedPointMlp", "WEIGHT_FRACTION_BITS"]
 
@@ -40,10 +43,6 @@ class MlpParams:
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden, classes)
     b2: np.ndarray  # (classes,)
-
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[1]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -110,10 +109,14 @@ def float_logits(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return hidden @ params.w2 + params.b2
 
 
-class FixedPointMlp:
-    """Quantized MLP whose multiplications go through ``multiplier``."""
+class FixedPointNet:
+    """What the quantized MLP and CNN share; subclasses define ``logits``.
 
-    def __init__(self, params: MlpParams, multiplier: Multiplier):
+    ``layers`` are float ``(weights, bias)`` pairs, kept in order in
+    ``self.layers`` as Q8 weights and biases at the accumulator scale.
+    """
+
+    def __init__(self, multiplier: Multiplier, *layers):
         if multiplier.bitwidth < 16:
             raise ValueError(
                 "the fixed-point datapath needs a >=16-bit multiplier, got "
@@ -121,38 +124,35 @@ class FixedPointMlp:
             )
         scale = 1 << WEIGHT_FRACTION_BITS
         self.multiplier = multiplier
-        self.w1_q = np.rint(params.w1 * scale).astype(np.int64)
-        self.w2_q = np.rint(params.w2 * scale).astype(np.int64)
+        weights = [np.rint(w * scale).astype(np.int64) for w, _ in layers]
         # biases live at the accumulator scale: 255 (input) * 2^8 (weights)
-        self.b1_q = np.rint(params.b1 * 255.0 * scale).astype(np.int64)
-        self.b2_q = np.rint(params.b2 * 255.0 * scale).astype(np.int64)
+        biases = [np.rint(b * 255.0 * scale).astype(np.int64) for _, b in layers]
+        self.layers = list(zip(weights, biases))
         limit = (1 << 16) - 1
-        if max(np.abs(self.w1_q).max(), np.abs(self.w2_q).max()) > limit:
+        if max(np.abs(w).max() for w in weights) > limit:
             raise ValueError("quantized weights exceed the 16-bit operand range")
 
-    def _matmul(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """``x @ weights`` with approximate products, exact accumulation.
-
-        ``x``: (n, in) non-negative ints; ``weights``: (in, out) signed.
-        """
-        magnitude = self.multiplier.multiply(
-            x[:, :, None], np.abs(weights)[None, :, :]
-        )
-        signed = np.where(weights[None] < 0, -magnitude, magnitude)
-        return signed.sum(axis=1)
-
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        """Fixed-point forward pass; returns integer logits."""
-        x = np.asarray(x, dtype=np.int64)
-        if x.ndim == 1:
-            x = x[None]
-        acc1 = self._matmul(x, self.w1_q) + self.b1_q
-        hidden = np.maximum(acc1, 0) >> WEIGHT_FRACTION_BITS  # back to x's scale
-        acc2 = self._matmul(hidden, self.w2_q) + self.b2_q
-        return acc2
+    def _mac(self, x: np.ndarray, layer: int) -> np.ndarray:
+        """``x @ weights + bias`` of one layer, with approximate products."""
+        weights, bias = self.layers[layer]
+        return signed_matmul(self.multiplier, x, weights) + bias
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(x), axis=1)
 
     def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.mean(self.predict(x) == np.asarray(y)))
+
+
+class FixedPointMlp(FixedPointNet):
+    """Quantized MLP whose multiplications go through ``multiplier``."""
+
+    def __init__(self, params: MlpParams, multiplier: Multiplier):
+        super().__init__(multiplier, (params.w1, params.b1), (params.w2, params.b2))
+
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        """Fixed-point forward pass; returns integer logits."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.int64))
+        acc = self._mac(x, 0)
+        hidden = np.maximum(acc, 0) >> WEIGHT_FRACTION_BITS  # back to x's scale
+        return self._mac(hidden, 1)

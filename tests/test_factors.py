@@ -132,17 +132,25 @@ class TestComputeFactors:
 
     def test_finer_segmentation_reduces_residual(self):
         # the residual per-segment average error must be ~0 by construction:
-        # check via quadrature on one segment for M=4
+        # check via quadrature on one segment for M=4.  The integrand has
+        # a kink on x + y = 1, which crosses this segment corner to
+        # corner, so integrate each side of the line separately
         m, i, j = 4, 2, 1
         s = compute_factors(m)[i, j]
 
         def corrected(y, x):
             return float(mitchell_relative_error(x, y)) + s / ((1 + x) * (1 + y))
 
-        residual, _ = integrate.dblquad(
-            corrected, i / m, (i + 1) / m, j / m, (j + 1) / m, epsabs=1e-12
+        def kink(x):
+            return min((j + 1) / m, max(j / m, 1.0 - x))
+
+        lower, _ = integrate.dblquad(
+            corrected, i / m, (i + 1) / m, j / m, kink, epsabs=1e-12
         )
-        assert residual == pytest.approx(0.0, abs=1e-9)
+        upper, _ = integrate.dblquad(
+            corrected, i / m, (i + 1) / m, kink, (j + 1) / m, epsabs=1e-12
+        )
+        assert lower + upper == pytest.approx(0.0, abs=1e-9)
 
 
 class TestMseFactors:

@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.jpeg.dct import (
-    COEFF_BITS,
-    dct_matrix_q7,
-    forward_dct,
-    inverse_dct,
-    signed_multiply,
-)
+from repro.jpeg.dct import COEFF_BITS, dct_matrix_q7, forward_dct, inverse_dct
 from repro.jpeg.images import IMAGE_NAMES, test_image as make_image
 from repro.jpeg.psnr import mse, psnr
 from repro.jpeg.quant import BASE_LUMINANCE, dequantize, quant_table, quantize
@@ -32,19 +26,6 @@ class TestDctMatrix:
     def test_coefficients_fit_q7(self):
         basis = dct_matrix_q7()
         assert np.abs(basis).max() <= 1 << (COEFF_BITS - 1)
-
-
-class TestSignedMultiply:
-    def test_signs(self):
-        acc = AccurateMultiplier()
-        a = np.array([3, -3, 3, -3])
-        b = np.array([5, 5, -5, -5])
-        assert signed_multiply(acc, a, b).tolist() == [15, -15, -15, 15]
-
-    def test_magnitude_overflow_raises(self):
-        acc = AccurateMultiplier()
-        with pytest.raises(ValueError):
-            signed_multiply(acc, np.array([1 << 16]), np.array([1]))
 
 
 class TestDctRoundtrip:

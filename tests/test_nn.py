@@ -182,36 +182,41 @@ class TestCnn:
     def test_cnn_operands_stay_in_sixteen_bits(self):
         # the FC layer sees conv activations rescaled to the input
         # scale; they must remain valid 16-bit multiplier operands
+        from repro.multipliers.signed import signed_matmul
         from repro.nn.cnn import FixedPointCnn
         from repro.nn.evaluate import trained_cnn_setup
         from repro.nn.mlp import WEIGHT_FRACTION_BITS
 
         data, params = trained_cnn_setup()
         model = FixedPointCnn(params, AccurateMultiplier())
+        weights, bias = model.layers[0]
         patches = np.asarray(data.test_x, dtype=np.int64)
-        acc = model._matmul(
+        acc = signed_matmul(
+            model.multiplier,
             np.lib.stride_tricks.sliding_window_view(
                 patches.reshape(-1, 8, 8), (3, 3), axis=(1, 2)
             ).reshape(len(patches), 36, 9),
-            model.conv_w_q,
-        ) + model.conv_b_q
+            weights,
+        ) + bias
         hidden = np.maximum(acc, 0) >> WEIGHT_FRACTION_BITS
         assert hidden.max() < (1 << 16)
 
-    @pytest.mark.parametrize("name", ["intalp-l2", "scaletrim-t4-c2"])
+    @pytest.mark.parametrize("name", ["intalp-l2", "scaletrim-t4-c2", "alm-maa-m3"])
     def test_cnn_mac_blocks_are_invisible(self, name, monkeypatch):
-        # the MAC evaluates blocks of whole images; integer sums make the
-        # logits the same at one image per block and in one block
-        from repro.nn import cnn
-        from repro.nn.evaluate import trained_cnn_setup
+        # every application's MAC evaluates blocks along the leading axis;
+        # integer sums make the CNN and MLP logits, the FIR output and the
+        # DCT coefficients the same at one row per block and in one block
+        from repro.multipliers import signed
+        from tests.test_application_digests import application_outputs
 
-        data, params = trained_cnn_setup()
-        model = cnn.FixedPointCnn(params, build(name))
-        default = model.logits(data.test_x)
-        assert len(data.test_x) * 36 * 9 * 8 > cnn.MAC_BLOCK
+        multiplier = build(name)
+        default = application_outputs(multiplier)
+        assert len(default["cnn"]) * 36 * 9 * 8 > signed.MAC_BLOCK
         for block in (1, 1 << 40):
-            monkeypatch.setattr(cnn, "MAC_BLOCK", block)
-            assert np.array_equal(model.logits(data.test_x), default)
+            monkeypatch.setattr(signed, "MAC_BLOCK", block)
+            outputs = application_outputs(multiplier)
+            for application, values in default.items():
+                assert np.array_equal(outputs[application], values), application
 
     def test_approximate_cnn_accuracy(self):
         from repro.nn.evaluate import evaluate_cnn_multipliers

@@ -8,13 +8,82 @@ from hypothesis import given, settings
 
 from repro.core.realm import RealmMultiplier
 from repro.multipliers.accurate import AccurateMultiplier
-from repro.multipliers.signed import SignedMultiplier, convolve2d, dot_product
+from repro.multipliers.registry import build
+from repro.multipliers.signed import (
+    SignedMultiplier,
+    convolve2d,
+    dot_product,
+    signed_matmul,
+    signed_product,
+)
 
 from tests.strategies import signed_operands
 
 
 def accurate_signed(bitwidth: int = 16) -> SignedMultiplier:
     return SignedMultiplier(AccurateMultiplier, bitwidth=bitwidth)
+
+
+class TestSignedProduct:
+    def test_signs(self):
+        acc = AccurateMultiplier()
+        a = np.array([3, -3, 3, -3])
+        b = np.array([5, 5, -5, -5])
+        assert signed_product(acc, a, b).tolist() == [15, -15, -15, 15]
+
+    def test_magnitude_overflow_raises(self):
+        acc = AccurateMultiplier()
+        with pytest.raises(ValueError):
+            signed_product(acc, np.array([1 << 16]), np.array([1]))
+
+    def test_scalars_and_broadcasting(self):
+        acc = AccurateMultiplier()
+        assert int(signed_product(acc, -3, 5)) == -15
+        a = np.array([[-2], [0], [7]])
+        b = np.array([-4, 4])
+        assert np.array_equal(signed_product(acc, a, b), a * b)
+
+
+class TestSignedMatmul:
+    @pytest.mark.parametrize(
+        "left_shape, right_shape",
+        [((6, 5), (5, 3)), ((8, 8), (4, 8, 8)), ((2, 1, 4, 5), (3, 5, 6))],
+        ids=["matrices", "constant-left", "broadcast-stacks"],
+    )
+    @pytest.mark.parametrize("block", [1, 1 << 17])
+    def test_matches_matmul_with_accurate_core(
+        self, left_shape, right_shape, block, monkeypatch
+    ):
+        # one product row per block also splits the stacks whose leading
+        # axis only one operand carries
+        monkeypatch.setattr("repro.multipliers.signed.MAC_BLOCK", block)
+        rng = np.random.default_rng(9)
+        left = rng.integers(-1000, 1000, left_shape)
+        right = rng.integers(-1000, 1000, right_shape)
+        out = signed_matmul(AccurateMultiplier(), left, right)
+        assert np.array_equal(out, np.matmul(left, right))
+
+    def test_operand_order_is_left_then_right(self):
+        # alm-maa-m3 products change when its operands swap: the left
+        # operand must reach the multiplier first
+        multiplier = build("alm-maa-m3")
+        rng = np.random.default_rng(12)
+        left = rng.integers(1, 1 << 15, (6, 7)) * rng.choice([-1, 1], (6, 7))
+        right = rng.integers(1, 1 << 15, (7, 5)) * rng.choice([-1, 1], (7, 5))
+        magnitudes = multiplier.multiply(
+            np.abs(left)[:, :, None], np.abs(right)[None, :, :]
+        )
+        signs = np.sign(left)[:, :, None] * np.sign(right)[None, :, :]
+        expected = (signs * magnitudes).sum(axis=1)
+        assert np.array_equal(signed_matmul(multiplier, left, right), expected)
+        assert not np.array_equal(signed_matmul(multiplier, right.T, left.T).T, expected)
+
+    def test_shape_mismatch(self):
+        acc = AccurateMultiplier()
+        with pytest.raises(ValueError):
+            signed_matmul(acc, np.zeros((2, 3)), np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            signed_matmul(acc, np.zeros(3), np.zeros((3, 2)))
 
 
 class TestSignedMultiplier:
