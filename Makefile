@@ -45,6 +45,7 @@ verify:
 		--layers model rtl kernel exact
 	@echo "--- formal smoke (8-bit equivalence proof + certified peaks) ---"
 	PYTHONPATH=src $(PYTHON) -m repro formal --design realm-8-m4-q5 --prove-equiv --max-error --no-cache
+	PYTHONPATH=src $(PYTHON) -m repro formal --design am2-nb13 --bitwidth 8 --prove-equiv --max-error --no-cache
 	@echo "--- warehouse smoke (record, warm reuse, trend report) ---"
 	rm -rf .repro-warehouse
 	PYTHONPATH=src REPRO_WAREHOUSE_DIR=.repro-warehouse $(PYTHON) -m repro characterize calm --quick --no-cache

@@ -452,6 +452,7 @@ def fuzz(
                 "want": record.want,
             }
         )
+    oracle.close()
 
     result = FuzzResult(
         design=oracle.design,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import weakref
 
 import numpy as np
 
@@ -164,6 +165,34 @@ def resolve_design(spec: str, bitwidth: int | None = None):
     return spec, multiplier, rtl_factory, True
 
 
+def _start_fleet():
+    """A two-shard in-process fleet on a fresh event loop.  The oracle
+    checks the wire codec and the routing, one request at a time: no
+    co-batching window (``max_latency=0``) and no heartbeat."""
+    import asyncio
+
+    from ..serve import BatchPolicy, LocalShard, Supervisor
+
+    policy = BatchPolicy(max_latency=0)
+    loop = asyncio.new_event_loop()
+    supervisor = Supervisor([LocalShard(f"shard-{i}", policy=policy) for i in (0, 1)])
+    loop.run_until_complete(supervisor.up())
+    return loop, supervisor
+
+
+def _stop_fleet(loop, supervisor) -> None:
+    """Drain the fleet and close its loop.  Also the oracle's finalizer,
+    so it must not raise: collected inside another running event loop,
+    the fleet is dropped undrained."""
+    import asyncio
+
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:  # no loop runs in this thread, so ours can
+        loop.run_until_complete(supervisor.drain())
+    loop.close()
+
+
 class DifferentialOracle:
     """Evaluate operand batches through every available answer layer.
 
@@ -244,6 +273,8 @@ class DifferentialOracle:
         )
         self._uncompensated = None
         self._broken_by_chaos: bool | None = None
+        self._fleet = None  # (event loop, Supervisor) of the serve layer
+        self._closer = None
 
     # -- layer evaluation ------------------------------------------------
 
@@ -290,31 +321,28 @@ class DifferentialOracle:
         return self._formal_encoding.eval_pairs(a, b)
 
     def _eval_serve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        import asyncio
+        # the supervised fleet path: requests route through the
+        # consistent-hash ring to one of two in-process shards — exactly
+        # the dispatch a production fleet uses, minus the sockets.  One
+        # fleet per oracle, on the oracle's own event loop
+        from ..serve import InProcessClient
 
-        from ..serve import InProcessClient, LocalShard, Supervisor
-
-        async def roundtrip():
-            # the supervised fleet path: requests route through the
-            # consistent-hash ring to one of two in-process shards —
-            # exactly the dispatch a production fleet uses, minus the
-            # sockets.  Fresh per call: the shards' flusher tasks and
-            # asyncio primitives must live on this run's event loop.
-            supervisor = Supervisor(
-                [LocalShard("shard-0"), LocalShard("shard-1")]
+        if self._fleet is None:
+            self._fleet = _start_fleet()
+            self._closer = weakref.finalize(self, _stop_fleet, *self._fleet)
+        loop, supervisor = self._fleet
+        products = loop.run_until_complete(
+            InProcessClient(supervisor).multiply(
+                self.design, a.tolist(), b.tolist(), bitwidth=self.bitwidth
             )
-            await supervisor.up()
-            supervisor.start()
-            try:
-                client = InProcessClient(supervisor)
-                return await client.multiply(
-                    self.design, [int(v) for v in a], [int(v) for v in b],
-                    bitwidth=self.bitwidth,
-                )
-            finally:
-                await supervisor.drain()
+        )
+        return np.asarray(products, dtype=np.int64)
 
-        return np.asarray(asyncio.run(roundtrip()), dtype=np.int64)
+    def close(self) -> None:
+        """Drain the ``serve`` layer's fleet, if one started; idempotent.
+        An oracle nobody closes is drained when it is collected."""
+        if self._closer is not None:
+            self._closer()
 
     def exactness_mask(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pairs on which the family guarantees the exact product."""

@@ -5,7 +5,8 @@ This package replaces *sampled* confidence with *certified* claims:
 * :mod:`~repro.formal.bitvec` — a hash-consed boolean DAG IR with
   word-level helpers and a bit-parallel concrete evaluator;
 * :mod:`~repro.formal.encode` — lowers registered netlists and the
-  functional models into formulas over shared operand variables;
+  functional models into formulas over shared operand variables,
+  backed by their product tables at ``N <= 8``;
 * :mod:`~repro.formal.backends` — the solver ladder: z3 (strictly
   optional, used when importable) → bounded pure-python BDD →
   exhaustive bit-parallel sweep; tier-1 never needs a dependency;

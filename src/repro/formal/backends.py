@@ -9,10 +9,13 @@ Equivalence queries run through one of three interchangeable backends:
   manager (:mod:`repro.formal.bdd`).  Complete while the diagrams fit
   the node budget; answers ``unknown`` (never wrong) when they don't —
   which the exact-multiplier cores of the product-form families always
-  will, BDDs of multiplication being exponential in every order.
-* :class:`ExhaustiveBackend` — bit-parallel sweep of the full
-  ``2**(2N)`` pair grid through both compiled evaluators.  Complete and
-  fast for narrow operands, gated by ``max_bitwidth``.
+  will, BDDs of multiplication being exponential in every order.  This
+  backend and z3 are the only readers of a truth-table encoding's DAG,
+  which is built on that first read.
+* :class:`ExhaustiveBackend` — sweep of the full ``2**(2N)`` pair grid
+  through both encodings' ``eval_pairs``: at ``N <= 8`` a comparison of
+  two product tables, above it the bit-parallel DAG evaluators.
+  Complete and fast for narrow operands, gated by ``max_bitwidth``.
 
 ``check_equal(f, g)`` returns ``(status, witness)`` with status
 ``"proved"`` / ``"refuted"`` / ``"unknown"``; a witness is the concrete

@@ -18,9 +18,9 @@ Construction interns structurally identical nodes and folds constants,
 mirroring :meth:`repro.logic.netlist.Netlist.add` — the encoder can be
 naive and still emit compact formulas.  Buses are Python lists of nodes,
 LSB first, the same convention the netlist generators use.  Word-level
-helpers (ripple adders, comparators, barrel shifters, multipliers,
-constant tables) live here too so the per-family encoders read like the
-functional models they mirror.
+helpers (ripple adders, barrel shifters, multipliers, constant tables)
+live here too so the per-family encoders read like the functional models
+they mirror.
 """
 
 from __future__ import annotations
@@ -32,17 +32,11 @@ __all__ = [
     "Evaluator",
     "Node",
     "add",
-    "add_const",
-    "bus_const",
-    "bus_equal",
     "bus_mux",
-    "bus_or_reduce",
     "bus_zero_extend",
     "const_select",
     "mul",
-    "mul_const",
     "shift_left_var",
-    "ugt",
 ]
 
 
@@ -200,12 +194,6 @@ class Builder:
             out = self.or_(out, node)
         return out
 
-    def and_many(self, nodes) -> Node:
-        out = self.true
-        for node in nodes:
-            out = self.and_(out, node)
-        return out
-
     def input_bus(self, label: str, width: int) -> list[Node]:
         """Declare a ``width``-bit input bus (LSB first)."""
         return [self.var(f"{label}[{i}]") for i in range(width)]
@@ -221,13 +209,6 @@ def _complements(a: Node, b: Node) -> bool:
 # ----------------------------------------------------------------------
 # word-level helpers (buses are LSB-first node lists)
 # ----------------------------------------------------------------------
-
-
-def bus_const(builder: Builder, value: int, width: int) -> list[Node]:
-    """Constant bus; ``value`` is taken modulo ``2**width`` (so negative
-    constants become their two's-complement pattern)."""
-    value &= (1 << width) - 1
-    return [builder.const((value >> i) & 1) for i in range(width)]
 
 
 def bus_zero_extend(builder: Builder, bus: list[Node], width: int) -> list[Node]:
@@ -254,40 +235,6 @@ def add(
         carry = builder.maj3(x, y, carry)
     out.append(carry)
     return out
-
-
-def add_const(builder: Builder, xs: list[Node], value: int, width: int) -> list[Node]:
-    """``(xs + value) mod 2**width``; negative values wrap (two's
-    complement), which is how the encoders apply signed corrections."""
-    xs = bus_zero_extend(builder, xs, width)
-    ys = bus_const(builder, value, width)
-    return add(builder, xs, ys)[:width]
-
-
-def ugt(builder: Builder, xs: list[Node], ys: list[Node]) -> Node:
-    """Unsigned ``xs > ys``: borrow out of ``ys - xs``."""
-    width = max(len(xs), len(ys))
-    xs = bus_zero_extend(builder, xs, width)
-    ys = bus_zero_extend(builder, ys, width)
-    gt = builder.false
-    for x, y in zip(xs, ys):  # LSB to MSB; later bits dominate
-        x_gt = builder.and_(x, builder.not_(y))
-        x_eq = builder.not_(builder.xor(x, y))
-        gt = builder.or_(x_gt, builder.and_(x_eq, gt))
-    return gt
-
-
-def bus_equal(builder: Builder, xs: list[Node], ys: list[Node]) -> Node:
-    width = max(len(xs), len(ys))
-    xs = bus_zero_extend(builder, xs, width)
-    ys = bus_zero_extend(builder, ys, width)
-    return builder.and_many(
-        builder.not_(builder.xor(x, y)) for x, y in zip(xs, ys)
-    )
-
-
-def bus_or_reduce(builder: Builder, bus: list[Node]) -> Node:
-    return builder.or_many(bus)
 
 
 def bus_mux(
@@ -328,20 +275,6 @@ def mul(builder: Builder, xs: list[Node], ys: list[Node]) -> list[Node]:
     for i, y in enumerate(ys):
         partial = [builder.false] * i + [builder.and_(x, y) for x in xs]
         acc = add(builder, acc, partial)[:width]
-    return acc
-
-
-def mul_const(builder: Builder, xs: list[Node], value: int, width: int) -> list[Node]:
-    """``(xs * value) mod 2**width`` via shift-adds on the set bits."""
-    if value < 0:
-        raise ValueError("mul_const takes non-negative constants")
-    acc = [builder.false] * width
-    bit = 0
-    while (value >> bit) and bit < width:
-        if (value >> bit) & 1:
-            partial = [builder.false] * bit + list(xs)
-            acc = add(builder, acc, partial[:width])[:width]
-        bit += 1
     return acc
 
 
@@ -432,9 +365,7 @@ class Evaluator:
                 values[node.id] = (d0 & ~sel) | (d1 & sel)
         return [values[r.id] for r in self.roots]
 
-    def run_words(
-        self, buses: dict[str, np.ndarray], count: int | None = None
-    ) -> np.ndarray:
+    def run_words(self, buses: dict[str, np.ndarray]) -> np.ndarray:
         """Drive integer operand vectors, return roots as int64 words.
 
         ``buses`` maps bus labels (as given to ``input_bus``) to int64
@@ -445,8 +376,7 @@ class Evaluator:
         sizes = {np.asarray(v).size for v in buses.values()}
         if len(sizes) != 1:
             raise ValueError(f"operand vectors disagree on length: {sizes}")
-        if count is None:
-            count = sizes.pop()
+        count = sizes.pop()
         words = (count + 63) // 64
         assignment: dict[str, np.ndarray] = {}
         by_prefix = {label: set() for label in buses}
@@ -462,8 +392,3 @@ class Evaluator:
                 assignment[f"{label}[{i}]"] = lanes[i]
         lanes = self.run(assignment, words)
         return _unpack_words(np.asarray(lanes), count)
-
-    @property
-    def size(self) -> int:
-        """Evaluated node count (the cone of the roots)."""
-        return len(self.program)

@@ -6,11 +6,12 @@ extreme of the signed relative error ``(P̂ - ab) / ab`` over every
 nonzero operand pair?*  Three routes, picked by width and availability:
 
 * **formula sweep** — at narrow widths the encoded formula is evaluated
-  over the complete pair grid in bit-parallel chunks; the extreme is
-  located in float64 and then re-resolved *exactly* among the near-tied
-  candidates with rational arithmetic, so the certified error and its
-  canonical (lexicographically smallest) witness are bit-identical to
-  brute force by construction.
+  over the complete pair grid in chunks (at ``N <= 8`` a gather from its
+  product table); each chunk's extreme is picked by exact int64
+  cross-multiplication of the error ratios, the first row-major index
+  winning exact ties, so the certified error and its canonical
+  (lexicographically smallest) witness are bit-identical to brute force
+  by construction.  Exact to ``N = 15``; wider sweeps are refused.
 * **SMT ascent** — with z3 installed, a witness-guided climb: ask the
   solver for any pair whose error strictly beats the best concrete
   error seen, replace the best with the witness's exact error, repeat;
@@ -158,45 +159,62 @@ def _certificate(
 # route 1: exhaustive formula sweep (exact, narrow widths)
 # ----------------------------------------------------------------------
 
-def _sweep(model, encoding: Encoding, chunk_rows: int = 64):
+#: widest sweep whose errors compare exactly in int64: ``|num| < 2**(2N+1)``
+#: and ``den < 2**(2N)`` keep cross-product differences below ``2**(4N+2)``
+SWEEP_EXACT_MAX_BITWIDTH = 15
+
+
+def _extreme_index(num: np.ndarray, den: np.ndarray, largest: bool) -> int:
+    """Index of the first exact extreme of ``num / den`` (``den > 0``).
+
+    Ratios are compared by int64 cross-multiplication, never by their
+    float64 quotients, which stop telling ratios apart once denominators
+    pass ``2**26``; the float argmax only seeds the search.  Exact while
+    the cross-products and their differences fit in int64 (callers gate
+    on width).
+    """
+    sign = 1 if largest else -1
+    best = int(np.argmax(sign * (num / den)))
+    while True:
+        # > 0 where num/den beats num[best]/den[best], 0 on exact ties
+        gain = sign * (num * den[best] - num[best] * den)
+        ahead = np.flatnonzero(gain > 0)
+        if not ahead.size:
+            return int(np.flatnonzero(gain == 0)[0])
+        best = int(ahead[0])
+
+
+def _sweep(encoding: Encoding, chunk_rows: int = 64):
     """Exact extremes of the encoded formula over the full pair grid.
 
-    Floats preselect candidates; rationals decide.  Witnesses are
+    Returns ``(min, max)``, each ``(error, a, b)``.  Witnesses are
     canonical: the lexicographically smallest ``(a, b)`` among exact
     ties, i.e. the first hit of a row-major brute-force scan.
     """
     n = encoding.bitwidth
-    space = np.arange(np.int64(1) << n, dtype=np.int64)
-    best: dict[str, tuple[Fraction, int, int]] = {}
-    for start in range(1, space.size, chunk_rows):  # a = 0 has no valid pairs
+    if n > SWEEP_EXACT_MAX_BITWIDTH:
+        raise UnsupportedDesignError(
+            f"exact sweep compares int64 cross-products, which overflow "
+            f"past N = {SWEEP_EXACT_MAX_BITWIDTH}; got {n}"
+        )
+    space = np.arange(1, np.int64(1) << n, dtype=np.int64)  # 0 has no error
+    picks = ([], [])  # per chunk, (num, den, a, b) of its min and of its max
+    for start in range(0, space.size, chunk_rows):
         a_block = space[start : start + chunk_rows]
-        a = np.repeat(a_block, space.size - 1)
-        b = np.tile(space[1:], a_block.size)
-        approx = encoding.eval_pairs(a, b)
-        exact_products = a * b
-        errors = (approx - exact_products) / exact_products
-        for direction, pick in (("min", np.argmin), ("max", np.argmax)):
-            extreme = float(errors[pick(errors)])
-            tolerance = 1e-9 * max(1.0, abs(extreme))
-            if direction == "max":
-                candidates = np.nonzero(errors >= extreme - tolerance)[0]
-            else:
-                candidates = np.nonzero(errors <= extreme + tolerance)[0]
-            for i in candidates:
-                value = Fraction(
-                    int(approx[i]) - int(exact_products[i]),
-                    int(exact_products[i]),
-                )
-                key = (int(a[i]), int(b[i]))
-                incumbent = best.get(direction)
-                better = (
-                    incumbent is None
-                    or (value > incumbent[0] if direction == "max" else value < incumbent[0])
-                    or (value == incumbent[0] and key < incumbent[1:])
-                )
-                if better:
-                    best[direction] = (value, *key)
-    return best["min"], best["max"]
+        a = np.repeat(a_block, space.size)
+        b = np.tile(space, a_block.size)
+        den = a * b
+        num = encoding.eval_pairs(a, b) - den
+        for largest, chosen in zip((False, True), picks):
+            i = _extreme_index(num, den, largest)
+            chosen.append((num[i], den[i], a[i], b[i]))
+    extremes = []
+    for largest, chosen in zip((False, True), picks):
+        # chunks run in row order, so the first tied chunk keeps the witness
+        num, den, a, b = np.array(chosen, dtype=np.int64).T
+        i = _extreme_index(num, den, largest)
+        extremes.append((Fraction(int(num[i]), int(den[i])), int(a[i]), int(b[i])))
+    return tuple(extremes)
 
 
 # ----------------------------------------------------------------------
@@ -431,8 +449,7 @@ def _product_form_extremes(model):
     ``r(v) = approx(v) / v > 0``, so the extremes over the full pair
     grid are exactly ``max(r)^2 - 1`` and ``min(r)^2 - 1``, attained at
     the (smallest) per-operand ratio extremizers — no search needed at
-    any bitwidth.  Floats preselect the extremizers; exact rational
-    comparison decides among near-ties.
+    any bitwidth.
     """
     n = model.bitwidth
     v = np.arange(1, np.int64(1) << n, dtype=np.int64)
@@ -443,27 +460,13 @@ def _product_form_extremes(model):
         approx = seg << shift
     else:  # Accurate
         approx = v.copy()
-    ratio = approx / v
-    out = {}
-    for direction, pick in (("min", np.argmin), ("max", np.argmax)):
-        extreme = float(ratio[pick(ratio)])
-        tolerance = 1e-9 * max(1.0, abs(extreme))
-        if direction == "max":
-            candidates = np.nonzero(ratio >= extreme - tolerance)[0]
-        else:
-            candidates = np.nonzero(ratio <= extreme + tolerance)[0]
-        best_num = best_den = best_v = None
-        for i in candidates:  # increasing v: ties keep the first (smallest)
-            num, den = int(approx[i]), int(v[i])
-            if best_num is None:
-                best_num, best_den, best_v = num, den, den
-                continue
-            left, right = num * best_den, best_num * den
-            if left > right if direction == "max" else left < right:
-                best_num, best_den, best_v = num, den, den
-        ratio_best = Fraction(best_num, best_den)
-        out[direction] = (ratio_best * ratio_best - 1, best_v, best_v)
-    return out["min"], out["max"]
+    extremes = []
+    for largest in (False, True):
+        # approx * v < 2**63 at every supported width: exact in int64
+        i = _extreme_index(approx, v, largest)  # ties keep the smallest v
+        ratio = Fraction(int(approx[i]), int(v[i]))
+        extremes.append((ratio * ratio - 1, int(v[i]), int(v[i])))
+    return tuple(extremes)
 
 
 def _interval_engine(model):
@@ -603,7 +606,7 @@ def certify_worst_error(
                     f"got {n}; use method='smt' or 'interval'"
                 )
             encoding = encode_model(model, design_id)
-            (lo, a_lo, b_lo), (hi, a_hi, b_hi) = _sweep(model, encoding)
+            (lo, a_lo, b_lo), (hi, a_hi, b_hi) = _sweep(encoding)
             peak_min = _certificate(model, "min", a_lo, b_lo, lo, True)
             peak_max = _certificate(model, "max", a_hi, b_hi, hi, True)
             return WorstCaseBounds(design_id, n, "formula-sweep", peak_min, peak_max)

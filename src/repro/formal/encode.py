@@ -16,25 +16,31 @@ input variables (``a[i]``/``b[i]``, LSB first):
 
 Families whose models are irregular array multipliers (AM1/AM2, IntALP,
 ImpLM) have no symbolic encoder; at ``N <= FULL_TABLE_MAX_BITWIDTH``
-they are lowered exactly from their exhaustive product table
-(:func:`encode_table`), which builds a reduced ordered decision diagram
-per output bit with an interleaved ``a``/``b`` variable order — the
-table *is* the specification at those widths, the same way
-``compile_full_table`` treats it as the kernel.  The compiled kernels
-themselves are NumPy closures, not circuits, so :func:`encode_kernel`
-uses the same exhaustive-table route and is exact (and only available)
-at narrow widths; at 16-bit the kernel leg is cross-validated by
-sampling instead (see :mod:`repro.formal.equiv`).
+they are encoded as their exhaustive product table (:func:`encode_table`)
+— the table *is* the specification at those widths, the same way
+``compile_full_table`` treats it as the kernel.  So is the compiled
+kernel (:func:`encode_kernel`), a NumPy closure rather than a circuit;
+at 16-bit the kernel leg is cross-validated by sampling instead (see
+:mod:`repro.formal.equiv`).
+
+At those widths every encoding is backed by its product table
+``table[(a << N) | b]`` and concrete evaluation is a gather: symbolic
+and netlist encodings sweep their DAG over every pair once, and a
+truth-table encoding builds its DAG only when the BDD or z3 backend
+reads ``builder``/``outputs``.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 
 import numpy as np
 
 from ..analysis import telemetry
+from ..kernels import kernel_for
+from ..kernels.tables import FULL_TABLE_MAX_BITWIDTH, build_full_table
 from ..logic.netlist import CONST0, CONST1, Netlist
+from ..logic.sim import _check_values
 from .bitvec import (
     Builder,
     Evaluator,
@@ -67,47 +73,86 @@ class UnsupportedDesignError(ValueError):
     """No formal encoding exists for this design at this bitwidth."""
 
 
-@dataclasses.dataclass
 class Encoding:
     """A design lowered to a boolean DAG over the operand input bits.
 
     ``outputs`` is the product bus (LSB first, unsigned); widths differ
     per source (REALM's extend mode emits ``2N + 1`` bits, most others
-    ``2N``) — consumers compare integer values, not bit patterns.
+    ``2N``) — consumers compare integer values, not bit patterns.  Built
+    from ``dag=(builder, outputs)``, or at ``N <= 8`` from the product
+    ``table`` alone, whose DAG is then derived on first read.
     """
 
-    design: str
-    bitwidth: int
-    source: str  # "model" | "rtl" | "kernel"
-    method: str  # "symbolic" | "netlist" | "truth-table"
-    builder: Builder
-    a: list[Node]
-    b: list[Node]
-    outputs: list[Node]
-    _evaluator: Evaluator | None = dataclasses.field(default=None, repr=False)
+    def __init__(
+        self, design: str, bitwidth: int, source: str, method: str,
+        dag: tuple[Builder, list[Node]] | None = None,
+        table: np.ndarray | None = None,
+    ):
+        self.design = design
+        self.bitwidth = bitwidth
+        self.source = source  # "model" | "rtl" | "kernel"
+        self.method = method  # "symbolic" | "netlist" | "truth-table"
+        self._dag = dag
+        self._table = table
 
-    def evaluator(self) -> Evaluator:
-        """The compiled concrete evaluator of the output cone (cached)."""
-        if self._evaluator is None:
-            self._evaluator = Evaluator(self.builder, self.outputs)
-        return self._evaluator
+    @functools.cached_property
+    def _lowered(self) -> tuple[Builder, list[Node]]:
+        return self._dag or _table_dag(self._table, self.bitwidth)
+
+    builder = property(lambda self: self._lowered[0])
+    outputs = property(lambda self: self._lowered[1])
+
+    @functools.cached_property
+    def _evaluator(self) -> Evaluator:
+        return Evaluator(self.builder, self.outputs)
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """The product table ``table[(a << N) | b]`` (``N <= 8`` only); a
+        DAG-backed encoding sweeps its DAG over every pair, once."""
+        if self._table is not None:
+            return self._table
+        a, b = _pair_grid(self.bitwidth)
+        return self._evaluator.run_words({"a": a, "b": b})
 
     def eval_pairs(self, a_values, b_values) -> np.ndarray:
-        """Evaluate the formula on operand vectors; int64 products."""
-        a_values = np.atleast_1d(np.asarray(a_values, dtype=np.int64))
-        b_values = np.atleast_1d(np.asarray(b_values, dtype=np.int64))
-        return self.evaluator().run_words({"a": a_values, "b": b_values})
+        """Evaluate the formula on operand vectors; int64 products.
 
-    @property
-    def size(self) -> int:
-        """Node count of the output cone."""
-        return self.evaluator().size
+        Operands outside ``[0, 2**N)`` raise ``ValueError``, as in the
+        DAG evaluator's lane packing; at ``N <= 8`` this is a gather
+        from :attr:`table`.
+        """
+        a_values = np.ravel(np.asarray(a_values, dtype=np.int64))
+        b_values = np.ravel(np.asarray(b_values, dtype=np.int64))
+        n = self.bitwidth
+        if n > FULL_TABLE_MAX_BITWIDTH:
+            return self._evaluator.run_words({"a": a_values, "b": b_values})
+        sizes = {a_values.size, b_values.size}
+        if len(sizes) != 1:  # the same check and message as the DAG path
+            raise ValueError(f"operand vectors disagree on length: {sizes}")
+        _check_values(a_values, n)
+        _check_values(b_values, n)
+        return self.table[(a_values << n) | b_values]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<Encoding {self.design!r} {self.source}/{self.method}: "
-            f"{len(self.outputs)} out, {len(self.builder)} nodes>"
+            f"<Encoding {self.design!r} {self.source}/{self.method} "
+            f"N={self.bitwidth}>"
         )
+
+
+def _check_tabulable(bitwidth: int) -> None:
+    if bitwidth > FULL_TABLE_MAX_BITWIDTH:
+        raise UnsupportedDesignError(
+            f"product tables need N <= {FULL_TABLE_MAX_BITWIDTH}, got {bitwidth}"
+        )
+
+
+def _pair_grid(bitwidth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every operand pair, row-major in ``a``: index ``(a << N) | b``."""
+    _check_tabulable(bitwidth)
+    space = np.arange(np.int64(1) << bitwidth, dtype=np.int64)
+    return np.repeat(space, space.size), np.tile(space, space.size)
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +214,7 @@ def encode_netlist(netlist: Netlist, bitwidth: int, design: str = "?") -> Encodi
             ins = [values[net] for net in gate.inputs]
             values[gate.output] = _cell_node(builder, gate.cell.name, ins)
         outputs = [values[net] for net in netlist.outputs]
-    return Encoding(design, bitwidth, "rtl", "netlist", builder, a, b, outputs)
+    return Encoding(design, bitwidth, "rtl", "netlist", (builder, outputs))
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +336,7 @@ def _encode_log_corrected(
     if saturate:
         low, over = product[: 2 * n], product[2 * n]
         product = bus_mux(builder, low, [builder.true] * (2 * n), over)
-    return Encoding(design, n, "model", "symbolic", builder, a, b, product)
+    return Encoding(design, n, "model", "symbolic", (builder, product))
 
 
 def _encode_log_add(design: str, n: int, adder: str | None, m: int) -> Encoding:
@@ -332,7 +377,7 @@ def _encode_log_add(design: str, n: int, adder: str | None, m: int) -> Encoding:
     shifted = shift_left_var(builder, mantissa, characteristic, 2 * (n - 1) + 1)
     product = shifted[width : width + 2 * n]
     product = _mask_zero(builder, product, builder.and_(nza, nzb))
-    return Encoding(design, n, "model", "symbolic", builder, a, b, product)
+    return Encoding(design, n, "model", "symbolic", (builder, product))
 
 
 def _encode_drum(design: str, n: int, k: int) -> Encoding:
@@ -362,7 +407,7 @@ def _encode_drum(design: str, n: int, k: int) -> Encoding:
         return out
 
     product = mul(builder, approximate(a), approximate(b))
-    return Encoding(design, n, "model", "symbolic", builder, a, b, product)
+    return Encoding(design, n, "model", "symbolic", (builder, product))
 
 
 def _encode_segment(design: str, n: int, offsets_above: list[tuple[int, int]]) -> Encoding:
@@ -396,7 +441,7 @@ def _encode_segment(design: str, n: int, offsets_above: list[tuple[int, int]]) -
         return out
 
     product = mul(builder, approximate(a), approximate(b))
-    return Encoding(design, n, "model", "symbolic", builder, a, b, product)
+    return Encoding(design, n, "model", "symbolic", (builder, product))
 
 
 def _sub(builder: Builder, xs: list[Node], ys: list[Node]) -> list[Node]:
@@ -451,7 +496,7 @@ def _encode_scaletrim(
     shifted = shift_left_var(builder, mantissa, shift, 2 * (n - 1))
     product = shifted[2 * t : 2 * t + 2 * n + 1]
     product = _mask_zero(builder, product, builder.and_(nza, nzb))
-    return Encoding(design, n, "model", "symbolic", builder, a, b, product)
+    return Encoding(design, n, "model", "symbolic", (builder, product))
 
 
 def _encode_dnnco(design: str, n: int, l: int) -> Encoding:
@@ -483,7 +528,7 @@ def _encode_dnnco(design: str, n: int, l: int) -> Encoding:
             ]
     deficit = _sub(builder, colsum, orsum)
     product = _sub(builder, full, deficit)
-    return Encoding(design, n, "model", "symbolic", builder, a, b, product)
+    return Encoding(design, n, "model", "symbolic", (builder, product))
 
 
 def _encode_accurate(design: str, n: int) -> Encoding:
@@ -491,7 +536,7 @@ def _encode_accurate(design: str, n: int) -> Encoding:
     a = builder.input_bus("a", n)
     b = builder.input_bus("b", n)
     product = mul(builder, a, b)
-    return Encoding(design, n, "model", "symbolic", builder, a, b, product)
+    return Encoding(design, n, "model", "symbolic", (builder, product))
 
 
 # ----------------------------------------------------------------------
@@ -501,29 +546,31 @@ def _encode_accurate(design: str, n: int) -> Encoding:
 def encode_table(
     table: np.ndarray, bitwidth: int, design: str = "?", source: str = "model"
 ) -> Encoding:
-    """Lower an exhaustive product table (``table[(a << N) | b]``) exactly.
+    """An exhaustive product table (``table[(a << N) | b]``) as an encoding.
+
+    Exact for any function, and the only encoding available for the
+    irregular array families — but the table has ``4**N`` entries, so
+    this route is gated to ``N <= FULL_TABLE_MAX_BITWIDTH``.
+    """
+    _check_tabulable(bitwidth)
+    table = np.asarray(table, dtype=np.int64).ravel()
+    if table.size != 1 << (2 * bitwidth):
+        raise ValueError(
+            f"table has {table.size} entries; expected {1 << (2 * bitwidth)}"
+        )
+    return Encoding(design, bitwidth, source, "truth-table", table=table)
+
+
+def _table_dag(table: np.ndarray, bitwidth: int) -> tuple[Builder, list[Node]]:
+    """The DAG of a product table, for the symbolic backends.
 
     Per output bit a reduced ordered decision diagram is built bottom-up
     over an *interleaved* variable order (``b0, a0, b1, a1, ...`` — the
     order that keeps multiplier BDDs smallest), with ``np.unique``
     interning each level so only distinct cofactor pairs become MUX
     nodes; the global builder cache then shares structure across output
-    bits.  Exact for any function, and the only encoding available for
-    the irregular array families — but the table has ``4**N`` entries,
-    so this route is gated to ``N <= FULL_TABLE_MAX_BITWIDTH``.
+    bits.
     """
-    from ..kernels.tables import FULL_TABLE_MAX_BITWIDTH
-
-    if bitwidth > FULL_TABLE_MAX_BITWIDTH:
-        raise UnsupportedDesignError(
-            f"truth-table encoding needs N <= {FULL_TABLE_MAX_BITWIDTH}, "
-            f"got {bitwidth}"
-        )
-    table = np.asarray(table, dtype=np.int64)
-    if table.size != 1 << (2 * bitwidth):
-        raise ValueError(
-            f"table has {table.size} entries; expected {1 << (2 * bitwidth)}"
-        )
     builder = Builder()
     a = builder.input_bus("a", bitwidth)
     b = builder.input_bus("b", bitwidth)
@@ -556,9 +603,7 @@ def encode_table(
                 for key in unique
             ]
         outputs.append(nodes[int(layer[0])])
-    return Encoding(
-        design, bitwidth, source, "truth-table", builder, a, b, outputs
-    )
+    return builder, outputs
 
 
 # ----------------------------------------------------------------------
@@ -607,8 +652,6 @@ def encode_model(model, design: str = "?") -> Encoding:
             return _encode_dnnco(design, n, model.l)
         if family == "Accurate":
             return _encode_accurate(design, n)
-        from ..kernels.tables import FULL_TABLE_MAX_BITWIDTH, build_full_table
-
         if n <= FULL_TABLE_MAX_BITWIDTH:
             return encode_table(
                 build_full_table(model), n, design, source="model"
@@ -620,26 +663,17 @@ def encode_model(model, design: str = "?") -> Encoding:
 
 
 def encode_kernel(model, design: str = "?") -> Encoding:
-    """Encode the *compiled kernel* exactly from its full product table.
+    """The *compiled kernel* as an encoding: its full product table.
 
     The kernels are NumPy closures, not circuits, so the only exact
-    lowering enumerates them; gated to narrow widths like
-    ``compile_full_table``.  At wider operands the kernel leg of an
-    equivalence claim is validated by structured sampling instead
-    (:mod:`repro.formal.equiv`).
+    lowering enumerates them, in one kernel call over the pair grid;
+    gated to narrow widths like ``compile_full_table``.  At wider
+    operands the kernel leg of an equivalence claim is validated by
+    structured sampling instead (:mod:`repro.formal.equiv`).
     """
-    from ..kernels import kernel_for
-    from ..kernels.tables import FULL_TABLE_MAX_BITWIDTH
-
     n = model.bitwidth
-    if n > FULL_TABLE_MAX_BITWIDTH:
-        raise UnsupportedDesignError(
-            f"kernel encoding enumerates the product table; needs "
-            f"N <= {FULL_TABLE_MAX_BITWIDTH}, got {n}"
-        )
+    a, b = _pair_grid(n)
     tele = telemetry.get()
     with tele.span("formal.encode", design=design, source="kernel", bitwidth=n):
-        kernel = kernel_for(model)
-        space = np.arange(np.int64(1) << n, dtype=np.int64)
-        table = kernel(np.repeat(space, space.size), np.tile(space, space.size))
-        return encode_table(table, n, design, source="kernel")
+        table = kernel_for(model)(a, b)
+    return encode_table(table, n, design, source="kernel")

@@ -36,6 +36,7 @@ from .backends import default_ladder, resolve_backend
 from .encode import (
     Encoding,
     UnsupportedDesignError,
+    _pair_grid,
     encode_kernel,
     encode_model,
     encode_netlist,
@@ -170,9 +171,7 @@ def _validate_by_sampling(
     n = reference.bitwidth
     complete = n <= 8
     if complete:
-        space = np.arange(np.int64(1) << n, dtype=np.int64)
-        a = np.repeat(space, space.size)
-        b = np.tile(space, space.size)
+        a, b = _pair_grid(n)
     else:
         a, b = sample_operands(n, samples, seed)
     want = reference.eval_pairs(a, b)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -196,6 +198,69 @@ class TestInjectedBugs:
         finally:
             chaos.uninstall()
         assert result.ok
+
+
+# ---------------------------------------------------------------------------
+# serve-layer fleet lifecycle
+# ---------------------------------------------------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+#: one batch through the serve layer, then the oracle is dropped unclosed
+#: (as a temporary, and as a global that lives until interpreter exit)
+DROPPED_ORACLES = """
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from repro.conformance import DifferentialOracle
+pairs = np.arange(1, 33, dtype=np.int64)
+DifferentialOracle("calm", 8).evaluate(pairs, pairs[::-1].copy())
+kept = DifferentialOracle("calm", 8, layers=("model", "serve"))
+kept.evaluate(pairs, pairs)
+"""
+
+
+class TestServeFleet:
+    def test_one_campaign_starts_one_fleet(self, monkeypatch, tmp_path):
+        from repro.serve import Supervisor
+
+        starts = []
+        up = Supervisor.up
+
+        async def counted_up(self):
+            starts.append(self)
+            await up(self)
+
+        monkeypatch.setattr(Supervisor, "up", counted_up)
+        spec = chaos.FaultSpec(kind="corrupt", block=0, design="calm")
+        chaos.install([spec], tmp_path / "claims")
+        try:
+            result = fuzz("calm", 512, seed=0, bitwidth=8)
+        finally:
+            chaos.uninstall()
+        # the corrupted model diverges from serve, so shrinking re-asked it
+        assert "layer:serve" in result.counts
+        assert any(entry["name"] == "serve" for entry in result.shrunk)
+        assert len(starts) == 1
+        assert starts[0].draining  # fuzz closed its oracle
+
+    def test_close_is_idempotent_and_needs_no_fleet(self):
+        DifferentialOracle("calm", 8, layers=("model", "exact")).close()
+        oracle = DifferentialOracle("calm", 8, layers=("model", "serve"))
+        pairs = np.arange(1, 9, dtype=np.int64)
+        assert oracle.evaluate(pairs, pairs)[1] == 0
+        oracle.close()
+        oracle.close()
+
+    def test_dropped_oracle_prints_nothing(self):
+        done = subprocess.run(
+            [sys.executable, "-c", DROPPED_ORACLES.format(src=SRC)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,17 @@ from repro.analysis.exhaustive import exhaustive_metrics
 from repro.conformance.fuzz import shrink_pair
 from repro.conformance.oracles import LAYERS, DifferentialOracle, resolve_design
 from repro.formal import (
+    Evaluator,
     UnsupportedDesignError,
     certify_worst_error,
+    encode_kernel,
     encode_model,
     load_certificate,
     prove_equivalence,
     save_certificate,
 )
+from repro.formal import encode as encode_module
+from repro.formal.bounds import SWEEP_EXACT_MAX_BITWIDTH, _extreme_index
 from repro.multipliers.registry import REGISTRY
 
 from tests.strategies import corner_operands
@@ -37,10 +41,11 @@ from tests.strategies import corner_operands
 # tier-1 slice: one design per certification route (log-family interval,
 # LUT-corrected REALM, truncation, product-form ratio, exact baseline,
 # plus the two symbolic-only new families: compensated scaling and
-# OR-column truncation)
+# OR-column truncation), and two truth-table families (AM2's max error
+# of 0 is tied across thousands of pairs)
 SLICE_DESIGNS = [
     "realm8-t2", "mbm-t2", "calm", "drum-k5", "accurate",
-    "scaletrim-t4-c2", "dnnco-l6",
+    "scaletrim-t4-c2", "dnnco-l6", "am2-nb13", "intalp-l2",
 ]
 
 
@@ -125,6 +130,32 @@ class TestCertifiedVsBruteForce:
         assert bounds.method in ("interval-bb", "ratio-exact")
 
 
+class TestExactExtreme:
+    def test_resolves_ratios_that_round_to_the_same_double(self):
+        # 1 + 1/(d + 1) < 1 + 1/d differ by about 2**-54 at d = 2**27,
+        # below half an ulp of 1.0: float64 ties them, exact order does not
+        d = 1 << 27
+        num = np.array([d + 2, d + 1, 3], dtype=np.int64)
+        den = np.array([d + 1, d, 4], dtype=np.int64)
+        assert num[0] / den[0] == num[1] / den[1]
+        assert _extreme_index(num, den, largest=True) == 1
+        assert _extreme_index(-num, den, largest=False) == 1
+        assert _extreme_index(num, den, largest=False) == 2
+
+    def test_exact_ties_keep_the_first_index(self):
+        num = np.array([1, 3, 2, 6, -1], dtype=np.int64)
+        den = np.array([3, 4, 4, 8, 2], dtype=np.int64)  # 3/4 == 6/8
+        assert _extreme_index(num, den, largest=True) == 1
+        assert _extreme_index(num, den, largest=False) == 4
+
+    def test_sweep_refuses_widths_that_could_overflow(self):
+        width = SWEEP_EXACT_MAX_BITWIDTH + 1
+        with pytest.raises(UnsupportedDesignError, match="int64"):
+            certify_worst_error(
+                "calm", width, method="sweep", sweep_max_bitwidth=width
+            )
+
+
 class TestCertifiedDominatesSampling:
     BOUNDS = None
 
@@ -171,6 +202,47 @@ class TestEquivalence:
         legs = {leg.leg: leg for leg in result.legs}
         assert legs["formula~model"].status == "proved"
         assert legs["model~kernel"].status == "proved"
+
+    def test_bdd_backend_proves_a_truth_table_design(self):
+        # the lazily built decision-diagram DAG must still match its table
+        result = prove_equivalence("am1-nb13", 8, backend="bdd")
+        legs = {leg.leg: leg for leg in result.legs}
+        assert result.proved, [leg.detail for leg in result.legs]
+        for name in ("model~rtl", "model~kernel"):
+            assert (legs[name].status, legs[name].backend) == ("proved", "bdd")
+
+    def test_truth_table_dag_equals_its_table(self):
+        encoding = encode_model(resolve_design("am2-nb13", 8)[1], "am2-nb13")
+        assert encoding.method == "truth-table"
+        a, b = encode_module._pair_grid(8)
+        swept = Evaluator(encoding.builder, encoding.outputs).run_words(
+            {"a": a, "b": b}
+        )
+        np.testing.assert_array_equal(swept, encoding.table)
+
+    def test_default_ladder_never_builds_a_table_dag(self, monkeypatch):
+        def forbidden(table, bitwidth):
+            raise AssertionError("truth-table DAG built on the exhaustive path")
+
+        monkeypatch.setattr(encode_module, "_table_dag", forbidden)
+        result = prove_equivalence("am2-nb13", 8)
+        assert result.proved, [leg.detail for leg in result.legs]
+        assert certify_worst_error("am2-nb13", 8).exact
+
+    @pytest.mark.parametrize("design", ["am1-nb13", "realm8-t2"])
+    def test_gather_and_dag_agree_on_out_of_range_operands(self, design):
+        # both reject an operand outside [0, 2**N) with the same error,
+        # rather than silently drop its high bits
+        _, model, _, _ = resolve_design(design, 8)
+        for encoding in (encode_model(model, design), encode_kernel(model, design)):
+            dag = Evaluator(encoding.builder, encoding.outputs)
+            for a, b in ((256, 3), (300, 2), (-1, 4), (5, -2), (7, 1 << 9)):
+                x, y = np.array([0, a]), np.array([9, b])
+                with pytest.raises(ValueError) as from_dag:
+                    dag.run_words({"a": x, "b": y})
+                with pytest.raises(ValueError) as from_table:
+                    encoding.eval_pairs(x, y)
+                assert str(from_table.value) == str(from_dag.value)
 
     @pytest.mark.parametrize("design", ["scaletrim-t4-c2", "dnnco-l6"])
     def test_new_families_sixteen_bit_proves_or_skips(self, design):
