@@ -36,6 +36,7 @@ verify:
 	PYTHONPATH=src $(PYTHON) examples/signed_dot_product.py
 	PYTHONPATH=src $(PYTHON) examples/floating_point_and_dsp.py
 	PYTHONPATH=src $(PYTHON) examples/neural_network.py
+	PYTHONPATH=src $(PYTHON) examples/jpeg_compression.py
 	@echo "--- compiled-kernel smoke (the default path vs the interpreted model) ---"
 	PYTHONPATH=src $(PYTHON) -m repro conform --design realm-16-m4-q5 --budget 20000 --seed 0 \
 		--layers model kernel exact

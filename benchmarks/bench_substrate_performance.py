@@ -3,7 +3,8 @@
 The other benches time one-shot regenerations; these measure the
 steady-state rates a user plans around: functional-model multiplication
 throughput (what bounds a 2^24 characterization), gate-level simulation
-throughput, netlist construction, and factor computation.  pytest-
+throughput, netlist construction, factor computation and the JPEG entropy
+coder.  pytest-
 benchmark's statistics (multiple rounds) apply here, unlike the
 deterministic one-shot benches.
 """
@@ -16,8 +17,12 @@ from repro.analysis import telemetry
 from repro.circuits.catalog import netlist_for
 from repro.core.factors import _factors_cached, compute_factors
 from repro.core.realm import RealmMultiplier
+from repro.jpeg.codec import compress
+from repro.jpeg.huffman import decode_blocks, encode_blocks
+from repro.jpeg.images import test_image
 from repro.logic.sim import evaluate_words
 from repro.multipliers.mitchell import MitchellMultiplier
+from repro.multipliers.registry import build
 
 VECTOR_BATCH = 1 << 18
 
@@ -89,3 +94,18 @@ def test_perf_factor_computation(benchmark):
 
     factors = benchmark(compute)
     assert factors.shape == (16, 16)
+
+
+def test_perf_entropy_coding(benchmark):
+    # Table II's lossless stage alone: the cameraman levels at quality 50,
+    # encoded and decoded; the stream's size turns the time into a bit rate
+    image = test_image("cameraman")
+    count = image.size // 64
+    data = compress(build("accurate"), image, quality=50).data
+    levels = decode_blocks(data, count)
+
+    def roundtrip():
+        return decode_blocks(encode_blocks(levels), count)
+
+    assert np.array_equal(benchmark(roundtrip), levels)
+    benchmark.extra_info["bits"] = 8 * len(data)
