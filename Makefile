@@ -27,6 +27,14 @@ verify:
 	@echo "--- warm-cache second pass ---"
 	$(VERIFY_ENV) $(PYTHON) -m pytest benchmarks/bench_table1_errors.py --benchmark-only -q
 	rm -rf .repro-cache
+	@echo "--- Table I worker-count identity (stdout at 1 and 2 workers) ---"
+	mkdir -p .repro-identity
+	PYTHONPATH=src $(PYTHON) -m repro table1 --samples 262144 --no-cache --no-warehouse \
+		--workers 1 > .repro-identity/table1-w1.txt
+	PYTHONPATH=src $(PYTHON) -m repro table1 --samples 262144 --no-cache --no-warehouse \
+		--workers 2 > .repro-identity/table1-w2.txt
+	cmp .repro-identity/table1-w1.txt .repro-identity/table1-w2.txt
+	rm -rf .repro-identity
 	PYTHONPATH=src $(PYTHON) tools/serve_smoke.py --only base
 	@echo "--- serve chaos smoke (supervised fleet) ---"
 	PYTHONPATH=src $(PYTHON) tools/serve_smoke.py --only chaos
@@ -83,5 +91,5 @@ quick:
 	$(PYTHON) -m repro table1 --quick
 
 clean:
-	rm -rf build *.egg-info .pytest_cache benchmarks/results .repro-cache .repro-warehouse
+	rm -rf build *.egg-info .pytest_cache benchmarks/results .repro-cache .repro-warehouse .repro-identity
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,8 +1,8 @@
 """Table I (error columns): Monte-Carlo characterization of every design.
 
 Regenerates the five error columns — bias, mean error, min/max peak,
-variance — for all 65 approximate configurations, printed next to the
-paper's published values.  The paper's methodology (Section IV-B): uniform
+variance — for all 72 approximate configurations of ``TABLE1_IDS``,
+printed next to the paper's published values.  The paper's methodology (Section IV-B): uniform
 i.i.d. operands over the full 16-bit range, errors vs. the exact product.
 """
 

@@ -19,7 +19,7 @@ from .runtime import (
     CorruptResultError,
     ResiliencePolicy,
     monotonic_progress,
-    run_plan,
+    run_campaign,
 )
 from .telemetry import (
     Telemetry,
@@ -68,7 +68,7 @@ __all__ = [
     "ResiliencePolicy",
     "Telemetry",
     "TelemetrySnapshot",
-    "run_plan",
+    "run_campaign",
     "accumulate_chunk",
     "ascii_heatmap",
     "ascii_histogram",

@@ -8,15 +8,17 @@ structured error.
 
 A **fault plan** is a list of :class:`FaultSpec`, each targeting the
 batch whose first block index equals ``block`` (optionally restricted to
-one run label via ``design``).  Kinds:
+batches that evaluate one design, named by its label, via ``design``).
+Kinds:
 
 * ``"crash"`` — ``os._exit`` the process (→ ``BrokenProcessPool``); only
   fires inside worker processes, so degraded in-process execution always
   survives it (mirroring real OOM-killed workers);
 * ``"hang"`` — sleep ``seconds`` before computing (→ batch timeout);
 * ``"raise"`` — raise :class:`ChaosFault` (an ordinary task error);
-* ``"corrupt"`` — compute the batch, then falsify the first
-  accumulator's sample count (must be caught by result validation).
+* ``"corrupt"`` — compute the batch, then falsify the sample count of
+  its first design's first accumulator (must be caught by result
+  validation).
 
 Each spec fires for its first ``times`` executions, counted across
 processes through lock files in the plan's ``dir`` — so "crash once then
@@ -73,9 +75,9 @@ class FaultSpec:
     """One injected fault.
 
     ``block`` matches the first block index of a batch; ``design`` (when
-    set) additionally matches the run label (the multiplier display
-    name); ``times`` bounds how many executions fault; ``seconds`` is
-    the ``hang`` duration.
+    set) additionally requires the batch to evaluate the design with
+    that label (the multiplier display name); ``times`` bounds how many
+    executions fault; ``seconds`` is the ``hang`` duration.
     """
 
     kind: str
@@ -102,11 +104,12 @@ class ChaosPlan:
     specs: tuple[FaultSpec, ...]
     directory: str
 
-    def fault_for(self, block: int, label: str | None) -> tuple[int, FaultSpec] | None:
+    def fault_for(self, block: int, *labels) -> tuple[int, FaultSpec] | None:
+        """The first spec matching ``block`` and any of ``labels``."""
         for position, spec in enumerate(self.specs):
             if spec.block != block:
                 continue
-            if spec.design is not None and spec.design != label:
+            if spec.design is not None and spec.design not in labels:
                 continue
             return position, spec
         return None
@@ -186,51 +189,57 @@ def _in_worker() -> bool:
 
 @dataclasses.dataclass
 class _FaultingTask:
-    """Picklable task wrapper that consults the active plan at call time."""
+    """Picklable task wrapper that consults the active plan at call time.
+
+    Wraps a campaign batch task ``inner(designs, blocks)``; ``labels``
+    names the campaign's designs by position.
+    """
 
     inner: object
-    label: str | None = None
+    labels: tuple = ()
 
-    def __call__(self, blocks):
+    def __call__(self, designs, blocks, on_result=None):
         plan = active_plan()
         if plan is None or not blocks:
-            return self.inner(blocks)
-        match = plan.fault_for(blocks[0][0], self.label)
+            return self.inner(designs, blocks, on_result=on_result)
+        match = plan.fault_for(blocks[0][0], *(self.labels[p] for p in designs))
         if match is None:
-            return self.inner(blocks)
+            return self.inner(designs, blocks, on_result=on_result)
         position, spec = match
         if spec.kind == "crash" and not _in_worker():
             # crashes model killed workers; in-process execution survives
-            return self.inner(blocks)
+            return self.inner(designs, blocks, on_result=on_result)
         if not plan.claim(position, spec):
-            return self.inner(blocks)
+            return self.inner(designs, blocks, on_result=on_result)
         if spec.kind == "crash":
             os._exit(17)
         if spec.kind == "hang":
             time.sleep(spec.seconds)
-            return self.inner(blocks)
+            return self.inner(designs, blocks, on_result=on_result)
         if spec.kind == "raise":
             raise ChaosFault(
                 f"injected fault on batch starting at block {blocks[0][0]}"
             )
-        # corrupt: compute honestly, then falsify the first accumulator
-        out = list(self.inner(blocks))
-        if out and isinstance(out[0], Accumulator):
-            poisoned = Accumulator(**dataclasses.asdict(out[0]))
-            poisoned.all_count += 1
-            out[0] = poisoned
+        # corrupt: compute honestly, then falsify the returned batch's
+        # first accumulator, as a worker returning garbage would
+        out = list(self.inner(designs, blocks))
+        accumulators, seconds = out[0]
+        poisoned = Accumulator(**dataclasses.asdict(accumulators[0]))
+        poisoned.all_count += 1
+        out[0] = ([poisoned, *accumulators[1:]], seconds)
         return out
 
 
-def wrap(task, label: str | None = None):
-    """Wrap a bound batch task with fault injection when a plan is active.
+def wrap(task, labels=()):
+    """Wrap a bound campaign batch task with fault injection when a plan
+    is active; ``labels`` names the campaign's designs by position.
 
     Returns ``task`` unchanged when no plan is installed and the
     environment variable is unset, so healthy runs pay nothing.
     """
     if _INSTALLED is None and not os.environ.get(CHAOS_ENV):
         return task
-    return _FaultingTask(task, label)
+    return _FaultingTask(task, tuple(labels))
 
 
 def serve_fault(label: str, ordinal: int) -> FaultSpec | None:

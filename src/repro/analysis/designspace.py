@@ -84,10 +84,10 @@ def sweep(
     plus the resilience knobs ``max_retries``/``batch_timeout``/
     ``policy``/``checkpoint``/``resume``) are forwarded to
     :func:`repro.analysis.montecarlo.characterize_many`, so the whole
-    sweep fans out across designs, reuses cached metrics, survives
-    worker faults, and — with ``checkpoint``/``resume`` — an
+    sweep runs as one block-major campaign, reuses cached metrics,
+    survives worker faults, and — with ``checkpoint``/``resume`` — an
     interrupted sweep restarted with ``resume=True`` recomputes only
-    the unfinished blocks/designs.  ``with_telemetry=True`` returns
+    the unfinished (design, block) pairs.  ``with_telemetry=True`` returns
     ``(points, TelemetrySnapshot)`` with the sweep's per-phase timings
     and counters (see :mod:`repro.analysis.telemetry`).
     ``warehouse`` opts into the experiment warehouse (see

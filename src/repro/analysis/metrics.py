@@ -183,14 +183,20 @@ class Accumulator:
         )
 
 
-#: backward-compatible alias for the pre-engine private name
-_Accumulator = Accumulator
+def accumulate_chunk(
+    approx: np.ndarray, exact: np.ndarray, valid=None, exact_nz=None
+) -> Accumulator:
+    """Streaming statistics of one ``(approx, exact)`` product batch.
 
-
-def accumulate_chunk(approx: np.ndarray, exact: np.ndarray) -> Accumulator:
-    """Streaming statistics of one ``(approx, exact)`` product batch."""
+    Designs evaluated on one batch of int64 operands can share its nonzero
+    mask ``valid`` (``exact != 0``) and nonzero products ``exact_nz``
+    (``exact[valid]``); without them both are derived here.
+    """
     acc = Accumulator()
-    errors, _ = relative_errors(approx, exact)
+    if valid is None:
+        errors, _ = relative_errors(approx, exact)
+    else:
+        errors = (np.asarray(approx, dtype=np.int64)[valid] - exact_nz) / exact_nz
     abs_err = np.abs(np.asarray(approx, dtype=np.float64) - exact)
     acc.update(errors, float(abs_err.sum()), int(np.asarray(exact).size))
     return acc

@@ -14,6 +14,12 @@ block order.  The guarantees:
 * the same ``seed`` drives identical inputs into every design, so
   cross-design comparisons are noise-free.
 
+Every entry point runs the same block-major campaign
+(:func:`characterize_many`; :func:`characterize` and
+:func:`characterize_workload` are one-design campaigns): each block is
+drawn, and its exact products computed, once for all the designs that
+share its draw.
+
 Runs can be fanned out across processes (``workers=``) and memoized in a
 content-addressed on-disk cache (``cache=``, see
 :mod:`repro.analysis.cache`); ``progress=`` receives event dicts with
@@ -27,6 +33,8 @@ checkpoint to disk and resume (``checkpoint=``/``resume=``) — see
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
 import time
 
@@ -35,16 +43,16 @@ import numpy as np
 from ..multipliers.base import Multiplier
 from ..multipliers.registry import fingerprint
 from . import telemetry
-from .cache import cache_key, cache_stats, load_metrics, resolve_cache_dir, store_metrics
+from .cache import cache_key, load_metrics, resolve_cache_dir, store_metrics
 from .metrics import ErrorMetrics
 from .parallel import (
+    SamplerDraw,
+    UniformDraw,
     block_plan,
+    campaign_task,
     draw_uniform_block,
-    run_blocked,
-    uniform_task,
-    workload_task,
 )
-from .runtime import Checkpoint, ResiliencePolicy
+from .runtime import Checkpoint, ResiliencePolicy, run_campaign
 
 __all__ = [
     "ENGINE_VERSION",
@@ -194,11 +202,14 @@ def _warehouse_many(
     (``warehouse.hits``/``warehouse.misses`` counters); only designs whose
     fingerprint is absent — new designs, changed knobs, a bumped engine —
     are recomputed (``warehouse.deltas``), by recursing into
-    :func:`characterize_many` with the warehouse off.  The run is then
-    recorded whole: hit rows flagged ``reused``, recomputed rows carrying
-    the telemetry counters of the recompute.  Stored metrics are canonical
-    JSON with ``repr`` float semantics, so a warm result is bit-identical
-    to the cold run that produced it.
+    :func:`characterize_many` with the warehouse off.  ``progress`` gets
+    one ``design`` event per requested design, counted over all of them:
+    reused designs first (``cache="warehouse"``, no seconds), then the
+    recomputed ones as they finish.  The run is then recorded whole: hit
+    rows flagged ``reused``, recomputed rows carrying the telemetry
+    counters of the recompute.  Stored metrics are canonical JSON with
+    ``repr`` float semantics, so a warm result is bit-identical to the
+    cold run that produced it.
     """
     from ..warehouse.store import WarehouseError, metrics_fields
 
@@ -217,26 +228,35 @@ def _warehouse_many(
                 misses.append((name, multiplier))
                 tele.counter("warehouse.misses")
     tele.counter("warehouse.deltas", len(misses))
+    emitted = 0
+
+    def relay(event):
+        nonlocal emitted
+        if event.get("event") == "design":
+            emitted += 1
+            event = {**event, "index": emitted, "total": len(items)}
+        progress(event)
+
+    if progress is not None:
+        for name in hits:
+            relay(
+                {"event": "design", "design": name, "samples": samples,
+                 "seconds": 0.0, "cache": "warehouse"}
+            )
     fresh: dict[str, ErrorMetrics] = {}
     counters: dict = {}
     if misses:
         with telemetry.recording() as rec:
             fresh = characterize_many(
                 misses, samples=samples, seed=seed, chunk=chunk,
-                workers=workers, cache=cache, progress=progress,
+                workers=workers, cache=cache,
+                progress=relay if progress is not None else None,
                 policy=policy, checkpoint=checkpoint, resume=resume,
                 warehouse=False,
             )
         counters = dict(rec.snapshot.counters)
         for phase, stat in rec.snapshot.phases.items():
             counters[f"phase.{phase}"] = stat.count
-    elif progress is not None:
-        for index, (name, _) in enumerate(items, start=1):
-            _emit(
-                progress, event="design", design=name, index=index,
-                total=len(items), samples=samples, seconds=0.0,
-                cache="warehouse",
-            )
     results = {
         name: fresh[name] if name in fresh else hits[name] for name, _ in items
     }
@@ -262,91 +282,141 @@ def _warehouse_many(
     return results
 
 
-def _run_cached(
-    multiplier: Multiplier,
-    payload: dict | None,
-    task,
-    task_args: tuple,
+def _campaign(
+    designs,
     samples: int,
     chunk: int,
-    workers,
+    *,
     cache,
-    progress,
-    label: str,
-    policy: ResiliencePolicy | None = None,
-    checkpoint: bool = False,
-    resume: bool = False,
+    workers,
+    policy: ResiliencePolicy | None,
+    checkpoint: bool,
+    resume: bool,
+    on_metrics,
+    on_progress=None,
+    on_event=None,
     pool=None,
-) -> ErrorMetrics:
-    """Cache lookup -> blocked engine run -> cache store, with telemetry."""
+) -> dict[str, ErrorMetrics]:
+    """The engine's one path: cache front end, block-major campaign, store.
+
+    ``designs`` lists ``(name, multiplier, draw, payload)``; ``payload``
+    (``None`` for a draw without a stable fingerprint) keys the metrics
+    cache and the design's checkpoint.  Cache hits never enter the
+    campaign.  The fresh designs run as one campaign (see
+    :func:`~repro.analysis.runtime.run_campaign`): designs with equal
+    draws share every block, and each is finalized (and stored) as its
+    last block merges.  Every fresh design gets a ``characterize`` span
+    over the campaign.  ``on_metrics(name, metrics, seconds, outcome)``
+    fires per design: for a hit at once, with ``0.0`` seconds and outcome
+    ``"hit"``; for a fresh design when it is finalized, with its cost
+    (its share of the campaign plus its finalize) and outcome ``"miss"``,
+    or ``"off"`` without a cache.
+    """
     tele = telemetry.get()
-    directory = resolve_cache_dir(cache) if payload is not None else None
-    key = cache_key(payload) if directory is not None else None
-    start = time.perf_counter()
-    with tele.span("characterize", design=label, samples=samples):
+    results: dict[str, ErrorMetrics] = {}
+    fresh = []
+    for name, multiplier, draw, payload in designs:
+        directory = resolve_cache_dir(cache) if payload is not None else None
         if directory is not None:
-            with tele.span("cache.lookup", design=label):
-                hit = load_metrics(directory, key)
+            with tele.span("cache.lookup", design=multiplier.name):
+                hit = load_metrics(directory, cache_key(payload))
             if hit is not None:
-                _emit(
-                    progress,
-                    event="done",
-                    design=label,
-                    samples=samples,
-                    seconds=time.perf_counter() - start,
-                    cache="hit",
-                )
-                tele.event("mc.done", design=label, samples=samples, cache="hit")
-                return hit
+                results[name] = hit
+                tele.event("mc.done", design=multiplier.name, samples=samples, cache="hit")
+                on_metrics(name, hit, 0.0, "hit")
+                continue
+        fresh.append((name, multiplier, draw, payload, directory))
+    if not fresh:
+        return results
 
-        def on_progress(done):
-            _emit(
-                progress,
-                event="progress",
-                design=label,
-                samples_done=done,
-                samples_total=samples,
+    draws: list = []
+    members = []
+    for _, multiplier, draw, _, _ in fresh:
+        if draw not in draws:
+            draws.append(draw)
+        members.append((draws.index(draw), multiplier))
+    labels = [multiplier.name for _, multiplier, _, _, _ in fresh]
+    finished = []
+
+    def on_design(position, accumulator, seconds):
+        name, multiplier, _, payload, directory = fresh[position]
+        start = time.perf_counter()
+        with tele.span("finalize", design=labels[position]):
+            metrics = accumulator.finalize(_max_product(multiplier))
+        seconds += time.perf_counter() - start
+        if directory is not None:
+            with tele.span("cache.store", design=labels[position]):
+                store_metrics(directory, cache_key(payload), metrics, payload)
+        results[name] = metrics
+        outcome = "miss" if directory is not None else "off"
+        finished.append((labels[position], seconds, outcome))
+        on_metrics(name, metrics, seconds, outcome)
+
+    checkpoints = [
+        _resolve_checkpoint(checkpoint, resume, directory, payload)
+        for _, _, _, payload, directory in fresh
+    ]
+    plan = block_plan(samples)
+    with contextlib.ExitStack() as spans:
+        for label in labels:
+            spans.enter_context(
+                tele.span("characterize", design=label, samples=samples)
             )
-
-        def on_event(event):
-            _emit(progress, design=label, **event)
-
-        accumulator = run_blocked(
-            task,
-            task_args,
-            samples,
+        run_campaign(
+            campaign_task,
+            (draws, members),
+            plan,
             chunk,
+            labels,
+            checkpoints=checkpoints,
             workers=workers,
-            on_progress=on_progress,
             policy=policy,
-            checkpoint=_resolve_checkpoint(checkpoint, resume, directory, payload),
             resume=resume,
+            on_progress=on_progress,
             on_event=on_event,
-            label=label,
+            on_design=on_design,
             pool=pool,
         )
-        with tele.span("finalize", design=label):
-            metrics = accumulator.finalize(_max_product(multiplier))
+    # after the spans close: these sink writes are not the designs' work
+    for label, seconds, outcome in finished:
+        tele.event("mc.done", design=label, samples=samples, seconds=seconds, cache=outcome)
+        if seconds > 0:
+            tele.gauge("mc.samples_per_sec", samples / seconds)
+    return results
+
+
+def _characterize_one(
+    multiplier, draw, payload, samples, chunk, *, progress, **engine
+) -> ErrorMetrics:
+    """A one-design campaign, reporting ``progress``/``done`` events."""
+    label = multiplier.name
+    start = time.perf_counter()
+
+    def on_metrics(name, metrics, seconds, outcome):
         elapsed = time.perf_counter() - start
-        if directory is not None:
-            with tele.span("cache.store", design=label):
-                store_metrics(directory, key, metrics, payload)
-    outcome = "miss" if directory is not None else "off"
-    _emit(
-        progress,
-        event="done",
-        design=label,
-        samples=samples,
-        seconds=elapsed,
-        samples_per_sec=samples / elapsed if elapsed > 0 else float("inf"),
-        cache=outcome,
-    )
-    tele.event(
-        "mc.done", design=label, samples=samples, seconds=elapsed, cache=outcome
-    )
-    if elapsed > 0:
-        tele.gauge("mc.samples_per_sec", samples / elapsed)
-    return metrics
+        rate = {}
+        if outcome != "hit":
+            rate["samples_per_sec"] = samples / elapsed if elapsed > 0 else float("inf")
+        _emit(
+            progress, event="done", design=label, samples=samples,
+            seconds=elapsed, **rate, cache=outcome,
+        )
+
+    def on_progress(done):
+        _emit(
+            progress, event="progress", design=label,
+            samples_done=done, samples_total=samples,
+        )
+
+    def on_event(event):
+        _emit(progress, design=label, **event)
+
+    return _campaign(
+        [(label, multiplier, draw, payload)], samples, chunk,
+        on_metrics=on_metrics,
+        on_progress=on_progress if progress is not None else None,
+        on_event=on_event, **engine,
+    )[label]
 
 
 def characterize(
@@ -373,12 +443,16 @@ def characterize(
     full ``N``-bit range, including zero.  The same ``seed`` gives every
     design the identical input stream, so cross-design comparisons are
     noise-free; results are bit-identical at any ``chunk``/``workers``
-    — and under any retry/rebuild/degradation recovery path.
+    — and under any retry/rebuild/degradation recovery path.  The run is
+    a one-design campaign on :func:`characterize_many`'s path.
 
     ``workers`` > 1 fans blocks out over a process pool; ``cache`` keys
     the result on (engine, design fingerprint, bitwidth, seed, samples)
     and short-circuits repeat runs (see :mod:`repro.analysis.cache`).
-    ``max_retries``/``batch_timeout`` (or a full
+    ``progress`` receives ``progress`` events (cumulative
+    ``samples_done``), runtime events (retry, pool-rebuild, degraded,
+    resume) and one final ``done`` event with the wall time and cache
+    outcome.  ``max_retries``/``batch_timeout`` (or a full
     :class:`~repro.analysis.runtime.ResiliencePolicy` via ``policy``)
     tune failure handling; ``checkpoint=True`` persists per-block state
     under the cache dir and ``resume=True`` skips blocks a previous
@@ -402,6 +476,7 @@ def characterize(
             )
         )
     _validate_engine_args(samples, chunk, workers)
+    policy = _resolve_policy(policy, max_retries, batch_timeout)
     if warehouse is not False and pool is None:
         from ..warehouse.store import open_warehouse
 
@@ -412,53 +487,24 @@ def characterize(
                     wh, [(multiplier.name, multiplier)],
                     samples=samples, seed=seed, chunk=chunk,
                     workers=workers, cache=cache, progress=progress,
-                    policy=_resolve_policy(policy, max_retries, batch_timeout),
-                    checkpoint=checkpoint, resume=resume,
+                    policy=policy, checkpoint=checkpoint, resume=resume,
                 )[multiplier.name]
             finally:
                 wh.close()
-    return _run_cached(
+    return _characterize_one(
         multiplier,
+        UniformDraw(multiplier.bitwidth, seed),
         _uniform_payload(multiplier, samples, seed),
-        uniform_task,
-        (multiplier, seed),
         samples,
         chunk,
-        workers,
-        cache,
-        progress,
-        multiplier.name,
-        policy=_resolve_policy(policy, max_retries, batch_timeout),
+        progress=progress,
+        cache=cache,
+        workers=workers,
+        policy=policy,
         checkpoint=checkpoint,
         resume=resume,
         pool=pool,
     )
-
-
-def _serial_design_task(
-    multiplier,
-    samples,
-    seed,
-    chunk,
-    policy=None,
-    checkpoint_dir=None,
-    payload=None,
-    resume=False,
-):
-    """Whole-design serial characterization (picklable, for design fan-out)."""
-    ckpt = None
-    if checkpoint_dir is not None and payload is not None:
-        ckpt = Checkpoint(checkpoint_dir, cache_key(payload), payload)
-    return run_blocked(
-        uniform_task,
-        (multiplier, seed),
-        samples,
-        chunk,
-        policy=policy,
-        checkpoint=ckpt,
-        resume=resume,
-        label=multiplier.name,
-    ).finalize(_max_product(multiplier))
 
 
 def characterize_many(
@@ -482,25 +528,32 @@ def characterize_many(
 ) -> dict[str, ErrorMetrics]:
     """Characterize ``{name: multiplier}`` or ``(name, multiplier)`` pairs.
 
-    All engine options are forwarded.  With ``workers`` > 1 the fan-out is
-    per design (one pool task each — the right granularity for Table I's
-    40+ configurations); cache hits are resolved up front and never occupy
-    a worker.  ``progress`` receives one ``{"event": "design", ...}`` dict
-    as each design completes (completion order under workers).
+    Names must be unique.  All engine options are forwarded.  Cache hits
+    are resolved up front; the other designs run as one block-major
+    campaign (see :mod:`repro.analysis.parallel`): each block is drawn
+    once for all designs of its bitwidth, and every design is evaluated
+    on it.  With ``workers`` > 1 the fan-out unit is a group of blocks
+    over all those designs.  ``progress`` receives one ``{"event":
+    "design", ...}`` dict per design — hits first, then each fresh design
+    as its last block merges — plus the runtime's retry, pool-rebuild,
+    degraded and resume events.  A design event's ``seconds`` is the
+    design's own multiply, accumulate and finalize time plus an equal
+    share of the shared draws, so over a campaign they sum to its
+    compute time.
 
-    A design whose pool task dies (crashed worker, exhausted in-worker
-    retries) is recomputed serially in this process after the others
-    finish — one faulty design degrades gracefully instead of discarding
-    the whole campaign.  ``checkpoint``/``resume`` give every design its
-    own content-addressed per-block checkpoint, so an interrupted sweep
-    restarted with ``resume=True`` recomputes only unfinished designs
-    (finished ones are cache hits) and, within those, only unfinished
-    blocks.  ``with_telemetry=True`` returns ``(results, snapshot)``.
-    ``warehouse`` opts into the experiment warehouse (see
-    :mod:`repro.warehouse`): designs whose exact fingerprint was already
-    recorded are served from the store without a single model
-    evaluation, only changed fingerprints recompute, and the whole run is
-    recorded with provenance and reused-vs-recomputed flags per design.
+    Failed batches retry, broken pools rebuild and the run degrades to
+    serial execution per the resilience policy (see
+    :mod:`repro.analysis.runtime`).  ``checkpoint``/``resume`` give every
+    design its own content-addressed per-block checkpoint, saved as each
+    block group completes, so an interrupted campaign restarted with
+    ``resume=True`` recomputes only the (design, block) pairs it had not
+    finished; finished designs are cache hits.  ``with_telemetry=True``
+    returns ``(results, snapshot)``.  ``warehouse`` opts into the
+    experiment warehouse (see :mod:`repro.warehouse`): designs whose
+    exact fingerprint was already recorded are served from the store
+    without a single model evaluation, only changed fingerprints
+    recompute, and the whole run is recorded with provenance and
+    reused-vs-recomputed flags per design.
     """
     if with_telemetry:
         return _recorded(
@@ -516,6 +569,10 @@ def characterize_many(
     _validate_engine_args(samples, chunk, workers)
     policy = _resolve_policy(policy, max_retries, batch_timeout)
     items = list(multipliers.items() if hasattr(multipliers, "items") else multipliers)
+    names = [name for name, _ in items]
+    for name, count in collections.Counter(names).items():
+        if count > 1:
+            raise ValueError(f"duplicate design name {name!r} in characterize_many")
     if warehouse is not False:
         from ..warehouse.store import open_warehouse
 
@@ -530,117 +587,39 @@ def characterize_many(
                 )
             finally:
                 wh.close()
-    total = len(items)
-    results: dict[str, ErrorMetrics] = {}
+    completed = 0
 
-    def emit_design(name, index, seconds, outcome):
+    def on_metrics(name, metrics, seconds, outcome):
+        nonlocal completed
+        completed += 1
         _emit(
-            progress,
-            event="design",
-            design=name,
-            index=index,
-            total=total,
-            samples=samples,
-            seconds=seconds,
-            cache=outcome,
+            progress, event="design", design=name, index=completed,
+            total=len(items), samples=samples, seconds=seconds, cache=outcome,
         )
         telemetry.get().event(
-            "mc.design", design=name, index=index, total=total, cache=outcome
+            "mc.design", design=name, index=completed, total=len(items),
+            cache=outcome,
         )
 
-    if workers and workers > 1 and total > 1:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+    def on_event(event):
+        _emit(progress, design="campaign", **event)
 
-        directory = resolve_cache_dir(cache)
-        checkpoint_dir = None
-        if checkpoint or resume:
-            checkpoint_dir = directory if directory is not None else resolve_cache_dir(True)
-        pending = []
-        completed = 0
-        for name, multiplier in items:
-            payload = _uniform_payload(multiplier, samples, seed)
-            key = cache_key(payload) if directory is not None else None
-            hit = load_metrics(directory, key) if directory is not None else None
-            if hit is not None:
-                results[name] = hit
-                completed += 1
-                emit_design(name, completed, 0.0, "hit")
-            else:
-                pending.append((name, multiplier, payload, key))
-        if pending:
-            start = time.perf_counter()
-            failed = []
-            with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-                futures = {
-                    pool.submit(
-                        _serial_design_task, multiplier, samples, seed, chunk,
-                        policy, checkpoint_dir, payload, resume,
-                    ): (name, multiplier, payload, key)
-                    for name, multiplier, payload, key in pending
-                }
-                for future in as_completed(futures):
-                    name, multiplier, payload, key = futures[future]
-                    try:
-                        metrics = future.result()
-                    except Exception as exc:
-                        # the design's pool task died (crashed worker or
-                        # exhausted in-worker retries): recompute serially
-                        # in this process after the pool drains
-                        failed.append((name, multiplier, payload, key, exc))
-                        continue
-                    if directory is not None:
-                        store_metrics(directory, key, metrics, payload)
-                    results[name] = metrics
-                    completed += 1
-                    emit_design(
-                        name, completed, time.perf_counter() - start,
-                        "miss" if directory is not None else "off",
-                    )
-            # the design pool has drained: fold worker telemetry files in
-            telemetry.merge_workers()
-            for name, multiplier, payload, key, exc in failed:
-                _emit(
-                    progress,
-                    event="design-fallback",
-                    design=name,
-                    cause=str(exc),
-                )
-                tele = telemetry.get()
-                tele.counter("runtime.design_fallbacks")
-                tele.event("runtime.design-fallback", design=name, cause=str(exc))
-                metrics = _serial_design_task(
-                    multiplier, samples, seed, chunk,
-                    policy, checkpoint_dir, payload, resume,
-                )
-                if directory is not None:
-                    store_metrics(directory, key, metrics, payload)
-                results[name] = metrics
-                completed += 1
-                emit_design(
-                    name, completed, time.perf_counter() - start,
-                    "miss" if directory is not None else "off",
-                )
-        return {name: results[name] for name, _ in items}
-
-    for index, (name, multiplier) in enumerate(items, start=1):
-        start = time.perf_counter()
-        before = cache_stats()
-        metrics = characterize(
-            multiplier, samples=samples, seed=seed, chunk=chunk,
-            workers=workers, cache=cache, progress=None,
-            policy=policy, checkpoint=checkpoint, resume=resume,
-            warehouse=False,
-        )
-        results[name] = metrics
-        after = cache_stats()
-        if after.hits > before.hits:
-            outcome = "hit"
-        elif after.misses > before.misses:
-            outcome = "miss"
-        else:
-            outcome = "off"
-        emit_design(name, index, time.perf_counter() - start, outcome)
-    return results
+    results = _campaign(
+        [
+            (name, m, UniformDraw(m.bitwidth, seed), _uniform_payload(m, samples, seed))
+            for name, m in items
+        ],
+        samples,
+        chunk,
+        cache=cache,
+        workers=workers,
+        policy=policy,
+        checkpoint=checkpoint,
+        resume=resume,
+        on_metrics=on_metrics,
+        on_event=on_event,
+    )
+    return {name: results[name] for name in names}
 
 
 def _sampler_fingerprint(sampler) -> dict | None:
@@ -682,13 +661,15 @@ def characterize_workload(
     pair of int arrays within the multiplier's operand range — see
     ``gaussian_sampler`` / ``lognormal_sampler`` for ready-made ones.
 
-    The sampler is called once per fixed-size block with that block's
-    substream, so — like :func:`characterize` — the input stream depends
-    only on ``(seed, samples)``, never on ``chunk`` or ``workers``.
-    Caching requires a fingerprintable sampler (the built-in sampler
-    dataclasses are); otherwise the run silently skips the cache.
-    Parallel runs require the sampler to be picklable.
-    ``with_telemetry=True`` returns ``(metrics, TelemetrySnapshot)``.
+    The sampler is the block draw of a one-design campaign: it is called
+    once per fixed-size block with that block's substream, so — like
+    :func:`characterize` — the input stream depends only on ``(seed,
+    samples)``, never on ``chunk`` or ``workers``.  Caching requires a
+    fingerprintable sampler (the built-in sampler dataclasses are);
+    otherwise the run silently skips the cache.  Parallel runs require
+    the sampler to be picklable.  ``progress`` receives the events
+    :func:`characterize` sends.  ``with_telemetry=True`` returns
+    ``(metrics, TelemetrySnapshot)``.
     """
     if with_telemetry:
         return _recorded(
@@ -712,17 +693,15 @@ def characterize_workload(
             "samples": samples,
             "seed": seed,
         }
-    return _run_cached(
+    return _characterize_one(
         multiplier,
+        SamplerDraw(sampler, seed),
         payload,
-        workload_task,
-        (multiplier, sampler, seed),
         samples,
         chunk,
-        workers,
-        cache,
-        progress,
-        multiplier.name,
+        progress=progress,
+        cache=cache,
+        workers=workers,
         policy=_resolve_policy(policy, max_retries, batch_timeout),
         checkpoint=checkpoint,
         resume=resume,

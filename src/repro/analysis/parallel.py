@@ -1,4 +1,4 @@
-"""Deterministic substreams and process-pool fan-out for characterization.
+"""Deterministic substreams and block-major campaigns for characterization.
 
 The Monte-Carlo engine draws operands in fixed :data:`BLOCK`-sample blocks,
 each from its own counter-based substream
@@ -14,6 +14,14 @@ bit-identical at any ``chunk`` size and any ``workers`` count.  ``chunk``
 is purely a batching knob: how many blocks one task (and one inter-process
 message) covers.
 
+A campaign characterizes many designs on one stream, block-major: a task
+covers a group of blocks and every design that still needs them.  The
+designs that share a draw (the same bitwidth and seed, or the same
+sampler) share its blocks: :func:`campaign_task` draws each block, and
+computes its exact products, nonzero mask and nonzero products, once per
+task.  Each design still gets its own per-block accumulators, so a
+campaign returns exactly what one run per design would.
+
 Because every block is a pure function of ``(seed, block_index)``, any
 block can be recomputed anywhere — the failure-handling layer in
 :mod:`repro.analysis.runtime` (retries, timeouts, pool rebuilds,
@@ -23,25 +31,40 @@ no recovery path can change the result.
 
 from __future__ import annotations
 
+import dataclasses
+import time
+
 import numpy as np
 
 from . import telemetry
-from .metrics import Accumulator, accumulate_chunk
+from .metrics import accumulate_chunk
 
 __all__ = [
     "BLOCK",
-    "substream",
+    "GROUP_BLOCKS",
+    "SamplerDraw",
+    "UniformDraw",
     "block_plan",
-    "group_blocks",
+    "campaign_task",
     "draw_uniform_block",
-    "uniform_task",
-    "workload_task",
-    "run_blocked",
+    "group_blocks",
+    "substream",
 ]
 
 #: fixed draw granularity (samples per substream); changing this changes
 #: the input stream — bump ``montecarlo.ENGINE_VERSION`` if you do
 BLOCK = 1 << 16
+
+#: bytes of one block's shared arrays: operands, exact products and
+#: nonzero products (int64) plus the nonzero mask
+BLOCK_BYTES = BLOCK * (4 * 8 + 1)
+
+#: bound on a group's shared arrays, which stay live while each design of
+#: the group runs over them (and looks its kernel up once for the group)
+GROUP_BYTES = 8 << 20
+
+#: most blocks one task covers
+GROUP_BLOCKS = max(1, GROUP_BYTES // BLOCK_BYTES)
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -65,12 +88,19 @@ def block_plan(samples: int) -> list[tuple[int, int]]:
 
 
 def group_blocks(
-    blocks: list[tuple[int, int]], chunk: int
+    blocks: list[tuple[int, int]], chunk: int, workers: int | None = None
 ) -> list[list[tuple[int, int]]]:
-    """Group consecutive blocks into per-task batches of ``~chunk`` samples."""
+    """Group consecutive blocks into per-task batches.
+
+    A batch covers at most ``~chunk`` samples and :data:`GROUP_BLOCKS`
+    blocks.  With ``workers`` > 1 it is also small enough that every
+    worker gets a batch, as long as there are blocks enough.
+    """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    per_task = max(1, chunk // BLOCK)
+    per_task = min(max(1, chunk // BLOCK), GROUP_BLOCKS)
+    if workers and workers > 1:
+        per_task = min(per_task, max(1, len(blocks) // workers))
     return [blocks[i : i + per_task] for i in range(0, len(blocks), per_task)]
 
 
@@ -83,76 +113,78 @@ def draw_uniform_block(
     return rng.integers(0, high, count), rng.integers(0, high, count)
 
 
-def uniform_task(multiplier, seed: int, blocks) -> list[Accumulator]:
-    """Per-block accumulators for uniform operands (picklable worker body)."""
-    tele = telemetry.get()
-    out = []
-    for index, count in blocks:
-        with tele.span("mc.block", block=index, design=multiplier.name):
-            a, b = draw_uniform_block(multiplier.bitwidth, seed, index, count)
-            out.append(accumulate_chunk(multiplier.multiply(a, b), a * b))
-    return out
+@dataclasses.dataclass(frozen=True)
+class UniformDraw:
+    """The paper's input model: uniform ``bitwidth``-bit operand pairs."""
+
+    bitwidth: int
+    seed: int
+
+    def __call__(self, index: int, count: int):
+        return draw_uniform_block(self.bitwidth, self.seed, index, count)
 
 
-def workload_task(multiplier, sampler, seed: int, blocks) -> list[Accumulator]:
-    """Per-block accumulators for a custom operand distribution.
+@dataclasses.dataclass(frozen=True)
+class SamplerDraw:
+    """A custom operand distribution: ``sampler(rng, count)`` called with
+    block ``index``'s substream.
 
     ``sampler`` must be picklable (a plain function or one of the sampler
     dataclasses in :mod:`repro.analysis.montecarlo`) to run with workers.
     """
-    tele = telemetry.get()
-    out = []
-    for index, count in blocks:
-        with tele.span("mc.block", block=index, design=multiplier.name):
-            a, b = sampler(substream(seed, index), count)
-            a = np.asarray(a, dtype=np.int64)
-            b = np.asarray(b, dtype=np.int64)
-            out.append(accumulate_chunk(multiplier.multiply(a, b), a * b))
-    return out
+
+    sampler: object
+    seed: int
+
+    def __call__(self, index: int, count: int):
+        a, b = self.sampler(substream(self.seed, index), count)
+        return np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
 
 
-def run_blocked(
-    task,
-    task_args: tuple,
-    samples: int,
-    chunk: int,
-    workers: int | None = None,
-    on_progress=None,
-    *,
-    policy=None,
-    checkpoint=None,
-    resume: bool = False,
-    on_event=None,
-    label: str = "run",
-    pool=None,
-) -> Accumulator:
-    """Execute ``task(*task_args, blocks)`` over the canonical partition.
+def campaign_task(draws, designs, positions, blocks, on_result=None) -> list:
+    """Accumulators of one batch: each design in ``positions`` over ``blocks``.
 
-    Serial when ``workers`` is falsy or 1, else fanned out over a
-    process pool by the resilient runtime (see
-    :mod:`repro.analysis.runtime`), which retries failed batches,
-    rebuilds broken pools, degrades to serial execution and honours
-    ``checkpoint``/``resume``.  Accumulators always merge in block
-    order, so the result is independent of the execution strategy *and*
-    of any recovery path taken.  ``on_progress(samples_done)`` fires
-    after each task batch; ``on_event`` receives retry/degradation event
-    dicts.  ``pool`` is an optional
-    :class:`~repro.analysis.runtime.SharedPool` reused across calls (a
-    server amortizing worker startup over many requests).
+    ``designs`` is the campaign's list of ``(draw_index, multiplier)`` and
+    ``draws`` its operand draws, each called as ``draw(block_index,
+    count)``.  Per draw, the batch's blocks are drawn and their exact
+    products, nonzero mask and nonzero products computed once
+    (``mc.sample`` spans); then each design of the draw runs over all of
+    them (``mc.block`` spans).  Returns one ``(accumulators, seconds)``
+    pair per position: the design's per-block accumulators and the wall
+    seconds it cost, its own multiplies and accumulation plus an equal
+    share of its draw.  ``on_result(position, pair)``, when given, gets
+    each pair as soon as its design is done.
     """
-    from .runtime import run_plan
-
-    return run_plan(
-        task,
-        task_args,
-        block_plan(samples),
-        chunk,
-        workers=workers,
-        policy=policy,
-        checkpoint=checkpoint,
-        resume=resume,
-        on_progress=on_progress,
-        on_event=on_event,
-        label=label,
-        pool=pool,
-    )
+    tele = telemetry.get()
+    results = {}
+    with tele.held():  # one burst of sink writes per batch
+        for draw_index, draw in enumerate(draws):
+            members = [p for p in positions if designs[p][0] == draw_index]
+            if not members:
+                continue
+            start = time.perf_counter()
+            shared = []
+            for index, count in blocks:
+                with tele.span("mc.sample", block=index):
+                    a, b = draw(index, count)
+                    exact = a * b
+                    valid = exact != 0
+                    shared.append((index, a, b, exact, valid, exact[valid]))
+            share = (time.perf_counter() - start) / len(members)
+            for position in members:
+                multiplier = designs[position][1]
+                start = time.perf_counter()
+                accumulators = []
+                for index, a, b, exact, valid, exact_nz in shared:
+                    with tele.span("mc.block", block=index, design=multiplier.name):
+                        accumulators.append(
+                            accumulate_chunk(
+                                multiplier.multiply(a, b), exact, valid, exact_nz
+                            )
+                        )
+                results[position] = (
+                    accumulators, share + time.perf_counter() - start
+                )
+                if on_result is not None:
+                    on_result(position, results[position])
+    return [results[p] for p in positions]

@@ -18,9 +18,13 @@ purity to make the fan-out *survivable*:
   run falls back to in-process serial execution of the remaining
   batches, which is slower but cannot be killed by worker faults;
 * **checkpoint/resume** — completed per-block accumulators are
-  periodically persisted (content-addressed like the metrics cache, see
-  :class:`Checkpoint`), so a restarted campaign recomputes only the
-  unfinished blocks.
+  periodically persisted, one checkpoint per design (content-addressed
+  like the metrics cache, see :class:`Checkpoint`), so a restarted
+  campaign recomputes only the unfinished (design, block) pairs.
+
+The unit of work is a batch of a campaign (:func:`run_campaign`): a
+group of blocks times the designs that still need them, so one task
+draws each block once for all of its designs.
 
 Because accumulators always merge in ascending block order, none of the
 recovery paths can change the result: a run that completes — retried,
@@ -31,8 +35,10 @@ to an undisturbed serial run.  A run that cannot complete raises
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import pathlib
@@ -41,9 +47,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
+from typing import NamedTuple
 
 from . import telemetry
+from .chaos import wrap as chaos_wrap
 from .metrics import Accumulator
+from .parallel import group_blocks
 
 __all__ = [
     "BatchFailure",
@@ -52,7 +61,7 @@ __all__ = [
     "ResiliencePolicy",
     "SharedPool",
     "monotonic_progress",
-    "run_plan",
+    "run_campaign",
     "validate_batch",
 ]
 
@@ -114,6 +123,9 @@ class ResiliencePolicy:
             (self.sleep if self.sleep is not None else time.sleep)(seconds)
 
 
+_DEFAULT_POLICY = ResiliencePolicy()
+
+
 class CorruptResultError(ValueError):
     """A task returned accumulators that cannot describe its batch."""
 
@@ -121,11 +133,11 @@ class CorruptResultError(ValueError):
 class SharedPool:
     """A worker pool reused across campaigns (the serving layer's mode).
 
-    :func:`run_plan` normally builds a :class:`ProcessPoolExecutor` per
+    :func:`run_campaign` normally builds a :class:`ProcessPoolExecutor` per
     call and tears it down on exit — the right lifecycle for a one-shot
     CLI run, but a server answering a stream of ``characterize``
     requests would pay worker startup on every one.  A ``SharedPool``
-    owns one lazily-built executor and hands it to :func:`run_plan` via
+    owns one lazily-built executor and hands it to :func:`run_campaign` via
     ``pool=``; the run leaves it alive on success, and on a broken pool
     the runtime calls :meth:`invalidate` so the next acquire rebuilds a
     fresh executor (counted in ``rebuilds``).  None of this affects
@@ -355,107 +367,198 @@ def monotonic_progress(callback):
     return report
 
 
-def run_plan(
+class _Batch(NamedTuple):
+    """One task: the ``designs`` (campaign positions) that still need
+    every block of ``blocks``; identified by its first block index."""
+
+    designs: tuple[int, ...]
+    blocks: list[tuple[int, int]]
+
+
+def _batches(plan, needs, chunk, workers) -> list[_Batch]:
+    """Group the needed blocks (:func:`~repro.analysis.parallel.group_blocks`),
+    then split each group where the set of designs needing a block changes
+    (only after a resume can two blocks differ)."""
+    return [
+        _Batch(designs, list(run))
+        for group in group_blocks([b for b in plan if needs[b[0]]], chunk, workers)
+        for designs, run in itertools.groupby(group, key=lambda b: needs[b[0]])
+    ]
+
+
+def _validate_entry(blocks, entry) -> None:
+    """:func:`validate_batch` for one design's ``(accumulators, seconds)``."""
+    if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[1], float)):
+        raise CorruptResultError(
+            f"expected an (accumulators, seconds) pair per design, got "
+            f"{type(entry).__name__}"
+        )
+    validate_batch(blocks, entry[0])
+
+
+def _validate_result(batch: _Batch, result) -> None:
+    """:func:`_validate_entry` for every design of a campaign batch."""
+    if not isinstance(result, (list, tuple)) or len(result) != len(batch.designs):
+        raise CorruptResultError(
+            f"batch covers {len(batch.designs)} design(s) but returned "
+            f"{len(result) if isinstance(result, (list, tuple)) else type(result).__name__}"
+        )
+    for entry in result:
+        _validate_entry(batch.blocks, entry)
+
+
+def run_campaign(
     task,
     task_args: tuple,
     plan: list[tuple[int, int]],
     chunk: int,
+    labels: list[str],
     *,
+    checkpoints: list[Checkpoint | None] | None = None,
     workers: int | None = None,
     policy: ResiliencePolicy | None = None,
-    checkpoint: Checkpoint | None = None,
     resume: bool = False,
     on_progress=None,
     on_event=None,
-    label: str = "run",
+    on_design=None,
     pool: SharedPool | None = None,
-) -> Accumulator:
-    """Execute ``task(*task_args, blocks)`` over ``plan`` resiliently.
+) -> list[Accumulator]:
+    """Run the designs ``labels`` names over ``plan`` resiliently.
 
     ``plan`` is the canonical ``(block_index, count)`` partition from
-    :func:`repro.analysis.parallel.block_plan`.  Batches retry, pools
-    rebuild and execution degrades to serial per the ``policy`` (see the
-    module docstring); completed blocks checkpoint through
-    ``checkpoint`` and are skipped when ``resume`` is true.  The merged
-    accumulator is built in ascending block order, so the result is
-    bit-identical to an undisturbed serial run no matter which recovery
-    paths fired.  ``on_progress(samples_done)`` reports cumulative
-    samples and is guaranteed strictly increasing (duplicate batch
-    deliveries are deduplicated and regressions clamped, see
-    :func:`monotonic_progress`); ``on_event(dict)`` receives retry /
-    pool-rebuild / degraded / resume event dicts.  Recovery events and
-    per-phase timings also flow into :mod:`repro.analysis.telemetry`
-    when it is enabled.
+    :func:`repro.analysis.parallel.block_plan`.  Each task is a
+    :class:`_Batch`, a block group times the designs still needing it:
+    ``task(*task_args, designs, blocks, on_result=None)`` returns one
+    ``(accumulators, seconds)`` pair per design, as
+    :func:`~repro.analysis.parallel.campaign_task` does.  Run in
+    process, it also hands each pair to ``on_result`` as soon as the
+    design is evaluated, which merges it at once; the returned list is
+    still validated whole, and a failed batch retries whole.  Batches
+    retry, pools rebuild and execution degrades to serial per the
+    ``policy`` (see the module docstring); the per-batch timeout only
+    guards the pooled path.
 
-    Note the per-batch timeout only guards the *parallel* path: once
-    degraded to in-process execution a batch cannot be preempted.
+    ``checkpoints`` holds one :class:`Checkpoint` (or ``None``) per
+    design, saved as each of its batches completes; with ``resume`` a
+    design skips the blocks its checkpoint holds.  Each design's
+    accumulators merge in ascending block order, so every result is
+    bit-identical to an undisturbed serial run whatever recovery paths
+    fired.  Returns one merged accumulator per design;
+    ``on_design(position, accumulator, seconds)`` fires as a design's
+    last block merges, with the seconds its batches reported.
 
-    ``pool`` is an optional :class:`SharedPool` reused across calls
-    (worker startup amortizes over a request stream); when given and
-    ``workers`` is ``None``, the pool's worker count applies.  A broken
-    shared pool is invalidated — never silently reused — and the run
-    falls through the same rebuild/degradation ladder as an owned pool.
+    ``on_progress(samples_done)`` reports cumulative samples, summed
+    over designs, strictly increasing (see :func:`monotonic_progress`);
+    ``on_event(dict)`` receives retry / pool-rebuild / degraded / resume
+    events, which also flow into :mod:`repro.analysis.telemetry`.
+    ``pool`` is an optional :class:`SharedPool` reused across calls;
+    when given and ``workers`` is ``None``, its worker count applies.  A
+    broken shared pool is invalidated, never reused.
     """
-    from .chaos import wrap as chaos_wrap
-    from .parallel import group_blocks
-
-    policy = policy if policy is not None else ResiliencePolicy()
+    policy = policy if policy is not None else _DEFAULT_POLICY
     if pool is not None and workers is None:
         workers = pool.workers
-    bound = chaos_wrap(functools.partial(task, *task_args), label=label)
+    if checkpoints is None:
+        checkpoints = [None] * len(labels)
+    bound = chaos_wrap(functools.partial(task, *task_args), labels=labels)
     on_progress = monotonic_progress(on_progress)
     run_start = time.perf_counter()
 
-    done: dict[int, Accumulator] = {}
-    if checkpoint is not None and resume:
-        counts = dict(plan)
-        loaded = checkpoint.load()
-        done = {
-            index: acc
-            for index, acc in loaded.items()
-            if counts.get(index) == acc.all_count
-        }
-    samples_done = sum(acc.all_count for acc in done.values())
-    if done:
+    counts = dict(plan)
+    done: list[dict[int, Accumulator]] = []
+    for checkpoint in checkpoints:
+        loaded = checkpoint.load() if checkpoint is not None and resume else {}
+        done.append(
+            {index: acc for index, acc in loaded.items() if counts.get(index) == acc.all_count}
+        )
+    resumed_blocks = sum(map(len, done))
+    samples_done = sum(acc.all_count for blocks in done for acc in blocks.values())
+    if resumed_blocks:
         _event(
             on_event,
             event="resume",
-            blocks_done=len(done),
+            blocks_done=resumed_blocks,
             samples_done=samples_done,
         )
         if on_progress is not None:
             on_progress(samples_done)
 
-    resumed_blocks = len(done)
-    groups = group_blocks([b for b in plan if b[0] not in done], chunk)
+    seconds = [0.0] * len(labels)
+    saves = [0] * len(labels)
+    merged = [Accumulator() for _ in labels]
+    cursor = [0] * len(labels)  # plan blocks merged into ``merged``
+    order = {index: i for i, (index, _) in enumerate(plan)}
+
+    def fold(position):
+        """Merge the design's completed blocks that extend its merged
+        prefix of the plan; finish the design when the prefix is whole.
+
+        Merging stays in ascending block order, and a design without a
+        checkpoint drops each block once merged, so a campaign holds no
+        more per-block state than its out-of-order blocks."""
+        blocks = done[position]
+        keep = checkpoints[position] is not None
+        start = cursor[position]
+        while cursor[position] < len(plan) and plan[cursor[position]][0] in blocks:
+            index = plan[cursor[position]][0]
+            merged[position].merge(blocks[index] if keep else blocks.pop(index))
+            cursor[position] += 1
+        if start < cursor[position] == len(plan):
+            if keep:
+                checkpoints[position].discard()
+            if on_design is not None:
+                on_design(position, merged[position], seconds[position])
+
+    needs = {
+        index: tuple(p for p, blocks in enumerate(done) if index not in blocks)
+        for index, _ in plan
+    }
+    batches = _batches(plan, needs, chunk, workers)
+    for position in range(len(labels)):
+        fold(position)  # finishes a design its checkpoint already held whole
 
     attempts: dict[int, int] = {}
     prev_delay: dict[int, float] = {}
-    completed_batches = 0
 
-    def record(group, accumulators):
-        nonlocal samples_done, completed_batches
-        new_samples = 0
-        for (index, count), acc in zip(group, accumulators):
-            if index in done:
-                continue  # duplicate delivery of an already-merged block
-            done[index] = acc
-            new_samples += count
-        if new_samples == 0:
-            return
-        samples_done += new_samples
-        completed_batches += 1
-        if checkpoint is not None and completed_batches % checkpoint.every == 0:
-            checkpoint.save(done)
+    def take(blocks, position, entry):
+        """Merge one design's validated result for ``blocks``."""
+        nonlocal samples_done
+        accumulators, spent = entry
+        fresh = [
+            (index, count, acc)
+            for (index, count), acc in zip(blocks, accumulators)
+            if order[index] >= cursor[position] and index not in done[position]
+        ]
+        if not fresh:
+            return  # a duplicate delivery, or a retry of a streamed result
+        for index, count, acc in fresh:
+            done[position][index] = acc
+            samples_done += count
+        seconds[position] += spent
+        checkpoint = checkpoints[position]
+        if checkpoint is not None:
+            saves[position] += 1
+            if saves[position] % checkpoint.every == 0:
+                checkpoint.save(done[position])
         if on_progress is not None:
             on_progress(samples_done)
+        fold(position)
 
-    def fail(group, cause) -> None:
+    def record(batch, result):
+        for position, entry in zip(batch.designs, result):
+            take(batch.blocks, position, entry)
+
+    def fail(batch, cause) -> None:
         """Charge one failed attempt; raise when the budget is spent."""
-        first = group[0][0]
+        first = batch.blocks[0][0]
         attempts[first] = attempts.get(first, 0) + 1
         if attempts[first] > policy.max_retries:
-            raise BatchFailure(label, group, attempts[first], str(cause))
+            raise BatchFailure(
+                ", ".join(labels[p] for p in batch.designs),
+                batch.blocks,
+                attempts[first],
+                str(cause),
+            )
         delay = policy.next_delay(prev_delay.get(first, policy.backoff_base))
         prev_delay[first] = delay
         _event(
@@ -468,30 +571,42 @@ def run_plan(
         )
         policy.pause(delay)
 
-    def run_serial(serial_groups):
-        for group in serial_groups:
+    def run_serial(serial_batches):
+        for batch in serial_batches:
+
+            def stream(position, entry):
+                # in process, each design merges as soon as it is evaluated
+                _validate_entry(batch.blocks, entry)
+                take(batch.blocks, position, entry)
+
             while True:
-                try:
-                    accumulators = bound(group)
-                    validate_batch(group, accumulators)
-                except Exception as exc:
-                    fail(group, exc)
-                    continue
-                record(group, accumulators)
+                with tele.held():  # the batch's events reach the sink together
+                    try:
+                        result = bound(*batch, on_result=stream)
+                        _validate_result(batch, result)
+                    except Exception as exc:
+                        fail(batch, exc)
+                        continue
+                    record(batch, result)
                 break
 
     tele = telemetry.get()
-    if workers and workers > 1 and len(groups) > 1:
-        busy_before = tele.snapshot().phase("mc.block").wall if tele.enabled else 0.0
+    if workers and workers > 1 and len(batches) > 1:
+
+        def busy_wall():
+            snapshot = tele.snapshot()
+            return snapshot.phase("mc.sample").wall + snapshot.phase("mc.block").wall
+
+        busy_before = busy_wall() if tele.enabled else 0.0
         pool_start = time.perf_counter()
         _run_pooled(
-            bound, groups, workers, policy, record, fail, run_serial, on_event,
+            bound, batches, workers, policy, record, fail, run_serial, on_event,
             shared=pool,
         )
         telemetry.merge_workers(tele)
         if tele.enabled:
             pool_elapsed = time.perf_counter() - pool_start
-            busy = tele.snapshot().phase("mc.block").wall - busy_before
+            busy = busy_wall() - busy_before
             if pool_elapsed > 0:
                 tele.gauge("pool.workers", workers)
                 tele.gauge(
@@ -499,23 +614,18 @@ def run_plan(
                     min(1.0, busy / (pool_elapsed * workers)),
                 )
     else:
-        run_serial(groups)
+        run_serial(batches)
 
-    total = Accumulator()
-    for index in sorted(done):
-        total.merge(done[index])
-    if checkpoint is not None:
-        checkpoint.discard()
     if tele.enabled:
         run_elapsed = time.perf_counter() - run_start
-        computed = len(plan) - resumed_blocks
+        computed = len(plan) * len(labels) - resumed_blocks
         if computed and run_elapsed > 0:
             tele.gauge("runtime.blocks_per_sec", computed / run_elapsed)
-    return total
+    return merged
 
 
 def _run_pooled(
-    bound, groups, workers, policy, record, fail, run_serial, on_event,
+    bound, batches, workers, policy, record, fail, run_serial, on_event,
     shared: SharedPool | None = None,
 ):
     """The process-pool path: timeouts, pool rebuilds, degradation.
@@ -526,12 +636,12 @@ def _run_pooled(
     ``shared.invalidate()`` so stale in-flight work can never leak into
     a later request.
     """
-    pending = list(groups)
+    pending = list(batches)
     recorded: set[int] = set()
 
-    def keep(group, accumulators):
-        record(group, accumulators)
-        recorded.add(group[0][0])
+    def keep(batch, result):
+        record(batch, result)
+        recorded.add(batch.blocks[0][0])
 
     def discard(current):
         if shared is not None:
@@ -558,9 +668,12 @@ def _run_pooled(
                 )
             compromised = False
             try:
-                futures = [(group, pool.submit(bound, group)) for group in pending]
+                # a deque, so each result is freed once recorded
+                futures = collections.deque(
+                    (batch, pool.submit(bound, *batch)) for batch in pending
+                )
             except BrokenProcessPool:
-                futures = []
+                futures = collections.deque()
                 compromised = True
                 rebuilds += 1
                 _event(
@@ -573,10 +686,11 @@ def _run_pooled(
                         on_event, event="degraded", rebuilds=rebuilds,
                         cause="worker crashed before submission",
                     )
-            for group, future in futures:
+            while futures:
+                batch, future = futures.popleft()
                 try:
-                    accumulators = future.result(timeout=policy.batch_timeout)
-                    validate_batch(group, accumulators)
+                    result = future.result(timeout=policy.batch_timeout)
+                    _validate_result(batch, result)
                 except (BrokenProcessPool, FutureTimeout) as exc:
                     timed_out = isinstance(exc, FutureTimeout)
                     cause = (
@@ -587,7 +701,7 @@ def _run_pooled(
                     rebuilds += 1
                     _event(
                         on_event, event="pool-rebuild", rebuilds=rebuilds,
-                        batch=group[0][0], cause=cause,
+                        batch=batch.blocks[0][0], cause=cause,
                     )
                     if rebuilds > policy.max_pool_rebuilds:
                         degraded = True
@@ -598,17 +712,17 @@ def _run_pooled(
                     elif timed_out:
                         # a hang is charged to the batch; a crashed pool is
                         # not, since any neighbour batch may be to blame
-                        fail(group, cause)
+                        fail(batch, cause)
                     compromised = True
                     break
                 except Exception as exc:  # the task itself failed: retriable
-                    fail(group, exc)
+                    fail(batch, exc)
                 else:
-                    keep(group, accumulators)
+                    keep(batch, result)
             if compromised and pool is not None:
                 discard(pool)
                 pool = None
-            pending = [g for g in pending if g[0][0] not in recorded]
+            pending = [b for b in pending if b.blocks[0][0] not in recorded]
         if pool is not None:
             if shared is None:
                 pool.shutdown(wait=True)

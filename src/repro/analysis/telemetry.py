@@ -306,6 +306,7 @@ class Telemetry:
         self._counters: dict = {}
         self._gauges: dict = {}
         self._phases: dict = {}
+        self._held: list | None = None
 
     # -- recording ------------------------------------------------------
 
@@ -335,12 +336,35 @@ class Telemetry:
             return _NOOP_SPAN
         return _Span(self, name, fields)
 
+    @contextlib.contextmanager
+    def held(self):
+        """Hold the sink events of a block of work and emit them at its end.
+
+        The registry updates at once; only the sink lags.  A file sink
+        pays one write per event, and writes spaced out by other work
+        cost several times more than writes back to back, so the engine
+        holds each batch's spans and writes them together.
+        """
+        if not self.enabled or self._held is not None:
+            yield
+            return
+        self._held = []
+        try:
+            yield
+        finally:
+            records, self._held = self._held, None
+            for record in records:
+                self.sink.emit(record)
+
     # -- internals ------------------------------------------------------
 
     def _emit(self, record: dict) -> None:
         record.setdefault("t", self.wall())
         record.setdefault("pid", os.getpid())
-        self.sink.emit(record)
+        if self._held is not None:
+            self._held.append(record)
+        else:
+            self.sink.emit(record)
 
     def _finish_span(self, name, start, wall, cpu, fields) -> None:
         self._add_phase(name, 1, wall, cpu)
@@ -568,10 +592,13 @@ def tracing(path):
     """CLI-level tracing: write a merged JSONL trace to ``path``.
 
     Enables telemetry with ``path`` as this process's sink and a private
-    subdirectory next to it as the worker drop zone, runs the block,
-    merges any remaining worker files, appends a final
-    ``trace.complete`` event carrying the total wall time, and
-    deactivates.  ``path=None`` is a no-op passthrough.
+    subdirectory next to it as the worker drop zone, writes a
+    ``trace.start`` event, runs the block, merges any remaining worker
+    files, appends a final ``trace.complete`` event carrying the total
+    wall time, and deactivates.  ``path=None`` is a no-op passthrough.
+    The file's first write is its slowest (it allocates the file's first
+    block), so ``trace.start`` takes it before any span of the block is
+    timed, as :meth:`JsonlSink.prepare` does for the open.
 
     Each invocation starts fresh: an existing file at ``path`` is
     replaced, not appended to (the sink's append mode exists for worker
@@ -595,6 +622,7 @@ def tracing(path):
     sink = JsonlSink(path)
     sink.prepare()
     telemetry = enable(sink, directory=dropzone)
+    telemetry.event("trace.start", schema=EVENT_SCHEMA_VERSION)
     start = telemetry.wall()
     try:
         yield telemetry

@@ -156,12 +156,6 @@ def _progress_printer(args):
                 f"({event['samples_done']} samples) from checkpoint",
                 file=sys.stderr,
             )
-        elif kind == "design-fallback":
-            print(
-                f"{event['design']}: worker task failed, recomputing "
-                f"serially: {event['cause']}",
-                file=sys.stderr,
-            )
 
     return emit
 

@@ -103,7 +103,9 @@ def table1_errors(
 ) -> list[dict]:
     """Error columns of Table I: measured next to the published values.
 
-    ``workers`` fans the designs out over a process pool and ``cache``
+    The designs run as one block-major campaign (see
+    :func:`~repro.analysis.montecarlo.characterize_many`): ``workers``
+    fans its block groups out over a process pool and ``cache``
     memoizes per-design metrics on disk (see ``repro.analysis.cache``);
     ``progress`` receives one event dict per completed design.  The
     resilience knobs (``max_retries``/``batch_timeout``/``checkpoint``/

@@ -204,24 +204,27 @@ class TestParallelFaults:
 
 
 class BlockCounter:
-    """Counting wrapper around ``uniform_task`` for resume accounting."""
+    """Counting wrapper around ``campaign_task`` for resume accounting:
+    records each executed (design, block) pair in execution order."""
 
     def __init__(self, inner):
         self.inner = inner
         self.executed: list[tuple[str, int]] = []
 
-    def __call__(self, multiplier, seed, blocks):
-        self.executed.extend((multiplier.name, index) for index, _ in blocks)
-        return self.inner(multiplier, seed, blocks)
+    def __call__(self, draws, designs, positions, blocks, on_result=None):
+        self.executed.extend(
+            (designs[p][1].name, index) for p in positions for index, _ in blocks
+        )
+        return self.inner(draws, designs, positions, blocks, on_result)
 
 
 @pytest.fixture()
 def count_blocks(monkeypatch):
-    """Count every block computed by serial characterize runs."""
+    """Count every (design, block) pair computed by serial campaigns."""
     from repro.analysis import montecarlo, parallel
 
-    counter = BlockCounter(parallel.uniform_task)
-    monkeypatch.setattr(montecarlo, "uniform_task", counter)
+    counter = BlockCounter(parallel.campaign_task)
+    monkeypatch.setattr(montecarlo, "campaign_task", counter)
     return counter
 
 
@@ -256,8 +259,9 @@ class TestCheckpointResume:
         assert resumed == reference
 
     def test_sweep_resumes_from_checkpoints(self, tmp_path, count_blocks):
-        """ISSUE acceptance: an interrupted ``designspace.sweep`` resumed
-        with ``resume=True`` recomputes only unfinished blocks/designs."""
+        """An interrupted ``designspace.sweep`` resumed with
+        ``resume=True`` recomputes only the unfinished (design, block)
+        pairs, in block-major order."""
         ids = ("calm", "drum-k8", "realm4-t9")
         samples = 4 * BLOCK
         reference = {
@@ -265,10 +269,11 @@ class TestCheckpointResume:
             for p in sweep(ids, samples=samples, chunk=CHUNK, cache=False)
         }
         count_blocks.executed.clear()
+        calm, drum, realm = (build(name).name for name in ids)
 
-        # interrupt the sweep on its second design's third block
+        # interrupt the sweep on the batch of block 2, which holds drum
         chaos.install(
-            [FaultSpec(kind="raise", block=2, times=99, design=build("drum-k8").name)],
+            [FaultSpec(kind="raise", block=2, times=99, design=drum)],
             tmp_path / "chaos",
         )
         with pytest.raises(BatchFailure) as excinfo:
@@ -278,8 +283,10 @@ class TestCheckpointResume:
                 policy=ResiliencePolicy(max_retries=0, **FAST),
             )
         assert "blocks[2..2]" in str(excinfo.value)
-        # design 1 finished (4 blocks), design 2 got through blocks 0..1
-        assert len(count_blocks.executed) == 6
+        # one-block groups: blocks 0..1 finished for all three designs
+        assert count_blocks.executed == [
+            (calm, 0), (drum, 0), (realm, 0), (calm, 1), (drum, 1), (realm, 1),
+        ]
 
         chaos.uninstall()
         count_blocks.executed.clear()
@@ -290,10 +297,8 @@ class TestCheckpointResume:
                 checkpoint=True, resume=True,
             )
         }
-        # calm is a cache hit; drum resumes blocks 2..3 from its
-        # checkpoint; realm4 never started and runs all 4 blocks
-        drum, realm = build("drum-k8").name, build("realm4-t9").name
+        # every design resumes blocks 2..3 from its own checkpoint
         assert count_blocks.executed == [
-            (drum, 2), (drum, 3), (realm, 0), (realm, 1), (realm, 2), (realm, 3),
+            (calm, 2), (drum, 2), (realm, 2), (calm, 3), (drum, 3), (realm, 3),
         ]
         assert resumed == reference

@@ -197,3 +197,92 @@ class TestCharacterizeWorkload:
             realm, sampler, samples=1 << 16, seed=3, workers=2
         )
         assert serial == parallel
+
+
+class TestCampaign:
+    """``characterize_many`` is block-major: each block is drawn once per
+    campaign and every design is evaluated on it, with results identical
+    to one ``characterize`` per design."""
+
+    @staticmethod
+    def _designs():
+        from repro.multipliers.registry import build
+
+        return [
+            ("calm", build("calm")),
+            ("realm16-t0", build("realm16-t0")),
+            ("drum-k8", build("drum-k8")),
+            ("realm8-t4@8", build("realm8-t4", 8)),
+        ]
+
+    def test_each_block_is_drawn_once(self, monkeypatch):
+        from repro.analysis import parallel, telemetry
+        from repro.multipliers.registry import build
+
+        draws = []
+        real_draw = parallel.draw_uniform_block
+
+        def counting_draw(bitwidth, seed, index, count):
+            draws.append(index)
+            return real_draw(bitwidth, seed, index, count)
+
+        monkeypatch.setattr(parallel, "draw_uniform_block", counting_draw)
+        designs = [(name, build(name)) for name in ("calm", "mbm-t0", "drum-k8")]
+        blocks = 3
+        with telemetry.recording() as rec:
+            characterize_many(
+                designs, samples=blocks * parallel.BLOCK, chunk=parallel.BLOCK,
+                cache=False, warehouse=False,
+            )
+        assert draws == list(range(blocks))
+        assert rec.snapshot.phase("mc.sample").count == blocks
+        assert rec.snapshot.phase("mc.block").count == blocks * len(designs)
+        assert rec.snapshot.phase("finalize").count == len(designs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk", [1 << 16, 3 << 16, None])
+    def test_matches_one_run_per_design(self, workers, chunk):
+        # four blocks, the last one short; three 16-bit designs and one
+        # built at 8 bits, which draws its own stream
+        samples = (3 << 16) + 777
+        engine = {} if chunk is None else {"chunk": chunk}
+        designs = self._designs()
+        campaign = characterize_many(
+            designs, samples=samples, seed=11, workers=workers,
+            cache=False, warehouse=False, **engine,
+        )
+        for name, multiplier in designs:
+            alone = characterize(
+                multiplier, samples=samples, seed=11, cache=False, warehouse=False
+            )
+            assert campaign[name] == alone, name
+
+    def test_design_seconds_share_the_campaign(self):
+        import time
+
+        events = []
+        start = time.perf_counter()
+        characterize_many(
+            self._designs(), samples=1 << 17, cache=False, warehouse=False,
+            progress=events.append,
+        )
+        wall = time.perf_counter() - start
+        designs = [e for e in events if e["event"] == "design"]
+        assert [e["index"] for e in designs] == [1, 2, 3, 4]
+        assert all(e["total"] == 4 and e["seconds"] > 0 for e in designs)
+        # each design's own work plus its share of the draws: together
+        # they are the campaign's compute, never more than its wall time
+        assert 0.5 * wall < sum(e["seconds"] for e in designs) <= wall
+
+    def test_rejects_duplicate_names_before_any_work(self, monkeypatch):
+        from repro.analysis import montecarlo
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a campaign started")
+
+        monkeypatch.setattr(montecarlo, "campaign_task", no_work)
+        with pytest.raises(ValueError, match="duplicate design name 'x'"):
+            characterize_many(
+                [("x", MitchellMultiplier()), ("x", RealmMultiplier(m=4))],
+                samples=1 << 12, cache=False,
+            )

@@ -10,13 +10,20 @@ has its own suite in ``test_chaos.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 
 import pytest
 
 from repro.analysis.metrics import Accumulator
-from repro.analysis.parallel import BLOCK, block_plan, group_blocks, uniform_task
+from repro.analysis.parallel import (
+    BLOCK,
+    UniformDraw,
+    block_plan,
+    campaign_task,
+    group_blocks,
+)
 from repro.analysis.runtime import (
     BatchFailure,
     Checkpoint,
@@ -24,7 +31,7 @@ from repro.analysis.runtime import (
     ResiliencePolicy,
     SharedPool,
     monotonic_progress,
-    run_plan,
+    run_campaign,
     validate_batch,
 )
 from repro.multipliers.mitchell import MitchellMultiplier
@@ -36,6 +43,35 @@ SEED = 11
 
 #: a policy that never actually sleeps (tests stay fast and deterministic)
 FAST = dict(sleep=lambda s: None, jitter=lambda low, high: low)
+
+
+def uniform_task(multiplier, seed, blocks) -> list[Accumulator]:
+    """One design's per-block accumulators on uniform operands."""
+    draw = UniformDraw(multiplier.bitwidth, seed)
+    ((accumulators, _),) = campaign_task((draw,), ((0, multiplier),), (0,), blocks)
+    return accumulators
+
+
+@dataclasses.dataclass(frozen=True)
+class OneDesign:
+    """A per-block task as a one-design campaign task (picklable)."""
+
+    task: object
+
+    def __call__(self, *args, on_result=None):
+        *task_args, _, blocks = args
+        return [(self.task(*task_args, blocks), 0.0)]
+
+
+def run_plan(task, task_args, plan, chunk, *, checkpoint=None, **options):
+    """``run_campaign`` for one design whose ``task(*task_args, blocks)``
+    returns one accumulator per block; the runtime's contracts are
+    tested through it with plain per-block fault-injecting tasks."""
+    (total,) = run_campaign(
+        OneDesign(task), task_args, plan, chunk, ["run"],
+        checkpoints=[checkpoint], **options,
+    )
+    return total
 
 
 def clean_run(multiplier, samples=SAMPLES, seed=SEED) -> Accumulator:
@@ -476,6 +512,19 @@ class TestGroupBlocks:
         assert [len(g) for g in groups] == [2, 2]
         assert [g[0][0] for g in groups] == [0, 2]
 
+    def test_group_shared_arrays_are_bounded(self):
+        from repro.analysis.parallel import BLOCK_BYTES, GROUP_BLOCKS, GROUP_BYTES
+
+        assert GROUP_BLOCKS * BLOCK_BYTES <= GROUP_BYTES
+        groups = group_blocks(block_plan(64 * BLOCK), 1 << 30)
+        assert max(len(g) for g in groups) == GROUP_BLOCKS
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_every_worker_gets_a_batch(self, workers):
+        groups = group_blocks(block_plan(4 * BLOCK), 1 << 20, workers)
+        assert len(groups) >= workers
+        assert [b for g in groups for b in g] == block_plan(4 * BLOCK)
+
 
 class AlwaysFailBlock:
     """Pool-safe task that fails its target block on every execution."""
@@ -553,14 +602,3 @@ class TestSharedPool:
                 policy=ResiliencePolicy(**FAST), pool=pool,
             )
         assert clean == clean_run(calm)
-
-    def test_run_blocked_forwards_pool(self):
-        from repro.analysis.parallel import run_blocked
-
-        calm = MitchellMultiplier()
-        with SharedPool(2) as pool:
-            acc = run_blocked(
-                uniform_task, (calm, SEED), SAMPLES, CHUNK, pool=pool
-            )
-            assert pool.live
-        assert acc == clean_run(calm)

@@ -70,6 +70,21 @@ def tick_clock(step=1.0):
 
 
 class TestRegistry:
+    def test_held_events_reach_the_sink_together_at_the_end(self):
+        tele = Telemetry(MemorySink())
+        with tele.held():
+            with tele.span("phase"):
+                pass
+            tele.counter("c")
+            with tele.held():  # nested: still one hold
+                tele.gauge("g", 1.0)
+            assert tele.sink.records == []
+            # the registry itself is never held back
+            assert tele.snapshot().phase("phase").count == 1
+        assert [r["event"] for r in tele.sink.records] == ["span", "counter", "gauge"]
+        tele.counter("after")
+        assert tele.sink.records[-1]["name"] == "after"
+
     def test_counters_accumulate(self):
         tele = Telemetry()
         tele.counter("a")
@@ -428,6 +443,15 @@ class TestCliTrace:
         assert main(["telemetry", "summarize", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "phase" in out and "mc.block" in out and "wall s" in out
+
+    def test_trace_opens_with_a_start_line(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        with telemetry.tracing(trace) as tele:
+            tele.counter("x")
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert events[0]["event"] == "trace.start"
+        assert events[0]["schema"] == events[-1]["schema"]
+        assert [e["event"] for e in events[1:]] == ["counter", "trace.complete"]
 
     def test_summarize_missing_trace_errors(self, tmp_path, capsys):
         assert main(["telemetry", "summarize", str(tmp_path / "nope.jsonl")]) == 1

@@ -259,6 +259,25 @@ class TestIncrementalRecompute:
         )
         assert delta["realm"] == fresh
 
+    def test_progress_covers_reused_and_recomputed_designs(self, tmp_path):
+        characterize_many(
+            [("calm", build("calm"))], samples=SAMPLES, warehouse=tmp_path,
+            cache=False,
+        )
+        events = []
+        characterize_many(
+            [("calm", build("calm")), ("mbm-t0", build("mbm-t0"))],
+            samples=SAMPLES, warehouse=tmp_path, cache=False,
+            progress=events.append,
+        )
+        designs = [e for e in events if e["event"] == "design"]
+        assert [(e["design"], e["index"], e["total"]) for e in designs] == [
+            ("calm", 1, 2), ("mbm-t0", 2, 2),
+        ]
+        assert designs[0]["cache"] == "warehouse"
+        assert designs[0]["seconds"] == 0.0
+        assert designs[1]["cache"] == "off"
+
     def test_reused_flags_and_counters_recorded(self, tmp_path):
         designs = [("calm", build("calm")), ("mbm-t0", build("mbm-t0"))]
         characterize_many(designs, samples=SAMPLES, warehouse=tmp_path, cache=False)
