@@ -2,10 +2,11 @@
 
 PYTHON ?= python3
 
-# tier-1 tests + a quick smoke of the parallel and cached Monte-Carlo
-# engine paths (cold pass with 2 workers, then a warm-cache pass)
+# tier-1 tests + a quick smoke of the parallel Monte-Carlo engine and of
+# warehouse reuse (cold pass with 2 workers, then a warm pass that must
+# reuse every design)
 VERIFY_ENV = PYTHONPATH=src REPRO_BENCH_SAMPLES=262144 REPRO_BENCH_WORKERS=2 \
-	REPRO_CACHE_DIR=.repro-cache
+	REPRO_WAREHOUSE_DIR=.repro-engine
 
 .PHONY: install test nightly bench experiments examples quick verify serve-smoke serve-chaos clean
 
@@ -22,16 +23,18 @@ nightly:
 
 verify:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -x -q
-	rm -rf .repro-cache
+	rm -rf .repro-engine
 	$(VERIFY_ENV) $(PYTHON) -m pytest benchmarks/bench_table1_errors.py --benchmark-only -q
-	@echo "--- warm-cache second pass ---"
+	$(VERIFY_ENV) $(PYTHON) -m repro report --json > .repro-engine/cold.json
+	@echo "--- warm second pass: every design reused from the warehouse ---"
 	$(VERIFY_ENV) $(PYTHON) -m pytest benchmarks/bench_table1_errors.py --benchmark-only -q
-	rm -rf .repro-cache
+	$(VERIFY_ENV) $(PYTHON) -m repro report --json | $(PYTHON) tools/check_reuse.py .repro-engine/cold.json
+	rm -rf .repro-engine
 	@echo "--- Table I worker-count identity (stdout at 1 and 2 workers) ---"
 	mkdir -p .repro-identity
-	PYTHONPATH=src $(PYTHON) -m repro table1 --samples 262144 --no-cache --no-warehouse \
+	PYTHONPATH=src $(PYTHON) -m repro table1 --samples 262144 --no-warehouse \
 		--workers 1 > .repro-identity/table1-w1.txt
-	PYTHONPATH=src $(PYTHON) -m repro table1 --samples 262144 --no-cache --no-warehouse \
+	PYTHONPATH=src $(PYTHON) -m repro table1 --samples 262144 --no-warehouse \
 		--workers 2 > .repro-identity/table1-w2.txt
 	cmp .repro-identity/table1-w1.txt .repro-identity/table1-w2.txt
 	rm -rf .repro-identity
@@ -57,8 +60,11 @@ verify:
 	PYTHONPATH=src $(PYTHON) -m repro formal --design am2-nb13 --bitwidth 8 --prove-equiv --max-error --no-cache
 	@echo "--- warehouse smoke (record, warm reuse, trend report) ---"
 	rm -rf .repro-warehouse
-	PYTHONPATH=src REPRO_WAREHOUSE_DIR=.repro-warehouse $(PYTHON) -m repro characterize calm --quick --no-cache
-	PYTHONPATH=src REPRO_WAREHOUSE_DIR=.repro-warehouse $(PYTHON) -m repro characterize calm --quick --no-cache
+	PYTHONPATH=src REPRO_WAREHOUSE_DIR=.repro-warehouse $(PYTHON) -m repro characterize calm --quick
+	PYTHONPATH=src REPRO_WAREHOUSE_DIR=.repro-warehouse $(PYTHON) -m repro report --json > .repro-warehouse/cold.json
+	PYTHONPATH=src REPRO_WAREHOUSE_DIR=.repro-warehouse $(PYTHON) -m repro characterize calm --quick
+	PYTHONPATH=src REPRO_WAREHOUSE_DIR=.repro-warehouse $(PYTHON) -m repro report --json \
+		| $(PYTHON) tools/check_reuse.py .repro-warehouse/cold.json
 	PYTHONPATH=src REPRO_WAREHOUSE_DIR=.repro-warehouse $(PYTHON) -m repro report
 	PYTHONPATH=src REPRO_WAREHOUSE_DIR=.repro-warehouse $(PYTHON) -m repro report --json > /dev/null
 	rm -rf .repro-warehouse
@@ -91,5 +97,5 @@ quick:
 	$(PYTHON) -m repro table1 --quick
 
 clean:
-	rm -rf build *.egg-info .pytest_cache benchmarks/results .repro-cache .repro-warehouse .repro-identity
+	rm -rf build *.egg-info .pytest_cache benchmarks/results .repro-engine .repro-warehouse .repro-identity
 	find . -name __pycache__ -type d -exec rm -rf {} +

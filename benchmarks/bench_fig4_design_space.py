@@ -17,6 +17,7 @@ import csv
 
 from conftest import BENCH_SAMPLES, attach_phases, run_once
 
+from repro.analysis import telemetry
 from repro.experiments import fig4_designspace, format_table
 
 
@@ -57,13 +58,12 @@ def _export(data, results_dir, tag):
 
 
 def test_fig4_paper_synthesis(benchmark, record_result, results_dir):
-    data = run_once(
-        benchmark,
-        lambda: fig4_designspace(
-            source="paper", samples=BENCH_SAMPLES, with_telemetry=True
-        ),
-    )
-    attach_phases(benchmark, data["telemetry"])
+    with telemetry.recording() as rec:
+        data = run_once(
+            benchmark,
+            lambda: fig4_designspace(source="paper", samples=BENCH_SAMPLES),
+        )
+    attach_phases(benchmark, rec.snapshot)
     record_result("fig4_design_space_paper", _render(data))
     _export(data, results_dir, "paper")
 
@@ -76,13 +76,12 @@ def test_fig4_paper_synthesis(benchmark, record_result, results_dir):
 
 
 def test_fig4_model_synthesis(benchmark, record_result, results_dir):
-    data = run_once(
-        benchmark,
-        lambda: fig4_designspace(
-            source="model", samples=BENCH_SAMPLES, with_telemetry=True
-        ),
-    )
-    attach_phases(benchmark, data["telemetry"])
+    with telemetry.recording() as rec:
+        data = run_once(
+            benchmark,
+            lambda: fig4_designspace(source="model", samples=BENCH_SAMPLES),
+        )
+    attach_phases(benchmark, rec.snapshot)
     record_result("fig4_design_space_model", _render(data))
     _export(data, results_dir, "model")
 

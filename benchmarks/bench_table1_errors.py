@@ -11,6 +11,7 @@ from __future__ import annotations
 from conftest import BENCH_SAMPLES, BENCH_WORKERS, attach_phases, run_once
 
 from repro import paper
+from repro.analysis import telemetry
 from repro.experiments import format_table, table1_errors
 from repro.multipliers.registry import TABLE1_IDS
 
@@ -53,16 +54,14 @@ def _render(rows) -> str:
 
 def _bench_family(benchmark, record_result, family: str):
     ids = FAMILIES[family]
-    rows, snapshot = run_once(
-        benchmark,
-        lambda: table1_errors(
-            samples=BENCH_SAMPLES,
-            ids=ids,
-            workers=BENCH_WORKERS,
-            with_telemetry=True,
-        ),
-    )
-    attach_phases(benchmark, snapshot)
+    with telemetry.recording() as rec:
+        rows = run_once(
+            benchmark,
+            lambda: table1_errors(
+                samples=BENCH_SAMPLES, ids=ids, workers=BENCH_WORKERS
+            ),
+        )
+    attach_phases(benchmark, rec.snapshot)
     record_result(f"table1_errors_{family}", _render(rows))
 
 

@@ -33,9 +33,7 @@ def test_perf_cold_campaign_with_recording(benchmark, tmp_path):
 
     def campaign():
         db = tmp_path / f"cold-{next(runs)}.db"
-        return characterize_many(
-            _items(), samples=SAMPLES, warehouse=db, cache=False
-        )
+        return characterize_many(_items(), samples=SAMPLES, warehouse=db)
 
     results = benchmark.pedantic(campaign, rounds=3, iterations=1)
     assert len(results) == len(DESIGNS)
@@ -46,13 +44,11 @@ def test_perf_cold_campaign_with_recording(benchmark, tmp_path):
 def test_perf_warm_campaign_zero_recompute(benchmark, tmp_path):
     """Every fingerprint already stored: the sweep is pure lookups."""
     db = tmp_path / "warm.db"
-    cold = characterize_many(_items(), samples=SAMPLES, warehouse=db, cache=False)
+    cold = characterize_many(_items(), samples=SAMPLES, warehouse=db)
 
     def campaign():
         with telemetry.recording() as rec:
-            warm = characterize_many(
-                _items(), samples=SAMPLES, warehouse=db, cache=False
-            )
+            warm = characterize_many(_items(), samples=SAMPLES, warehouse=db)
         return warm, rec.snapshot
 
     (warm, snapshot) = benchmark.pedantic(campaign, rounds=3, iterations=1)
@@ -69,7 +65,7 @@ def test_perf_lookup_throughput(benchmark, tmp_path):
 
     wh = Warehouse(tmp_path / "lookup.db")
     provenance = Provenance(git_rev="0" * 40, engine_version=2, kernel_version=1)
-    metrics = characterize_many(_items(), samples=SAMPLES, cache=False)
+    metrics = characterize_many(_items(), samples=SAMPLES, warehouse=False)
     payloads = []
     for round_index in range(100):
         rows = []

@@ -12,8 +12,9 @@ the paper's 2^24 (see the file header there).  Override with
 ``REPRO_BENCH_SAMPLES``.
 
 Engine knobs: ``REPRO_BENCH_WORKERS`` fans the characterization benches
-out over that many processes, and setting ``REPRO_CACHE_DIR`` turns on
-the on-disk metrics cache (second runs become near-instant).  Results are
+out over that many processes, and setting ``REPRO_WAREHOUSE_DIR`` turns
+on the experiment warehouse (second runs reuse every stored design and
+become near-instant).  Results are
 bit-identical at any setting — the engine's substream scheme guarantees
 the same seed produces the same metrics at every chunk size and worker
 count.
@@ -46,7 +47,7 @@ def attach_phases(benchmark, snapshot) -> None:
 
     pytest-benchmark serializes ``extra_info`` into ``--benchmark-json``
     output, so saved runs carry where the wall time went (sampling vs.
-    finalization vs. cache traffic), not just the total.
+    finalization vs. warehouse traffic), not just the total.
     """
     benchmark.extra_info["phases"] = {
         name: {"count": stat.count, "wall_s": round(stat.wall, 6)}

@@ -5,14 +5,7 @@ from .accumulation import AccumulationPoint, accumulation_profile, predicted_flo
 from .designspace import DesignPoint, fig4_front, fig4_points, sweep
 from .scaling import bitwidth_scaling, knob_surface
 from .distribution import Histogram, ascii_histogram, error_histogram
-from .cache import (
-    cache_stats,
-    clear_cache,
-    invalidate,
-    reset_cache_stats,
-    resolve_cache_dir,
-    sweep_stale_temps,
-)
+from .cache import clear_cache, resolve_cache_dir, sweep_stale_temps
 from .runtime import (
     BatchFailure,
     Checkpoint,
@@ -74,13 +67,11 @@ __all__ = [
     "ascii_histogram",
     "accumulation_profile",
     "bitwidth_scaling",
-    "cache_stats",
     "characterize",
     "characterize_many",
     "characterize_workload",
     "clear_cache",
     "gaussian_sampler",
-    "invalidate",
     "lognormal_sampler",
     "compute_metrics",
     "error_grid",
@@ -102,7 +93,6 @@ __all__ = [
     "profile",
     "render_heatmap",
     "render_histogram",
-    "reset_cache_stats",
     "resolve_cache_dir",
     "save_pgm",
     "sample_pairs",

@@ -1,23 +1,21 @@
-"""Content-addressed on-disk cache for Monte-Carlo error metrics.
+"""Content addressing and the state directory under ``$REPRO_CACHE_DIR``.
 
-Characterizing all Table I configurations at the paper's 2^24 depth costs
-minutes of CPU; the metrics themselves are a few hundred bytes.  This
-cache keys each :class:`~repro.analysis.metrics.ErrorMetrics` by a SHA-256
-digest of the complete run description — engine version, multiplier
-fingerprint (see :func:`repro.multipliers.registry.fingerprint`), input
-kind, bitwidth, seed and sample count — so a hit is guaranteed to describe
-the exact run being requested, and any change to a knob (``M``, ``t``,
-``q``, seed, samples, engine) lands on a different key.
+Every stored result is keyed by a SHA-256 digest of its complete run
+description (:func:`cache_key`) — engine version, multiplier fingerprint
+(see :func:`repro.multipliers.registry.fingerprint`), input kind,
+bitwidth, seed and sample count — so a stored entry is guaranteed to
+describe the exact run being requested, and any change to a knob
+(``M``, ``t``, ``q``, seed, samples, engine) lands on a different key.
+Monte-Carlo metrics live in the experiment warehouse
+(:mod:`repro.warehouse`), which keys its rows this way and reads them
+back through :func:`metrics_from_fields`.
 
-Layout: one ``<key>.json`` file per entry under the cache directory,
-holding ``{"payload": <the keyed description>, "metrics": <fields>}``.
-Floats survive the JSON round-trip bit-exactly (``repr`` semantics), so a
-cache hit compares equal to the recomputed object.  Corrupt or truncated
-files are treated as misses and silently recomputed/overwritten.
+The state directory holds what is not a warehouse row: campaign
+checkpoints (``checkpoints/``), formal certificates (``formal/``),
+conformance counterexamples (``conformance/``) and the default
+warehouse database (``warehouse/``).  It is resolved per call:
 
-The directory is resolved per call:
-
-* ``cache=False`` — caching off;
+* ``cache=False`` — off;
 * ``cache=None`` (default) — on only if ``REPRO_CACHE_DIR`` is set;
 * ``cache=True`` — ``REPRO_CACHE_DIR`` or the user cache directory
   (``$XDG_CACHE_HOME``/``~/.cache`` + ``repro-realm/metrics``);
@@ -33,26 +31,19 @@ import os
 import pathlib
 import time
 
-from . import telemetry
 from .metrics import ErrorMetrics
 
 __all__ = [
     "CACHE_ENV",
-    "CacheStats",
     "cache_key",
-    "cache_stats",
     "clear_cache",
     "default_cache_dir",
-    "invalidate",
-    "load_metrics",
     "metrics_from_fields",
-    "reset_cache_stats",
     "resolve_cache_dir",
-    "store_metrics",
     "sweep_stale_temps",
 ]
 
-#: environment override for the cache directory (also the global opt-in)
+#: environment override for the state directory (also the global opt-in)
 CACHE_ENV = "REPRO_CACHE_DIR"
 
 #: temp files older than this are considered orphaned (a writer that died
@@ -78,30 +69,6 @@ def _load_certified(value) -> tuple[float, float] | None:
     return (float(lo), float(hi))
 
 
-@dataclasses.dataclass
-class CacheStats:
-    """Process-wide hit/miss/store counters for run instrumentation."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(self.hits, self.misses, self.stores)
-
-
-_STATS = CacheStats()
-
-
-def cache_stats() -> CacheStats:
-    """A copy of the global counters (hits/misses/stores this process)."""
-    return _STATS.snapshot()
-
-
-def reset_cache_stats() -> None:
-    _STATS.hits = _STATS.misses = _STATS.stores = 0
-
-
 def default_cache_dir() -> pathlib.Path:
     """``$XDG_CACHE_HOME``/``~/.cache`` + ``repro-realm/metrics``."""
     xdg = os.environ.get("XDG_CACHE_HOME")
@@ -110,7 +77,7 @@ def default_cache_dir() -> pathlib.Path:
 
 
 def resolve_cache_dir(cache) -> pathlib.Path | None:
-    """Map a ``cache`` argument to a directory, or ``None`` for no caching."""
+    """Map a ``cache`` argument to a directory, or ``None`` when off."""
     if cache is False:
         return None
     if cache is None or cache is True:
@@ -127,19 +94,14 @@ def cache_key(payload: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _entry_path(directory: pathlib.Path, key: str) -> pathlib.Path:
-    return pathlib.Path(directory) / f"{key}.json"
-
-
 def metrics_from_fields(fields: dict) -> ErrorMetrics:
     """Strictly validate a metrics field mapping into :class:`ErrorMetrics`.
 
-    The shared deserializer of the metrics cache and the experiment
-    warehouse: every numeric field must be present and numeric (booleans
-    rejected), unknown fields are refused, and ``peak_certified`` is
-    optional — entries written before that field arrived stay loadable
-    (they simply carry no proof).  Raises ``ValueError``/``TypeError``/
-    ``KeyError`` on anything else.
+    The warehouse's deserializer: every numeric field must be present
+    and numeric (booleans rejected), unknown fields are refused, and
+    ``peak_certified`` is optional — rows written before that field
+    arrived stay loadable (they simply carry no proof).  Raises
+    ``ValueError``/``TypeError``/``KeyError`` on anything else.
     """
     if not isinstance(fields, dict):
         raise TypeError("metric fields must be a mapping")
@@ -153,23 +115,6 @@ def metrics_from_fields(fields: dict) -> ErrorMetrics:
         values[name] = int(value) if name == "samples" else float(value)
     values["peak_certified"] = _load_certified(fields.get("peak_certified"))
     return ErrorMetrics(**values)
-
-
-def load_metrics(directory, key: str) -> ErrorMetrics | None:
-    """The cached metrics for ``key``, or ``None`` (missing or corrupt)."""
-    path = _entry_path(directory, key)
-    try:
-        data = json.loads(path.read_text())
-        metrics = metrics_from_fields(data["metrics"])
-    except (OSError, ValueError, KeyError, TypeError):
-        # missing, unreadable, truncated or hand-edited entries all fall
-        # back to recomputation; store_metrics repairs the file afterwards
-        _STATS.misses += 1
-        telemetry.get().counter("cache.misses")
-        return None
-    _STATS.hits += 1
-    telemetry.get().counter("cache.hits")
-    return metrics
 
 
 def sweep_stale_temps(
@@ -198,52 +143,9 @@ def sweep_stale_temps(
     return removed
 
 
-#: directories already swept for stale temps by this process
-_SWEPT: set[str] = set()
-
-
-def _init_cache_dir(directory: pathlib.Path) -> None:
-    """Create the directory and (once per process) sweep orphaned temps."""
-    directory.mkdir(parents=True, exist_ok=True)
-    marker = str(directory)
-    if marker not in _SWEPT:
-        _SWEPT.add(marker)
-        sweep_stale_temps(directory)
-
-
-def store_metrics(directory, key: str, metrics: ErrorMetrics, payload: dict) -> None:
-    """Atomically persist one entry (write-temp-then-rename)."""
-    directory = pathlib.Path(directory)
-    _init_cache_dir(directory)
-    path = _entry_path(directory, key)
-    text = json.dumps(
-        {"payload": payload, "metrics": dataclasses.asdict(metrics)},
-        sort_keys=True,
-        indent=1,
-    )
-    temp = path.with_suffix(f".tmp{os.getpid()}")
-    temp.write_text(text + "\n")
-    os.replace(temp, path)
-    _STATS.stores += 1
-    telemetry.get().counter("cache.stores")
-
-
-def invalidate(key: str, cache=True) -> bool:
-    """Drop one entry; returns whether a file was removed."""
-    directory = resolve_cache_dir(cache)
-    if directory is None:
-        return False
-    try:
-        _entry_path(directory, key).unlink()
-        return True
-    except FileNotFoundError:
-        return False
-
-
-#: cache-dir glob patterns covering every subsystem store that lives
-#: under the metrics cache directory; clear_cache drops them all
+#: glob patterns covering every store under the state directory;
+#: clear_cache drops them all
 _SUBSYSTEM_GLOBS = (
-    "*.json",                 # metrics entries
     "checkpoints/*.json",     # campaign checkpoints (runtime.Checkpoint)
     "formal/*.json",          # equivalence/worst-case certificates
     "conformance/*.json",     # shrunk fuzzing counterexamples
@@ -254,13 +156,12 @@ _SUBSYSTEM_GLOBS = (
 def clear_cache(cache=True) -> int:
     """Drop every entry in the resolved directory; returns the count.
 
-    Covers all subsystem stores under the cache dir — metrics entries,
-    campaign checkpoints (``checkpoints/``), formal certificates
-    (``formal/``), conformance counterexamples (``conformance/``) and
-    the experiment warehouse database (``warehouse/``, including
-    quarantined copies) — and sweeps orphaned temp files left by
-    writers that died mid-store (the returned count covers removed
-    entries only, not the swept temps).
+    Covers all stores under the state directory — campaign checkpoints
+    (``checkpoints/``), formal certificates (``formal/``), conformance
+    counterexamples (``conformance/``) and the experiment warehouse
+    database (``warehouse/``, including quarantined copies) — and sweeps
+    orphaned temp files left by writers that died mid-store (the
+    returned count covers removed entries only, not the swept temps).
     """
     directory = resolve_cache_dir(cache)
     if directory is None or not directory.is_dir():
@@ -273,6 +174,6 @@ def clear_cache(cache=True) -> int:
                 removed += 1
             except (FileNotFoundError, IsADirectoryError):
                 pass
-    for subdirectory in ("", "checkpoints", "formal", "conformance"):
-        sweep_stale_temps(directory / subdirectory if subdirectory else directory)
+    for subdirectory in ("checkpoints", "formal", "conformance"):
+        sweep_stale_temps(directory / subdirectory)
     return removed

@@ -18,7 +18,6 @@ import dataclasses
 
 from .. import paper
 from ..multipliers.registry import TABLE1_IDS, build
-from . import telemetry
 from .metrics import ErrorMetrics
 from .montecarlo import characterize_many
 from .pareto import pareto_front
@@ -68,44 +67,29 @@ def sweep(
     *,
     chunk: int | None = None,
     workers: int | None = None,
-    cache=None,
     progress=None,
     max_retries: int | None = None,
     batch_timeout: float | None = None,
     policy=None,
     checkpoint: bool = False,
     resume: bool = False,
-    with_telemetry: bool = False,
     warehouse=None,
 ) -> list[DesignPoint]:
     """Characterize error and synthesis cost for each design.
 
-    The Monte-Carlo engine options (``workers``/``cache``/``progress``
-    plus the resilience knobs ``max_retries``/``batch_timeout``/
-    ``policy``/``checkpoint``/``resume``) are forwarded to
+    The Monte-Carlo engine options (``workers``/``progress`` plus the
+    resilience knobs ``max_retries``/``batch_timeout``/``policy``/
+    ``checkpoint``/``resume``) are forwarded to
     :func:`repro.analysis.montecarlo.characterize_many`, so the whole
-    sweep runs as one block-major campaign, reuses cached metrics,
-    survives worker faults, and — with ``checkpoint``/``resume`` — an
-    interrupted sweep restarted with ``resume=True`` recomputes only
-    the unfinished (design, block) pairs.  ``with_telemetry=True`` returns
-    ``(points, TelemetrySnapshot)`` with the sweep's per-phase timings
-    and counters (see :mod:`repro.analysis.telemetry`).
-    ``warehouse`` opts into the experiment warehouse (see
+    sweep runs as one block-major campaign, survives worker faults, and
+    — with ``checkpoint``/``resume`` — an interrupted sweep restarted
+    with ``resume=True`` recomputes only the unfinished (design, block)
+    pairs.  ``warehouse`` selects the experiment warehouse (see
     :mod:`repro.warehouse`): a warm sweep over an unchanged registry
     performs zero model evaluations — every design is served from the
     store by fingerprint — and the sweep is recorded as one ``sweep``
     run whose rows carry the synthesis columns alongside the metrics.
     """
-    if with_telemetry:
-        with telemetry.recording() as rec:
-            points = sweep(
-                ids, samples=samples, seed=seed, source=source, chunk=chunk,
-                workers=workers, cache=cache, progress=progress,
-                max_retries=max_retries, batch_timeout=batch_timeout,
-                policy=policy, checkpoint=checkpoint, resume=resume,
-                warehouse=warehouse,
-            )
-        return points, rec.snapshot
     chosen = []
     for name in ids:
         columns = _synthesis_columns(name, source)
@@ -119,7 +103,6 @@ def sweep(
         seed=seed,
         workers=workers,
         **engine,
-        cache=cache,
         progress=progress,
         max_retries=max_retries,
         batch_timeout=batch_timeout,

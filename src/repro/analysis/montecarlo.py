@@ -14,21 +14,23 @@ block order.  The guarantees:
 * the same ``seed`` drives identical inputs into every design, so
   cross-design comparisons are noise-free.
 
-Every entry point runs the same block-major campaign
-(:func:`characterize_many`; :func:`characterize` and
-:func:`characterize_workload` are one-design campaigns): each block is
-drawn, and its exact products computed, once for all the designs that
-share its draw.
+Every entry point runs the same path (:func:`characterize_many`;
+:func:`characterize` and :func:`characterize_workload` are one-design
+campaigns): designs already stored in the experiment warehouse
+(``warehouse=``, see :mod:`repro.warehouse`) are reused without a model
+evaluation, and the others run as one block-major campaign, in which
+each block is drawn, and its exact products computed, once for all the
+designs that share its draw.  The run is then recorded in the
+warehouse, each row flagged reused or recomputed.
 
-Runs can be fanned out across processes (``workers=``) and memoized in a
-content-addressed on-disk cache (``cache=``, see
-:mod:`repro.analysis.cache`); ``progress=`` receives event dicts with
-per-run wall time, throughput and cache outcome.  Long campaigns survive
-worker faults: batches retry with backoff (``max_retries=``), hung
-workers time out (``batch_timeout=``), broken pools rebuild and
-eventually degrade to serial execution, and per-block state can
-checkpoint to disk and resume (``checkpoint=``/``resume=``) — see
-:mod:`repro.analysis.runtime` for the guarantees.
+Runs can be fanned out across processes (``workers=``); ``progress=``
+receives event dicts with per-run wall time, throughput and warehouse
+outcome.  Long campaigns survive worker faults: batches retry with
+backoff (``max_retries=``), hung workers time out (``batch_timeout=``),
+broken pools rebuild and eventually degrade to serial execution, and
+per-block state can checkpoint to disk and resume
+(``checkpoint=``/``resume=``) — see :mod:`repro.analysis.runtime` for
+the guarantees.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 from ..multipliers.base import Multiplier
 from ..multipliers.registry import fingerprint
 from . import telemetry
-from .cache import cache_key, load_metrics, resolve_cache_dir, store_metrics
+from .cache import cache_key, resolve_cache_dir
 from .metrics import ErrorMetrics
 from .parallel import (
     SamplerDraw,
@@ -69,7 +71,7 @@ __all__ = [
 PAPER_SAMPLES = 1 << 24
 
 #: bump on any change to the input stream or accumulation scheme; part of
-#: every cache key, so stale entries can never be replayed
+#: every result fingerprint, so stale rows can never be replayed
 ENGINE_VERSION = 2
 
 _CHUNK = 1 << 20
@@ -130,14 +132,14 @@ def _resolve_policy(policy, max_retries, batch_timeout) -> ResiliencePolicy | No
     return ResiliencePolicy(**overrides) if overrides else None
 
 
-def _resolve_checkpoint(
-    checkpoint, resume, directory, payload
-) -> Checkpoint | None:
-    """A :class:`Checkpoint` under the cache dir, or ``None`` when off.
+def _resolve_checkpoint(checkpoint, resume, payload) -> Checkpoint | None:
+    """A :class:`Checkpoint` under the state directory, or ``None`` when off.
 
-    Checkpoints reuse the cache's content-addressing scheme: the key is
-    :func:`cache_key` of the exact run payload, so resumed state can
-    never leak between different designs, seeds or sample counts.
+    Checkpoints are written under ``$REPRO_CACHE_DIR``, else the user
+    cache directory (see :func:`~repro.analysis.cache.resolve_cache_dir`),
+    and keyed like warehouse rows: :func:`cache_key` of the exact run
+    payload, so resumed state can never leak between different designs,
+    seeds or sample counts.
     """
     if not (checkpoint or resume):
         return None
@@ -146,27 +148,12 @@ def _resolve_checkpoint(
             "checkpointing requires a fingerprintable run description "
             "(this sampler has no stable fingerprint)"
         )
-    if directory is None:
-        directory = resolve_cache_dir(True)
-    return Checkpoint(directory, cache_key(payload), payload)
+    return Checkpoint(resolve_cache_dir(True), cache_key(payload), payload)
 
 
 def _emit(progress, **event) -> None:
     if progress is not None:
         progress(event)
-
-
-def _recorded(run):
-    """Run ``run()`` capturing a telemetry delta; returns ``(result, snapshot)``.
-
-    Backs the ``with_telemetry=True`` keyword of the public entry points:
-    the snapshot holds only what this call recorded (counters and phase
-    stats delta against the surrounding registry state) and works even
-    with telemetry disabled, via a temporary in-memory registry.
-    """
-    with telemetry.recording() as rec:
-        result = run()
-    return result, rec.snapshot
 
 
 def _uniform_payload(multiplier: Multiplier, samples: int, seed: int) -> dict:
@@ -180,183 +167,163 @@ def _uniform_payload(multiplier: Multiplier, samples: int, seed: int) -> dict:
     }
 
 
-def _warehouse_many(
-    wh,
-    items,
+def _campaign(
+    designs,
+    samples: int,
+    seed: int,
+    chunk: int,
     *,
-    samples,
-    seed,
-    chunk,
-    workers,
-    cache,
-    progress,
-    policy,
-    checkpoint,
-    resume,
-    kind="characterize",
+    warehouse,
+    on_metrics,
+    kind: str = "characterize",
     decorate=None,
+    **engine,
 ) -> dict[str, ErrorMetrics]:
-    """Incremental recompute through the experiment warehouse.
+    """The engine's one path: warehouse lookup, campaign, record.
 
-    Looks every design up by its content-addressed fingerprint first
-    (``warehouse.hits``/``warehouse.misses`` counters); only designs whose
-    fingerprint is absent — new designs, changed knobs, a bumped engine —
-    are recomputed (``warehouse.deltas``), by recursing into
-    :func:`characterize_many` with the warehouse off.  ``progress`` gets
-    one ``design`` event per requested design, counted over all of them:
-    reused designs first (``cache="warehouse"``, no seconds), then the
-    recomputed ones as they finish.  The run is then recorded whole: hit
-    rows flagged ``reused``, recomputed rows carrying the telemetry
-    counters of the recompute.  Stored metrics are canonical JSON with
-    ``repr`` float semantics, so a warm result is bit-identical to the
-    cold run that produced it.
+    ``designs`` lists ``(name, multiplier, draw, payload)``; ``payload``
+    keys the design's warehouse rows and its checkpoint, and is ``None``
+    for a draw without a stable fingerprint, whose campaign skips the
+    store.  With a warehouse open (see
+    :func:`~repro.warehouse.store.open_warehouse`), every design is looked
+    up first (``warehouse.hits``/``warehouse.misses``); a stored design
+    is reused and never enters the campaign.  The others
+    run as one campaign (:func:`_evaluate`), and the whole run is then
+    recorded as one ``kind`` run: reused rows flagged, computed rows
+    carrying the campaign's telemetry counters, and ``decorate(name)``
+    adding columns beside a row's metrics.  Stored metrics are canonical
+    JSON with ``repr`` float semantics, so a reused result is
+    bit-identical to the run that computed it.
+
+    ``on_metrics(name, metrics, seconds, outcome)`` fires per design: for
+    a reused design at once, with ``0.0`` seconds and outcome
+    ``"warehouse"``; for a computed one when it is finalized, with its
+    cost and outcome ``"miss"`` (to be recorded) or ``"off"`` (no store).
     """
-    from ..warehouse.store import WarehouseError, metrics_fields
+    from ..warehouse.store import metrics_fields, open_warehouse
 
-    tele = telemetry.get()
     start = time.perf_counter()
-    payloads = {name: _uniform_payload(m, samples, seed) for name, m in items}
-    hits: dict[str, ErrorMetrics] = {}
-    misses = []
-    with tele.span("warehouse.lookup", kind=kind, designs=len(items)):
-        for name, multiplier in items:
-            metrics = wh.latest_metrics(cache_key(payloads[name]))
+    wh = None
+    if all(payload is not None for *_, payload in designs):
+        wh = open_warehouse(warehouse)
+    try:
+        reused = {} if wh is None else _lookup(wh, designs, kind)
+        results: dict[str, ErrorMetrics] = {}
+        for name, *_ in designs:
+            if name in reused:
+                results[name] = reused[name]
+                on_metrics(name, reused[name], 0.0, "warehouse")
+        fresh = [design for design in designs if design[0] not in reused]
+        counters: dict = {}
+        if fresh:
+            # a recorded run keeps the telemetry counters of its campaign
+            recorder = contextlib.nullcontext() if wh is None else telemetry.recording()
+            with recorder as rec:
+                results.update(
+                    _evaluate(
+                        fresh, samples, chunk, "off" if wh is None else "miss",
+                        on_metrics, **engine,
+                    )
+                )
+            if rec is not None:
+                counters = dict(rec.snapshot.counters)
+                for phase, stat in rec.snapshot.phases.items():
+                    counters[f"phase.{phase}"] = stat.count
+        if wh is not None:
+            rows = []
+            for name, _, _, payload in designs:
+                data = metrics_fields(results[name])
+                if decorate is not None:
+                    # extra columns ride under their own keys; the metrics
+                    # stay an exact, strictly-validated field set
+                    data = {"metrics": data, **decorate(name)}
+                rows.append((name, payload, data, name in reused))
+            _record(wh, kind, rows, seed, samples, time.perf_counter() - start, counters)
+        return results
+    finally:
+        if wh is not None:
+            wh.close()
+
+
+def _lookup(wh, designs, kind: str) -> dict[str, ErrorMetrics]:
+    """The stored metrics of every design found in ``wh``."""
+    tele = telemetry.get()
+    found: dict[str, ErrorMetrics] = {}
+    with tele.span("warehouse.lookup", kind=kind, designs=len(designs)):
+        for name, _, _, payload in designs:
+            metrics = wh.latest_metrics(cache_key(payload))
             if metrics is not None:
-                hits[name] = metrics
+                found[name] = metrics
                 tele.counter("warehouse.hits")
             else:
-                misses.append((name, multiplier))
                 tele.counter("warehouse.misses")
-    tele.counter("warehouse.deltas", len(misses))
-    emitted = 0
+    tele.counter("warehouse.deltas", len(designs) - len(found))
+    return found
 
-    def relay(event):
-        nonlocal emitted
-        if event.get("event") == "design":
-            emitted += 1
-            event = {**event, "index": emitted, "total": len(items)}
-        progress(event)
 
-    if progress is not None:
-        for name in hits:
-            relay(
-                {"event": "design", "design": name, "samples": samples,
-                 "seconds": 0.0, "cache": "warehouse"}
-            )
-    fresh: dict[str, ErrorMetrics] = {}
-    counters: dict = {}
-    if misses:
-        with telemetry.recording() as rec:
-            fresh = characterize_many(
-                misses, samples=samples, seed=seed, chunk=chunk,
-                workers=workers, cache=cache,
-                progress=relay if progress is not None else None,
-                policy=policy, checkpoint=checkpoint, resume=resume,
-                warehouse=False,
-            )
-        counters = dict(rec.snapshot.counters)
-        for phase, stat in rec.snapshot.phases.items():
-            counters[f"phase.{phase}"] = stat.count
-    results = {
-        name: fresh[name] if name in fresh else hits[name] for name, _ in items
-    }
-    rows = []
-    for name, _ in items:
-        data = metrics_fields(results[name])
-        if decorate is not None:
-            # extra columns ride under their own keys; the metrics stay an
-            # exact, strictly-validated field set under "metrics"
-            data = {"metrics": data, **decorate(name)}
-        rows.append((name, payloads[name], data, name in hits))
-    wall = time.perf_counter() - start
-    with tele.span("warehouse.record", kind=kind, designs=len(items)):
+def _record(wh, kind, rows, seed, samples, wall, counters) -> None:
+    """Record one run; a failing store never takes the results down."""
+    from ..warehouse.store import WarehouseError
+
+    tele = telemetry.get()
+    with tele.span("warehouse.record", kind=kind, designs=len(rows)):
         try:
             wh.record_run(
                 kind, rows, seed=seed, samples=samples,
                 wall_seconds=wall, counters=counters,
             )
         except WarehouseError as exc:
-            # provenance must never take the computation down with it
             tele.counter("warehouse.errors")
             tele.event("warehouse.error", kind=kind, cause=str(exc))
-    return results
 
 
-def _campaign(
+def _evaluate(
     designs,
     samples: int,
     chunk: int,
+    outcome: str,
+    on_metrics,
     *,
-    cache,
     workers,
     policy: ResiliencePolicy | None,
     checkpoint: bool,
     resume: bool,
-    on_metrics,
     on_progress=None,
     on_event=None,
     pool=None,
 ) -> dict[str, ErrorMetrics]:
-    """The engine's one path: cache front end, block-major campaign, store.
+    """Run ``designs`` as one block-major campaign; returns their metrics.
 
-    ``designs`` lists ``(name, multiplier, draw, payload)``; ``payload``
-    (``None`` for a draw without a stable fingerprint) keys the metrics
-    cache and the design's checkpoint.  Cache hits never enter the
-    campaign.  The fresh designs run as one campaign (see
-    :func:`~repro.analysis.runtime.run_campaign`): designs with equal
-    draws share every block, and each is finalized (and stored) as its
-    last block merges.  Every fresh design gets a ``characterize`` span
-    over the campaign.  ``on_metrics(name, metrics, seconds, outcome)``
-    fires per design: for a hit at once, with ``0.0`` seconds and outcome
-    ``"hit"``; for a fresh design when it is finalized, with its cost
-    (its share of the campaign plus its finalize) and outcome ``"miss"``,
-    or ``"off"`` without a cache.
+    See :func:`~repro.analysis.runtime.run_campaign`: designs with equal
+    draws share every block, and each is finalized as its last block
+    merges, firing ``on_metrics`` with ``outcome``.  Every design gets a
+    ``characterize`` span over the campaign.
     """
     tele = telemetry.get()
     results: dict[str, ErrorMetrics] = {}
-    fresh = []
-    for name, multiplier, draw, payload in designs:
-        directory = resolve_cache_dir(cache) if payload is not None else None
-        if directory is not None:
-            with tele.span("cache.lookup", design=multiplier.name):
-                hit = load_metrics(directory, cache_key(payload))
-            if hit is not None:
-                results[name] = hit
-                tele.event("mc.done", design=multiplier.name, samples=samples, cache="hit")
-                on_metrics(name, hit, 0.0, "hit")
-                continue
-        fresh.append((name, multiplier, draw, payload, directory))
-    if not fresh:
-        return results
-
     draws: list = []
     members = []
-    for _, multiplier, draw, _, _ in fresh:
+    for _, multiplier, draw, _ in designs:
         if draw not in draws:
             draws.append(draw)
         members.append((draws.index(draw), multiplier))
-    labels = [multiplier.name for _, multiplier, _, _, _ in fresh]
+    labels = [multiplier.name for _, multiplier, _, _ in designs]
     finished = []
 
     def on_design(position, accumulator, seconds):
-        name, multiplier, _, payload, directory = fresh[position]
+        name, multiplier, _, _ = designs[position]
         start = time.perf_counter()
         with tele.span("finalize", design=labels[position]):
             metrics = accumulator.finalize(_max_product(multiplier))
         seconds += time.perf_counter() - start
-        if directory is not None:
-            with tele.span("cache.store", design=labels[position]):
-                store_metrics(directory, cache_key(payload), metrics, payload)
         results[name] = metrics
-        outcome = "miss" if directory is not None else "off"
-        finished.append((labels[position], seconds, outcome))
+        finished.append((labels[position], seconds))
         on_metrics(name, metrics, seconds, outcome)
 
     checkpoints = [
-        _resolve_checkpoint(checkpoint, resume, directory, payload)
-        for _, _, _, payload, directory in fresh
+        _resolve_checkpoint(checkpoint, resume, payload)
+        for _, _, _, payload in designs
     ]
-    plan = block_plan(samples)
     with contextlib.ExitStack() as spans:
         for label in labels:
             spans.enter_context(
@@ -365,7 +332,7 @@ def _campaign(
         run_campaign(
             campaign_task,
             (draws, members),
-            plan,
+            block_plan(samples),
             chunk,
             labels,
             checkpoints=checkpoints,
@@ -378,7 +345,7 @@ def _campaign(
             pool=pool,
         )
     # after the spans close: these sink writes are not the designs' work
-    for label, seconds, outcome in finished:
+    for label, seconds in finished:
         tele.event("mc.done", design=label, samples=samples, seconds=seconds, cache=outcome)
         if seconds > 0:
             tele.gauge("mc.samples_per_sec", samples / seconds)
@@ -386,7 +353,7 @@ def _campaign(
 
 
 def _characterize_one(
-    multiplier, draw, payload, samples, chunk, *, progress, **engine
+    multiplier, draw, payload, samples, seed, chunk, *, progress, **engine
 ) -> ErrorMetrics:
     """A one-design campaign, reporting ``progress``/``done`` events."""
     label = multiplier.name
@@ -395,7 +362,7 @@ def _characterize_one(
     def on_metrics(name, metrics, seconds, outcome):
         elapsed = time.perf_counter() - start
         rate = {}
-        if outcome != "hit":
+        if outcome != "warehouse":
             rate["samples_per_sec"] = samples / elapsed if elapsed > 0 else float("inf")
         _emit(
             progress, event="done", design=label, samples=samples,
@@ -412,7 +379,7 @@ def _characterize_one(
         _emit(progress, design=label, **event)
 
     return _campaign(
-        [(label, multiplier, draw, payload)], samples, chunk,
+        [(label, multiplier, draw, payload)], samples, seed, chunk,
         on_metrics=on_metrics,
         on_progress=on_progress if progress is not None else None,
         on_event=on_event, **engine,
@@ -426,14 +393,12 @@ def characterize(
     chunk: int = _CHUNK,
     *,
     workers: int | None = None,
-    cache=None,
     progress=None,
     max_retries: int | None = None,
     batch_timeout: float | None = None,
     policy: ResiliencePolicy | None = None,
     checkpoint: bool = False,
     resume: bool = False,
-    with_telemetry: bool = False,
     pool=None,
     warehouse=None,
 ) -> ErrorMetrics:
@@ -446,61 +411,35 @@ def characterize(
     — and under any retry/rebuild/degradation recovery path.  The run is
     a one-design campaign on :func:`characterize_many`'s path.
 
-    ``workers`` > 1 fans blocks out over a process pool; ``cache`` keys
-    the result on (engine, design fingerprint, bitwidth, seed, samples)
-    and short-circuits repeat runs (see :mod:`repro.analysis.cache`).
-    ``progress`` receives ``progress`` events (cumulative
-    ``samples_done``), runtime events (retry, pool-rebuild, degraded,
-    resume) and one final ``done`` event with the wall time and cache
-    outcome.  ``max_retries``/``batch_timeout`` (or a full
+    ``workers`` > 1 fans blocks out over a process pool.  ``progress``
+    receives ``progress`` events (cumulative ``samples_done``), runtime
+    events (retry, pool-rebuild, degraded, resume) and one final
+    ``done`` event with the wall time and warehouse outcome.
+    ``max_retries``/``batch_timeout`` (or a full
     :class:`~repro.analysis.runtime.ResiliencePolicy` via ``policy``)
     tune failure handling; ``checkpoint=True`` persists per-block state
-    under the cache dir and ``resume=True`` skips blocks a previous
-    interrupted run already finished.  ``with_telemetry=True`` returns
-    ``(metrics, TelemetrySnapshot)`` — the per-phase timings and
-    counters this call recorded (see :mod:`repro.analysis.telemetry`).
-    ``pool`` is an optional :class:`~repro.analysis.runtime.SharedPool`
-    whose workers are reused across calls (the serving layer's mode).
-    ``warehouse`` opts the run into the experiment warehouse (see
-    :mod:`repro.warehouse`): the stored result for this exact fingerprint
-    is reused if present, and the run is recorded with full provenance.
+    under the state directory (``$REPRO_CACHE_DIR``, else the user cache
+    directory) and ``resume=True`` skips blocks a previous interrupted
+    run already finished.  ``pool`` is an optional
+    :class:`~repro.analysis.runtime.SharedPool` whose workers are reused
+    across calls (the serving layer's mode).  ``warehouse`` selects the
+    experiment warehouse (see :mod:`repro.warehouse`; ``None`` uses it
+    only when ``$REPRO_WAREHOUSE_DIR`` is set): the stored result for
+    this exact fingerprint (engine, design, bitwidth, seed, samples) is
+    reused if present, and the run is recorded with full provenance.
     """
-    if with_telemetry:
-        return _recorded(
-            lambda: characterize(
-                multiplier, samples=samples, seed=seed, chunk=chunk,
-                workers=workers, cache=cache, progress=progress,
-                max_retries=max_retries, batch_timeout=batch_timeout,
-                policy=policy, checkpoint=checkpoint, resume=resume,
-                pool=pool, warehouse=warehouse,
-            )
-        )
     _validate_engine_args(samples, chunk, workers)
-    policy = _resolve_policy(policy, max_retries, batch_timeout)
-    if warehouse is not False and pool is None:
-        from ..warehouse.store import open_warehouse
-
-        wh = open_warehouse(warehouse, cache)
-        if wh is not None:
-            try:
-                return _warehouse_many(
-                    wh, [(multiplier.name, multiplier)],
-                    samples=samples, seed=seed, chunk=chunk,
-                    workers=workers, cache=cache, progress=progress,
-                    policy=policy, checkpoint=checkpoint, resume=resume,
-                )[multiplier.name]
-            finally:
-                wh.close()
     return _characterize_one(
         multiplier,
         UniformDraw(multiplier.bitwidth, seed),
         _uniform_payload(multiplier, samples, seed),
         samples,
+        seed,
         chunk,
         progress=progress,
-        cache=cache,
+        warehouse=warehouse,
         workers=workers,
-        policy=policy,
+        policy=_resolve_policy(policy, max_retries, batch_timeout),
         checkpoint=checkpoint,
         resume=resume,
         pool=pool,
@@ -514,32 +453,31 @@ def characterize_many(
     chunk: int = _CHUNK,
     *,
     workers: int | None = None,
-    cache=None,
     progress=None,
     max_retries: int | None = None,
     batch_timeout: float | None = None,
     policy: ResiliencePolicy | None = None,
     checkpoint: bool = False,
     resume: bool = False,
-    with_telemetry: bool = False,
     warehouse=None,
     _warehouse_kind: str = "characterize",
     _warehouse_decorate=None,
 ) -> dict[str, ErrorMetrics]:
     """Characterize ``{name: multiplier}`` or ``(name, multiplier)`` pairs.
 
-    Names must be unique.  All engine options are forwarded.  Cache hits
-    are resolved up front; the other designs run as one block-major
-    campaign (see :mod:`repro.analysis.parallel`): each block is drawn
-    once for all designs of its bitwidth, and every design is evaluated
-    on it.  With ``workers`` > 1 the fan-out unit is a group of blocks
-    over all those designs.  ``progress`` receives one ``{"event":
-    "design", ...}`` dict per design — hits first, then each fresh design
-    as its last block merges — plus the runtime's retry, pool-rebuild,
-    degraded and resume events.  A design event's ``seconds`` is the
-    design's own multiply, accumulate and finalize time plus an equal
-    share of the shared draws, so over a campaign they sum to its
-    compute time.
+    Names must be unique.  All engine options are forwarded.  Designs
+    stored in the warehouse are reused up front; the others run as one
+    block-major campaign (see :mod:`repro.analysis.parallel`): each
+    block is drawn once for all designs of its bitwidth, and every design
+    is evaluated on it.  With ``workers`` > 1 the fan-out unit is a
+    group of blocks over all those designs.  ``progress`` receives one
+    ``{"event": "design", ...}`` dict per design, counted over all of
+    them — reused designs first (``cache="warehouse"``, no seconds),
+    then each computed design as its last block merges — plus the
+    runtime's retry, pool-rebuild, degraded and resume events.  A
+    computed design's ``seconds`` is its own multiply, accumulate and
+    finalize time plus an equal share of the shared draws, so over a
+    campaign they sum to its compute time.
 
     Failed batches retry, broken pools rebuild and the run degrades to
     serial execution per the resilience policy (see
@@ -547,25 +485,12 @@ def characterize_many(
     design its own content-addressed per-block checkpoint, saved as each
     block group completes, so an interrupted campaign restarted with
     ``resume=True`` recomputes only the (design, block) pairs it had not
-    finished; finished designs are cache hits.  ``with_telemetry=True``
-    returns ``(results, snapshot)``.  ``warehouse`` opts into the
-    experiment warehouse (see :mod:`repro.warehouse`): designs whose
-    exact fingerprint was already recorded are served from the store
-    without a single model evaluation, only changed fingerprints
-    recompute, and the whole run is recorded with provenance and
-    reused-vs-recomputed flags per design.
+    finished.  ``warehouse`` selects the experiment warehouse (see
+    :mod:`repro.warehouse`): designs whose exact fingerprint was already
+    recorded are served from the store without a single model
+    evaluation, only changed fingerprints recompute, and the whole run is
+    recorded with provenance and reused-vs-recomputed flags per design.
     """
-    if with_telemetry:
-        return _recorded(
-            lambda: characterize_many(
-                multipliers, samples=samples, seed=seed, chunk=chunk,
-                workers=workers, cache=cache, progress=progress,
-                max_retries=max_retries, batch_timeout=batch_timeout,
-                policy=policy, checkpoint=checkpoint, resume=resume,
-                warehouse=warehouse, _warehouse_kind=_warehouse_kind,
-                _warehouse_decorate=_warehouse_decorate,
-            )
-        )
     _validate_engine_args(samples, chunk, workers)
     policy = _resolve_policy(policy, max_retries, batch_timeout)
     items = list(multipliers.items() if hasattr(multipliers, "items") else multipliers)
@@ -573,21 +498,8 @@ def characterize_many(
     for name, count in collections.Counter(names).items():
         if count > 1:
             raise ValueError(f"duplicate design name {name!r} in characterize_many")
-    if warehouse is not False:
-        from ..warehouse.store import open_warehouse
-
-        wh = open_warehouse(warehouse, cache)
-        if wh is not None:
-            try:
-                return _warehouse_many(
-                    wh, items, samples=samples, seed=seed, chunk=chunk,
-                    workers=workers, cache=cache, progress=progress,
-                    policy=policy, checkpoint=checkpoint, resume=resume,
-                    kind=_warehouse_kind, decorate=_warehouse_decorate,
-                )
-            finally:
-                wh.close()
     completed = 0
+    tele = telemetry.get()
 
     def on_metrics(name, metrics, seconds, outcome):
         nonlocal completed
@@ -596,7 +508,7 @@ def characterize_many(
             progress, event="design", design=name, index=completed,
             total=len(items), samples=samples, seconds=seconds, cache=outcome,
         )
-        telemetry.get().event(
+        tele.event(
             "mc.design", design=name, index=completed, total=len(items),
             cache=outcome,
         )
@@ -610,8 +522,11 @@ def characterize_many(
             for name, m in items
         ],
         samples,
+        seed,
         chunk,
-        cache=cache,
+        warehouse=warehouse,
+        kind=_warehouse_kind,
+        decorate=_warehouse_decorate,
         workers=workers,
         policy=policy,
         checkpoint=checkpoint,
@@ -623,7 +538,7 @@ def characterize_many(
 
 
 def _sampler_fingerprint(sampler) -> dict | None:
-    """A stable description of a sampler, or ``None`` if not cacheable."""
+    """A stable description of a sampler, or ``None`` if it has none."""
     describe = getattr(sampler, "fingerprint", None)
     if callable(describe):
         return describe()
@@ -644,14 +559,13 @@ def characterize_workload(
     chunk: int = _CHUNK,
     *,
     workers: int | None = None,
-    cache=None,
     progress=None,
     max_retries: int | None = None,
     batch_timeout: float | None = None,
     policy: ResiliencePolicy | None = None,
     checkpoint: bool = False,
     resume: bool = False,
-    with_telemetry: bool = False,
+    warehouse=None,
 ) -> ErrorMetrics:
     """Error statistics under an application-specific input distribution.
 
@@ -664,22 +578,13 @@ def characterize_workload(
     The sampler is the block draw of a one-design campaign: it is called
     once per fixed-size block with that block's substream, so — like
     :func:`characterize` — the input stream depends only on ``(seed,
-    samples)``, never on ``chunk`` or ``workers``.  Caching requires a
+    samples)``, never on ``chunk`` or ``workers``.  The warehouse reuses
+    and records the run (as a ``workload`` run) only for a
     fingerprintable sampler (the built-in sampler dataclasses are);
-    otherwise the run silently skips the cache.  Parallel runs require
-    the sampler to be picklable.  ``progress`` receives the events
-    :func:`characterize` sends.  ``with_telemetry=True`` returns
-    ``(metrics, TelemetrySnapshot)``.
+    otherwise the run skips the store.  Parallel runs require the
+    sampler to be picklable.  ``progress`` receives the events
+    :func:`characterize` sends.
     """
-    if with_telemetry:
-        return _recorded(
-            lambda: characterize_workload(
-                multiplier, sampler, samples=samples, seed=seed, chunk=chunk,
-                workers=workers, cache=cache, progress=progress,
-                max_retries=max_retries, batch_timeout=batch_timeout,
-                policy=policy, checkpoint=checkpoint, resume=resume,
-            )
-        )
     _validate_engine_args(samples, chunk, workers)
     sampler_info = _sampler_fingerprint(sampler)
     payload = None
@@ -698,9 +603,11 @@ def characterize_workload(
         SamplerDraw(sampler, seed),
         payload,
         samples,
+        seed,
         chunk,
         progress=progress,
-        cache=cache,
+        warehouse=warehouse,
+        kind="workload",
         workers=workers,
         policy=_resolve_policy(policy, max_retries, batch_timeout),
         checkpoint=checkpoint,
@@ -713,7 +620,7 @@ class GaussianSampler:
     """Clipped-Gaussian operand distribution (ML-weight-like magnitudes).
 
     A frozen dataclass so workload runs can be pickled to worker
-    processes and fingerprinted for the metrics cache.
+    processes and fingerprinted for the warehouse.
     """
 
     bitwidth: int

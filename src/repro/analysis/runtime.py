@@ -19,7 +19,7 @@ purity to make the fan-out *survivable*:
   batches, which is slower but cannot be killed by worker faults;
 * **checkpoint/resume** — completed per-block accumulators are
   periodically persisted, one checkpoint per design (content-addressed
-  like the metrics cache, see :class:`Checkpoint`), so a restarted
+  like warehouse rows, see :class:`Checkpoint`), so a restarted
   campaign recomputes only the unfinished (design, block) pairs.
 
 The unit of work is a batch of a campaign (:func:`run_campaign`): a
@@ -245,7 +245,7 @@ class Checkpoint:
     """Periodic persistence of completed per-block accumulators.
 
     Lives under ``<directory>/checkpoints/<key>.json`` where ``key`` is
-    the same content address the metrics cache would use for the run
+    the same content address the warehouse would use for the run
     (engine version, design fingerprint, seed, samples ...), so a
     checkpoint can never be replayed into a different campaign.  The
     file stores the full run payload plus one accumulator state per

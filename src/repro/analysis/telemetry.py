@@ -3,12 +3,12 @@
 The engine in :mod:`repro.analysis.montecarlo` /
 :mod:`repro.analysis.runtime` is parallel and fault-tolerant, which makes
 it a black box: where does a 2^24-sample campaign spend its time, how
-often does the cache hit, how many retries did a run absorb?  This module
+often does the warehouse hit, how many retries did a run absorb?  This module
 answers those questions with three primitives:
 
 * **spans** — ``with tele.span("mc.block", block=i):`` times a phase
   (wall *and* CPU seconds) and aggregates per-phase totals;
-* **counters and gauges** — monotonic counts (``cache.hits``,
+* **counters and gauges** — monotonic counts (``warehouse.hits``,
   ``runtime.retries``, ``runtime.checkpoint_writes``) and level samples
   (``mc.samples_per_sec``, ``pool.utilization``);
 * **events** — structured dicts appended to a JSONL sink, one line per
@@ -29,10 +29,10 @@ Design rules, enforced by ``tests/test_telemetry.py``:
   (the same injection pattern :class:`~repro.analysis.runtime.
   ResiliencePolicy` uses for sleep/jitter), so tests pin exact timings.
 
-The in-memory registry is queried with :meth:`Telemetry.snapshot`; the
-``characterize*`` functions, ``designspace.sweep`` and the experiment
-drivers return a per-call :class:`TelemetrySnapshot` delta alongside
-their results when called with ``with_telemetry=True``.
+The in-memory registry is queried with :meth:`Telemetry.snapshot`;
+:func:`recording` captures the per-call :class:`TelemetrySnapshot`
+delta of any block of work, such as one ``characterize*`` call, a
+``designspace.sweep`` or a table function of :mod:`repro.experiments`.
 
 The serving layer (:mod:`repro.serve`) emits into the same registry and
 trace format — its instrument names, asserted by ``tests/test_serve.py``
@@ -566,8 +566,8 @@ def recording():
 
     Uses the active registry when telemetry is enabled; otherwise
     activates a temporary in-memory registry (no sink, no files) for the
-    duration, so ``with_telemetry=True`` callers always get counters and
-    phase stats back even with tracing off.
+    duration, so callers always get counters and phase stats back even
+    with tracing off.
     """
     global _ACTIVE
     telemetry = get()

@@ -18,20 +18,21 @@
 ``--quick`` shrinks the Monte-Carlo depth for fast smoke runs; the
 defaults match the reproduction used in EXPERIMENTS.md.  ``--trace``
 records a JSONL telemetry trace of the whole command (per-phase wall/CPU
-timings, cache/retry counters — see ``repro.analysis.telemetry``), and
+timings, warehouse/retry counters — see ``repro.analysis.telemetry``), and
 ``telemetry summarize`` renders one as a per-phase table.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+import time
 
 import numpy as np
 
 from . import experiments, paper
 from .analysis import telemetry
-from .analysis.cache import cache_stats
 from .analysis.distribution import ascii_histogram
 from .analysis.montecarlo import characterize
 from .analysis.profiles import ascii_heatmap
@@ -89,11 +90,9 @@ def _known_design(args) -> "object":
 
 def _engine_options(args) -> dict:
     """Monte-Carlo engine knobs shared by the characterization commands."""
-    cache = False if getattr(args, "no_cache", False) else getattr(args, "cache", None)
     resume = getattr(args, "resume", False)
     return {
         "workers": getattr(args, "workers", None),
-        "cache": cache,
         "progress": _progress_printer(args),
         "max_retries": getattr(args, "max_retries", None),
         "batch_timeout": getattr(args, "batch_timeout", None),
@@ -111,6 +110,10 @@ def _warehouse_option(args):
     return getattr(args, "warehouse", None)
 
 
+#: how a progress event's ``cache`` outcome prints
+_OUTCOMES = {"warehouse": "reused", "miss": "computed, recorded", "off": "computed"}
+
+
 def _progress_printer(args):
     if not getattr(args, "progress", False):
         return None
@@ -120,7 +123,7 @@ def _progress_printer(args):
         if kind == "design":
             print(
                 f"[{event['index']}/{event['total']}] {event['design']}: "
-                f"{event['seconds']:.2f}s (cache {event['cache']})",
+                f"{event['seconds']:.2f}s ({_OUTCOMES[event['cache']]})",
                 file=sys.stderr,
             )
         elif kind == "done":
@@ -128,7 +131,7 @@ def _progress_printer(args):
             rate_text = f"  {rate / 1e6:.2f} Msamples/s" if rate else ""
             print(
                 f"{event['design']}: {event['samples']} samples in "
-                f"{event['seconds']:.2f}s{rate_text} (cache {event['cache']})",
+                f"{event['seconds']:.2f}s{rate_text} ({_OUTCOMES[event['cache']]})",
                 file=sys.stderr,
             )
         elif kind == "retry":
@@ -160,33 +163,30 @@ def _progress_printer(args):
     return emit
 
 
-class _RunSummary:
-    """Prints wall time, throughput and cache hit/miss counts on exit."""
+@contextlib.contextmanager
+def _run_summary(samples: int | None = None):
+    """Print wall time, throughput and the run's warehouse reuse on exit.
 
-    def __init__(self, samples: int | None = None):
-        self.samples = samples
-
-    def __enter__(self):
-        import time
-
-        self.start = time.perf_counter()
-        self.stats = cache_stats()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        import time
-
-        if exc_type is not None:
-            return
-        elapsed = time.perf_counter() - self.start
-        after = cache_stats()
-        hits = after.hits - self.stats.hits
-        misses = after.misses - self.stats.misses
-        parts = [f"wall {elapsed:.2f}s"]
-        if self.samples and elapsed > 0:
-            parts.append(f"{self.samples / elapsed / 1e6:.2f} Msamples/s/design")
-        parts.append(f"cache {hits} hit / {misses} miss")
-        print("# " + "  ".join(parts), file=sys.stderr)
+    The reused and computed design counts are this run's own
+    ``warehouse.hits``/``warehouse.misses`` counters
+    (:func:`~repro.analysis.telemetry.recording` works with telemetry
+    off).  A throughput is printed only when something was computed:
+    with the warehouse off, or with at least one design missing from it.
+    """
+    start = time.perf_counter()
+    with telemetry.recording() as rec:
+        yield
+    elapsed = time.perf_counter() - start
+    reused = rec.snapshot.counter("warehouse.hits")
+    computed = rec.snapshot.counter("warehouse.misses")
+    parts = [f"wall {elapsed:.2f}s"]
+    if samples and elapsed > 0 and (computed or not reused):
+        parts.append(f"{samples / elapsed / 1e6:.2f} Msamples/s/design")
+    if reused or computed:
+        parts.append(f"warehouse {reused} reused / {computed} computed")
+    else:
+        parts.append("warehouse off")
+    print("# " + "  ".join(parts), file=sys.stderr)
 
 
 def cmd_list(args) -> int:
@@ -225,7 +225,7 @@ def cmd_factors(args) -> int:
 
 def cmd_characterize(args) -> int:
     multiplier = _known_design(args)
-    with _RunSummary(_samples(args)):
+    with _run_summary(_samples(args)):
         metrics = characterize(multiplier, samples=_samples(args), **_engine_options(args))
     print(f"{multiplier.name}: {metrics}")
     reference = paper.TABLE1.get(args.design)
@@ -240,7 +240,7 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    with _RunSummary(_samples(args)):
+    with _run_summary(_samples(args)):
         text = experiments.table1_text(samples=_samples(args), **_engine_options(args))
     print(text)
     return 0
@@ -288,7 +288,7 @@ def cmd_fig3(args) -> int:
 
 
 def cmd_fig4(args) -> int:
-    with _RunSummary(_samples(args)):
+    with _run_summary(_samples(args)):
         data = experiments.fig4_designspace(
             source=args.source, samples=_samples(args), **_engine_options(args)
         )
@@ -498,9 +498,9 @@ def cmd_explore(args) -> int:
 def _serve_engine_options(args) -> dict:
     """Characterize-engine kwargs the serve command forwards per request."""
     engine: dict = {}
-    cache = False if args.no_cache else args.cache
-    if cache is not None:
-        engine["cache"] = cache
+    warehouse = _warehouse_option(args)
+    if warehouse is not None:
+        engine["warehouse"] = warehouse
     if args.max_retries is not None:
         engine["max_retries"] = args.max_retries
     if args.batch_timeout is not None:
@@ -881,6 +881,14 @@ def make_parser() -> argparse.ArgumentParser:
             help="disable the experiment warehouse",
         )
 
+    def _cache_flags(p, help):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument(
+            "--cache", nargs="?", const=True, default=None, metavar="DIR",
+            help=help,
+        )
+        group.add_argument("--no-cache", action="store_true")
+
     def common(p):
         p.add_argument(
             "--samples", type=_positive_int, default=experiments.DEFAULT_SAMPLES
@@ -909,26 +917,14 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--checkpoint",
             action="store_true",
-            help="periodically persist per-block state under the cache dir "
-            "so an interrupted run can be resumed",
+            help="periodically persist per-block state under $REPRO_CACHE_DIR "
+            "(else the user cache dir) so an interrupted run can be resumed",
         )
         p.add_argument(
             "--resume",
             action="store_true",
             help="skip blocks/designs a previous interrupted run already "
             "finished (implies --checkpoint)",
-        )
-        p.add_argument(
-            "--cache",
-            nargs="?",
-            const=True,
-            default=None,
-            metavar="DIR",
-            help="metrics cache directory (bare flag: $REPRO_CACHE_DIR or "
-            "the user cache dir; default: only if $REPRO_CACHE_DIR is set)",
-        )
-        p.add_argument(
-            "--no-cache", action="store_true", help="disable the metrics cache"
         )
         p.add_argument(
             "--progress",
@@ -1014,8 +1010,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--kind", default=None,
-        choices=("characterize", "sweep", "table1", "conformance", "formal",
-                 "cnn"),
+        choices=("characterize", "workload", "sweep", "table1", "conformance",
+                 "formal", "cnn"),
         help="only runs of this kind",
     )
     p.add_argument(
@@ -1097,15 +1093,11 @@ def make_parser() -> argparse.ArgumentParser:
         help="per-batch timeout for characterize requests",
     )
     p.add_argument(
-        "--cache", nargs="?", const=True, default=None, metavar="DIR",
-        help="metrics cache for characterize requests",
-    )
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a JSONL telemetry trace (serve.batch spans, shed "
         "counters, queue-depth gauges) to PATH",
     )
+    _warehouse_flags(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -1144,11 +1136,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="PATH",
         help="also write the deterministic JSON report to PATH",
     )
-    p.add_argument(
-        "--cache", nargs="?", const=True, default=None, metavar="DIR",
-        help="cache dir receiving shrunk counterexamples of failing runs",
-    )
-    p.add_argument("--no-cache", action="store_true")
+    _cache_flags(p, "cache dir receiving shrunk counterexamples of failing runs")
     p.add_argument(
         "--progress", action="store_true",
         help="print per-round coverage progress to stderr",
@@ -1201,11 +1189,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="PATH",
         help="also write the certificates as JSON to PATH",
     )
-    p.add_argument(
-        "--cache", nargs="?", const=True, default=None, metavar="DIR",
-        help="persist certificates under <cache>/formal/",
-    )
-    p.add_argument("--no-cache", action="store_true")
+    _cache_flags(p, "persist certificates under <cache>/formal/")
     p.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a JSONL telemetry trace (formal.encode/formal.solve "
@@ -1280,10 +1264,6 @@ def cmd_telemetry_summarize(args) -> int:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "no_cache", False) and getattr(args, "cache", None) is not None:
-        parser.error("--cache and --no-cache are mutually exclusive")
-    if getattr(args, "no_cache", False) and getattr(args, "resume", False):
-        parser.error("--resume needs the cache; it conflicts with --no-cache")
     if getattr(args, "no_warehouse", False) and getattr(args, "warehouse", None) is not None:
         parser.error("--warehouse and --no-warehouse are mutually exclusive")
     trace = getattr(args, "trace", None)

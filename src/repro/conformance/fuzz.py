@@ -325,8 +325,8 @@ def fuzz(
     ``budget`` bounds generated operand pairs; the campaign stops early on
     full coverage of every reachable cell and LSB pattern.  ``workers``
     fans batch evaluation out over a process pool — the result is
-    bit-identical at any worker count.  ``cache`` resolves like the
-    metrics cache (``None``: only if ``REPRO_CACHE_DIR`` is set) and
+    bit-identical at any worker count.  ``cache`` resolves the state
+    directory (``None``: only if ``REPRO_CACHE_DIR`` is set) and
     receives the shrunk counterexamples of a failing run.  ``warehouse``
     opts into the experiment warehouse: the campaign summary (coverage,
     divergences, counterexample count) is recorded as one

@@ -43,7 +43,6 @@ from ..analysis import chaos, telemetry
 from ..circuits.catalog import NETLISTS, netlist_for
 from ..core.realm import RealmMultiplier
 from ..kernels import compile_netlist, kernel_for
-from ..logic.sim import evaluate_words
 from ..multipliers.registry import REGISTRY, build
 
 __all__ = [
@@ -204,22 +203,14 @@ class DifferentialOracle:
 
     The ``kernel`` layer compares the compiled evaluator of
     :mod:`repro.kernels` against the model on every pair; it is always
-    available.  ``compiled_rtl`` (default on) evaluates the ``rtl``
-    layer through the bit-parallel :class:`~repro.kernels.NetlistKernel`
-    instead of the per-gate interpreter — bit-identical by construction
-    and roughly an order of magnitude faster, which is what makes
-    gate-level fuzzing batches affordable; pass ``False`` to force the
-    interpreted simulator.
+    available.  The ``rtl`` layer runs the netlist through the
+    bit-parallel :class:`~repro.kernels.NetlistKernel` — bit-identical
+    to the per-gate simulator by construction and roughly an order of
+    magnitude faster, which is what makes gate-level fuzzing batches
+    affordable.
     """
 
-    def __init__(
-        self,
-        design: str,
-        bitwidth: int | None = None,
-        layers=None,
-        *,
-        compiled_rtl: bool = True,
-    ):
+    def __init__(self, design: str, bitwidth: int | None = None, layers=None):
         self.design, self.model, rtl_factory, servable = resolve_design(
             design, bitwidth
         )
@@ -243,7 +234,7 @@ class DifferentialOracle:
                     self._netlist = rtl_factory()
                 except ValueError as exc:
                     self.skipped_layers["rtl"] = f"netlist unbuildable: {exc}"
-            if self._netlist is not None and compiled_rtl:
+            if self._netlist is not None:
                 self._rtl_kernel = compile_netlist(self._netlist)
         if "serve" in requested and not servable:
             self.skipped_layers["serve"] = "not a registry id; serve cannot resolve it"
@@ -307,9 +298,7 @@ class DifferentialOracle:
         n = self.bitwidth
         netlist = self._netlist
         buses = [netlist.inputs[:n], netlist.inputs[n:]]
-        if self._rtl_kernel is not None:
-            return self._rtl_kernel.evaluate_words(buses, [a, b])
-        return evaluate_words(netlist, buses, [a, b])
+        return self._rtl_kernel.evaluate_words(buses, [a, b])
 
     def _eval_kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return kernel_for(self.model)(a, b)

@@ -14,7 +14,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import paper
-from .analysis import telemetry
 from .analysis.designspace import DesignPoint, fig4_front, fig4_points, sweep
 from .analysis.distribution import Histogram, error_histogram
 from .analysis.montecarlo import characterize, characterize_many
@@ -92,47 +91,34 @@ def table1_errors(
     seed: int = 2020,
     *,
     workers: int | None = None,
-    cache=None,
     progress=None,
     max_retries: int | None = None,
     batch_timeout: float | None = None,
     checkpoint: bool = False,
     resume: bool = False,
-    with_telemetry: bool = False,
     warehouse=None,
 ) -> list[dict]:
     """Error columns of Table I: measured next to the published values.
 
     The designs run as one block-major campaign (see
     :func:`~repro.analysis.montecarlo.characterize_many`): ``workers``
-    fans its block groups out over a process pool and ``cache``
-    memoizes per-design metrics on disk (see ``repro.analysis.cache``);
-    ``progress`` receives one event dict per completed design.  The
-    resilience knobs (``max_retries``/``batch_timeout``/``checkpoint``/
-    ``resume``) forward to the engine, so a long campaign survives
-    worker faults and can resume after an interruption.
-    ``with_telemetry=True`` returns ``(rows, TelemetrySnapshot)`` with
-    the campaign's per-phase timings and counters.  ``warehouse`` opts
-    into the experiment warehouse (see :mod:`repro.warehouse`): designs
-    whose fingerprint is already recorded are served from the store,
-    and the campaign is recorded as one ``table1`` run.
+    fans its block groups out over a process pool and ``progress``
+    receives one event dict per completed design.  The resilience knobs
+    (``max_retries``/``batch_timeout``/``checkpoint``/``resume``)
+    forward to the engine, so a long campaign survives worker faults and
+    can resume after an interruption.  ``warehouse`` selects the
+    experiment warehouse (see :mod:`repro.warehouse`): designs whose
+    fingerprint is already recorded are served from the store, and the
+    campaign is recorded as one ``table1`` run.  Peaks certified by
+    ``repro formal`` under ``$REPRO_CACHE_DIR/formal/`` replace the
+    sampled ones.
     """
-    if with_telemetry:
-        with telemetry.recording() as rec:
-            rows = table1_errors(
-                samples, ids, seed, workers=workers, cache=cache,
-                progress=progress, max_retries=max_retries,
-                batch_timeout=batch_timeout, checkpoint=checkpoint,
-                resume=resume, warehouse=warehouse,
-            )
-        return rows, rec.snapshot
     designs = [(name, build(name)) for name in ids]
     measured = characterize_many(
         designs,
         samples=samples,
         seed=seed,
         workers=workers,
-        cache=cache,
         progress=progress,
         max_retries=max_retries,
         batch_timeout=batch_timeout,
@@ -145,7 +131,7 @@ def table1_errors(
     for name, multiplier in designs:
         metrics = measured[name]
         reference = paper.TABLE1.get(name)
-        certified = _certified_peaks(name, multiplier, metrics, cache)
+        certified = _certified_peaks(name, multiplier, metrics)
         rows.append(
             {
                 "name": name,
@@ -162,19 +148,19 @@ def table1_errors(
     return rows
 
 
-def _certified_peaks(name, multiplier, metrics, cache):
+def _certified_peaks(name, multiplier, metrics):
     """Certified ``(min%, max%)`` peaks for a Table I row, else ``None``.
 
     Prefers a certificate attached to the metrics themselves (exhaustive
-    sweeps), then a stored ``repro formal`` worst-case certificate that is
-    both exact and replayed.
+    sweeps), then a stored ``repro formal`` worst-case certificate under
+    ``$REPRO_CACHE_DIR`` that is both exact and replayed.
     """
     if metrics.peak_certified is not None:
         return metrics.peak_certified
     from .formal.certificates import load_certificate
 
     payload = load_certificate(
-        name, multiplier.bitwidth, "worst-case-error", cache
+        name, multiplier.bitwidth, "worst-case-error", None
     )
     if not payload or not payload.get("exact") or not payload.get("replayed"):
         return None
@@ -216,7 +202,6 @@ def table1_text(
     ids=TABLE1_IDS,
     *,
     workers: int | None = None,
-    cache=None,
     progress=None,
     max_retries: int | None = None,
     batch_timeout: float | None = None,
@@ -228,7 +213,7 @@ def table1_text(
     errors = {
         r["name"]: r
         for r in table1_errors(
-            samples, ids, workers=workers, cache=cache, progress=progress,
+            samples, ids, workers=workers, progress=progress,
             max_retries=max_retries, batch_timeout=batch_timeout,
             checkpoint=checkpoint, resume=resume, warehouse=warehouse,
         )
@@ -355,35 +340,18 @@ def fig4_designspace(
     samples: int = DEFAULT_SAMPLES,
     *,
     workers: int | None = None,
-    cache=None,
     progress=None,
     max_retries: int | None = None,
     batch_timeout: float | None = None,
     checkpoint: bool = False,
     resume: bool = False,
-    with_telemetry: bool = False,
     warehouse=None,
 ) -> dict:
-    """Fig. 4: the four panels' points and Pareto fronts.
-
-    ``with_telemetry=True`` adds a ``"telemetry"`` key holding the
-    sweep's :class:`~repro.analysis.telemetry.TelemetrySnapshot`.
-    """
-    if with_telemetry:
-        with telemetry.recording() as rec:
-            result = fig4_designspace(
-                source, samples, workers=workers, cache=cache,
-                progress=progress, max_retries=max_retries,
-                batch_timeout=batch_timeout, checkpoint=checkpoint,
-                resume=resume, warehouse=warehouse,
-            )
-        result["telemetry"] = rec.snapshot
-        return result
+    """Fig. 4: the four panels' points and Pareto fronts."""
     points = sweep(
         samples=samples,
         source=source,
         workers=workers,
-        cache=cache,
         progress=progress,
         max_retries=max_retries,
         batch_timeout=batch_timeout,

@@ -1,13 +1,14 @@
-"""Persisted formal certificates, next to the metrics cache.
+"""Persisted formal certificates, under the state directory.
 
 Certificates are small JSON documents (an equivalence verdict with its
 per-leg statuses and witnesses, or a worst-case error bound with its
 exact rational value and replayed witness) stored under a ``formal/``
-sibling of the metrics cache directory — one file per
+subdirectory of ``$REPRO_CACHE_DIR`` (see
+:func:`repro.analysis.cache.resolve_cache_dir`) — one file per
 ``(design, bitwidth, kind)``, human-readable, and cheap enough to
 upload wholesale as CI artifacts.
 
-Unlike the content-addressed metrics cache, certificate filenames are
+Unlike the content-addressed warehouse rows, certificate filenames are
 *claims*: ``realm16-t0-b16-equivalence.json`` states what was certified
 for whom.  The payload embeds everything needed to re-check the claim
 (witness operands, exact fractions, method, backend), so a stale or
@@ -33,7 +34,7 @@ __all__ = [
 
 
 def certificate_dir(cache=True) -> pathlib.Path | None:
-    """The ``formal/`` directory beside the metrics cache, or ``None``."""
+    """The ``formal/`` directory under the state directory, or ``None``."""
     base = resolve_cache_dir(cache)
     if base is None:
         return None

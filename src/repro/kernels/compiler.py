@@ -14,7 +14,7 @@ bit-identical to the interpreted datapath.
 
 The compile cache is keyed on ``(registry fingerprint, KERNEL_VERSION)``:
 the fingerprint covers every functional attribute of the instance (the
-same content address the metrics cache trusts), and the version bumps
+same content address the warehouse trusts), and the version bumps
 whenever kernel *generation* changes — so a new kernel scheme can never
 serve tables compiled by an old one.  The cache is bounded by
 :data:`KERNEL_CACHE_BYTES` of tables and evicts least recently used

@@ -153,7 +153,7 @@ def fingerprint(multiplier: Multiplier) -> dict:
     Covers the class identity, bitwidth and every instance attribute
     (scalars directly, dataclass configs field by field, arrays as SHA-256
     content digests), so two instances fingerprint equally iff they
-    compute the same function.  The metrics cache keys on this.
+    compute the same function.  Warehouse rows are keyed on this.
     """
     info: dict = {
         "class": type(multiplier).__qualname__,

@@ -2,8 +2,8 @@
 
 Exposes the multiplier registry and the characterization engine as a
 request/response service: ``multiply`` (micro-batched, bit-identical to
-direct model calls), ``characterize`` (the cached/resilient Monte-Carlo
-engine with shared-pool reuse) and ``designs`` over newline-delimited
+direct model calls), ``characterize`` (the resilient Monte-Carlo engine,
+with shared-pool and warehouse reuse) and ``designs`` over newline-delimited
 JSON on TCP, plus an in-process transport for deterministic tests.  See
 ``DESIGN.md`` §10 for the batching and backpressure guarantees.
 

@@ -3,7 +3,7 @@
 :class:`Service` is the transport-independent core — it turns one
 decoded request into one response dict, multiplying through the
 micro-batcher (:mod:`repro.serve.batcher`), characterizing through the
-cached/resilient Monte-Carlo engine (off the event loop, with a
+resilient Monte-Carlo engine (off the event loop, with a
 :class:`~repro.analysis.runtime.SharedPool` reused across requests),
 and answering ``designs``/``ping`` from the registry.
 :meth:`Service.handle_line` adds the framing layer: any input line in,
@@ -61,7 +61,7 @@ class Service:
     ``workers`` > 1 gives characterize requests a :class:`SharedPool`
     whose worker processes are reused across requests; ``engine`` is a
     dict of extra :func:`~repro.analysis.montecarlo.characterize`
-    keyword arguments (``cache=``, ``max_retries=``, ...);
+    keyword arguments (``warehouse=``, ``max_retries=``, ...);
     ``characterize_slots`` bounds concurrent characterize runs (default
     1 — the engine parallelizes internally, and the shared pool is not
     thread-safe).

@@ -4,18 +4,16 @@ A SQLite database (by default ``<cache-dir>/warehouse/warehouse.db``)
 recording each characterization, design-space sweep, conformance
 campaign and formal-certificate run together with its provenance —
 registry fingerprints, engine/kernel versions, seed, git revision,
-wall clock and telemetry counters.  Sitting above the per-entry metrics
-cache, it answers two questions the cache cannot: *how did this design's
-error trend across runs* (``repro report``) and *which designs actually
-changed since last time* (incremental recompute in
-:func:`repro.analysis.montecarlo.characterize_many`,
-:func:`repro.analysis.designspace.sweep` and
-:func:`repro.experiments.table1_errors`).
+wall clock and telemetry counters.  It is the one store of Monte-Carlo
+results, and answers two questions: *which designs actually changed
+since last time* (reuse and incremental recompute on every engine entry
+point, :func:`repro.analysis.montecarlo.characterize_many` and every
+table built on it) and *how did this design's error trend across
+runs* (``repro report``).
 
-Opt-in resolution (mirrors the metrics cache): pass ``warehouse=True`` /
-a path, or set :data:`REPRO_WAREHOUSE_DIR <WAREHOUSE_ENV>`; the default
-``None`` enables the store only when that variable is set, so existing
-cache-only workflows are untouched.
+Opt-in resolution: pass ``warehouse=True`` / a path, or set
+:data:`REPRO_WAREHOUSE_DIR <WAREHOUSE_ENV>`; the default ``None``
+enables the store only when that variable is set.
 """
 
 from .provenance import Provenance, capture, git_rev

@@ -1,12 +1,12 @@
-"""SQLite-backed experiment warehouse under the cache directory.
+"""SQLite-backed experiment warehouse: the one store of results.
 
 One database records every characterization, design-space sweep,
 conformance campaign and formal-certificate run with full provenance
-(see :mod:`repro.warehouse.schema` for the row layout).  The store is
-the queryable tier above the content-addressed metrics cache: cache
-entries memoize one run each, the warehouse keeps *all* of them with
-their run context, so trends across PRs and incremental recompute both
-become single queries.
+(see :mod:`repro.warehouse.schema` for the row layout).  Rows are keyed
+by the content address of their run description
+(:func:`~repro.analysis.cache.cache_key`), and every run is kept with
+its context, so reuse of a stored result, incremental recompute and
+trends across PRs are all single queries.
 
 Guarantees, enforced by ``tests/test_warehouse.py``:
 
@@ -99,7 +99,11 @@ class RunRow:
 
 @dataclasses.dataclass(frozen=True)
 class ResultRow:
-    """One design's result within a run, keyed by its fingerprint."""
+    """One design's result within a run, keyed by its fingerprint.
+
+    ``payload`` and ``data`` are ``None`` when their stored JSON is
+    damaged (a hand-edited database); such a row is never reused.
+    """
 
     id: int
     run_id: int
@@ -116,7 +120,7 @@ def resolve_warehouse_path(warehouse, cache=None) -> pathlib.Path | None:
     * ``False`` — warehouse off;
     * ``None`` (default) — on only if :data:`WAREHOUSE_ENV` is set;
     * ``True`` — :data:`WAREHOUSE_ENV`, else a ``warehouse/`` subdirectory
-      of the resolved metrics cache directory (so ``clear_cache`` owns it);
+      of the resolved state directory (so ``clear_cache`` owns it);
     * a path — that directory (or the file itself when it ends in ``.db``).
     """
     if warehouse is False:
@@ -333,7 +337,7 @@ class Warehouse:
         ``"metrics"`` key (sweep/table rows with synthesis columns).
         Rows whose data does not validate as a complete metrics field set
         (hand-edited databases, rows of a different kind) are treated as
-        misses, mirroring the metrics cache's corrupt-entry semantics.
+        misses, so a damaged row is recomputed, never replayed.
         """
         row = self.latest(fingerprint)
         if row is None:
@@ -418,13 +422,7 @@ class Warehouse:
 
     @staticmethod
     def _run_row(row: sqlite3.Row) -> RunRow:
-        keys = row.keys()
-        counters = {}
-        if "counters" in keys and row["counters"]:
-            try:
-                counters = json.loads(row["counters"])
-            except ValueError:
-                counters = {}
+        counters = _loads(row["counters"]) if "counters" in row.keys() else None
         return RunRow(
             id=row["id"],
             kind=row["kind"],
@@ -446,7 +444,15 @@ class Warehouse:
             run_id=row["run_id"],
             design=row["design"],
             fingerprint=row["fingerprint"],
-            payload=json.loads(row["payload"]),
-            data=json.loads(row["data"]),
+            payload=_loads(row["payload"]),
+            data=_loads(row["data"]),
             reused=bool(row["reused"]) if "reused" in keys else False,
         )
+
+
+def _loads(text):
+    """A JSON column's value, or ``None`` for a damaged (hand-edited) one."""
+    try:
+        return json.loads(text)
+    except (TypeError, ValueError):
+        return None

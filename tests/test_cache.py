@@ -1,19 +1,18 @@
-"""Tests for the on-disk metrics cache and config fingerprinting."""
+"""Tests for content addressing, the state directory, and the reuse of
+Monte-Carlo results through the experiment warehouse."""
 
 from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import time
 
+from repro.analysis import telemetry
 from repro.analysis.cache import (
     STALE_TEMP_SECONDS,
     cache_key,
-    cache_stats,
     clear_cache,
-    invalidate,
-    load_metrics,
-    reset_cache_stats,
     resolve_cache_dir,
     sweep_stale_temps,
 )
@@ -25,6 +24,7 @@ from repro.analysis.montecarlo import (
 from repro.core.realm import RealmMultiplier
 from repro.multipliers.accurate import AccurateMultiplier
 from repro.multipliers.registry import build, fingerprint
+from repro.warehouse import Warehouse
 
 #: multiply-call counter shared by CountingAccurate instances; module-level
 #: so the instances carry no mutable attributes into their fingerprints
@@ -37,72 +37,101 @@ class CountingAccurate(AccurateMultiplier):
         return super()._multiply(a, b)
 
 
+def _rows(directory):
+    """Every result row recorded in the warehouse under ``directory``."""
+    return Warehouse(directory / "warehouse.db").results()
+
+
+def _edit_data(directory, edit):
+    """Rewrite every stored row's data with ``edit(data)`` (a hand edit)."""
+    connection = sqlite3.connect(directory / "warehouse.db")
+    for row_id, text in connection.execute("SELECT id, data FROM results").fetchall():
+        connection.execute(
+            "UPDATE results SET data = ? WHERE id = ?",
+            (edit(json.loads(text)), row_id),
+        )
+    connection.commit()
+    connection.close()
+
+
 class TestCacheRoundtrip:
     def test_hit_skips_multiply_and_equals_miss(self, tmp_path):
         multiplier = CountingAccurate()
         CALLS["n"] = 0
-        first = characterize(multiplier, samples=1 << 14, cache=tmp_path)
+        first = characterize(multiplier, samples=1 << 14, warehouse=tmp_path)
         assert CALLS["n"] > 0
         CALLS["n"] = 0
-        second = characterize(multiplier, samples=1 << 14, cache=tmp_path)
-        assert CALLS["n"] == 0  # served from disk, multiply never ran
+        second = characterize(multiplier, samples=1 << 14, warehouse=tmp_path)
+        assert CALLS["n"] == 0  # served from the store, multiply never ran
         assert second == first  # bit-exact float round-trip through JSON
 
     def test_stats_count_hits_and_misses(self, tmp_path):
-        reset_cache_stats()
         multiplier = RealmMultiplier(m=4)
-        characterize(multiplier, samples=1 << 13, cache=tmp_path)
-        characterize(multiplier, samples=1 << 13, cache=tmp_path)
-        stats = cache_stats()
-        assert stats.misses == 1
-        assert stats.hits == 1
-        assert stats.stores == 1
+        with telemetry.recording() as rec:
+            characterize(multiplier, samples=1 << 13, warehouse=tmp_path)
+            characterize(multiplier, samples=1 << 13, warehouse=tmp_path)
+        assert rec.snapshot.counter("warehouse.misses") == 1
+        assert rec.snapshot.counter("warehouse.hits") == 1
+        assert rec.snapshot.counter("warehouse.records") == 2
 
     def test_progress_reports_cache_outcome(self, tmp_path):
         events = []
         multiplier = RealmMultiplier(m=4)
-        characterize(
-            multiplier, samples=1 << 13, cache=tmp_path, progress=events.append
-        )
-        characterize(
-            multiplier, samples=1 << 13, cache=tmp_path, progress=events.append
-        )
+        for warehouse in (False, tmp_path, tmp_path):
+            characterize(
+                multiplier, samples=1 << 13, warehouse=warehouse,
+                progress=events.append,
+            )
         outcomes = [e["cache"] for e in events if e["event"] == "done"]
-        assert outcomes == ["miss", "hit"]
+        assert outcomes == ["off", "miss", "warehouse"]
 
     def test_corrupted_entry_falls_back_to_recompute(self, tmp_path):
         multiplier = RealmMultiplier(m=4)
-        first = characterize(multiplier, samples=1 << 13, cache=tmp_path)
-        (entry,) = tmp_path.glob("*.json")
-        entry.write_text("{not json")
-        second = characterize(multiplier, samples=1 << 13, cache=tmp_path)
+        first = characterize(multiplier, samples=1 << 13, warehouse=tmp_path)
+        _edit_data(tmp_path, lambda data: "{not json")
+        second = characterize(multiplier, samples=1 << 13, warehouse=tmp_path)
         assert second == first
-        # the entry was repaired and now loads cleanly
-        assert json.loads(entry.read_text())["metrics"]["samples"] > 0
+        # the recompute was recorded as a fresh row that loads cleanly
+        latest = _rows(tmp_path)[-1]
+        assert not latest.reused
+        assert latest.data["samples"] > 0
 
     def test_rejects_entry_with_wrong_fields(self, tmp_path):
         multiplier = RealmMultiplier(m=4)
-        first = characterize(multiplier, samples=1 << 13, cache=tmp_path)
-        (entry,) = tmp_path.glob("*.json")
-        data = json.loads(entry.read_text())
-        data["metrics"].pop("bias")
-        entry.write_text(json.dumps(data))
-        key = entry.stem
-        assert load_metrics(tmp_path, key) is None
-        assert characterize(multiplier, samples=1 << 13, cache=tmp_path) == first
+        first = characterize(multiplier, samples=1 << 13, warehouse=tmp_path)
+        _edit_data(
+            tmp_path,
+            lambda data: json.dumps({k: v for k, v in data.items() if k != "bias"}),
+        )
+        (row,) = _rows(tmp_path)
+        wh = Warehouse(tmp_path / "warehouse.db")
+        assert wh.latest_metrics(row.fingerprint) is None
+        assert characterize(multiplier, samples=1 << 13, warehouse=tmp_path) == first
+        assert [row.reused for row in _rows(tmp_path)] == [False, False]
 
     def test_workload_runs_cache_too(self, tmp_path):
         realm = RealmMultiplier(m=4)
         sampler = gaussian_sampler(16)
+        CALLS["n"] = 0
         first = characterize_workload(
-            realm, sampler, samples=1 << 13, cache=tmp_path
+            CountingAccurate(), sampler, samples=1 << 13, warehouse=tmp_path
         )
-        reset_cache_stats()
-        second = characterize_workload(
-            realm, sampler, samples=1 << 13, cache=tmp_path
-        )
+        assert CALLS["n"] > 0
+        CALLS["n"] = 0
+        with telemetry.recording() as rec:
+            second = characterize_workload(
+                CountingAccurate(), sampler, samples=1 << 13, warehouse=tmp_path
+            )
         assert second == first
-        assert cache_stats().hits == 1
+        assert CALLS["n"] == 0  # zero model evaluations on the warm run
+        assert rec.snapshot.counter("warehouse.hits") == 1
+        # a workload row never stands in for the uniform run of the design
+        uniform = characterize(realm, samples=1 << 13, warehouse=tmp_path)
+        assert uniform != characterize_workload(
+            realm, sampler, samples=1 << 13, warehouse=tmp_path
+        )
+        kinds = [run.kind for run in Warehouse(tmp_path / "warehouse.db").runs()]
+        assert kinds == ["workload", "workload", "characterize", "workload"]
 
     def test_unfingerprintable_sampler_skips_cache(self, tmp_path):
         realm = RealmMultiplier(m=4)
@@ -111,8 +140,8 @@ class TestCacheRoundtrip:
         def sampler(rng, n):  # a closure: no stable fingerprint
             return rng.integers(0, high, n), rng.integers(0, high, n)
 
-        characterize_workload(realm, sampler, samples=1 << 13, cache=tmp_path)
-        assert list(tmp_path.glob("*.json")) == []
+        characterize_workload(realm, sampler, samples=1 << 13, warehouse=tmp_path)
+        assert list(tmp_path.iterdir()) == []  # nothing recorded, no store
 
 
 class TestCacheKeys:
@@ -126,8 +155,10 @@ class TestCacheKeys:
             (RealmMultiplier(m=8, t=0), 7),
         ]
         for multiplier, seed in runs:
-            characterize(multiplier, samples=1 << 12, seed=seed, cache=tmp_path)
-        assert len(list(tmp_path.glob("*.json"))) == len(runs)
+            characterize(multiplier, samples=1 << 12, seed=seed, warehouse=tmp_path)
+        rows = _rows(tmp_path)
+        assert not any(row.reused for row in rows)
+        assert len({row.fingerprint for row in rows}) == len(runs)
 
     def test_key_changes_with_samples(self):
         base = {"design": fingerprint(RealmMultiplier(m=8)), "seed": 2020}
@@ -159,25 +190,34 @@ class TestCacheResolution:
         assert resolve_cache_dir(False) is None
 
     def test_env_var_opts_in_globally(self, monkeypatch, tmp_path):
+        # the state directory holds the default warehouse (and checkpoints
+        # and certificates), never a metrics file of its own
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_WAREHOUSE_DIR", raising=False)
         assert resolve_cache_dir(None) == tmp_path
         characterize(RealmMultiplier(m=4), samples=1 << 12)
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        assert list(tmp_path.iterdir()) == []
+        characterize(RealmMultiplier(m=4), samples=1 << 12, warehouse=True)
+        assert len(_rows(tmp_path / "warehouse")) == 1
+        assert list(tmp_path.rglob("*.json")) == []
 
     def test_explicit_false_beats_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        characterize(RealmMultiplier(m=4), samples=1 << 12, cache=False)
-        assert list(tmp_path.glob("*.json")) == []
+        monkeypatch.setenv("REPRO_WAREHOUSE_DIR", str(tmp_path))
+        characterize(RealmMultiplier(m=4), samples=1 << 12, warehouse=False)
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalidate_and_clear(self, tmp_path):
+        # clearing the state directory drops its warehouse: nothing
+        # recorded there is reused afterwards
         multiplier = RealmMultiplier(m=4)
-        characterize(multiplier, samples=1 << 12, cache=tmp_path)
-        characterize(multiplier, samples=1 << 13, cache=tmp_path)
-        (entry, _) = sorted(tmp_path.glob("*.json"))
-        assert invalidate(entry.stem, cache=tmp_path) is True
-        assert invalidate(entry.stem, cache=tmp_path) is False
+        store = tmp_path / "warehouse"
+        characterize(multiplier, samples=1 << 12, warehouse=store)
+        characterize(multiplier, samples=1 << 13, warehouse=store)
         assert clear_cache(tmp_path) == 1
-        assert list(tmp_path.glob("*.json")) == []
+        with telemetry.recording() as rec:
+            characterize(multiplier, samples=1 << 12, warehouse=store)
+        assert rec.snapshot.counter("warehouse.misses") == 1
 
 
 def _backdate(path, age_seconds):
@@ -204,34 +244,26 @@ class TestStaleTempSweep:
     def test_missing_directory_is_a_noop(self, tmp_path):
         assert sweep_stale_temps(tmp_path / "never-created") == 0
 
-    def test_cache_init_sweeps_orphans(self, tmp_path):
-        orphan = tmp_path / "dead.tmp999"
-        orphan.write_text("x")
-        _backdate(orphan, STALE_TEMP_SECONDS + 60)
-        # the first store into this directory garbage-collects it
-        characterize(RealmMultiplier(m=4), samples=1 << 12, cache=tmp_path)
-        assert not orphan.exists()
-        assert len(list(tmp_path.glob("*.json"))) == 1
-
     def test_clear_cache_drops_checkpoints_and_temps(self, tmp_path):
-        characterize(RealmMultiplier(m=4), samples=1 << 12, cache=tmp_path)
+        characterize(
+            RealmMultiplier(m=4), samples=1 << 12, warehouse=tmp_path / "warehouse"
+        )
         ckpt_dir = tmp_path / "checkpoints"
         ckpt_dir.mkdir()
         (ckpt_dir / "run.json").write_text("{}")
         orphan = ckpt_dir / "run.tmp1"
         orphan.write_text("x")
         _backdate(orphan, STALE_TEMP_SECONDS + 60)
-        assert clear_cache(tmp_path) == 2  # the entry + the checkpoint
-        assert list(tmp_path.glob("*.json")) == []
+        assert clear_cache(tmp_path) == 2  # the database + the checkpoint
+        assert not (tmp_path / "warehouse" / "warehouse.db").exists()
         assert not (ckpt_dir / "run.json").exists()
         assert not orphan.exists()
 
 
 class TestClearCacheSubsystems:
-    """clear_cache must empty every store that lives under the cache
-    directory, not just the top-level metrics entries — one regression
-    per subsystem so a future store addition that forgets to register
-    its glob fails here by name."""
+    """clear_cache must empty every store that lives under the state
+    directory — one regression per subsystem so a future store addition
+    that forgets to register its glob fails here by name."""
 
     def test_clears_formal_certificates(self, tmp_path):
         formal = tmp_path / "formal"
@@ -264,14 +296,13 @@ class TestClearCacheSubsystems:
         assert list(warehouse.iterdir()) == []
 
     def test_clears_every_store_in_one_call(self, tmp_path):
-        (tmp_path / ("a" * 64 + ".json")).write_text("{}")
         for name in ("checkpoints", "formal", "conformance", "warehouse"):
             (tmp_path / name).mkdir()
         (tmp_path / "checkpoints" / "run.json").write_text("{}")
         (tmp_path / "formal" / "cert.json").write_text("{}")
         (tmp_path / "conformance" / "campaign.json").write_text("{}")
         (tmp_path / "warehouse" / "warehouse.db").write_text("x")
-        assert clear_cache(tmp_path) == 5
+        assert clear_cache(tmp_path) == 4
         for name in ("checkpoints", "formal", "conformance", "warehouse"):
             assert list((tmp_path / name).iterdir()) == []
 

@@ -48,7 +48,7 @@ def calm():
 
 @pytest.fixture()
 def reference(calm):
-    return characterize(calm, samples=SAMPLES, seed=SEED, chunk=CHUNK, cache=False)
+    return characterize(calm, samples=SAMPLES, seed=SEED, chunk=CHUNK)
 
 
 def run(calm, *, workers=None, policy=None, progress=None, **kwargs):
@@ -57,7 +57,6 @@ def run(calm, *, workers=None, policy=None, progress=None, **kwargs):
         samples=SAMPLES,
         seed=SEED,
         chunk=CHUNK,
-        cache=False,
         workers=workers,
         policy=policy,
         progress=progress,
@@ -230,11 +229,12 @@ def count_blocks(monkeypatch):
 
 class TestCheckpointResume:
     def test_characterize_resumes_only_unfinished_blocks(
-        self, tmp_path, calm, count_blocks
+        self, tmp_path, calm, count_blocks, monkeypatch
     ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         samples = 4 * BLOCK
         reference = characterize(
-            calm, samples=samples, seed=SEED, chunk=CHUNK, cache=False
+            calm, samples=samples, seed=SEED, chunk=CHUNK
         )
         count_blocks.executed.clear()
 
@@ -244,7 +244,7 @@ class TestCheckpointResume:
         with pytest.raises(BatchFailure):
             characterize(
                 calm, samples=samples, seed=SEED, chunk=CHUNK,
-                cache=tmp_path, checkpoint=True,
+                checkpoint=True,
                 policy=ResiliencePolicy(max_retries=0, **FAST),
             )
         assert count_blocks.executed == [(calm.name, 0), (calm.name, 1)]
@@ -253,20 +253,22 @@ class TestCheckpointResume:
         count_blocks.executed.clear()
         resumed = characterize(
             calm, samples=samples, seed=SEED, chunk=CHUNK,
-            cache=tmp_path, checkpoint=True, resume=True,
+            checkpoint=True, resume=True,
         )
         assert count_blocks.executed == [(calm.name, 2), (calm.name, 3)]
         assert resumed == reference
 
-    def test_sweep_resumes_from_checkpoints(self, tmp_path, count_blocks):
+    def test_sweep_resumes_from_checkpoints(self, tmp_path, count_blocks, monkeypatch):
         """An interrupted ``designspace.sweep`` resumed with
         ``resume=True`` recomputes only the unfinished (design, block)
-        pairs, in block-major order."""
+        pairs, in block-major order, from checkpoints under
+        ``$REPRO_CACHE_DIR``."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         ids = ("calm", "drum-k8", "realm4-t9")
         samples = 4 * BLOCK
         reference = {
             p.name: p.metrics
-            for p in sweep(ids, samples=samples, chunk=CHUNK, cache=False)
+            for p in sweep(ids, samples=samples, chunk=CHUNK)
         }
         count_blocks.executed.clear()
         calm, drum, realm = (build(name).name for name in ids)
@@ -278,7 +280,7 @@ class TestCheckpointResume:
         )
         with pytest.raises(BatchFailure) as excinfo:
             sweep(
-                ids, samples=samples, chunk=CHUNK, cache=tmp_path,
+                ids, samples=samples, chunk=CHUNK,
                 checkpoint=True,
                 policy=ResiliencePolicy(max_retries=0, **FAST),
             )
@@ -293,7 +295,7 @@ class TestCheckpointResume:
         resumed = {
             p.name: p.metrics
             for p in sweep(
-                ids, samples=samples, chunk=CHUNK, cache=tmp_path,
+                ids, samples=samples, chunk=CHUNK,
                 checkpoint=True, resume=True,
             )
         }

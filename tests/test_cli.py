@@ -182,10 +182,11 @@ class TestResilienceFlags:
         assert options["resume"] is True
         assert _engine_options(argparse.Namespace())["checkpoint"] is False
 
-    def test_checkpoint_run_leaves_no_state_behind(self, capsys, tmp_path):
+    def test_checkpoint_run_leaves_no_state_behind(self, capsys, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         code, _ = run_cli(
-            capsys, "characterize", "drum-k8", "--quick",
-            "--cache", str(tmp_path), "--checkpoint",
+            capsys, "characterize", "drum-k8", "--quick", "--checkpoint",
         )
         assert code == 0
         # the run finished, so its checkpoint was discarded
@@ -262,9 +263,10 @@ class TestArgumentValidation:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["characterize", "calm", "--quick", "--cache", "/tmp/x", "--no-cache"],
-            ["table1", "--quick", "--cache", "/tmp/x", "--no-cache"],
-            ["characterize", "calm", "--quick", "--no-cache", "--resume"],
+            ["formal", "--design", "calm", "--max-error", "--cache", "/tmp/x",
+             "--no-cache"],
+            ["conform", "--design", "calm", "--cache", "/tmp/x", "--no-cache"],
+            ["formal", "--design", "calm", "--max-error", "--no-cache", "--cache"],
         ],
     )
     def test_conflicting_cache_knobs(self, capsys, argv):
@@ -272,14 +274,33 @@ class TestArgumentValidation:
             main(argv)
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert "mutually exclusive" in err or "conflicts" in err
+        assert "not allowed with argument" in err
 
     def test_bare_cache_flag_is_not_a_conflict(self, capsys, tmp_path,
                                                monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        code, out = run_cli(capsys, "characterize", "drum-k8", "--quick",
-                            "--cache")
+        code, out = run_cli(capsys, "formal", "--design", "realm-8-m4-q4",
+                            "--bitwidth", "8", "--max-error", "--cache")
         assert code == 0
+        assert list((tmp_path / "formal").glob("*.json"))
+
+    @pytest.mark.parametrize("flag", ["--cache", "--no-cache"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["characterize", "calm", "--quick"],
+            ["table1", "--quick"],
+            ["fig4", "--quick"],
+            ["fig5", "--quick"],
+            ["serve"],
+        ],
+    )
+    def test_engine_commands_reject_cache_flags(self, capsys, argv, flag):
+        # the warehouse is the one result store: --warehouse/--no-warehouse
+        with pytest.raises(SystemExit) as info:
+            main(argv + [flag])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -333,10 +354,22 @@ class TestWarehouseReport:
 
     def _populate(self, capsys, tmp_path):
         code, _ = run_cli(
-            capsys, "characterize", "calm", "--quick", "--no-cache",
+            capsys, "characterize", "calm", "--quick",
             "--warehouse", str(tmp_path),
         )
         assert code == 0
+
+    def test_run_summary_counts_reuse_from_the_warehouse(self, capsys, tmp_path):
+        argv = ["characterize", "calm", "--quick", "--warehouse", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        assert "warehouse 0 reused / 1 computed" in cold.err
+        assert "Msamples/s" in cold.err
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold.out
+        assert "warehouse 1 reused / 0 computed" in warm.err
+        assert "Msamples/s" not in warm.err  # nothing was evaluated
 
     def test_trend_text_report(self, capsys, tmp_path):
         self._populate(capsys, tmp_path)

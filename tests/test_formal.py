@@ -10,7 +10,6 @@ seeded slice of designs runs in tier-1; the full registry sweep is
 
 from __future__ import annotations
 
-import json
 import os
 from fractions import Fraction
 
@@ -333,30 +332,32 @@ class TestPeakCertified:
         assert exhaustive_metrics(model, 32, 255).peak_certified is None
 
     def test_cache_roundtrips_and_tolerates_old_entries(self, tmp_path):
-        from repro.analysis.cache import load_metrics, store_metrics
+        from repro.analysis.cache import cache_key
         from repro.analysis.metrics import ErrorMetrics
+        from repro.warehouse import Warehouse, metrics_fields
 
         metrics = ErrorMetrics(
             bias=0.1, mean_error=1.0, peak_min=-2.0, peak_max=3.0,
             variance=0.5, rms=1.1, nmed=0.2, samples=100,
             peak_certified=(-2.5, 3.5),
         )
-        store_metrics(tmp_path, "k", metrics, {})
-        loaded = load_metrics(tmp_path, "k")
+        wh = Warehouse(tmp_path / "warehouse.db")
+        wh.record_run("characterize", [("k", {"k": 1}, metrics_fields(metrics), False)])
+        loaded = wh.latest_metrics(cache_key({"k": 1}))
         assert loaded == metrics
         assert loaded.peak_certified == (-2.5, 3.5)
 
-        # entries written before the field existed still load
-        entry = tmp_path / "k.json"
-        data = json.loads(entry.read_text())
-        del data["metrics"]["peak_certified"]
-        entry.write_text(json.dumps(data))
-        old = load_metrics(tmp_path, "k")
+        # rows written before the field existed still load
+        fields = metrics_fields(metrics)
+        del fields["peak_certified"]
+        wh.record_run("characterize", [("k", {"k": 2}, fields, False)])
+        old = wh.latest_metrics(cache_key({"k": 2}))
         assert old is not None and old.peak_certified is None
 
-    def test_table1_prefers_stored_certificates(self, tmp_path):
+    def test_table1_prefers_stored_certificates(self, tmp_path, monkeypatch):
         from repro.experiments import table1_errors
 
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         payload = {
             "design": "mbm-t2", "bitwidth": 16, "kind": "worst-case-error",
             "method": "smt-ascent", "exact": True, "replayed": True,
@@ -366,9 +367,7 @@ class TestPeakCertified:
         save_certificate(payload, tmp_path)
         rows = {
             r["name"]: r
-            for r in table1_errors(
-                samples=2048, ids=["mbm-t2", "calm"], cache=tmp_path
-            )
+            for r in table1_errors(samples=2048, ids=["mbm-t2", "calm"])
         }
         assert rows["mbm-t2"]["peak_certified"]
         assert rows["mbm-t2"]["peak_min"] == pytest.approx(-100.0 / 12)

@@ -448,13 +448,6 @@ class TestCompiledConformanceSlice:
         assert total == 64
         assert {record.key() for record in records} == {("layer", "kernel")}
 
-    def test_rtl_layer_interpreted_escape(self):
-        from repro.conformance.oracles import DifferentialOracle
-
-        oracle = DifferentialOracle("realm8-t2", bitwidth=8, compiled_rtl=False)
-        assert oracle._rtl_kernel is None
-        _, total = oracle.evaluate(np.array([3, 200]), np.array([7, 9]))
-        assert total == 0
 
 
 # ----------------------------------------------------------------------
@@ -477,7 +470,7 @@ class TestDefaultPathRows:
         from repro.experiments import table1_errors
 
         def rows():
-            return table1_errors(1 << 10, TABLE1_IDS, 7, cache=False, warehouse=False)
+            return table1_errors(1 << 10, TABLE1_IDS, 7, warehouse=False)
 
         compiled = rows()
         interpreted_only(monkeypatch)

@@ -232,7 +232,7 @@ class TestCampaign:
         with telemetry.recording() as rec:
             characterize_many(
                 designs, samples=blocks * parallel.BLOCK, chunk=parallel.BLOCK,
-                cache=False, warehouse=False,
+                warehouse=False,
             )
         assert draws == list(range(blocks))
         assert rec.snapshot.phase("mc.sample").count == blocks
@@ -249,11 +249,11 @@ class TestCampaign:
         designs = self._designs()
         campaign = characterize_many(
             designs, samples=samples, seed=11, workers=workers,
-            cache=False, warehouse=False, **engine,
+            warehouse=False, **engine,
         )
         for name, multiplier in designs:
             alone = characterize(
-                multiplier, samples=samples, seed=11, cache=False, warehouse=False
+                multiplier, samples=samples, seed=11, warehouse=False
             )
             assert campaign[name] == alone, name
 
@@ -263,7 +263,7 @@ class TestCampaign:
         events = []
         start = time.perf_counter()
         characterize_many(
-            self._designs(), samples=1 << 17, cache=False, warehouse=False,
+            self._designs(), samples=1 << 17, warehouse=False,
             progress=events.append,
         )
         wall = time.perf_counter() - start
@@ -284,5 +284,5 @@ class TestCampaign:
         with pytest.raises(ValueError, match="duplicate design name 'x'"):
             characterize_many(
                 [("x", MitchellMultiplier()), ("x", RealmMultiplier(m=4))],
-                samples=1 << 12, cache=False,
+                samples=1 << 12,
             )

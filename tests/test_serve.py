@@ -532,6 +532,30 @@ class TestCharacterizeThroughServe:
 
         run(scenario())
 
+    def test_repeated_request_on_shared_pool_reuses_the_warehouse(self, tmp_path):
+        from repro.warehouse import Warehouse
+
+        async def scenario():
+            service = Service(
+                sleep=NeverSleep(), workers=2, engine={"warehouse": str(tmp_path)}
+            )
+            assert service.pool is not None
+            client = InProcessClient(service)
+            try:
+                return [
+                    await client.characterize("calm", samples=1 << 12, seed=7)
+                    for _ in range(2)
+                ]
+            finally:
+                await service.drain()
+
+        cold, warm = run(scenario())
+        assert warm["metrics"] == cold["metrics"]
+        wh = Warehouse(tmp_path / "warehouse.db")
+        first, second = wh.runs()
+        assert [row.reused for row in wh.results(first.id)] == [False]
+        assert [row.reused for row in wh.results(second.id)] == [True]
+
     def test_unknown_design_characterize(self):
         async def scenario():
             service = Service(sleep=NeverSleep())

@@ -8,7 +8,7 @@ Covers the ISSUE 3 acceptance surface:
 * per-pid worker sink files merged by the parent after a pool drains;
 * ``--trace`` CLI round trip whose summarized leaf-phase wall times sum
   to within 10% of the total runtime;
-* cache hit/miss counters against a deliberately warmed cache;
+* warehouse hit/miss counters against a deliberately warmed warehouse;
 * chaos interplay: retry/rebuild/degraded counters exactly matching the
   chaos harness's cross-process fault firing counts.
 """
@@ -183,7 +183,7 @@ class TestDisabled:
 
     def test_engine_runs_without_telemetry(self, calm):
         # the full characterize path with the disabled singleton active
-        metrics = characterize(calm, samples=1 << 12, cache=False)
+        metrics = characterize(calm, samples=1 << 12)
         assert metrics.samples > 0
         assert telemetry.get().snapshot().phases == {}
 
@@ -217,10 +217,10 @@ class TestActivation:
         assert TELEMETRY_ENV not in os.environ
 
     def test_recording_without_activation(self, calm):
-        # with_telemetry=True must work with telemetry globally off
-        metrics, snap = characterize(
-            calm, samples=1 << 12, cache=False, with_telemetry=True
-        )
+        # recording() must work with telemetry globally off
+        with telemetry.recording() as rec:
+            metrics = characterize(calm, samples=1 << 12)
+        snap = rec.snapshot
         assert metrics.samples > 0
         assert snap.phase("characterize").count == 1
         assert snap.phase("mc.block").count == 1
@@ -298,7 +298,7 @@ class TestWorkerMerge:
         """The acceptance case: a 2-worker run leaves exactly one merged
         parent file whose mc.block spans carry worker pids."""
         tele = telemetry.enable(directory=tmp_path)
-        characterize(calm, samples=4 * BLOCK, chunk=BLOCK, workers=2, cache=False)
+        characterize(calm, samples=4 * BLOCK, chunk=BLOCK, workers=2)
         snap = tele.snapshot()
         assert snap.phase("mc.block").count == 4
         assert snap.gauges["pool.workers"] == 2
@@ -315,7 +315,7 @@ class TestWorkerMerge:
 class TestEngineIntegration:
     def test_serial_run_phases_and_gauges(self, calm):
         tele = telemetry.enable()
-        characterize(calm, samples=2 * BLOCK, chunk=BLOCK, cache=False)
+        characterize(calm, samples=2 * BLOCK, chunk=BLOCK)
         snap = tele.snapshot()
         assert snap.phase("characterize").count == 1
         assert snap.phase("mc.block").count == 2
@@ -324,57 +324,53 @@ class TestEngineIntegration:
         assert snap.gauges["runtime.blocks_per_sec"] > 0
 
     def test_warmed_cache_counters(self, tmp_path, calm):
-        """Acceptance: counters match a deliberately warmed cache — one
-        miss + one store cold, one hit (and no store) warm."""
+        """Acceptance: counters match a deliberately warmed warehouse — one
+        miss cold, one hit (and nothing recomputed) warm."""
         tele = telemetry.enable()
-        cold, cold_snap = characterize(
-            calm, samples=BLOCK, cache=tmp_path, with_telemetry=True
-        )
-        assert cold_snap.counter("cache.misses") == 1
-        assert cold_snap.counter("cache.stores") == 1
-        assert cold_snap.counter("cache.hits") == 0
-        warm, warm_snap = characterize(
-            calm, samples=BLOCK, cache=tmp_path, with_telemetry=True
-        )
+        with telemetry.recording() as rec:
+            cold = characterize(calm, samples=BLOCK, warehouse=tmp_path)
+        cold_snap = rec.snapshot
+        assert cold_snap.counter("warehouse.misses") == 1
+        assert cold_snap.counter("warehouse.records") == 1
+        assert cold_snap.counter("warehouse.hits") == 0
+        with telemetry.recording() as rec:
+            warm = characterize(calm, samples=BLOCK, warehouse=tmp_path)
+        warm_snap = rec.snapshot
         assert warm == cold
-        assert warm_snap.counter("cache.hits") == 1
-        assert warm_snap.counter("cache.misses") == 0
-        assert warm_snap.counter("cache.stores") == 0
+        assert warm_snap.counter("warehouse.hits") == 1
+        assert warm_snap.counter("warehouse.misses") == 0
         assert warm_snap.phase("mc.block").count == 0  # nothing recomputed
         telemetry.disable()
-        assert tele.snapshot().counter("cache.stores") == 1
+        assert tele.snapshot().counter("warehouse.misses") == 1
 
-    def test_checkpoint_writes_counted(self, tmp_path, calm):
-        _, snap = characterize(
-            calm, samples=2 * BLOCK, chunk=BLOCK, cache=tmp_path,
-            checkpoint=True, with_telemetry=True,
-        )
+    def test_checkpoint_writes_counted(self, tmp_path, calm, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        with telemetry.recording() as rec:
+            characterize(calm, samples=2 * BLOCK, chunk=BLOCK, checkpoint=True)
+        snap = rec.snapshot
         assert snap.counter("runtime.checkpoint_writes") == 2
         assert snap.phase("checkpoint.save").count == 2
 
     def test_characterize_many_returns_snapshot(self, calm):
-        results, snap = characterize_many(
-            [("calm", calm)], samples=BLOCK, cache=False, with_telemetry=True
-        )
+        with telemetry.recording() as rec:
+            results = characterize_many([("calm", calm)], samples=BLOCK)
         assert set(results) == {"calm"}
-        assert snap.phase("mc.block").count == 1
+        assert rec.snapshot.phase("mc.block").count == 1
 
     def test_sweep_returns_snapshot(self):
         from repro.analysis.designspace import sweep
 
-        points, snap = sweep(
-            ("calm", "realm16-t0"), samples=BLOCK, cache=False,
-            with_telemetry=True,
-        )
+        with telemetry.recording() as rec:
+            points = sweep(("calm", "realm16-t0"), samples=BLOCK)
         assert len(points) == 2
-        assert snap.phase("mc.block").count == 2
+        assert rec.snapshot.phase("mc.block").count == 2
 
     def test_progress_events_still_delivered(self, calm):
         """Telemetry-backed events must not break the progress callback."""
         events = []
         telemetry.enable()
         characterize(
-            calm, samples=2 * BLOCK, chunk=BLOCK, cache=False,
+            calm, samples=2 * BLOCK, chunk=BLOCK,
             progress=events.append,
         )
         kinds = [e["event"] for e in events]
@@ -391,7 +387,7 @@ class TestCliTrace:
         code = main(
             [
                 "characterize", "realm16-t0",
-                "--samples", str(1 << 16), "--no-cache",
+                "--samples", str(1 << 16),
                 "--trace", str(trace),
             ]
         )
@@ -414,18 +410,18 @@ class TestCliTrace:
         assert TELEMETRY_ENV not in os.environ
 
     def test_trace_records_cache_hit_on_warm_run(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
+        store = tmp_path / "warehouse"
         args = [
             "characterize", "calm", "--samples", str(1 << 16),
-            "--cache", str(cache),
+            "--warehouse", str(store),
         ]
         assert main(args) == 0
         trace = tmp_path / "warm.jsonl"
         assert main(args + ["--trace", str(trace)]) == 0
         capsys.readouterr()
         summary = telemetry.summarize_trace(trace)
-        assert summary["counters"].get("cache.hits") == 1
-        assert "cache.misses" not in summary["counters"]
+        assert summary["counters"].get("warehouse.hits") == 1
+        assert "warehouse.misses" not in summary["counters"]
         assert summary["phases"]["mc.block"].count == 0 if "mc.block" in summary["phases"] else True
 
     def test_summarize_subcommand_prints_table(self, tmp_path, capsys):
@@ -434,7 +430,7 @@ class TestCliTrace:
             main(
                 [
                     "characterize", "calm", "--samples", str(1 << 16),
-                    "--no-cache", "--trace", str(trace),
+                    "--trace", str(trace),
                 ]
             )
             == 0
@@ -501,7 +497,7 @@ class TestChaosInterplay:
         chaos.install([spec], tmp_path)
         tele = telemetry.enable()
         characterize(
-            calm, samples=2 * BLOCK, chunk=BLOCK, cache=False,
+            calm, samples=2 * BLOCK, chunk=BLOCK,
             policy=ResiliencePolicy(max_retries=3, **FAST),
         )
         fired = self._firings(tmp_path, spec)
@@ -513,7 +509,7 @@ class TestChaosInterplay:
         chaos.install([spec], tmp_path)
         tele = telemetry.enable()
         characterize(
-            calm, samples=2 * BLOCK, chunk=BLOCK, cache=False,
+            calm, samples=2 * BLOCK, chunk=BLOCK,
             policy=ResiliencePolicy(max_retries=2, **FAST),
         )
         assert self._firings(tmp_path, spec) == 1
@@ -527,7 +523,7 @@ class TestChaosInterplay:
         monkeypatch.setenv(CHAOS_ENV, plan.to_json())
         tele = telemetry.enable()
         characterize(
-            calm, samples=2 * BLOCK, chunk=BLOCK, cache=False, workers=2,
+            calm, samples=2 * BLOCK, chunk=BLOCK, workers=2,
             policy=ResiliencePolicy(max_retries=2, **FAST),
         )
         fired = self._firings(tmp_path, spec)
@@ -545,7 +541,7 @@ class TestChaosInterplay:
         monkeypatch.setenv(CHAOS_ENV, plan.to_json())
         tele = telemetry.enable()
         characterize(
-            calm, samples=2 * BLOCK, chunk=BLOCK, cache=False, workers=2,
+            calm, samples=2 * BLOCK, chunk=BLOCK, workers=2,
             policy=ResiliencePolicy(max_retries=0, max_pool_rebuilds=1, **FAST),
         )
         snap = tele.snapshot()

@@ -99,7 +99,7 @@ class TestStore:
         _record(
             wh,
             wall_seconds=1.25,
-            counters={"cache.hits": 3, "warehouse.deltas": 1},
+            counters={"warehouse.hits": 3, "warehouse.deltas": 1},
         )
         (run,) = wh.runs()
         assert run.kind == "characterize"
@@ -110,7 +110,7 @@ class TestStore:
         assert run.samples == SAMPLES
         assert run.wall_seconds == 1.25
         assert run.created == 1754600000.0
-        assert run.counters == {"cache.hits": 3, "warehouse.deltas": 1}
+        assert run.counters == {"warehouse.hits": 3, "warehouse.deltas": 1}
 
     def test_latest_returns_newest_row_for_fingerprint(self, tmp_path):
         wh = Warehouse(tmp_path / "warehouse.db")
@@ -195,13 +195,13 @@ class TestResolution:
         monkeypatch.setenv("REPRO_WAREHOUSE_DIR", str(tmp_path))
         assert resolve_warehouse_path(False) is None
         characterize(
-            RealmMultiplier(m=4), samples=SAMPLES, warehouse=False, cache=False
+            RealmMultiplier(m=4), samples=SAMPLES, warehouse=False
         )
         assert not (tmp_path / "warehouse.db").exists()
 
     def test_env_var_opts_in_characterize(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_WAREHOUSE_DIR", str(tmp_path))
-        characterize(RealmMultiplier(m=4), samples=SAMPLES, cache=False)
+        characterize(RealmMultiplier(m=4), samples=SAMPLES)
         wh = Warehouse(tmp_path / "warehouse.db")
         assert wh.count_runs() == 1
 
@@ -210,11 +210,11 @@ class TestIncrementalRecompute:
     def test_warm_run_is_bit_identical_and_runs_nothing(self, tmp_path):
         designs = [("calm", build("calm")), ("mbm-t0", build("mbm-t0"))]
         cold = characterize_many(
-            designs, samples=SAMPLES, warehouse=tmp_path, cache=False
+            designs, samples=SAMPLES, warehouse=tmp_path
         )
         with telemetry.recording() as rec:
             warm = characterize_many(
-                designs, samples=SAMPLES, warehouse=tmp_path, cache=False
+                designs, samples=SAMPLES, warehouse=tmp_path
             )
         snap = rec.snapshot
         assert warm == cold  # ErrorMetrics dataclasses: bit-exact equality
@@ -231,7 +231,7 @@ class TestIncrementalRecompute:
             ("mbm-t0", build("mbm-t0")),
         ]
         cold = characterize_many(
-            designs, samples=SAMPLES, warehouse=tmp_path, cache=False
+            designs, samples=SAMPLES, warehouse=tmp_path
         )
         # change one design's knobs: its fingerprint (and only its) moves
         changed = [
@@ -241,7 +241,7 @@ class TestIncrementalRecompute:
         ]
         with telemetry.recording() as rec:
             delta = characterize_many(
-                changed, samples=SAMPLES, warehouse=tmp_path, cache=False
+                changed, samples=SAMPLES, warehouse=tmp_path
             )
         snap = rec.snapshot
         assert snap.counter("warehouse.deltas") == 1
@@ -255,19 +255,17 @@ class TestIncrementalRecompute:
             RealmMultiplier(m=4, t=3),
             samples=SAMPLES,
             warehouse=False,
-            cache=False,
         )
         assert delta["realm"] == fresh
 
     def test_progress_covers_reused_and_recomputed_designs(self, tmp_path):
         characterize_many(
             [("calm", build("calm"))], samples=SAMPLES, warehouse=tmp_path,
-            cache=False,
         )
         events = []
         characterize_many(
             [("calm", build("calm")), ("mbm-t0", build("mbm-t0"))],
-            samples=SAMPLES, warehouse=tmp_path, cache=False,
+            samples=SAMPLES, warehouse=tmp_path,
             progress=events.append,
         )
         designs = [e for e in events if e["event"] == "design"]
@@ -276,12 +274,12 @@ class TestIncrementalRecompute:
         ]
         assert designs[0]["cache"] == "warehouse"
         assert designs[0]["seconds"] == 0.0
-        assert designs[1]["cache"] == "off"
+        assert designs[1]["cache"] == "miss"
 
     def test_reused_flags_and_counters_recorded(self, tmp_path):
         designs = [("calm", build("calm")), ("mbm-t0", build("mbm-t0"))]
-        characterize_many(designs, samples=SAMPLES, warehouse=tmp_path, cache=False)
-        characterize_many(designs, samples=SAMPLES, warehouse=tmp_path, cache=False)
+        characterize_many(designs, samples=SAMPLES, warehouse=tmp_path)
+        characterize_many(designs, samples=SAMPLES, warehouse=tmp_path)
         wh = Warehouse(tmp_path / "warehouse.db")
         cold_run, warm_run = wh.runs()
         assert [r.reused for r in wh.results(cold_run.id)] == [False, False]
@@ -291,22 +289,32 @@ class TestIncrementalRecompute:
         assert cold_run.counters.get("phase.characterize") == 2
         assert warm_run.counters == {}
 
-    def test_warehouse_and_cache_compose(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        wh_dir = tmp_path / "wh"
-        multiplier = RealmMultiplier(m=4)
-        first = characterize(
-            multiplier, samples=SAMPLES, cache=cache_dir, warehouse=wh_dir
-        )
-        # drop the warehouse: the recompute is served by the metrics cache
-        (wh_dir / "warehouse.db").unlink()
-        second = characterize(
-            multiplier, samples=SAMPLES, cache=cache_dir, warehouse=wh_dir
-        )
-        assert second == first
-        wh = Warehouse(wh_dir / "warehouse.db")
+    def test_recomputed_rows_were_computed(self, tmp_path, monkeypatch):
+        """A row recorded as recomputed (``reused=False``) belongs to a
+        design whose model actually ran; a run served from elsewhere must
+        not claim fresh provenance.  With ``$REPRO_CACHE_DIR`` set, the
+        state directory holds no metrics that could serve it."""
+        from repro.multipliers.base import Multiplier
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "state"))
+        designs = [("calm", build("calm")), ("drum-k8", build("drum-k8"))]
+        characterize_many(designs, samples=SAMPLES, warehouse=False)
+        ran = set()
+        original = Multiplier.multiply
+
+        def multiply(self, a, b, **kwargs):
+            ran.add(self.name)
+            return original(self, a, b, **kwargs)
+
+        monkeypatch.setattr(Multiplier, "multiply", multiply)
+        characterize_many(designs, samples=SAMPLES, warehouse=tmp_path)
+        wh = Warehouse(tmp_path / "warehouse.db")
         (run,) = wh.runs()
-        assert run.counters.get("cache.hits") == 1
+        rows = wh.results(run.id)
+        assert len(rows) == len(designs)
+        displays = {name: multiplier.name for name, multiplier in designs}
+        for row in rows:
+            assert row.reused or displays[row.design] in ran, row.design
 
 
 class TestSweepIntegration:
@@ -315,12 +323,12 @@ class TestSweepIntegration:
     def test_warm_sweep_zero_model_evaluations(self, tmp_path):
         cold = sweep(
             self.IDS, samples=SAMPLES, source="model",
-            warehouse=tmp_path, cache=False,
+            warehouse=tmp_path,
         )
         with telemetry.recording() as rec:
             warm = sweep(
                 self.IDS, samples=SAMPLES, source="model",
-                warehouse=tmp_path, cache=False,
+                warehouse=tmp_path,
             )
         snap = rec.snapshot
         assert snap.counter("warehouse.deltas") == 0
@@ -331,7 +339,7 @@ class TestSweepIntegration:
     def test_sweep_rows_carry_synthesis_columns(self, tmp_path):
         points = sweep(
             self.IDS, samples=SAMPLES, source="model",
-            warehouse=tmp_path, cache=False,
+            warehouse=tmp_path,
         )
         wh = Warehouse(tmp_path / "warehouse.db")
         (run,) = wh.runs(kind="sweep")
@@ -348,7 +356,7 @@ class TestSweepIntegration:
             p.name: p
             for p in sweep(
                 self.IDS, samples=SAMPLES, source="model",
-                warehouse=tmp_path, cache=False,
+                warehouse=tmp_path,
             )
         }
         # mutate one design underneath the registry: only it may re-run
@@ -364,19 +372,19 @@ class TestSweepIntegration:
                 p.name: p
                 for p in sweep(
                     self.IDS, samples=SAMPLES, source="model",
-                    warehouse=tmp_path, cache=False,
+                    warehouse=tmp_path,
                 )
             }
         snap = rec.snapshot
         assert snap.counter("warehouse.deltas") == 1
         assert snap.phase("characterize").count == 1
         assert delta["mbm-t0"].metrics == cold["mbm-t0"].metrics
-        fresh = characterize(changed, samples=SAMPLES, warehouse=False, cache=False)
+        fresh = characterize(changed, samples=SAMPLES, warehouse=False)
         assert delta["calm"].metrics == fresh
 
     def test_table1_records_one_run(self, tmp_path):
         rows = table1_errors(
-            samples=SAMPLES, ids=self.IDS, warehouse=tmp_path, cache=False
+            samples=SAMPLES, ids=self.IDS, warehouse=tmp_path
         )
         assert {row["name"] for row in rows} == set(self.IDS)
         wh = Warehouse(tmp_path / "warehouse.db")
@@ -436,7 +444,7 @@ class TestCorruption:
         with telemetry.recording() as rec:
             metrics = characterize(
                 RealmMultiplier(m=4), samples=SAMPLES,
-                warehouse=tmp_path, cache=False,
+                warehouse=tmp_path,
             )
         assert metrics.samples > 0  # the run itself never failed
         assert rec.snapshot.counter("warehouse.quarantined") == 1
@@ -453,7 +461,7 @@ class TestCorruption:
         db.write_bytes(db.read_bytes()[: db.stat().st_size // 3])
         metrics = characterize(
             RealmMultiplier(m=4), samples=SAMPLES,
-            warehouse=tmp_path, cache=False,
+            warehouse=tmp_path,
         )
         assert metrics.samples > 0
         assert list(tmp_path.glob("warehouse.db.corrupt-*"))
@@ -474,7 +482,7 @@ class TestCorruption:
         assert rec.snapshot.counter("warehouse.errors") == 1
         metrics = characterize(
             RealmMultiplier(m=4), samples=SAMPLES,
-            warehouse=tmp_path, cache=False,
+            warehouse=tmp_path,
         )
         assert metrics.samples > 0
         # the future database survives untouched for the newer build
@@ -530,8 +538,7 @@ class TestMigration:
 
 class TestClearCache:
     def test_clear_cache_drops_warehouse_and_subsystem_stores(self, tmp_path):
-        # one file in every subsystem store under the cache directory
-        (tmp_path / "entry.json").write_text("{}")
+        # one file in every subsystem store under the state directory
         for sub in ("checkpoints", "formal", "conformance"):
             (tmp_path / sub).mkdir()
             (tmp_path / sub / "a.json").write_text("{}")
@@ -539,18 +546,17 @@ class TestClearCache:
         wh_dir.mkdir()
         (wh_dir / "warehouse.db").write_bytes(b"db")
         (wh_dir / "warehouse.db.corrupt-123").write_bytes(b"old")
-        assert clear_cache(tmp_path) == 6
+        assert clear_cache(tmp_path) == 5
         assert list(tmp_path.rglob("*.json")) == []
         assert list(wh_dir.iterdir()) == []
 
     def test_clear_cache_covers_a_real_warehouse(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_WAREHOUSE_DIR", raising=False)
-        characterize(
-            RealmMultiplier(m=4), samples=SAMPLES, cache=True, warehouse=True
-        )
+        characterize(RealmMultiplier(m=4), samples=SAMPLES, warehouse=True)
         assert (tmp_path / "warehouse" / "warehouse.db").exists()
-        assert clear_cache(tmp_path) == 2  # the metrics entry + the database
+        assert list(tmp_path.glob("*.json")) == []  # no metrics file beside it
+        assert clear_cache(tmp_path) == 1  # the database
         assert not (tmp_path / "warehouse" / "warehouse.db").exists()
 
 
@@ -604,7 +610,7 @@ class TestCampaignRecording:
     def test_conformance_run_recorded(self, tmp_path):
         from repro.conformance import fuzz
 
-        result = fuzz("realm4-t0", budget=1 << 10, warehouse=tmp_path, cache=False)
+        result = fuzz("realm4-t0", budget=1 << 10, warehouse=tmp_path)
         wh = Warehouse(tmp_path / "warehouse.db")
         (run,) = wh.runs(kind="conformance")
         (row,) = wh.results(run.id)
