@@ -57,7 +57,11 @@ verify:
 		--layers model rtl kernel exact
 	@echo "--- formal smoke (8-bit equivalence proof + certified peaks) ---"
 	PYTHONPATH=src $(PYTHON) -m repro formal --design realm-8-m4-q5 --prove-equiv --max-error --no-cache
-	PYTHONPATH=src $(PYTHON) -m repro formal --design am2-nb13 --bitwidth 8 --prove-equiv --max-error --no-cache
+	for design in am2-nb13 calm alm-soa-m3 alm-maa-m3 mbm-t2 drum-k5 \
+			scaletrim-t4-c2 dnnco-l6 accurate; do \
+		PYTHONPATH=src $(PYTHON) -m repro formal --design $$design --bitwidth 8 \
+			--prove-equiv --max-error --no-cache || exit 1; \
+	done
 	@echo "--- warehouse smoke (record, warm reuse, trend report) ---"
 	rm -rf .repro-warehouse
 	PYTHONPATH=src REPRO_WAREHOUSE_DIR=.repro-warehouse $(PYTHON) -m repro characterize calm --quick

@@ -63,7 +63,7 @@ def _bench_encode(benchmark, design: str, bitwidth: int):
     encoding = benchmark(lambda: encode_model(model, design))
     benchmark.extra_info["design"] = design
     benchmark.extra_info["bitwidth"] = bitwidth
-    benchmark.extra_info["nodes"] = len(encoding.builder)
+    benchmark.extra_info["gates"] = encoding.netlist.gate_count
 
 
 def _bench_solve(benchmark, design: str, bitwidth: int):

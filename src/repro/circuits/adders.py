@@ -19,6 +19,7 @@ __all__ = [
     "loa_adder",
     "soa_adder",
     "maa_adder",
+    "ALM_ADDERS",
     "equal_const",
 ]
 
@@ -148,3 +149,7 @@ def maa_adder(nl: Netlist, a: Bus, b: Bus, m: int) -> tuple[Bus, Net]:
     low = a[:m]
     high, carry_out = ripple_adder(nl, a[m:], b[m:], carry_in=b[m - 1])
     return low + high, carry_out
+
+
+#: the ALM designs' approximate log adders, by the name the models use
+ALM_ADDERS = {"LOA": loa_adder, "SOA": soa_adder, "MAA": maa_adder}

@@ -21,16 +21,12 @@ from __future__ import annotations
 from ..logic.netlist import CONST0, CONST1, Netlist
 from .adders import incrementer, ripple_adder, ripple_subtractor
 from .logdatapath import gate_output, log_front_end
-from .shifter import scaling_shifter
+from .shifter import _mux_bus, scaling_shifter
 
 __all__ = ["intalp_netlist"]
 
 Net = int
 Bus = list[Net]
-
-
-def _mux_bus(nl: Netlist, d0: Bus, d1: Bus, sel: Net) -> Bus:
-    return [nl.add("MUX2", a, b, sel) for a, b in zip(d0, d1)]
 
 
 def _sext(bus: Bus, width: int) -> Bus:

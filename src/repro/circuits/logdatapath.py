@@ -5,19 +5,29 @@ shares a front end (LOD + priority encoder + normalizing barrel shifter
 per operand) and a back end (mantissa assembly + output scaling shifter +
 zero gating).  These helpers build those pieces so the per-design RTL
 modules only express what actually differs: the adder, the correction
-path, the truncation.
+path, the truncation.  The formal layer's symbolic encoders
+(:mod:`repro.formal.encode`) wire the same blocks, so the gate-level
+front end exists once; its word-level twin is the models'
+:func:`repro.multipliers.mitchell.log_operands`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from ..logic.netlist import CONST0, CONST1, Netlist
-from .adders import incrementer, ripple_adder
+from ..logic.netlist import CONST1, Netlist
+from .adders import ripple_adder
 from .lod import leading_one
-from .shifter import normalize_fraction, scaling_shifter
+from .shifter import normalize_fraction
 
-__all__ = ["LogOperand", "log_front_end", "truncate_bus", "gate_output"]
+__all__ = [
+    "LogOperand",
+    "exponent_sum",
+    "gate_output",
+    "log_front_end",
+    "mantissa_with_lead",
+    "truncate_bus",
+]
 
 Net = int
 Bus = list[Net]
@@ -73,18 +83,3 @@ def gate_output(nl: Netlist, product: Bus, nonzero_a: Net, nonzero_b: Net) -> Bu
     """Zero-input handling: force the product to zero if an operand is 0."""
     both = nl.add("AND2", nonzero_a, nonzero_b)
     return [nl.add("AND2", bit, both) for bit in product]
-
-
-def log_back_end(
-    nl: Netlist,
-    fraction_sum: Bus,
-    carry: Net,
-    ka: Bus,
-    kb: Bus,
-    out_width: int,
-) -> Bus:
-    """Mantissa assembly + exponent + output barrel shifter."""
-    width = len(fraction_sum)
-    mantissa = mantissa_with_lead(nl, fraction_sum, CONST0)[: width + 1]
-    exponent = exponent_sum(nl, ka, kb, carry)
-    return scaling_shifter(nl, mantissa, exponent, width, out_width)

@@ -9,13 +9,11 @@ cALM, LOA/SOA/MAA on the ``m`` low bits for the ALM designs.
 from __future__ import annotations
 
 from ..logic.netlist import Netlist
-from .adders import loa_adder, maa_adder, ripple_adder, soa_adder
+from .adders import ALM_ADDERS, ripple_adder
 from .logdatapath import gate_output, log_front_end
 from .shifter import scaling_shifter
 
 __all__ = ["mitchell_netlist", "alm_netlist"]
-
-_ADDERS = {"LOA": loa_adder, "SOA": soa_adder, "MAA": maa_adder}
 
 
 def _log_sum_datapath(nl: Netlist, bitwidth: int, add_logs) -> None:
@@ -52,9 +50,11 @@ def mitchell_netlist(bitwidth: int = 16) -> Netlist:
 
 def alm_netlist(bitwidth: int = 16, m: int = 6, adder: str = "SOA") -> Netlist:
     """Structural ALM-LOA/MAA/SOA [9]: cALM with an approximate log adder."""
-    if adder not in _ADDERS:
-        raise ValueError(f"adder must be one of {sorted(_ADDERS)}, got {adder!r}")
-    approx = _ADDERS[adder]
+    if adder not in ALM_ADDERS:
+        raise ValueError(
+            f"adder must be one of {sorted(ALM_ADDERS)}, got {adder!r}"
+        )
+    approx = ALM_ADDERS[adder]
     nl = Netlist(f"alm-{adder.lower()}{bitwidth}-m{m}")
     _log_sum_datapath(nl, bitwidth, lambda n, la, lb: approx(n, la, lb, m))
     return nl

@@ -889,11 +889,21 @@ def make_parser() -> argparse.ArgumentParser:
         )
         group.add_argument("--no-cache", action="store_true")
 
-    def common(p):
+    def sample_flags(p):
         p.add_argument(
             "--samples", type=_positive_int, default=experiments.DEFAULT_SAMPLES
         )
         p.add_argument("--quick", action="store_true", help="small Monte-Carlo run")
+        p.add_argument(
+            "--trace",
+            default=None,
+            metavar="PATH",
+            help="write a JSONL telemetry trace of this run to PATH "
+            "(summarize it with 'repro-realm telemetry summarize PATH')",
+        )
+
+    def common(p):
+        sample_flags(p)
         p.add_argument(
             "--workers",
             type=_positive_int,
@@ -930,13 +940,6 @@ def make_parser() -> argparse.ArgumentParser:
             "--progress",
             action="store_true",
             help="print per-design progress/throughput to stderr",
-        )
-        p.add_argument(
-            "--trace",
-            default=None,
-            metavar="PATH",
-            help="write a JSONL telemetry trace of this run to PATH "
-            "(summarize it with 'repro-realm telemetry summarize PATH')",
         )
         _warehouse_flags(p)
 
@@ -980,8 +983,9 @@ def make_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_fig4)
 
+    # fig5's histograms run outside the Monte-Carlo engine: no engine knobs
     p = sub.add_parser("fig5")
-    common(p)
+    sample_flags(p)
     p.set_defaults(func=cmd_fig5)
 
     p = sub.add_parser("verilog", help="export a design as structural Verilog")

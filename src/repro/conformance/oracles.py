@@ -4,7 +4,7 @@ The repository holds six independent answers to "what does design X
 return on ``(a, b)``": the functional NumPy model, the gate-level RTL
 netlist, the compiled kernel (:mod:`repro.kernels` — table-specialized
 model and bit-parallel netlist programs), the served (batched protocol)
-path, the formal layer's bit-vector formula (:mod:`repro.formal` — the
+path, the formal layer's gate-level formula (:mod:`repro.formal` — the
 object equivalence proofs and error certificates reason about), and —
 on inputs where a family guarantees exactness — arithmetic itself.  The :class:`DifferentialOracle` evaluates operand batches
 through every available layer and reports structured
@@ -57,8 +57,8 @@ __all__ = [
 #: "kernel" is the compiled evaluator of :mod:`repro.kernels` — always
 #: available (every design compiles, worst case to an interpreted
 #: fallback) and required to be bit-identical to the model.  "formal"
-#: evaluates the bit-vector formula the formal layer lowers the model
-#: into (:mod:`repro.formal`) — a third independent interpretation of
+#: evaluates the gate-level formula the formal layer rebuilds the model
+#: as (:mod:`repro.formal`) — a third independent interpretation of
 #: the design, available for every symbolic family and for table
 #: families at enumerable widths.
 LAYERS = ("model", "rtl", "kernel", "serve", "formal", "exact")
@@ -304,7 +304,7 @@ class DifferentialOracle:
         return kernel_for(self.model)(a, b)
 
     def _eval_formal(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # the lowered bit-vector formula, evaluated bit-parallel — a
+        # the model rebuilt as a gate-level formula, evaluated bit-parallel — a
         # third independent interpretation of the design (and the one
         # equivalence proofs and error certificates reason about)
         return self._formal_encoding.eval_pairs(a, b)

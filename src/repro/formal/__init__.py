@@ -1,12 +1,12 @@
-"""Formal layer: bit-vector equivalence certificates and exact error bounds.
+"""Formal layer: gate-level equivalence certificates and exact error bounds.
 
 This package replaces *sampled* confidence with *certified* claims:
 
-* :mod:`~repro.formal.bitvec` — a hash-consed boolean DAG IR with
-  word-level helpers and a bit-parallel concrete evaluator;
-* :mod:`~repro.formal.encode` — lowers registered netlists and the
-  functional models into formulas over shared operand variables,
-  backed by their product tables at ``N <= 8``;
+* :mod:`~repro.formal.encode` — wraps registered netlists and rebuilds
+  the functional models from :mod:`repro.circuits` blocks, so every
+  formula is a pruned :class:`~repro.logic.netlist.Netlist` over shared
+  operand inputs, run by :class:`~repro.kernels.netlist.NetlistKernel`
+  and backed by its product table at ``N <= 8``;
 * :mod:`~repro.formal.backends` — the solver ladder: z3 (strictly
   optional, used when importable) → bounded pure-python BDD →
   exhaustive bit-parallel sweep; tier-1 never needs a dependency;
@@ -26,7 +26,6 @@ the ``repro formal`` CLI are the consumer surfaces.
 from __future__ import annotations
 
 from .backends import BddBackend, ExhaustiveBackend, available_backends, z3_available
-from .bitvec import Builder, Evaluator
 from .bounds import ErrorCertificate, WorstCaseBounds, certify_worst_error
 from .certificates import certificate_dir, load_certificate, save_certificate
 from .encode import (
@@ -42,13 +41,11 @@ from .equiv import EquivalenceResult, LegResult, prove_equivalence
 
 __all__ = [
     "BddBackend",
-    "Builder",
     "Encoding",
     "EquivalenceResult",
     "ErrorCertificate",
     "LegResult",
     "WorstCaseBounds",
-    "Evaluator",
     "ExhaustiveBackend",
     "SYMBOLIC_FAMILIES",
     "UnsupportedDesignError",

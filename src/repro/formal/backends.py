@@ -2,20 +2,24 @@
 
 Equivalence queries run through one of three interchangeable backends:
 
-* :class:`Z3Backend` — lowers both DAGs into z3 and checks the miter.
-  **Strictly optional**: z3 is imported lazily and its absence only
-  removes this rung; nothing in tier-1 touches it.
-* :class:`BddBackend` — canonicalizes both DAGs in one bounded ROBDD
+* :class:`Z3Backend` — lowers both netlists into z3 and checks the
+  miter.  **Strictly optional**: z3 is imported lazily and its absence
+  only removes this rung.
+* :class:`BddBackend` — canonicalizes both netlists in one bounded ROBDD
   manager (:mod:`repro.formal.bdd`).  Complete while the diagrams fit
   the node budget; answers ``unknown`` (never wrong) when they don't —
   which the exact-multiplier cores of the product-form families always
   will, BDDs of multiplication being exponential in every order.  This
-  backend and z3 are the only readers of a truth-table encoding's DAG,
-  which is built on that first read.
+  backend and z3 are the only readers of a truth-table encoding's
+  netlist, which is built on that first read.
 * :class:`ExhaustiveBackend` — sweep of the full ``2**(2N)`` pair grid
   through both encodings' ``eval_pairs``: at ``N <= 8`` a comparison of
-  two product tables, above it the bit-parallel DAG evaluators.
+  two product tables, above it the bit-parallel netlist kernels.
   Complete and fast for narrow operands, gated by ``max_bitwidth``.
+
+Both symbolic backends read netlist gates through :func:`lower`, which
+applies each library cell's one boolean definition
+(:attr:`repro.logic.cells.Cell.function`) to the backend's own terms.
 
 ``check_equal(f, g)`` returns ``(status, witness)`` with status
 ``"proved"`` / ``"refuted"`` / ``"unknown"``; a witness is the concrete
@@ -25,9 +29,12 @@ widths compare as unsigned integers (zero-extended).
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 
 from ..analysis import telemetry
+from ..logic.netlist import CONST0, CONST1, Netlist
 from .bdd import Bdd, BudgetExceeded, interleaved_order
 from .encode import Encoding
 
@@ -38,6 +45,7 @@ __all__ = [
     "available_backends",
     "default_ladder",
     "import_z3",
+    "lower",
     "resolve_backend",
     "z3_available",
 ]
@@ -105,16 +113,17 @@ class BddBackend:
 
     def check_equal(self, f: Encoding, g: Encoding):
         tele = telemetry.get()
-        labels = [node.label for node in f.builder.nodes if node.op == "var"]
-        labels += [node.label for node in g.builder.nodes if node.op == "var"]
+        labels = [
+            enc.netlist.net_names[net] for enc in (f, g) for net in enc.netlist.inputs
+        ]
         manager = Bdd(interleaved_order(labels), budget=self.budget)
         with tele.span(
             "formal.solve", backend=self.name, design=f.design,
             bitwidth=f.bitwidth,
         ):
             try:
-                f_bits = manager.from_dag(f.builder, f.outputs)
-                g_bits = manager.from_dag(g.builder, g.outputs)
+                f_bits = lower(f.netlist, manager, manager.var)
+                g_bits = lower(g.netlist, manager, manager.var)
                 width = max(len(f_bits), len(g_bits))
                 f_bits += [0] * (width - len(f_bits))
                 g_bits += [0] * (width - len(g_bits))
@@ -175,48 +184,63 @@ class Z3Backend:
             return "unknown", f"z3 returned {status!r}"
 
 
+class _Term:
+    """One backend term under the operators the cell functions use.
+
+    Every :attr:`~repro.logic.cells.Cell.function` is written with
+    ``~ & | ^`` alone, so wrapping a backend's terms in this class
+    evaluates each library cell through its one definition.
+    """
+
+    __slots__ = ("ops", "term")
+
+    def __init__(self, ops, term):
+        self.ops = ops
+        self.term = term
+
+    def __invert__(self):
+        return _Term(self.ops, self.ops.not_(self.term))
+
+    def __and__(self, other):
+        return _Term(self.ops, self.ops.and_(self.term, other.term))
+
+    def __or__(self, other):
+        return _Term(self.ops, self.ops.or_(self.term, other.term))
+
+    def __xor__(self, other):
+        return _Term(self.ops, self.ops.xor(self.term, other.term))
+
+
+def lower(netlist: Netlist, ops, variable) -> list:
+    """A netlist's output bus as backend terms, gate by gate.
+
+    ``ops`` supplies the constants ``false``/``true`` and the operators
+    ``not_``/``and_``/``or_``/``xor``; ``variable(label)`` returns the
+    term of the input named ``label`` (``a[i]``/``b[i]``).
+    """
+    values = {CONST0: _Term(ops, ops.false), CONST1: _Term(ops, ops.true)}
+    for net in netlist.inputs:
+        values[net] = _Term(ops, variable(netlist.net_names[net]))
+    for gate in netlist.gates:
+        values[gate.output] = gate.cell.function(
+            *(values[net] for net in gate.inputs)
+        )
+    return [values[net].term for net in netlist.outputs]
+
+
 def _to_z3(z3, encoding: Encoding, variables: dict):
-    """Lower an encoding's output cone to z3 booleans; shared var map."""
-    roots = encoding.outputs
-    needed: set[int] = set()
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if node.id in needed:
-            continue
-        needed.add(node.id)
-        stack.extend(node.args)
-    values: dict[int, object] = {}
-    for node in encoding.builder.nodes:
-        if node.id not in needed:
-            continue
-        op = node.op
-        if op == "const0":
-            values[node.id] = z3.BoolVal(False)
-        elif op == "const1":
-            values[node.id] = z3.BoolVal(True)
-        elif op == "var":
-            if node.label not in variables:
-                variables[node.label] = z3.Bool(node.label)
-            values[node.id] = variables[node.label]
-        elif op == "not":
-            values[node.id] = z3.Not(values[node.args[0].id])
-        elif op == "and":
-            values[node.id] = z3.And(
-                values[node.args[0].id], values[node.args[1].id]
-            )
-        elif op == "or":
-            values[node.id] = z3.Or(
-                values[node.args[0].id], values[node.args[1].id]
-            )
-        elif op == "xor":
-            values[node.id] = z3.Xor(
-                values[node.args[0].id], values[node.args[1].id]
-            )
-        else:  # mux
-            d0, d1, sel = (values[arg.id] for arg in node.args)
-            values[node.id] = z3.If(sel, d1, d0)
-    return [values[root.id] for root in roots]
+    """Lower an encoding's netlist to z3 booleans; shared var map."""
+    ops = types.SimpleNamespace(
+        false=z3.BoolVal(False), true=z3.BoolVal(True),
+        not_=z3.Not, and_=z3.And, or_=z3.Or, xor=z3.Xor,
+    )
+
+    def variable(label: str):
+        if label not in variables:
+            variables[label] = z3.Bool(label)
+        return variables[label]
+
+    return lower(encoding.netlist, ops, variable)
 
 
 def _assignment_to_pair(assignment: dict[str, int], bitwidth: int):

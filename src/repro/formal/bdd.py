@@ -1,12 +1,13 @@
 """Bounded reduced ordered BDDs — the pure-python proof engine.
 
 A :class:`Bdd` manager holds the shared unique table for one variable
-ordering.  DAGs from :mod:`repro.formal.bitvec` are translated node by
-node (:meth:`Bdd.from_dag`); because two encodings of the same design
-share input variable *labels*, translating both into one manager
-canonicalizes them over the same ordering — two functions are equal iff
-their root ids are equal, and a counterexample to equality is one
-descent of the XOR diagram.
+ordering.  Formula netlists are translated gate by gate through the
+cell library's own boolean functions (:func:`repro.formal.backends.lower`
+over this manager's ``not_``/``and_``/``or_``/``xor``); because two
+encodings of the same design share input variable *labels*, translating
+both into one manager canonicalizes them over the same ordering — two
+functions are equal iff their root ids are equal, and a counterexample
+to equality is one descent of the XOR diagram.
 
 The manager is **bounded**: constructions that would exceed the node
 budget raise :class:`BudgetExceeded`, which the backend ladder converts
@@ -19,8 +20,6 @@ is precisely why the ladder exists.
 """
 
 from __future__ import annotations
-
-from .bitvec import Builder, Node
 
 __all__ = ["Bdd", "BudgetExceeded", "interleaved_order"]
 
@@ -50,6 +49,9 @@ def interleaved_order(labels) -> dict[str, int]:
 
 class Bdd:
     """A shared-table ROBDD manager with an ``ite``-based operator set."""
+
+    false = FALSE
+    true = TRUE
 
     def __init__(self, order: dict[str, int], budget: int = 2_000_000):
         if len(set(order.values())) != len(order):
@@ -129,46 +131,6 @@ class Bdd:
 
     def xor(self, f: int, g: int) -> int:
         return self.ite(f, self.ite(g, FALSE, TRUE), g)
-
-    def from_dag(self, builder: Builder, roots: list[Node]) -> list[int]:
-        """Translate DAG roots into this manager (shared subgraphs once)."""
-        needed: set[int] = set()
-        stack = list(roots)
-        while stack:
-            node = stack.pop()
-            if node.id in needed:
-                continue
-            needed.add(node.id)
-            stack.extend(node.args)
-        values: dict[int, int] = {}
-        for node in builder.nodes:  # construction order is topological
-            if node.id not in needed:
-                continue
-            op = node.op
-            if op == "const0":
-                values[node.id] = FALSE
-            elif op == "const1":
-                values[node.id] = TRUE
-            elif op == "var":
-                values[node.id] = self.var(node.label)
-            elif op == "not":
-                values[node.id] = self.not_(values[node.args[0].id])
-            elif op == "and":
-                values[node.id] = self.and_(
-                    values[node.args[0].id], values[node.args[1].id]
-                )
-            elif op == "or":
-                values[node.id] = self.or_(
-                    values[node.args[0].id], values[node.args[1].id]
-                )
-            elif op == "xor":
-                values[node.id] = self.xor(
-                    values[node.args[0].id], values[node.args[1].id]
-                )
-            else:  # mux: sel ? d1 : d0
-                d0, d1, sel = (values[arg.id] for arg in node.args)
-                values[node.id] = self.ite(sel, d1, d0)
-        return [values[root.id] for root in roots]
 
     def satisfying_assignment(self, f: int) -> dict[str, int] | None:
         """One satisfying assignment of ``f`` (unmentioned vars are free).

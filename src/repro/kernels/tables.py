@@ -41,15 +41,9 @@ import functools
 
 import numpy as np
 
-from ..core.bitops import (
-    floor_log2,
-    log_fraction,
-    mask,
-    shift_value,
-    truncate_fraction,
-)
+from ..core.bitops import mask, shift_value, truncate_fraction
 from ..multipliers.am import Am1Multiplier
-from ..multipliers.mitchell import antilog
+from ..multipliers.mitchell import antilog, log_operands
 
 __all__ = [
     "FULL_TABLE_MAX_BITWIDTH",
@@ -93,16 +87,15 @@ def _operand_space(bitwidth: int) -> np.ndarray:
 def build_log_tables(bitwidth: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-operand LOD + input-barrel-shifter tables ``(k, x)``.
 
-    ``k[v]`` is the characteristic (leading-one position) and ``x[v]``
-    the ``N-1``-bit log fraction; index 0 holds the zero-safe values the
-    models use (callers mask zero operands separately).  Built once per
-    bitwidth and shared by every log-family specializer, so the arrays
-    are read-only.
+    The models' own front end, :func:`~repro.multipliers.mitchell.log_operands`,
+    run over the operand space: ``k[v]`` is the characteristic
+    (leading-one position) and ``x[v]`` the ``N-1``-bit log fraction;
+    index 0 holds the zero-safe values the models use (callers mask zero
+    operands separately).  Built once per bitwidth and shared by every
+    log-family specializer, so the arrays are read-only.
     """
     v = _operand_space(bitwidth)
-    safe = np.where(v > 0, v, 1)
-    k = floor_log2(safe)
-    x = log_fraction(safe, k, bitwidth)
+    k, _, x, _, _ = log_operands(v, v, bitwidth)
     k.flags.writeable = False
     x.flags.writeable = False
     return k, x
@@ -246,7 +239,7 @@ def compile_realm(model):
     logm = cfg.m.bit_length() - 1
     seg_shift = width + 8
     if seg_shift + 2 * logm >= 63:  # packed fields would overflow int64
-        return _compile_realm_unpacked(model)
+        return None
 
     k, x = build_log_tables(n)
     xt = truncate_fraction(x, cfg.t, raw_width)
@@ -279,49 +272,6 @@ def compile_realm(model):
     return evaluate, "table", left.nbytes + right.nbytes + s_pair.nbytes
 
 
-def _compile_realm_unpacked(model):
-    """REALM fallback when the packed fields exceed int64: separate
-    per-operand tables, same arithmetic (reachable only for extreme
-    ``N``/``M`` combinations)."""
-    from ..core.factors import segment_index
-
-    cfg = model.config
-    n = model.bitwidth
-    raw_width = n - 1
-    width = cfg.fraction_width
-    logm = cfg.m.bit_length() - 1
-
-    k, x = build_log_tables(n)
-    xt = truncate_fraction(x, cfg.t, raw_width)
-    seg = segment_index(x, raw_width, cfg.m)
-    seg_row = seg << logm
-
-    flat_codes = np.ascontiguousarray(model.lut_codes, dtype=np.int64).ravel()
-    s_full = shift_value(flat_codes, width - cfg.q)
-    s_half = shift_value(flat_codes, width - cfg.q - 1)
-    one = np.int64(1) << width
-    saturate = model.overflow == "saturate"
-    top = mask(2 * n)
-
-    def evaluate(a, b):
-        lut = seg_row[a] | seg[b]
-        fraction_sum = xt[a] + xt[b]
-        carry = fraction_sum >> width
-        mantissa = np.where(
-            carry == 0,
-            one + fraction_sum + s_full[lut],
-            fraction_sum + s_half[lut],
-        )
-        product = shift_value(mantissa, k[a] + k[b] + carry - width)
-        product = np.where((a > 0) & (b > 0), product, 0)
-        if saturate:
-            product = np.minimum(product, top)
-        return product
-
-    tables = k.nbytes + xt.nbytes + seg.nbytes + seg_row.nbytes
-    return evaluate, "table", tables + s_full.nbytes + s_half.nbytes
-
-
 def compile_scaletrim(model):
     """scaleTRIM: packed ``(bucket, k, xs)`` operand tables + LB gather.
 
@@ -339,57 +289,42 @@ def compile_scaletrim(model):
     flattened compensation-LUT index ``ia * 2^c + ib``.  The carry out
     of the fraction field selects the linearization overflow term
     (``carry`` set means ``S - 2^t`` is exactly ``S``'s low ``t``
-    bits).  Falls back to separate tables if the packed fields would
-    overflow int64 (extreme ``t``/``c`` only).
+    bits).  Out of reach when the packed fields would overflow int64.
     """
     from ..multipliers.scaletrim import scaled_fraction
 
     n = model.bitwidth
     t, c = model.t, model.c
+    bucket_shift = t + 8
+    if bucket_shift + 2 * c >= 63:  # packed fields would overflow int64
+        return None
     lut = np.ascontiguousarray(model.lut, dtype=np.int64)
     one_2t = np.int64(1) << (2 * t)
 
     k, x = build_log_tables(n)
     xs = scaled_fraction(x, n, t)
     bucket = xs >> (t - c)
-    bucket_shift = t + 8
     fraction_mask = mask(t + 1)
     low_mask = mask(t)
     k_mask = np.int64(0x7F)
 
-    if bucket_shift + 2 * c < 63:
-        left = ((bucket << c) << bucket_shift) | (k << (t + 1)) | xs
-        right = (bucket << bucket_shift) | (k << (t + 1)) | xs
+    left = ((bucket << c) << bucket_shift) | (k << (t + 1)) | xs
+    right = (bucket << bucket_shift) | (k << (t + 1)) | xs
 
-        def evaluate(a, b):
-            s = left[a] + right[b]
-            total = s & fraction_mask
-            carry = total >> t
-            mantissa = (
-                one_2t
-                + (total << t)
-                + ((total & low_mask) * carry << t)
-                + lut[s >> bucket_shift]
-            )
-            product = shift_value(mantissa, ((s >> (t + 1)) & k_mask) - 2 * t)
-            return np.where((a > 0) & (b > 0), product, 0)
-
-        return evaluate, "table", left.nbytes + right.nbytes + lut.nbytes
-
-    def evaluate(a, b):  # pragma: no cover - extreme t/c only
-        total = xs[a] + xs[b]
+    def evaluate(a, b):
+        s = left[a] + right[b]
+        total = s & fraction_mask
         carry = total >> t
         mantissa = (
             one_2t
             + (total << t)
             + ((total & low_mask) * carry << t)
-            + lut[(bucket[a] << c) | bucket[b]]
+            + lut[s >> bucket_shift]
         )
-        product = shift_value(mantissa, k[a] + k[b] - 2 * t)
+        product = shift_value(mantissa, ((s >> (t + 1)) & k_mask) - 2 * t)
         return np.where((a > 0) & (b > 0), product, 0)
 
-    tables_bytes = k.nbytes + xs.nbytes + bucket.nbytes + lut.nbytes
-    return evaluate, "table", tables_bytes
+    return evaluate, "table", left.nbytes + right.nbytes + lut.nbytes
 
 
 #: widest OR-approximated column window for which the pair-deficit table

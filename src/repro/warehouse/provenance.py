@@ -10,6 +10,7 @@ stripped CI image) records ``None`` rather than failing the run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import pathlib
 import subprocess
 
@@ -21,10 +22,21 @@ def git_rev(cwd=None) -> str | None:
 
     ``cwd`` defaults to this package's directory, so the revision
     describes the *code*, not whatever directory the process happens to
-    run in.
+    run in; that default is read once per process, because a process
+    runs the code it imported (serve shards are fresh processes and read
+    their own).
     """
     if cwd is None:
-        cwd = pathlib.Path(__file__).resolve().parent
+        return _code_rev()
+    return _rev_parse(cwd)
+
+
+@functools.lru_cache(maxsize=1)
+def _code_rev() -> str | None:
+    return _rev_parse(pathlib.Path(__file__).resolve().parent)
+
+
+def _rev_parse(cwd) -> str | None:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -7,7 +7,10 @@ Folds the recorded runs into two views:
 * **per-design trajectories** — for every design with error data, the
   mean/peak error across recorded runs (certified peaks preferred, the
   PR 8 semantics) plus the area/power columns when the run was a
-  design-space sweep.
+  design-space sweep.  Each point carries how its run sampled (run
+  kind, input sampler, sample count), and the text view draws one
+  trajectory per such combination, so runs under different inputs or
+  depths never read as one line.
 
 ``build_trends`` is a pure function of the database contents, and the
 JSON rendering sorts keys — exporting the same store twice yields
@@ -93,6 +96,17 @@ def _accuracy_fields(data: dict) -> dict | None:
     return fields
 
 
+def _sampler(payload) -> str:
+    """A row's input distribution: the payload's sampler class, or
+    ``uniform`` when the payload names no sampler."""
+    sampler = payload.get("sampler") if isinstance(payload, dict) else None
+    if sampler is None:
+        return "uniform"
+    if isinstance(sampler, dict) and "class" in sampler:
+        return str(sampler["class"])
+    return "custom"
+
+
 def _run_entry(run: RunRow, results: list[ResultRow]) -> dict:
     recomputed = sum(1 for r in results if not r.reused)
     reused = len(results) - recomputed
@@ -130,17 +144,25 @@ def build_trends(
     designs sort lexicographically, keys serialize sorted.
     """
     runs = warehouse.runs(kind=kind, limit=limit)
-    run_ids = {run.id for run in runs}
+    run_by_id = {run.id: run for run in runs}
     by_run: dict[int, list[ResultRow]] = {run.id: [] for run in runs}
     trajectories: dict[str, list[dict]] = {}
     applications: dict[str, list[dict]] = {}
     for row in warehouse.results(design=design):
-        if row.run_id not in run_ids:
+        run = run_by_id.get(row.run_id)
+        if run is None:
             continue
         by_run[row.run_id].append(row)
         errors = _error_fields(row.data)
         if errors is not None:
-            point = {"run": row.run_id, "reused": row.reused, **errors}
+            point = {
+                "run": row.run_id,
+                "reused": row.reused,
+                "kind": run.kind,
+                "samples": run.samples,
+                "sampler": _sampler(row.payload),
+                **errors,
+            }
             for column in ("area_reduction", "power_reduction"):
                 value = row.data.get(column)
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -206,31 +228,41 @@ def render_text(trends: dict) -> str:
     designs = trends["designs"]
     if designs:
         rows = []
+        certified = False
         for name, points in designs.items():
-            first, last = points[0], points[-1]
-            peak = max(abs(last["peak_min"]), abs(last["peak_max"]))
-            area = last.get("area_reduction")
-            rows.append(
-                (
-                    name,
-                    len(points),
-                    _fmt(first["mean_error"], 3),
-                    _fmt(last["mean_error"], 3),
-                    f"{last['mean_error'] - first['mean_error']:+.3f}",
-                    _fmt(peak, 2) + ("*" if last["certified"] else ""),
-                    _fmt(area, 1),
+            # one trajectory per way of sampling, in first-recorded order
+            lines_of: dict[tuple, list[dict]] = {}
+            for point in points:
+                key = (point["kind"], point["sampler"], point["samples"])
+                lines_of.setdefault(key, []).append(point)
+            for (kind, sampler, samples), line in lines_of.items():
+                first, last = line[0], line[-1]
+                peak = max(abs(last["peak_min"]), abs(last["peak_max"]))
+                certified = certified or last["certified"]
+                rows.append(
+                    (
+                        name,
+                        kind,
+                        sampler,
+                        "--" if samples is None else samples,
+                        len(line),
+                        _fmt(first["mean_error"], 3),
+                        _fmt(last["mean_error"], 3),
+                        f"{last['mean_error'] - first['mean_error']:+.3f}",
+                        _fmt(peak, 2) + ("*" if last["certified"] else ""),
+                        _fmt(last.get("area_reduction"), 1),
+                    )
                 )
-            )
         lines.append("")
-        lines.append(f"design trajectories ({len(designs)}):")
+        lines.append(f"design trajectories ({len(rows)}):")
         lines.append(
             _table(
-                ["design", "runs", "first ME%", "last ME%", "dME%",
-                 "last |peak|%", "areaR%"],
+                ["design", "kind", "sampler", "samples", "runs", "first ME%",
+                 "last ME%", "dME%", "last |peak|%", "areaR%"],
                 rows,
             )
         )
-        if any(points[-1]["certified"] for points in designs.values()):
+        if certified:
             lines.append("* formally certified worst-case peak (repro formal)")
     applications = trends.get("applications", {})
     if applications:

@@ -17,16 +17,13 @@ from repro.circuits.adders import (
     soa_adder,
 )
 from repro.circuits.lod import leading_one, nearest_one, or_tree
+from repro.circuits.logdatapath import log_front_end
 from repro.circuits.mux import constant_lut, mux_tree
-from repro.circuits.shifter import (
-    barrel_left,
-    barrel_right,
-    normalize_fraction,
-    scaling_shifter,
-)
+from repro.circuits.shifter import barrel_left, barrel_right, scaling_shifter
 from repro.circuits.wallace import wallace_netlist
 from repro.logic.netlist import Netlist
 from repro.logic.sim import bus_to_int, int_to_bus, simulate
+from repro.multipliers.mitchell import log_operands
 
 
 def run(nl, buses, values, outputs):
@@ -225,31 +222,6 @@ class TestShifters:
         got = run(nl, [data, sel], [np.array([value]), np.array([amount])], out)
         assert int(got[0]) == value >> amount
 
-    def test_normalize_fraction(self):
-        from repro.core.bitops import floor_log2, log_fraction
-
-        nl = Netlist("norm")
-        a = nl.input_bus("a", 16)
-        _, k, _ = leading_one(nl, a)
-        fraction = normalize_fraction(nl, a, k)
-        values = np.array([1, 3, 96, 255, 32768, 65535, 40000])
-        got = run(nl, [a], [values], fraction)
-        expected = log_fraction(values, floor_log2(values), 16)
-        assert np.array_equal(got, expected)
-
-    def test_normalize_non_power_of_two_width(self):
-        # widths like 12 use the constant-subtractor shift amount path
-        from repro.core.bitops import floor_log2, log_fraction
-
-        nl = Netlist("norm12")
-        a = nl.input_bus("a", 12)
-        _, k, _ = leading_one(nl, a)
-        fraction = normalize_fraction(nl, a, k)
-        values = np.array([1, 7, 100, 2048, 4095])
-        got = run(nl, [a], [values], fraction)
-        expected = log_fraction(values, floor_log2(values), 12)
-        assert np.array_equal(got, expected)
-
     def test_scaling_shifter_floors(self):
         # mantissa 1.75 (fraction width 2), exponent 0 -> floor(1.75) = 1
         nl = Netlist("scale")
@@ -264,6 +236,21 @@ class TestShifters:
             nl, [mantissa, exponent], [np.array([0b111]), np.array([4])], out
         )
         assert int(got[0]) == 0b11100  # 1.75 * 16
+
+
+class TestLogFrontEnd:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_matches_log_operands(self, n):
+        # the gate-level front end shared by RTL and formulas against the
+        # models' word-level one, on every operand (zero included)
+        nl = Netlist(f"front{n}")
+        a = nl.input_bus("a", n)
+        op = log_front_end(nl, a)
+        values = np.arange(1 << n, dtype=np.int64)
+        k, _, x, _, nonzero = log_operands(values, values, n)
+        assert np.array_equal(run(nl, [a], [values], op.characteristic), k)
+        assert np.array_equal(run(nl, [a], [values], op.fraction), x)
+        assert np.array_equal(run(nl, [a], [values], [op.nonzero]), nonzero)
 
 
 class TestMuxes:

@@ -79,6 +79,17 @@ class TestFigureCommands:
         assert "REALM16 (t=0)" in out
         assert "spread" in out
 
+    def test_fig5_rejects_engine_flags(self, capsys, tmp_path):
+        # the histograms run outside the engine, so its knobs are refused
+        store = tmp_path / "D"
+        argv = ["fig5", "--quick", "--warehouse", str(store), "--workers", "2",
+                "--checkpoint"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not store.exists()
+
 
 class TestExtensionCommands:
     def test_theory(self, capsys):

@@ -11,6 +11,7 @@ seeded slice of designs runs in tier-1; the full registry sweep is
 from __future__ import annotations
 
 import os
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -22,18 +23,24 @@ from repro.analysis.exhaustive import exhaustive_metrics
 from repro.conformance.fuzz import shrink_pair
 from repro.conformance.oracles import LAYERS, DifferentialOracle, resolve_design
 from repro.formal import (
-    Evaluator,
+    SYMBOLIC_FAMILIES,
     UnsupportedDesignError,
     certify_worst_error,
     encode_kernel,
     encode_model,
+    encode_netlist,
     load_certificate,
     prove_equivalence,
     save_certificate,
 )
+from repro.core.realm import RealmMultiplier
 from repro.formal import encode as encode_module
+from repro.formal.backends import _to_z3
 from repro.formal.bounds import SWEEP_EXACT_MAX_BITWIDTH, _extreme_index
+from repro.kernels import compile_netlist
+from repro.multipliers.alm import AlmLoa
 from repro.multipliers.registry import REGISTRY
+from repro.multipliers.ssm import EssmMultiplier, SsmMultiplier
 
 from tests.strategies import corner_operands
 
@@ -203,7 +210,7 @@ class TestEquivalence:
         assert legs["model~kernel"].status == "proved"
 
     def test_bdd_backend_proves_a_truth_table_design(self):
-        # the lazily built decision-diagram DAG must still match its table
+        # the lazily built decision-diagram netlist must still match its table
         result = prove_equivalence("am1-nb13", 8, backend="bdd")
         legs = {leg.leg: leg for leg in result.legs}
         assert result.proved, [leg.detail for leg in result.legs]
@@ -214,14 +221,15 @@ class TestEquivalence:
         encoding = encode_model(resolve_design("am2-nb13", 8)[1], "am2-nb13")
         assert encoding.method == "truth-table"
         a, b = encode_module._pair_grid(8)
-        swept = Evaluator(encoding.builder, encoding.outputs).run_words(
-            {"a": a, "b": b}
+        inputs = encoding.netlist.inputs
+        swept = compile_netlist(encoding.netlist).evaluate_words(
+            [inputs[:8], inputs[8:]], [a, b]
         )
         np.testing.assert_array_equal(swept, encoding.table)
 
     def test_default_ladder_never_builds_a_table_dag(self, monkeypatch):
         def forbidden(table, bitwidth):
-            raise AssertionError("truth-table DAG built on the exhaustive path")
+            raise AssertionError("truth-table netlist built on the exhaustive path")
 
         monkeypatch.setattr(encode_module, "_table_dag", forbidden)
         result = prove_equivalence("am2-nb13", 8)
@@ -234,14 +242,15 @@ class TestEquivalence:
         # rather than silently drop its high bits
         _, model, _, _ = resolve_design(design, 8)
         for encoding in (encode_model(model, design), encode_kernel(model, design)):
-            dag = Evaluator(encoding.builder, encoding.outputs)
+            kernel = compile_netlist(encoding.netlist)
+            buses = [encoding.netlist.inputs[:8], encoding.netlist.inputs[8:]]
             for a, b in ((256, 3), (300, 2), (-1, 4), (5, -2), (7, 1 << 9)):
                 x, y = np.array([0, a]), np.array([9, b])
-                with pytest.raises(ValueError) as from_dag:
-                    dag.run_words({"a": x, "b": y})
+                with pytest.raises(ValueError) as from_kernel:
+                    kernel.evaluate_words(buses, [x, y])
                 with pytest.raises(ValueError) as from_table:
                     encoding.eval_pairs(x, y)
-                assert str(from_table.value) == str(from_dag.value)
+                assert str(from_table.value) == str(from_kernel.value)
 
     @pytest.mark.parametrize("design", ["scaletrim-t4-c2", "dnnco-l6"])
     def test_new_families_sixteen_bit_proves_or_skips(self, design):
@@ -255,6 +264,81 @@ class TestEquivalence:
             assert str(exc)  # carries a reason, not a bare raise
             pytest.skip(f"16-bit certification unavailable: {exc}")
         assert bounds.replayed
+
+
+#: one model per symbolic family: registry ids where one builds at
+#: narrow widths, ad-hoc models for SSM, ESSM (even N - m) and ALM-LOA
+SYMBOLIC_MODELS = {
+    "REALM": lambda n: resolve_design("realm8-t2", n)[1],
+    "REALM saturate": lambda n: RealmMultiplier(
+        n, m=4, t=1, q=5, overflow="saturate"
+    ),
+    "MBM": lambda n: resolve_design("mbm-t2", n)[1],
+    "cALM": lambda n: resolve_design("calm", n)[1],
+    "ALM-LOA": lambda n: AlmLoa(n, m=3),
+    "ALM-SOA": lambda n: resolve_design("alm-soa-m3", n)[1],
+    "ALM-MAA": lambda n: resolve_design("alm-maa-m3", n)[1],
+    "DRUM": lambda n: resolve_design("drum-k5", n)[1],
+    "SSM": lambda n: SsmMultiplier(n, m=n - 3),
+    "ESSM": lambda n: EssmMultiplier(n, m=n - 2),
+    "scaleTRIM": lambda n: resolve_design("scaletrim-t4-c2", n)[1],
+    "DNNCO": lambda n: resolve_design("dnnco-l6", n)[1],
+    "Accurate": lambda n: resolve_design("accurate", n)[1],
+}
+
+
+class TestSymbolicEncoders:
+    def test_every_symbolic_family_is_covered(self):
+        families = {build(8).family for build in SYMBOLIC_MODELS.values()}
+        assert families == SYMBOLIC_FAMILIES
+
+    @pytest.mark.parametrize("bitwidth", [8, 7])
+    @pytest.mark.parametrize("name", sorted(SYMBOLIC_MODELS))
+    def test_table_equals_interpreted_model(self, name, bitwidth):
+        model = SYMBOLIC_MODELS[name](bitwidth)
+        encoding = encode_model(model, name)
+        assert encoding.method == "symbolic"
+        a, b = encode_module._pair_grid(bitwidth)
+        np.testing.assert_array_equal(
+            encoding.table, model.multiply(a, b, compiled=False)
+        )
+
+    def test_stub_z3_lowering_agrees_with_eval_pairs(self):
+        # the z3 backend's lowering, run on a stand-in that evaluates
+        # z3's boolean surface on Python bools at one fixed assignment
+        design_id, model, rtl_factory, _ = resolve_design("realm8-t2", 16)
+        encodings = (
+            encode_model(model, design_id),
+            encode_netlist(rtl_factory(), 16, design_id),
+        )
+        rng = np.random.default_rng(0)
+        pairs = [(0, 7), (1, 1), (65535, 65535)]
+        pairs += [tuple(map(int, p)) for p in rng.integers(0, 1 << 16, (8, 2))]
+        for a, b in pairs:
+            bits = {f"a[{i}]": bool((a >> i) & 1) for i in range(16)}
+            bits.update({f"b[{i}]": bool((b >> i) & 1) for i in range(16)})
+            z3 = _stub_z3(bits)
+            for encoding in encodings:
+                variables = {}
+                lowered = _to_z3(z3, encoding, variables)
+                assert set(variables) == set(bits)
+                value = sum(int(bit) << i for i, bit in enumerate(lowered))
+                assert value == int(encoding.eval_pairs([a], [b])[0]), (
+                    encoding.source, a, b
+                )
+
+
+def _stub_z3(assignment: dict[str, bool]):
+    """A ``z3`` stand-in whose terms are Python bools at ``assignment``."""
+    z3 = types.ModuleType("z3")
+    z3.Bool = lambda label: assignment[label]
+    z3.BoolVal = bool
+    z3.And = lambda *terms: all(terms)
+    z3.Or = lambda *terms: any(terms)
+    z3.Xor = lambda x, y: x != y
+    z3.Not = lambda x: not x
+    z3.If = lambda cond, then, other: then if cond else other
+    return z3
 
 
 class TestFormalConformanceLayer:

@@ -605,6 +605,54 @@ class TestTrendReport:
         assert trends["runs"] == []
         assert "empty" in render_text(trends)
 
+    def test_trajectories_split_by_how_runs_sampled(self, tmp_path):
+        from repro.analysis.montecarlo import GaussianSampler, characterize_workload
+
+        calm = build("calm")
+        characterize(calm, samples=SAMPLES, warehouse=tmp_path)
+        characterize_workload(
+            calm, GaussianSampler(16), samples=SAMPLES, warehouse=tmp_path
+        )
+        characterize(calm, samples=2 * SAMPLES, warehouse=tmp_path)
+        trends = build_trends(Warehouse(tmp_path / "warehouse.db"))
+        (name,) = trends["designs"]
+        assert [
+            (p["kind"], p["sampler"], p["samples"]) for p in trends["designs"][name]
+        ] == [
+            ("characterize", "uniform", SAMPLES),
+            ("workload", "GaussianSampler", SAMPLES),
+            ("characterize", "uniform", 2 * SAMPLES),
+        ]
+        text = render_text(trends)
+        assert "design trajectories (3):" in text
+        rows = [line for line in text.splitlines() if line.startswith(name)]
+        assert len(rows) == 3
+        assert [row.split()[1:4] for row in rows] == [
+            ["characterize", "uniform", str(SAMPLES)],
+            ["workload", "GaussianSampler", str(SAMPLES)],
+            ["characterize", "uniform", str(2 * SAMPLES)],
+        ]
+
+
+class TestProvenanceCapture:
+    def test_revision_is_read_once_per_process(self, tmp_path, monkeypatch):
+        from repro.warehouse import provenance
+
+        spawned = []
+        run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            spawned.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(provenance.subprocess, "run", counting_run)
+        provenance._code_rev.cache_clear()
+        wh = Warehouse(tmp_path / "warehouse.db")
+        for design in ("calm", "mbm-t0", "drum-k8"):
+            _record(wh, design, provenance=None)
+        assert len(spawned) == 1
+        assert len({run.git_rev for run in wh.runs()}) == 1
+
 
 class TestCampaignRecording:
     def test_conformance_run_recorded(self, tmp_path):
