@@ -212,10 +212,13 @@ def cmd_multiply(args) -> int:
 def cmd_factors(args) -> int:
     from .core.factors import compute_factors, compute_factors_mse, quantize_factors
 
-    factors = (
-        compute_factors(args.m) if args.objective == "mean" else compute_factors_mse(args.m)
-    )
-    codes = quantize_factors(factors, args.q)
+    compute = compute_factors if args.objective == "mean" else compute_factors_mse
+    try:
+        factors = compute(args.m)
+        codes = quantize_factors(factors, args.q)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"s_ij factors for M={args.m} (objective={args.objective}):")
     print(np.array2string(factors, precision=5, suppress_small=True))
     print(f"\nquantized LUT codes (q={args.q}, value = code / {1 << args.q}):")
@@ -438,20 +441,23 @@ def cmd_fir(args) -> int:
 def cmd_divide(args) -> int:
     from .extensions.divider import MitchellDivider, RealmDivider
 
-    divider = (
-        MitchellDivider()
-        if args.m is None
-        else RealmDivider(m=args.m, q=args.q)
-    )
-    quotient = int(divider.divide(args.a, args.b))
+    try:
+        divider = (
+            MitchellDivider()
+            if args.m is None
+            else RealmDivider(m=args.m, q=args.q)
+        )
+        quotient = int(divider.divide(args.a, args.b))
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{divider.name}: {args.a} / {args.b} = {quotient}")
-    if args.b:
-        exact = args.a / args.b
-        if exact:
-            print(
-                f"exact {exact:.3f}, relative error "
-                f"{(quotient - exact) / exact * 100:+.3f}%"
-            )
+    exact = args.a / args.b
+    if exact:
+        print(
+            f"exact {exact:.3f}, relative error "
+            f"{(quotient - exact) / exact * 100:+.3f}%"
+        )
     return 0
 
 

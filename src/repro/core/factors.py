@@ -22,11 +22,16 @@ zeroes the average relative error over the segment (paper Eq. 8-11):
 
 The paper computes these integrals with the MATLAB Symbolic Math Toolbox;
 here they are evaluated with closed-form antiderivatives for segments that
-lie entirely on one side of the line ``x + y = 1``, and with adaptive
-quadrature (``scipy.integrate.dblquad``) for the anti-diagonal segments the
-line crosses.  For equispaced segments the line crosses a segment exactly
-when ``i + j == M - 1``, and then it passes through two opposite corners of
-the segment, splitting it into two triangles.
+lie entirely on one side of the line ``x + y = 1``.  For equispaced segments
+the line crosses a segment exactly when ``i + j == M - 1``, and then it
+passes through two opposite corners of the segment, splitting it into two
+right triangles; the integrand is smooth on each.  Every integral without a
+closed form (those triangles, and the mean-square objective's integrals) is
+evaluated with one fixed 24-point Gauss-Legendre rule, applied only to
+pieces without a kink: the tensor rule on rectangles
+(:func:`rectangle_integral`) and the collapsed map on triangles
+(:func:`triangle_integral`).  On smooth pieces the rule is exact to float64
+roundoff, so no adaptive quadrature is used.
 
 Invariants established by the mathematics (and enforced by the test suite):
 
@@ -46,7 +51,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "mitchell_relative_error",
@@ -54,10 +58,18 @@ __all__ = [
     "compute_factors_mse",
     "quantize_factors",
     "dequantize_factors",
+    "rectangle_integral",
     "segment_numerator",
     "segment_denominator",
     "segment_index",
+    "triangle_integral",
 ]
+
+# the one quadrature rule: 24 Gauss-Legendre nodes (a column, _U; its
+# transpose is the row) and weights, mapped from [-1, 1] to [0, 1]
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(24)
+_U = (_NODES[:, None] + 1.0) / 2.0
+_W = _WEIGHTS / 2.0
 
 
 def mitchell_relative_error(x, y):
@@ -107,39 +119,43 @@ def _rect_integral_high(x0: float, x1: float, y0: float, y1: float) -> float:
     return 2.0 * (x1 - x0) * ly + 2.0 * (y1 - y0) * lx - 4.0 * lx * ly - area
 
 
-def _crossing_integral(x0: float, x1: float, y0: float, y1: float) -> float:
-    """Integral of Eq. 5 over a segment crossed by the line ``x + y = 1``.
+def rectangle_integral(f, x0: float, x1: float, y0: float, y1: float) -> float:
+    """Integral of ``f(x, y)`` over ``[x0, x1] x [y0, y1]`` by the tensor rule.
+
+    ``f`` takes broadcasting NumPy arrays and must be smooth on the
+    rectangle: the rule does not resolve a kink.
+    """
+    values = f(x0 + (x1 - x0) * _U, y0 + (y1 - y0) * _U.T)
+    return float(_W @ values @ _W) * (x1 - x0) * (y1 - y0)
+
+
+def triangle_integral(f, cx: float, cy: float, dx: float, dy: float) -> float:
+    """Integral of ``f(x, y)`` over the right triangle at ``(cx, cy)``.
+
+    The right angle sits at ``(cx, cy)`` and the signed legs ``dx``,
+    ``dy`` reach ``(cx + dx, cy)`` and ``(cx, cy + dy)``.  The collapsed
+    (Duffy) map ``x = cx + dx*u``, ``y = cy + dy*(1-u)*v`` takes the unit
+    square onto the triangle with Jacobian ``|dx*dy|*(1-u)``, and the
+    tensor rule integrates the pulled-back integrand.  ``f`` must be
+    smooth inside the triangle; no node lies on the hypotenuse, so a kink
+    along it is never evaluated on the wrong side.
+    """
+    values = f(cx + dx * _U, cy + dy * (1.0 - _U) * _U.T) * (1.0 - _U)
+    return float(_W @ values @ _W) * abs(dx * dy)
+
+
+def _crossing_integral(f, x0: float, x1: float, y0: float, y1: float) -> float:
+    """Integral of ``f`` over a segment crossed by the line ``x + y = 1``.
 
     For equispaced segments the line runs corner-to-corner, splitting the
-    rectangle into a lower-left triangle (``x + y < 1`` branch) and an
-    upper-right triangle (``x + y >= 1`` branch).  The triangle integrals
-    involve dilogarithms, so adaptive quadrature is used instead of closed
-    forms; tolerances are far below the ``q``-bit quantization step the
-    factors are later rounded to.
+    rectangle into a lower-left triangle (``x + y < 1`` branch of Eq. 5)
+    and an upper-right triangle (``x + y >= 1`` branch), each integrated
+    on its own.  The triangle integrals of the error involve
+    dilogarithms, hence the rule instead of closed forms.
     """
-    lower, lower_err = integrate.dblquad(
-        lambda y, x: (1.0 + x + y) / ((1.0 + x) * (1.0 + y)) - 1.0,
-        x0,
-        x1,
-        y0,
-        lambda x: min(y1, max(y0, 1.0 - x)),
-        epsabs=1e-13,
-        epsrel=1e-12,
+    return triangle_integral(f, x0, y0, x1 - x0, y1 - y0) + triangle_integral(
+        f, x1, y1, x0 - x1, y0 - y1
     )
-    upper, upper_err = integrate.dblquad(
-        lambda y, x: 2.0 * (x + y) / ((1.0 + x) * (1.0 + y)) - 1.0,
-        x0,
-        x1,
-        lambda x: min(y1, max(y0, 1.0 - x)),
-        y1,
-        epsabs=1e-13,
-        epsrel=1e-12,
-    )
-    if lower_err + upper_err > 1e-9:
-        raise ArithmeticError(
-            f"quadrature failed to converge on segment [{x0},{x1}]x[{y0},{y1}]"
-        )
-    return lower + upper
 
 
 def segment_numerator(m: int, i: int, j: int) -> float:
@@ -158,7 +174,7 @@ def segment_numerator(m: int, i: int, j: int) -> float:
         return _rect_integral_low(x0, x1, y0, y1)
     if i + j >= m:
         return _rect_integral_high(x0, x1, y0, y1)
-    return _crossing_integral(x0, x1, y0, y1)
+    return _crossing_integral(mitchell_relative_error, x0, x1, y0, y1)
 
 
 def segment_denominator(m: int, i: int, j: int) -> float:
@@ -170,26 +186,30 @@ def segment_denominator(m: int, i: int, j: int) -> float:
     return _log_ratio(i / m, (i + 1) / m) * _log_ratio(j / m, (j + 1) / m)
 
 
-def _check_segment(m: int, i: int, j: int) -> None:
+def _check_segments(m: int) -> None:
     if m < 1:
         raise ValueError(f"number of segments M must be >= 1, got {m}")
+
+
+def _check_segment(m: int, i: int, j: int) -> None:
+    _check_segments(m)
     if not (0 <= i < m and 0 <= j < m):
         raise ValueError(f"segment indices must be in [0, {m}), got ({i}, {j})")
 
 
+def _symmetric_table(m: int, factor) -> tuple[tuple[float, ...], ...]:
+    """``factor(i, j)`` for ``j >= i``, mirrored below (``s_ij == s_ji``)."""
+    rows: list[tuple[float, ...]] = []
+    for i in range(m):
+        rows.append(tuple(rows[j][i] if j < i else factor(i, j) for j in range(m)))
+    return tuple(rows)
+
+
 @functools.lru_cache(maxsize=None)
 def _factors_cached(m: int) -> tuple[tuple[float, ...], ...]:
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            if j < i:
-                row.append(rows[j][i])  # symmetry: s_ij == s_ji
-                continue
-            s = -segment_numerator(m, i, j) / segment_denominator(m, i, j)
-            row.append(s)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _symmetric_table(
+        m, lambda i, j: -segment_numerator(m, i, j) / segment_denominator(m, i, j)
+    )
 
 
 def compute_factors(m: int) -> np.ndarray:
@@ -200,52 +220,27 @@ def compute_factors(m: int) -> np.ndarray:
     The factors are interval-independent (Eq. 12): the same table serves
     every power-of-two interval of the operands.
     """
+    _check_segments(m)
     return np.array(_factors_cached(m), dtype=float)
 
 
 @functools.lru_cache(maxsize=None)
 def _factors_mse_cached(m: int) -> tuple[tuple[float, ...], ...]:
-    def weight(y, x):
-        return 1.0 / ((1.0 + x) * (1.0 + y))
+    def weighted_error(x, y):
+        return mitchell_relative_error(x, y) / ((1.0 + x) * (1.0 + y))
 
-    def err_times_weight(y, x):
-        if x + y < 1.0:
-            e = (1.0 + x + y) / ((1.0 + x) * (1.0 + y)) - 1.0
-        else:
-            e = 2.0 * (x + y) / ((1.0 + x) * (1.0 + y)) - 1.0
-        return e * weight(y, x)
+    def weight_squared(x, y):
+        return 1.0 / ((1.0 + x) * (1.0 + y)) ** 2
 
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            if j < i:
-                row.append(rows[j][i])
-                continue
-            x0, x1 = i / m, (i + 1) / m
-            y0, y1 = j / m, (j + 1) / m
-            # tolerances sit well below the q-bit quantization step; the
-            # suppressed roundoff warning fires when quadpack converges
-            # past float64 noise on the kink along x + y = 1
-            import warnings
+    def factor(i, j):
+        x0, x1 = i / m, (i + 1) / m
+        y0, y1 = j / m, (j + 1) / m
+        numerator = _crossing_integral if i + j == m - 1 else rectangle_integral
+        return -numerator(weighted_error, x0, x1, y0, y1) / rectangle_integral(
+            weight_squared, x0, x1, y0, y1
+        )
 
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                num, _ = integrate.dblquad(
-                    err_times_weight, x0, x1, y0, y1, epsabs=1e-11, epsrel=1e-10
-                )
-                den, _ = integrate.dblquad(
-                    lambda y, x: weight(y, x) ** 2,
-                    x0,
-                    x1,
-                    y0,
-                    y1,
-                    epsabs=1e-11,
-                    epsrel=1e-10,
-                )
-            row.append(-num / den)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return _symmetric_table(m, factor)
 
 
 def compute_factors_mse(m: int) -> np.ndarray:
@@ -256,6 +251,7 @@ def compute_factors_mse(m: int) -> np.ndarray:
     ``d/ds \\iint (E + s * g)^2 = 0`` with ``g = 1/((1+x)(1+y))`` gives
     ``s = -(\\iint E g) / (\\iint g^2)``.
     """
+    _check_segments(m)
     return np.array(_factors_mse_cached(m), dtype=float)
 
 

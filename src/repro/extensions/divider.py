@@ -30,6 +30,14 @@ demonstration that the Eq. 8-11 machinery generalizes:
   d_ij = - (∫∫ Ẽ) / (∫∫ g)        over the segment
   ```
 
+  The error has a kink along ``x = y``, which crosses each diagonal
+  segment corner to corner.  Those segments are cut into their ``x >= y``
+  and ``x < y`` triangles, and every piece is integrated with the
+  multiplier's one fixed Gauss-Legendre rule
+  (:func:`repro.core.factors.rectangle_integral` and
+  :func:`~repro.core.factors.triangle_integral`), never across the kink
+  and with no adaptive quadrature.
+
 Unlike the multiplier's factors the divider's corrections are *signed*
 (the error is double-sided), so the hardwired LUT stores two's-complement
 codes.  Everything else — interval independence, the ``M^2`` table, the
@@ -42,9 +50,9 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import integrate
 
 from ..core.bitops import floor_log2, log_fraction, shift_value
+from ..core.factors import rectangle_integral, triangle_integral
 from ..multipliers.base import as_operands
 
 __all__ = [
@@ -66,27 +74,21 @@ def divider_relative_error(x, y):
 
 @functools.lru_cache(maxsize=None)
 def _divider_factors_cached(m: int) -> tuple[tuple[float, ...], ...]:
-    def error(y, x):
-        return float(divider_relative_error(x, y))
-
-    def weight(y, x):
+    def weight(x, y):
         return (1.0 + y) / (1.0 + x)
 
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            x0, x1 = i / m, (i + 1) / m
-            y0, y1 = j / m, (j + 1) / m
-            numerator, _ = integrate.dblquad(
-                error, x0, x1, y0, y1, epsabs=1e-11, epsrel=1e-10
-            )
-            denominator, _ = integrate.dblquad(
-                weight, x0, x1, y0, y1, epsabs=1e-11, epsrel=1e-10
-            )
-            row.append(-numerator / denominator)
-        rows.append(tuple(row))
-    return tuple(rows)
+    def factor(i, j):
+        x0, x1 = i / m, (i + 1) / m
+        y0, y1 = j / m, (j + 1) / m
+        if i == j:  # the x >= y and x < y triangles either side of the kink
+            numerator = triangle_integral(
+                divider_relative_error, x1, y0, x0 - x1, y1 - y0
+            ) + triangle_integral(divider_relative_error, x0, y1, x1 - x0, y0 - y1)
+        else:
+            numerator = rectangle_integral(divider_relative_error, x0, x1, y0, y1)
+        return -numerator / rectangle_integral(weight, x0, x1, y0, y1)
+
+    return tuple(tuple(factor(i, j) for j in range(m)) for i in range(m))
 
 
 def compute_divider_factors(m: int) -> np.ndarray:

@@ -21,9 +21,10 @@ Both symbolic backends read netlist gates through :func:`lower`, which
 applies each library cell's one boolean definition
 (:attr:`repro.logic.cells.Cell.function`) to the backend's own terms.
 
-``check_equal(f, g)`` returns ``(status, witness)`` with status
-``"proved"`` / ``"refuted"`` / ``"unknown"``; a witness is the concrete
-``(a, b)`` pair on which the encodings disagree.  Buses of different
+``check_equal(f, g)`` returns ``(status, extra)`` with status
+``"proved"`` / ``"refuted"`` / ``"unknown"``; after a refutation
+``extra`` is the witness, the concrete ``(a, b)`` pair on which the
+encodings disagree, and after ``unknown`` it is the reason.  Buses of different
 widths compare as unsigned integers (zero-extended).
 """
 
@@ -83,7 +84,10 @@ class ExhaustiveBackend:
         if n != g.bitwidth:
             raise ValueError("encodings disagree on bitwidth")
         if n > self.max_bitwidth:
-            return "unknown", None
+            return (
+                "unknown",
+                f"{n} bits is above the {self.max_bitwidth}-bit sweep limit",
+            )
         tele = telemetry.get()
         with tele.span(
             "formal.solve", backend=self.name, design=f.design, bitwidth=n

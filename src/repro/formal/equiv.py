@@ -132,7 +132,7 @@ def _check_leg(
         if backend_name
         else default_ladder(f.bitwidth)
     )
-    last_detail = ""
+    reasons = []
     for backend in ladder:
         status, extra = backend.check_equal(f, g)
         if status == "proved":
@@ -151,8 +151,8 @@ def _check_leg(
                 f"{f.source} and {g.source} disagree on (a={witness[0]}, "
                 f"b={witness[1]})",
             )
-        last_detail = str(extra or "")
-    return LegResult(leg, "unknown", None, None, last_detail)
+        reasons.append(f"{backend.name}: {extra}")
+    return LegResult(leg, "unknown", None, None, "; ".join(reasons))
 
 
 def _validate_by_sampling(

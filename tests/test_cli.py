@@ -156,6 +156,25 @@ class TestExtensionCommands:
         assert code == 0
         assert "cALM-div16" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("factors", "--q", "2"),
+            ("factors", "--m", "0"),
+            ("factors", "--m", "0", "--objective", "mse"),
+            ("divide", "5", "0"),
+            ("divide", "50000", "37", "--m", "6"),
+            ("divide", "70000", "3"),
+        ],
+    )
+    def test_bad_arguments_are_structured_errors(self, capsys, argv):
+        # a rejected value is exit 2 and one error line, not a traceback
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
 class TestResilienceFlags:
     @pytest.mark.parametrize(
         "flag,value",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -20,8 +21,99 @@ from repro.core.factors import (
     segment_index,
     segment_numerator,
 )
+from repro.extensions.divider import compute_divider_factors
 
 PRACTICAL_M = (1, 2, 4, 8, 16)
+
+#: the oracle's dblquad tolerances: relative 1e-13, with an absolute floor
+#: for the inner integrals that vanish at a triangle's apex, where a pure
+#: relative tolerance makes quadpack chase roundoff
+ORACLE_TOL = {"epsabs": 1e-17, "epsrel": 1e-13}
+
+
+def _segment(m, i, j):
+    return i / m, (i + 1) / m, j / m, (j + 1) / m
+
+
+def _dblquad(f, x0, x1, y0, y1, kink=None):
+    """``dblquad`` of scalar ``f(x, y)`` on a segment, split along ``y = kink(x)``."""
+
+    def integrand(y, x):
+        return f(x, y)
+
+    if kink is None:
+        return integrate.dblquad(integrand, x0, x1, y0, y1, **ORACLE_TOL)[0]
+
+    def cut(x):
+        return min(y1, max(y0, kink(x)))
+
+    below, _ = integrate.dblquad(integrand, x0, x1, y0, cut, **ORACLE_TOL)
+    above, _ = integrate.dblquad(integrand, x0, x1, cut, y1, **ORACLE_TOL)
+    return below + above
+
+
+def _antidiagonal(x):
+    return 1.0 - x
+
+
+def _diagonal(x):
+    return x
+
+
+def _mitchell_error(x, y):
+    """Eq. 5 on scalars, written apart from the module's NumPy version."""
+    if x + y < 1.0:
+        return (1.0 + x + y) / ((1.0 + x) * (1.0 + y)) - 1.0
+    return 2.0 * (x + y) / ((1.0 + x) * (1.0 + y)) - 1.0
+
+
+def _weight(x, y):
+    return 1.0 / ((1.0 + x) * (1.0 + y))
+
+
+def _divider_error(x, y):
+    approx = 1.0 + x - y if x >= y else (2.0 + x - y) / 2.0
+    return approx * (1.0 + y) / (1.0 + x) - 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_mean(m):
+    """Closed forms off the kink, ``dblquad`` split along ``x + y = 1`` on it."""
+    table = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            if i + j == m - 1:
+                numerator = _dblquad(_mitchell_error, *_segment(m, i, j), _antidiagonal)
+            else:
+                numerator = segment_numerator(m, i, j)
+            table[i, j] = table[j, i] = -numerator / segment_denominator(m, i, j)
+    return table
+
+
+def _oracle_mse(m):
+    table = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            kink = _antidiagonal if i + j == m - 1 else None
+            numerator = _dblquad(
+                lambda x, y: _mitchell_error(x, y) * _weight(x, y),
+                *_segment(m, i, j),
+                kink,
+            )
+            denominator = _dblquad(lambda x, y: _weight(x, y) ** 2, *_segment(m, i, j))
+            table[i, j] = table[j, i] = -numerator / denominator
+    return table
+
+
+def _oracle_divider(m):
+    table = np.empty((m, m))
+    for i in range(m):
+        for j in range(m):
+            kink = _diagonal if i == j else None
+            numerator = _dblquad(_divider_error, *_segment(m, i, j), kink)
+            denominator = _dblquad(lambda x, y: (1 + y) / (1 + x), *_segment(m, i, j))
+            table[i, j] = -numerator / denominator
+    return table
 
 
 class TestMitchellRelativeError:
@@ -151,6 +243,35 @@ class TestComputeFactors:
             corrected, i / m, (i + 1) / m, kink, (j + 1) / m, epsabs=1e-12
         )
         assert lower + upper == pytest.approx(0.0, abs=1e-9)
+
+
+class TestQuadratureOracle:
+    """The fixed Gauss-Legendre rule against ``dblquad`` on the same pieces."""
+
+    @pytest.mark.parametrize("m", (1, 2, 3, 4, 8, 16, 32, 64, 128))
+    def test_mean_factors_match_dblquad(self, m):
+        assert np.abs(compute_factors(m) - _oracle_mean(m)).max() <= 1e-14
+
+    @pytest.mark.parametrize("m", (1, 2, 3, 4, 8))
+    def test_mse_factors_match_split_dblquad(self, m):
+        assert np.abs(compute_factors_mse(m) - _oracle_mse(m)).max() <= 1e-13
+
+    @pytest.mark.parametrize("m", (1, 2, 3, 4, 8))
+    def test_divider_factors_match_split_dblquad(self, m):
+        assert np.abs(compute_divider_factors(m) - _oracle_divider(m)).max() <= 1e-13
+
+    @pytest.mark.parametrize("m", (1, 2, 4, 8, 16, 32, 64, 128))
+    def test_quantized_codes_match_oracle(self, m):
+        for q in range(3, 33):
+            assert np.array_equal(
+                quantize_factors(compute_factors(m), q),
+                quantize_factors(_oracle_mean(m), q),
+            ), f"q={q}"
+
+    @pytest.mark.parametrize("compute", [compute_factors, compute_factors_mse])
+    def test_no_segments_rejected(self, compute):
+        with pytest.raises(ValueError, match="M must be >= 1, got 0"):
+            compute(0)
 
 
 class TestMseFactors:

@@ -34,7 +34,9 @@ from repro.formal import (
     save_certificate,
 )
 from repro.core.realm import RealmMultiplier
+from repro.formal import backends as backends_module
 from repro.formal import encode as encode_module
+from repro.formal import equiv as equiv_module
 from repro.formal.backends import _to_z3
 from repro.formal.bounds import SWEEP_EXACT_MAX_BITWIDTH, _extreme_index
 from repro.kernels import compile_netlist
@@ -235,6 +237,26 @@ class TestEquivalence:
         result = prove_equivalence("am2-nb13", 8)
         assert result.proved, [leg.detail for leg in result.legs]
         assert certify_worst_error("am2-nb13", 8).exact
+
+    def test_unknown_leg_names_each_rungs_reason(self, monkeypatch):
+        # above 12 bits the exhaustive rung declines after the BDD rung;
+        # the BDD's budget message must survive in the leg's detail
+        default_ladder = equiv_module.default_ladder
+
+        def small_budget_ladder(bitwidth):
+            ladder = default_ladder(bitwidth)
+            for rung in ladder:
+                if isinstance(rung, backends_module.BddBackend):
+                    rung.budget = 2000
+            return ladder
+
+        monkeypatch.setattr(backends_module, "z3_available", lambda: False)
+        monkeypatch.setattr(equiv_module, "default_ladder", small_budget_ladder)
+        legs = {leg.leg: leg for leg in prove_equivalence("realm16-t0", 16).legs}
+        rtl = legs["model~rtl"]
+        assert rtl.status == "unknown"
+        assert "bdd: BDD exceeded 2000 nodes" in rtl.detail
+        assert "exhaustive: 16 bits is above the 12-bit sweep limit" in rtl.detail
 
     @pytest.mark.parametrize("design", ["am1-nb13", "realm8-t2"])
     def test_gather_and_dag_agree_on_out_of_range_operands(self, design):
