@@ -43,6 +43,11 @@ verify:
 	PYTHONPATH=src $(PYTHON) tools/serve_smoke.py --only chaos
 	@echo "--- seeded conformance slice ---"
 	PYTHONPATH=src $(PYTHON) -m repro conform --design realm-16-m4-q5 --budget 20000 --seed 0
+	@echo "--- MAC identity (table and direct paths, application digests) ---"
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_signed.py tests/test_application_digests.py -q
+	@echo "--- CNN application smoke (5 designs) ---"
+	PYTHONPATH=src $(PYTHON) -m repro cnn accurate scaletrim-t4-c2 alm-maa-m3 am1-nb13 \
+		intalp-l2 --no-warehouse
 	@echo "--- MAC application examples ---"
 	PYTHONPATH=src $(PYTHON) examples/signed_dot_product.py
 	PYTHONPATH=src $(PYTHON) examples/floating_point_and_dsp.py

@@ -9,17 +9,22 @@ Two studies around the paper's mathematical formulation:
   same q=6 code, making the two designs product-identical — measured here.
 * **mean vs MSE objective** — the paper's future-work variant (our
   Eq. 8 modified for mean square error): per-segment least-squares
-  factors trade a little bias for lower RMS error.
+  factors trade a little bias for lower RMS error.  Run at q = 10,
+  where the two objectives' LUT codes differ for every M measured.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from conftest import BENCH_SAMPLES, run_once
 
 from repro.analysis.montecarlo import characterize
 from repro.core.realm import RealmMultiplier
 from repro.experiments import format_table
 from repro.multipliers.mbm import MbmMultiplier
+
+#: LUT precision of the objective ablation
+OBJECTIVE_Q = 10
 
 
 def test_ablation_m1_vs_mbm(benchmark, record_result):
@@ -47,18 +52,29 @@ def test_ablation_m1_vs_mbm(benchmark, record_result):
 
 
 def test_ablation_mean_vs_mse_objective(benchmark, record_result):
+    # at the paper's q = 6 both objectives quantize to the same LUT codes
+    # for every M here (and at q = 8 still for M = 16); q = 10 is the
+    # first precision at which all three pairs differ
+    designs = {
+        (m, objective): RealmMultiplier(m=m, t=0, q=OBJECTIVE_Q, objective=objective)
+        for m in (4, 8, 16)
+        for objective in ("mean", "mse")
+    }
+    for m in (4, 8, 16):
+        assert not np.array_equal(
+            designs[(m, "mean")].lut_codes, designs[(m, "mse")].lut_codes
+        )
+
     def measure():
-        out = {}
-        for m in (4, 8, 16):
-            for objective in ("mean", "mse"):
-                realm = RealmMultiplier(m=m, t=0, objective=objective)
-                out[(m, objective)] = characterize(realm, samples=BENCH_SAMPLES)
-        return out
+        return {
+            key: characterize(realm, samples=BENCH_SAMPLES)
+            for key, realm in designs.items()
+        }
 
     results = run_once(benchmark, measure)
     rows = [
         (
-            f"REALM{m} ({objective})",
+            f"REALM{m} q={OBJECTIVE_Q} ({objective})",
             f"{metrics.bias:+.3f}",
             f"{metrics.mean_error:.3f}",
             f"{metrics.rms:.3f}",

@@ -85,6 +85,14 @@ The experiment warehouse (:mod:`repro.warehouse`), asserted by
   ``warehouse.quarantined`` (corrupt databases moved aside);
 * the ``warehouse.quarantined`` event naming the damaged file and
   where its evidence went.
+
+The shared signed MAC (:func:`repro.multipliers.signed.signed_matmul`),
+asserted by ``tests/test_signed.py``:
+
+* spans ``mac.table`` (a call served by a product table of its smaller
+  operand) and ``mac.direct`` (a call multiplied block by block), each
+  with the field ``products``;
+* the counter ``mac.products`` (products per call, either path).
 """
 
 from __future__ import annotations

@@ -50,15 +50,17 @@ def markov_stream(
     p01 = toggle_rate / (2.0 * (1.0 - probability))
     p10 = toggle_rate / (2.0 * probability)
     uniform = rng.random(length)
-    bits = np.empty(length, dtype=bool)
     state = rng.random() < probability
-    for t in range(length):
-        if state:
-            state = uniform[t] >= p10
-        else:
-            state = uniform[t] < p01
-        bits[t] = state
-    return bits
+    # step t maps 0 to ``rise`` and 1 to ``stay``: a constant where they
+    # agree, NOT where only ``rise`` holds, the identity otherwise.  So a
+    # bit is the last constant step's value (the initial state before
+    # any) XOR the parity of the NOT steps since.
+    rise = uniform < p01
+    stay = uniform >= p10
+    parity = np.logical_xor.accumulate(rise & ~stay)
+    last = np.maximum.accumulate(np.where(rise == stay, np.arange(length), -1))
+    anchor = np.where(last >= 0, stay[last] ^ parity[last], state)
+    return anchor ^ parity
 
 
 @dataclasses.dataclass(frozen=True)

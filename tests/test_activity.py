@@ -9,7 +9,46 @@ from repro.logic.activity import estimate_power, markov_stream
 from repro.logic.netlist import Netlist
 
 
+def markov_loop(length, toggle_rate, probability, rng):
+    """The chain stepped one bit at a time: the oracle of the vectorized form."""
+    p01 = toggle_rate / (2.0 * (1.0 - probability))
+    p10 = toggle_rate / (2.0 * probability)
+    uniform = rng.random(length)
+    bits = np.empty(length, dtype=bool)
+    state = rng.random() < probability
+    for t in range(length):
+        if state:
+            state = uniform[t] >= p10
+        else:
+            state = uniform[t] < p01
+        bits[t] = state
+    return bits
+
+
 class TestMarkovStream:
+    @pytest.mark.parametrize(
+        "probability, toggle_rate",
+        [
+            (0.3, 0.25),  # p01 < p10
+            (0.8, 0.2),  # p01 > p10
+            (0.5, 0.25),  # the paper's conditions, p01 == p10
+            (0.7, 0.0),  # r = 0: the state never changes
+            (0.3, 0.6),  # r = 2 min(p, 1 - p): every 0 rises
+            (0.5, 1.0),  # r = 2 min(p, 1 - p) at p = 1/2: it alternates
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 45])
+    def test_matches_the_bit_serial_chain(self, probability, toggle_rate, seed):
+        for length in (0, 1, 2, 4096):
+            got = markov_stream(
+                length, toggle_rate, probability, np.random.default_rng(seed)
+            )
+            want = markov_loop(
+                length, toggle_rate, probability, np.random.default_rng(seed)
+            )
+            assert got.dtype == bool
+            assert np.array_equal(got, want)
+
     def test_statistics(self):
         rng = np.random.default_rng(1)
         bits = markov_stream(200_000, toggle_rate=0.25, probability=0.5, rng=rng)

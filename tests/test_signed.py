@@ -6,16 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.analysis import telemetry
 from repro.core.realm import RealmMultiplier
+from repro.jpeg.dct import dct_matrix_q7, forward_dct
+from repro.jpeg.images import test_image as make_image
 from repro.multipliers.accurate import AccurateMultiplier
-from repro.multipliers.registry import build
+from repro.multipliers.registry import build, names
 from repro.multipliers.signed import (
+    MAC_BLOCK,
     SignedMultiplier,
     convolve2d,
     dot_product,
     signed_matmul,
     signed_product,
 )
+from repro.nn.cnn import FixedPointCnn
+from repro.nn.evaluate import trained_cnn_setup
 
 from tests.strategies import signed_operands
 
@@ -84,6 +90,159 @@ class TestSignedMatmul:
             signed_matmul(acc, np.zeros((2, 3)), np.zeros((4, 2)))
         with pytest.raises(ValueError):
             signed_matmul(acc, np.zeros(3), np.zeros((3, 2)))
+
+
+def definition(multiplier, left, right) -> np.ndarray:
+    """``signed_matmul`` by its definition: every product, summed in int64."""
+    left = np.asarray(left)[..., :, :, None]
+    right = np.asarray(right)[..., None, :, :]
+    return signed_product(multiplier, left, right).sum(axis=-2, dtype=np.int64)
+
+
+def mac_paths(multiplier, left, right):
+    """``signed_matmul`` and the count of its ``mac.table``/``mac.direct`` spans."""
+    with telemetry.recording() as rec:
+        out = signed_matmul(multiplier, left, right)
+    snap = rec.snapshot
+    return out, snap.phase("mac.table").count, snap.phase("mac.direct").count
+
+
+class CountingMultiplier:
+    """Forwards to ``inner`` and records the element count of each call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def multiply(self, a, b):
+        self.calls.append(np.broadcast(a, b).size)
+        return self.inner.multiply(a, b)
+
+
+def mac_shapes(seed: int = 3):
+    """The DCT pass, its mirror and the CNN conv layer, shaped as the
+    applications call the MAC: small constant operands, data in range."""
+    rng = np.random.default_rng(seed)
+    basis = dct_matrix_q7()
+    weights = rng.integers(-300, 300, (9, 8))
+    return {
+        "dct": (basis, rng.integers(-128, 128, (32, 8, 8))),
+        "dct-mirror": (rng.integers(-600, 600, (160, 8, 8)), basis.T),
+        "conv": (rng.integers(0, 256, (32, 36, 9)), weights),
+    }
+
+
+class TestTablePath:
+    @pytest.mark.parametrize("name", names())
+    def test_every_design_matches_definition(self, name):
+        multiplier = build(name)
+        for case, (left, right) in mac_shapes().items():
+            out, tables, directs = mac_paths(multiplier, left, right)
+            assert (tables, directs) == (1, 0), case
+            assert np.array_equal(out, definition(multiplier, left, right)), case
+
+    def test_operand_order_with_the_constant_on_either_side(self):
+        # alm-maa-m3 products change when its operands swap, so the
+        # table must be built in the caller's operand order
+        multiplier = build("alm-maa-m3")
+        rng = np.random.default_rng(4)
+        # 8 distinct 15-bit magnitudes against a narrow band of data
+        magnitudes = rng.integers(1, 1 << 15, 8)[rng.integers(0, 8, (8, 8))]
+        constant = rng.choice([-1, 1], (8, 8)) * magnitudes
+        data = rng.integers(-20400, -20000, (64, 8, 8))
+        for left, right in ((constant, data), (data, constant)):
+            out, tables, _ = mac_paths(multiplier, left, right)
+            assert tables == 1
+            assert np.array_equal(out, definition(multiplier, left, right))
+            swapped = definition(
+                multiplier, np.swapaxes(right, -1, -2), np.swapaxes(left, -1, -2)
+            )
+            assert not np.array_equal(out, np.swapaxes(swapped, -1, -2))
+
+    def test_batch_dims_on_the_smaller_operand(self, monkeypatch):
+        # blocks of one leading row split the smaller, tabled operand
+        monkeypatch.setattr("repro.multipliers.signed.MAC_BLOCK", 1000)
+        multiplier = build("realm16-t0")
+        rng = np.random.default_rng(5)
+        left = rng.integers(-5, 6, (2, 1, 3, 4))
+        right = rng.integers(-20, 21, (3, 4, 64))
+        out, tables, _ = mac_paths(multiplier, left, right)
+        assert tables == 1
+        assert out.shape == (2, 3, 3, 64)
+        assert np.array_equal(out, definition(multiplier, left, right))
+
+    @pytest.mark.parametrize("side", ["small", "other"])
+    def test_out_of_range_operand_raises_as_direct(self, side, monkeypatch):
+        multiplier = build("calm")
+        basis = dct_matrix_q7()
+        data = np.random.default_rng(6).integers(65530, 65536, (32, 8, 8))
+        if side == "small":
+            basis = basis.copy()
+            basis[3, 5] = -(1 << 16)
+        else:
+            data[7, 2, 1] = 1 << 16
+        with telemetry.recording() as rec:
+            with pytest.raises(ValueError) as table_error:
+                signed_matmul(multiplier, basis, data)
+        assert rec.snapshot.phase("mac.table").count == 1
+        monkeypatch.setattr("repro.multipliers.signed.TABLE_RATIO", 1 << 62)
+        with pytest.raises(ValueError) as direct_error:
+            signed_matmul(multiplier, basis, data)
+        assert str(table_error.value) == str(direct_error.value)
+
+    def test_one_multiply_per_table_call(self):
+        for case, (left, right) in mac_shapes().items():
+            counting = CountingMultiplier(build("drum-k8"))
+            out, tables, _ = mac_paths(counting, left, right)
+            assert tables == 1
+            assert len(counting.calls) == 1, case
+            assert counting.calls[0] <= MAC_BLOCK, case
+            assert np.array_equal(out, definition(counting.inner, left, right))
+
+    def test_no_table_exceeds_mac_block(self, monkeypatch):
+        # two distinct values against a range of 512 make 1,024 entries
+        monkeypatch.setattr("repro.multipliers.signed.MAC_BLOCK", 1024)
+        multiplier = CountingMultiplier(AccurateMultiplier())
+        left = np.array([[-3, 5]])
+        right = np.tile(np.arange(512), (2, 8))
+        out, tables, directs = mac_paths(multiplier, left, right)
+        assert (tables, directs, multiplier.calls) == (1, 0, [1024])
+        assert np.array_equal(out, left @ right)
+        right[0, 0] = 512  # 1,026 entries: the direct path
+        out, tables, directs = mac_paths(multiplier, left, right)
+        assert (tables, directs) == (0, 1)
+        assert np.array_equal(out, left @ right)
+
+    @pytest.mark.parametrize(
+        "left_shape, right_shape",
+        [((0, 8), (8, 3)), ((8, 8), (0, 8, 8)), ((0, 36, 9), (9, 8)), ((3, 0), (0, 4))],
+    )
+    def test_zero_row_operands(self, left_shape, right_shape):
+        left = np.ones(left_shape, dtype=np.int64)
+        right = np.ones(right_shape, dtype=np.int64)
+        out = signed_matmul(build("realm16-t0"), left, right)
+        expected = np.matmul(left, right)
+        assert out.shape == expected.shape and out.dtype == np.int64
+        assert np.array_equal(out, expected)
+
+    def test_telemetry_names_the_path(self):
+        multiplier = build("realm16-t0")
+        image = make_image("cameraman").astype(np.int64) - 128
+        blocks = image.reshape(32, 8, 32, 8).swapaxes(1, 2)
+        with telemetry.recording() as rec:
+            forward_dct(multiplier, blocks)
+        snap = rec.snapshot
+        assert snap.phase("mac.table").count == 2
+        assert snap.phase("mac.direct").count == 0
+        assert snap.counter("mac.products") == 2 * 1024 * 8 * 8 * 8
+        data, params = trained_cnn_setup()
+        with telemetry.recording() as rec:
+            FixedPointCnn(params, multiplier).logits(data.test_x[:100])
+        snap = rec.snapshot
+        # the conv layer tables its weights; the FC layer's would not pay
+        assert snap.phase("mac.table").count == 1
+        assert snap.phase("mac.direct").count == 1
+        assert snap.counter("mac.products") == 100 * (36 * 9 * 8 + 72 * 10)
 
 
 class TestSignedMultiplier:
