@@ -43,6 +43,8 @@ verify:
 	PYTHONPATH=src $(PYTHON) tools/serve_smoke.py --only chaos
 	@echo "--- seeded conformance slice ---"
 	PYTHONPATH=src $(PYTHON) -m repro conform --design realm-16-m4-q5 --budget 20000 --seed 0
+	@echo "--- structure identity (netlists, formula tables, fingerprints) ---"
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_structure_digests.py -q
 	@echo "--- MAC identity (table and direct paths, application digests) ---"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_signed.py tests/test_application_digests.py -q
 	@echo "--- CNN application smoke (5 designs) ---"

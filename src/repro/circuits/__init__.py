@@ -13,7 +13,7 @@ from .adders import (
 from .am_rtl import am_netlist
 from .baugh_wooley import baugh_wooley_multiplier, baugh_wooley_netlist
 from .booth import booth_multiplier, booth_netlist, dadda_multiplier, dadda_netlist
-from .catalog import NETLISTS, netlist_for
+from .catalog import GENERATORS, generator_for, netlist_for, netlist_of
 from .divider_rtl import mitchell_divider_netlist, realm_divider_netlist
 from .drum_rtl import drum_netlist
 from .implm_rtl import implm_netlist
@@ -28,14 +28,14 @@ from .prefix_adders import (
     kogge_stone_adder,
     sklansky_adder,
 )
-from .realm_rtl import mbm_netlist, realm_netlist
+from .realm_rtl import corrected_log_netlist, realm_netlist
 from .shifter import barrel_left, barrel_right, normalize_fraction, scaling_shifter
 from .ssm_rtl import essm_netlist, ssm_netlist
 from .wallace import wallace_multiplier, wallace_netlist
 
 __all__ = [
     "ADDER_STYLES",
-    "NETLISTS",
+    "GENERATORS",
     "booth_multiplier",
     "booth_netlist",
     "brent_kung_adder",
@@ -51,9 +51,11 @@ __all__ = [
     "baugh_wooley_netlist",
     "barrel_right",
     "constant_lut",
+    "corrected_log_netlist",
     "drum_netlist",
     "essm_netlist",
     "full_adder",
+    "generator_for",
     "half_adder",
     "implm_netlist",
     "incrementer",
@@ -61,12 +63,12 @@ __all__ = [
     "leading_one",
     "loa_adder",
     "maa_adder",
-    "mbm_netlist",
     "mitchell_divider_netlist",
     "mitchell_netlist",
     "mux_tree",
     "nearest_one",
     "netlist_for",
+    "netlist_of",
     "normalize_fraction",
     "or_tree",
     "realm_divider_netlist",

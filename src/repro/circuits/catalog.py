@@ -1,83 +1,111 @@
-"""Netlist builders for every registry configuration.
+"""Netlist generators for every multiplier model.
 
-Mirror of :mod:`repro.multipliers.registry` on the structural side: the
-same identifier (e.g. ``"realm16-t3"``) resolves to the gate-level netlist
-of that design.  The test suite checks functional-vs-structural
-equivalence through this mapping, and the synthesis benches derive the
-Table I area/power columns from it.
+Mirror of :mod:`repro.multipliers` on the structural side: each family
+class keys the generator of its gate-level datapath, which reads the
+model's own parameters, so ``netlist_for("realm16-t3")`` is the netlist
+of ``build("realm16-t3")`` and the registry's id grid exists once.  The
+test suite checks functional-vs-structural equivalence through this
+mapping, and the synthesis benches derive the Table I area/power columns
+from it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
+from ..core.realm import RealmMultiplier
 from ..logic.netlist import Netlist
+from ..multipliers import (
+    AccurateMultiplier,
+    ApproxAdderLogMultiplier,
+    Am1Multiplier,
+    Am2Multiplier,
+    DrumMultiplier,
+    EssmMultiplier,
+    ImpLmMultiplier,
+    IntAlpMultiplier,
+    MbmMultiplier,
+    MitchellMultiplier,
+    Multiplier,
+    SsmMultiplier,
+    build,
+)
+from ..multipliers.base import datapath_family
+from ..multipliers.dnnco import DnnCoMultiplier
+from ..multipliers.scaletrim import ScaleTrimMultiplier
 from .am_rtl import am_netlist
 from .dnnco_rtl import dnnco_netlist
 from .drum_rtl import drum_netlist
 from .implm_rtl import implm_netlist
 from .intalp_rtl import intalp_netlist
 from .mitchell_rtl import alm_netlist, mitchell_netlist
-from .realm_rtl import mbm_netlist, realm_netlist
+from .realm_rtl import corrected_log_netlist
 from .scaletrim_rtl import scaletrim_netlist
 from .ssm_rtl import essm_netlist, ssm_netlist
 from .wallace import wallace_netlist
 
-__all__ = ["NETLISTS", "netlist_for"]
+__all__ = ["GENERATORS", "generator_for", "netlist_for", "netlist_of"]
 
-NetlistFactory = Callable[[int], Netlist]
+Generator = Callable[[Multiplier], Netlist]
 
 
-def _build_catalog() -> dict[str, NetlistFactory]:
-    catalog: dict[str, NetlistFactory] = {"accurate": wallace_netlist}
-    for m in (16, 8, 4):
-        for t in range(10):
-            catalog[f"realm{m}-t{t}"] = (
-                lambda n, m=m, t=t: realm_netlist(n, m=m, t=t)
-            )
-    catalog["calm"] = mitchell_netlist
-    catalog["implm-ea"] = implm_netlist
-    for t in (0, 2, 4, 6, 8, 9):
-        catalog[f"mbm-t{t}"] = lambda n, t=t: mbm_netlist(n, t=t)
-    for m in (3, 6, 9, 11, 12):
-        catalog[f"alm-maa-m{m}"] = lambda n, m=m: alm_netlist(n, m=m, adder="MAA")
-        catalog[f"alm-soa-m{m}"] = lambda n, m=m: alm_netlist(n, m=m, adder="SOA")
-    for level in (2, 1):
-        catalog[f"intalp-l{level}"] = (
-            lambda n, level=level: intalp_netlist(n, level=level)
+def _intalp(model: IntAlpMultiplier) -> Netlist:
+    if model.fit != "interp":
+        raise ValueError(
+            f"structural IntALP implements the interpolant fit, not {model.fit!r}"
         )
-    for nb in (13, 9, 5):
-        catalog[f"am1-nb{nb}"] = lambda n, nb=nb: am_netlist(n, nb=nb, variant="AM1")
-        catalog[f"am2-nb{nb}"] = lambda n, nb=nb: am_netlist(n, nb=nb, variant="AM2")
-    for k in (8, 7, 6, 5, 4):
-        catalog[f"drum-k{k}"] = lambda n, k=k: drum_netlist(n, k=k)
-    for m in (10, 9, 8):
-        catalog[f"ssm-m{m}"] = lambda n, m=m: ssm_netlist(n, m=m)
-    catalog["essm8"] = lambda n: essm_netlist(n, m=8)
-    for t, c in ((3, 2), (4, 0), (4, 2), (6, 3)):
-        catalog[f"scaletrim-t{t}-c{c}"] = (
-            lambda n, t=t, c=c: scaletrim_netlist(n, t=t, c=c)
-        )
-    for level in (4, 6, 8):
-        catalog[f"dnnco-l{level}"] = lambda n, level=level: dnnco_netlist(
-            n, l=level
-        )
-    return catalog
+    return intalp_netlist(model.bitwidth, level=model.level)
 
 
-#: identifier -> netlist factory(bitwidth), aligned with the registry
-NETLISTS: dict[str, NetlistFactory] = _build_catalog()
+#: family class -> netlist generator of a model of that family, keyed on
+#: :func:`~repro.multipliers.base.datapath_family`
+GENERATORS: dict[type, Generator] = {
+    AccurateMultiplier: lambda model: wallace_netlist(model.bitwidth),
+    RealmMultiplier: lambda model: corrected_log_netlist(model, model.name),
+    MbmMultiplier: lambda model: corrected_log_netlist(
+        model, f"mbm{model.bitwidth}-t{model.t}"
+    ),
+    MitchellMultiplier: lambda model: mitchell_netlist(model.bitwidth),
+    ApproxAdderLogMultiplier: lambda model: alm_netlist(
+        model.bitwidth, m=model.m, adder=model.adder
+    ),
+    ImpLmMultiplier: lambda model: implm_netlist(model.bitwidth),
+    IntAlpMultiplier: _intalp,
+    Am1Multiplier: lambda model: am_netlist(model.bitwidth, nb=model.nb, variant="AM1"),
+    Am2Multiplier: lambda model: am_netlist(model.bitwidth, nb=model.nb, variant="AM2"),
+    DrumMultiplier: lambda model: drum_netlist(model.bitwidth, k=model.k),
+    SsmMultiplier: lambda model: ssm_netlist(model.bitwidth, m=model.m),
+    EssmMultiplier: lambda model: essm_netlist(model.bitwidth, m=model.m),
+    ScaleTrimMultiplier: lambda model: scaletrim_netlist(
+        model.bitwidth, t=model.t, c=model.c
+    ),
+    DnnCoMultiplier: lambda model: dnnco_netlist(model.bitwidth, l=model.l),
+}
 
 
-def netlist_for(name: str, bitwidth: int = 16) -> Netlist:
-    """Build (and prune) the structural netlist of a named configuration."""
-    try:
-        factory = NETLISTS[name]
-    except KeyError:
-        raise KeyError(
-            f"no netlist for {name!r}; known: {', '.join(NETLISTS)}"
-        ) from None
-    netlist = factory(bitwidth)
+def generator_for(model: Multiplier) -> Generator | None:
+    """The netlist generator of the datapath ``model`` runs, or ``None``
+    for a model that runs no family's datapath unmodified."""
+    return GENERATORS.get(datapath_family(model))
+
+
+def netlist_of(model: Multiplier) -> Netlist:
+    """Build (and prune) the structural netlist of a model.
+
+    Raises ``KeyError`` when no generator applies, and the generator's
+    ``ValueError`` for a parameter its datapath does not implement.
+    """
+    generator = generator_for(model)
+    if generator is None:
+        raise KeyError(f"no netlist generator for {model!r}")
+    netlist = generator(model)
     if netlist.outputs and netlist.gate_count:
         netlist.prune()
     return netlist
+
+
+def netlist_for(name: str, bitwidth: int = 16) -> Netlist:
+    """The netlist of ``build(name, bitwidth)``: an unknown id raises the
+    registry's ``KeyError``, a width its model refuses the model's
+    ``ValueError``."""
+    return netlist_of(build(name, bitwidth))

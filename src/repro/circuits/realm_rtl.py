@@ -16,16 +16,17 @@ The REALM netlist instantiates, exactly as the block diagram shows:
 The output is ``2N + 1`` bits wide: the paper's first special case (the
 corrected product of near-maximal operands overflows ``2N`` bits) is
 handled by that extra bit.  MBM [4] is the same datapath with a single
-hardwired correction constant instead of the LUT.
+hardwired correction constant instead of the LUT: the 1x1 LUT its model
+holds.
 
-Both netlists are bit-exact against their functional models
+:func:`corrected_log_netlist` builds either from its model's own ``t``,
+``q`` and ``lut_codes``, so an MSE-objective REALM gets its own LUT.
+Both are bit-exact against their functional models
 (:class:`repro.core.realm.RealmMultiplier`,
 :class:`repro.multipliers.mbm.MbmMultiplier`) — enforced by the tests.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..logic.netlist import CONST0, Netlist
 from .adders import ripple_adder
@@ -33,7 +34,7 @@ from .logdatapath import gate_output, log_front_end, truncate_bus
 from .mux import constant_lut
 from .shifter import scaling_shifter
 
-__all__ = ["realm_netlist", "mbm_netlist"]
+__all__ = ["corrected_log_netlist", "realm_netlist"]
 
 Net = int
 Bus = list[Net]
@@ -54,22 +55,31 @@ def _aligned_code(nl: Netlist, code: Bus, width: int, q: int, shift: int) -> Bus
     return bus
 
 
-def _corrected_log_product(
-    nl: Netlist,
-    bitwidth: int,
-    t: int,
-    q: int,
-    code_for_segments,
-) -> None:
-    """Shared REALM/MBM structure; ``code_for_segments(nl, xa, xb)`` returns
-    the ``q-2``-bit correction code bus (LUT output or constant)."""
+def corrected_log_netlist(model, name: str) -> Netlist:
+    """The Fig. 3 datapath of a REALM or MBM model, with its LUT hardwired.
+
+    The output carries the ``2N + 1``-bit corrected product; a model
+    that saturates to ``2N`` bits instead has no netlist here.
+    """
+    if model.overflow != "extend":
+        raise ValueError(
+            f"structural REALM keeps the 2N+1-bit product; {model.name!r} "
+            f"uses overflow={model.overflow!r}"
+        )
+    bitwidth, t, q, codes = model.bitwidth, model.t, model.q, model.lut_codes
     width = bitwidth - 1 - t
+    logm = codes.shape[0].bit_length() - 1
+    nl = Netlist(name)
     a = nl.input_bus("a", bitwidth)
     b = nl.input_bus("b", bitwidth)
     op_a = log_front_end(nl, a)
     op_b = log_front_end(nl, b)
 
-    code = code_for_segments(nl, op_a.fraction, op_b.fraction)
+    # the fraction MSBs select code i * M + j, row-major like the LUT; with
+    # M = 1 (MBM) there are no select lines and the code is a constant
+    msbs = bitwidth - 1 - logm
+    select = op_b.fraction[msbs:] + op_a.fraction[msbs:]
+    code = constant_lut(nl, [int(c) for c in codes.ravel()], q - 2, select)
 
     xa_t = truncate_bus(op_a.fraction, t)
     xb_t = truncate_bus(op_b.fraction, t)
@@ -90,53 +100,15 @@ def _corrected_log_product(
     product = scaling_shifter(nl, mantissa, exponent, width, 2 * bitwidth + 1)
     nl.set_outputs(gate_output(nl, product, op_a.nonzero, op_b.nonzero))
     nl.prune()
+    return nl
 
 
 def realm_netlist(
     bitwidth: int = 16, m: int = 16, t: int = 0, q: int = 6
 ) -> Netlist:
-    """Full REALM hardware (Fig. 3), LUT codes computed like the paper's
-    offline MATLAB step."""
-    from ..core.config import RealmConfig
-    from ..core.factors import compute_factors, quantize_factors
+    """Full REALM hardware (Fig. 3) of ``RealmMultiplier(bitwidth, m, t,
+    q)``, LUT codes computed like the paper's offline MATLAB step."""
+    from ..core.realm import RealmMultiplier
 
-    config = RealmConfig(bitwidth=bitwidth, m=m, t=t, q=q)
-    codes = quantize_factors(compute_factors(m), q)
-    logm = m.bit_length() - 1
-
-    def lut(nl: Netlist, xa: Bus, xb: Bus) -> Bus:
-        if logm == 0:
-            from ..logic.netlist import CONST1
-
-            value = int(codes[0, 0])
-            return [
-                CONST1 if (value >> bit) & 1 else CONST0 for bit in range(q - 2)
-            ]
-        i_bits = xa[bitwidth - 1 - logm :]
-        j_bits = xb[bitwidth - 1 - logm :]
-        select = j_bits + i_bits  # value = i * M + j, row-major like the LUT
-        flat = [int(codes[i, j]) for i in range(m) for j in range(m)]
-        return constant_lut(nl, flat, q - 2, select)
-
-    nl = Netlist(f"realm{m}-{bitwidth}b-t{t}")
-    _corrected_log_product(nl, bitwidth, t, q, lut)
-    nl.name = config.name
-    return nl
-
-
-def mbm_netlist(bitwidth: int = 16, t: int = 0, q: int = 6) -> Netlist:
-    """Structural MBM [4]: REALM's datapath with one hardwired constant."""
-    from ..logic.netlist import CONST1
-
-    from ..multipliers.mbm import MbmMultiplier
-
-    code_value = MbmMultiplier(bitwidth, t=t, q=q).correction_code
-
-    def constant_code(nl: Netlist, xa: Bus, xb: Bus) -> Bus:
-        return [
-            CONST1 if (code_value >> bit) & 1 else CONST0 for bit in range(q - 2)
-        ]
-
-    nl = Netlist(f"mbm{bitwidth}-t{t}")
-    _corrected_log_product(nl, bitwidth, t, q, constant_code)
-    return nl
+    model = RealmMultiplier(bitwidth, m=m, t=t, q=q)
+    return corrected_log_netlist(model, model.name)

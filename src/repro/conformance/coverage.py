@@ -40,49 +40,22 @@ __all__ = ["CoverageMap", "FAMILY_SEGMENTS", "default_segments"]
 #: fraction LSBs tracked per operand (2 bits -> 16 joint patterns)
 LSB_BITS = 2
 
-#: family -> segment grid size, for designs whose config carries no
-#: power-of-two ``m`` of its own.  Every registry family must appear here
-#: (tests/test_registry_completeness.py enforces it) so that adding a
-#: family without declaring its coverage structure is a loud failure,
-#: not a silent 4x4 fallback.  scaleTRIM gets an 8x8 grid: its error
-#: surface is stratified by the ``t``-bit scaled fraction and the
-#: compensation buckets, which a 4x4 grid would alias together.
-FAMILY_SEGMENTS: dict[str, int] = {
-    "ALM-MAA": 4,
-    "ALM-SOA": 4,
-    "AM1": 4,
-    "AM2": 4,
-    "Accurate": 4,
-    "DNNCO": 4,
-    "DRUM": 4,
-    "ESSM": 4,
-    "ImpLM": 4,
-    "IntALP": 4,
-    "MBM": 4,
-    "REALM": 16,
-    "SSM": 4,
-    "cALM": 4,
-    "scaleTRIM": 8,
-}
+#: the families whose segment grid is not the 4x4 default of a design
+#: with no power-of-two ``m`` of its own.  scaleTRIM gets an 8x8 grid:
+#: its error surface is stratified by the ``t``-bit scaled fraction and
+#: the compensation buckets, which a 4x4 grid would alias together.
+FAMILY_SEGMENTS: dict[str, int] = {"scaleTRIM": 8}
 
 
 def default_segments(multiplier) -> int:
     """The natural segment grid for a design: its own ``M`` when the
-    config carries one (REALM), else the :data:`FAMILY_SEGMENTS` entry
-    for its family.  Unknown families raise ``KeyError`` — declare the
-    structure when registering the family."""
+    config carries one (REALM), else its family's
+    :data:`FAMILY_SEGMENTS` entry, else 4."""
     config = getattr(multiplier, "config", None)
     m = getattr(config, "m", None)
     if isinstance(m, int) and m >= 1 and (m & (m - 1)) == 0:
         return m
-    family = getattr(multiplier, "family", None)
-    try:
-        return FAMILY_SEGMENTS[family]
-    except KeyError:
-        raise KeyError(
-            f"family {family!r} has no FAMILY_SEGMENTS entry; add its "
-            "segment grid to repro.conformance.coverage"
-        ) from None
+    return FAMILY_SEGMENTS.get(multiplier.family, 4)
 
 
 @dataclasses.dataclass

@@ -34,13 +34,14 @@ the usual cross-process exact firing counts.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 import weakref
 
 import numpy as np
 
 from ..analysis import chaos, telemetry
-from ..circuits.catalog import NETLISTS, netlist_for
+from ..circuits.catalog import generator_for, netlist_of
 from ..core.realm import RealmMultiplier
 from ..kernels import compile_netlist, kernel_for
 from ..multipliers.registry import REGISTRY, build
@@ -139,29 +140,18 @@ def resolve_design(spec: str, bitwidth: int | None = None):
                 f"design {spec!r} embeds bitwidth {n}, got --bitwidth {bitwidth}"
             )
         multiplier = RealmMultiplier(bitwidth=n, m=m, t=t, q=q)
-
-        def rtl_factory():
-            from ..circuits.realm_rtl import realm_netlist
-
-            netlist = realm_netlist(n, m=m, t=t, q=q)
-            netlist.prune()
-            return netlist
-
-        return spec, multiplier, rtl_factory, False
-    if spec not in REGISTRY:
+    elif spec in REGISTRY:
+        multiplier = build(spec, 16 if bitwidth is None else bitwidth)
+    else:
         known = "', '".join(sorted(REGISTRY)[:6])
         raise KeyError(
             f"unknown design {spec!r}; use a registry id (e.g. '{known}', ...)"
             " or an ad-hoc REALM spec like 'realm-16-m4-q5'"
         )
-    width = 16 if bitwidth is None else bitwidth
-    multiplier = build(spec, width)
     rtl_factory = None
-    if spec in NETLISTS:
-        def rtl_factory():  # noqa: F811 - conditional redefinition
-            return netlist_for(spec, width)
-
-    return spec, multiplier, rtl_factory, True
+    if generator_for(multiplier) is not None:
+        rtl_factory = functools.partial(netlist_of, multiplier)
+    return spec, multiplier, rtl_factory, match is None
 
 
 def _start_fleet():

@@ -1,6 +1,8 @@
 """REALM: the reduced-error approximate log-based multiplier (paper Fig. 3).
 
-The functional model mirrors the hardware datapath bit for bit:
+The functional model mirrors the hardware datapath bit for bit (its
+``_multiply`` is :class:`~repro.multipliers.mitchell.CorrectedLogMultiplier`'s,
+which MBM runs with a 1x1 LUT):
 
 1. Leading-one detectors and input barrel shifters produce the
    characteristics ``ka, kb`` and the ``N-1``-bit log fractions ``x, y``.
@@ -25,23 +27,14 @@ the error characterization needs, while ``"saturate"`` clamps to
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..multipliers.base import Multiplier
-from .bitops import mask, shift_value, truncate_fraction
+from ..multipliers.mitchell import CorrectedLogMultiplier
 from .config import RealmConfig
-from .factors import (
-    compute_factors,
-    compute_factors_mse,
-    quantize_factors,
-    segment_index,
-)
-from ..multipliers.mitchell import log_operands
+from .factors import compute_factors, compute_factors_mse, quantize_factors
 
 __all__ = ["RealmMultiplier"]
 
 
-class RealmMultiplier(Multiplier):
+class RealmMultiplier(CorrectedLogMultiplier):
     """The proposed REALM multiplier (paper Section III).
 
     Parameters mirror :class:`repro.core.config.RealmConfig`; a config
@@ -87,42 +80,10 @@ class RealmMultiplier(Multiplier):
     def name(self) -> str:
         return self.config.name
 
-    def _multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        raw_width = self.bitwidth - 1
-        ka, kb, xa, xb, nonzero = log_operands(a, b, self.bitwidth)
+    @property
+    def t(self) -> int:
+        return self.config.t
 
-        # Segment selection uses the fraction MSBs, which truncation never
-        # touches (Fig. 3: x_msbs / y_msbs feed the LUT mux select lines).
-        i = segment_index(xa, raw_width, cfg.m)
-        j = segment_index(xb, raw_width, cfg.m)
-        s_codes = self.lut_codes[i, j]
-
-        # Fraction truncation with the forced rounding 1 (t+1 bits dropped).
-        width = cfg.fraction_width
-        xa_t = truncate_fraction(xa, cfg.t, raw_width)
-        xb_t = truncate_fraction(xb, cfg.t, raw_width)
-
-        fraction_sum = xa_t + xb_t  # width+1 bits; MSB is c_of
-        carry = fraction_sum >> width
-
-        # Fixed-point realization of Eq. 13.  The LUT output is added to
-        # the fraction sum, so it is aligned to the fraction grid
-        # (2**-width): factor bits below that grid are floored away by the
-        # adder wiring.  For the paper's q=6 this matters only at t=9,
-        # where the halved factor s_ij/2 loses its LSB — which is exactly
-        # the paper's observed t=9 bias/error jump (Table I).
-        s_full = shift_value(s_codes, width - cfg.q)
-        s_half = shift_value(s_codes, width - cfg.q - 1)
-        mantissa = np.where(
-            carry == 0,
-            # 2**(ka+kb)   * (1 + x + y + s_ij)
-            (np.int64(1) << width) + fraction_sum + s_full,
-            # 2**(ka+kb+1) * (x + y + s_ij/2); fraction_sum already >= 2**width
-            fraction_sum + s_half,
-        )
-        product = shift_value(mantissa, ka + kb + carry - width)
-        product = np.where(nonzero, product, 0)
-        if self.overflow == "saturate":
-            product = np.minimum(product, mask(2 * self.bitwidth))
-        return product
+    @property
+    def q(self) -> int:
+        return self.config.q

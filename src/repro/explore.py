@@ -99,15 +99,12 @@ def _build_any(name: str, bitwidth: int = 16):
     return build(name, bitwidth)
 
 
-def _synthesis_for(name: str) -> tuple[float, float]:
+def _synthesis_for(name: str, multiplier) -> tuple[float, float]:
     if name.startswith("realm-grid-"):
-        from .circuits.realm_rtl import realm_netlist
+        from .circuits.catalog import netlist_of
         from .synth.cost import synthesize, synthesize_design
 
-        parts = name.split("-")
-        m = int(parts[2][1:])
-        t = int(parts[3][1:])
-        design = synthesize(realm_netlist(16, m=m, t=t))
+        design = synthesize(netlist_of(multiplier))
         reference = synthesize_design("accurate")
         return design.reductions(reference)
     return reductions(name)
@@ -117,7 +114,7 @@ def _synthesis_for(name: str) -> tuple[float, float]:
 def _candidate(name: str, samples: int, seed: int) -> Candidate:
     multiplier = _build_any(name)
     metrics = characterize(multiplier, samples=samples, seed=seed)
-    area_reduction, power_reduction = _synthesis_for(name)
+    area_reduction, power_reduction = _synthesis_for(name, multiplier)
     return Candidate(
         name=name,
         display=multiplier.name,

@@ -29,7 +29,7 @@ from .backends import BddBackend, ExhaustiveBackend, available_backends, z3_avai
 from .bounds import ErrorCertificate, WorstCaseBounds, certify_worst_error
 from .certificates import certificate_dir, load_certificate, save_certificate
 from .encode import (
-    SYMBOLIC_FAMILIES,
+    ENCODERS,
     Encoding,
     UnsupportedDesignError,
     encode_kernel,
@@ -41,13 +41,13 @@ from .equiv import EquivalenceResult, LegResult, prove_equivalence
 
 __all__ = [
     "BddBackend",
+    "ENCODERS",
     "Encoding",
     "EquivalenceResult",
     "ErrorCertificate",
     "LegResult",
     "WorstCaseBounds",
     "ExhaustiveBackend",
-    "SYMBOLIC_FAMILIES",
     "UnsupportedDesignError",
     "available_backends",
     "certificate_dir",

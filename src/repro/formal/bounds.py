@@ -39,11 +39,25 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+
+from collections.abc import Callable
 from fractions import Fraction
 
 import numpy as np
 
 from ..analysis import telemetry
+from ..core.bitops import floor_log2, log_fraction, shift_value, truncate_fraction
+from ..core.factors import segment_index
+from ..core.realm import RealmMultiplier
+from ..multipliers import (
+    AccurateMultiplier,
+    DrumMultiplier,
+    EssmMultiplier,
+    MbmMultiplier,
+    MitchellMultiplier,
+    SsmMultiplier,
+)
+from ..multipliers.base import datapath_family
 from .backends import import_z3
 from .encode import Encoding, UnsupportedDesignError, encode_model
 
@@ -52,11 +66,6 @@ __all__ = [
     "WorstCaseBounds",
     "certify_worst_error",
 ]
-
-#: families the interval branch-and-bound engine can box soundly
-_INTERVAL_LOG_FAMILIES = frozenset({"REALM", "MBM", "cALM"})
-_INTERVAL_PRODUCT_FAMILIES = frozenset({"DRUM", "SSM", "ESSM", "Accurate"})
-
 
 @dataclasses.dataclass(frozen=True)
 class ErrorCertificate:
@@ -289,10 +298,6 @@ def _smt_ascent(model, encoding: Encoding, direction: str, timeout_ms: int | Non
 # route 3: interval branch-and-bound (pure python, wide operands)
 # ----------------------------------------------------------------------
 
-def _shift_floor(value: int, shift: int) -> int:
-    return value << shift if shift >= 0 else value >> -shift
-
-
 class _LogBoxEngine:
     """Interval enclosures for the REALM/MBM/cALM datapath skeleton.
 
@@ -312,56 +317,26 @@ class _LogBoxEngine:
     no LUT) and tight to the bucket/LUT granularity for REALM/MBM,
     which is what lets boxes along the zero-error power-of-two edges
     prune instead of splintering into singletons.
+
+    ``codes`` is the ``(M, M)`` correction LUT on the ``2**-q`` grid
+    (1x1 for MBM); ``forced`` says the truncation ORs a 1 into the kept
+    LSB, which cALM's untruncated fraction does not.
     """
 
-    def __init__(self, model):
-        from ..core.bitops import floor_log2, log_fraction, truncate_fraction
-
-        family = model.family
-        n = model.bitwidth
-        raw = n - 1
-        v = np.arange(np.int64(1) << n, dtype=np.int64)
+    def __init__(self, bitwidth: int, t: int, q: int, codes, forced: bool):
+        raw = bitwidth - 1
+        v = np.arange(np.int64(1) << bitwidth, dtype=np.int64)
         safe = np.where(v > 0, v, 1)
         self.k = floor_log2(safe)
-        x = log_fraction(safe, self.k, n)
+        x = log_fraction(safe, self.k, bitwidth)
         self.raw = raw
-        if family == "REALM":
-            cfg = model.config
-            if model.overflow == "saturate":
-                raise UnsupportedDesignError(
-                    "interval engine models the extend overflow mode only"
-                )
-            from ..core.factors import segment_index
-
-            self.t = cfg.t
-            self.forced = True  # truncation ORs a 1 into the kept LSB
-            self.width = cfg.fraction_width
-            self.xt = truncate_fraction(x, cfg.t, raw)
-            self.seg = segment_index(x, raw, cfg.m)
-            codes = model.lut_codes
-        elif family == "MBM":
-            self.t = model.t
-            self.forced = True
-            self.width = raw - model.t
-            self.xt = truncate_fraction(x, model.t, raw)
-            self.seg = np.zeros_like(v)
-            codes = np.array([[model.correction_code]], dtype=np.int64)
-        else:  # cALM: untruncated fraction, no correction
-            self.t = 0
-            self.forced = False
-            self.width = raw
-            self.xt = x
-            self.seg = np.zeros_like(v)
-            codes = np.zeros((1, 1), dtype=np.int64)
-        q = model.config.q if family == "REALM" else getattr(model, "q", 0)
-        self.s_full = np.array(
-            [[_shift_floor(int(c), self.width - q) for c in row] for row in codes],
-            dtype=np.int64,
-        )
-        self.s_half = np.array(
-            [[_shift_floor(int(c), self.width - q - 1) for c in row] for row in codes],
-            dtype=np.int64,
-        )
+        self.t = t
+        self.forced = forced
+        self.width = raw - t
+        self.xt = truncate_fraction(x, t, raw) if forced else x
+        self.seg = segment_index(x, raw, codes.shape[0])
+        self.s_full = shift_value(codes, self.width - q)
+        self.s_half = shift_value(codes, self.width - q - 1)
 
     def initial_boxes(self, bitwidth: int):
         for ka in range(bitwidth):
@@ -449,17 +424,11 @@ def _product_form_extremes(model):
     ``r(v) = approx(v) / v > 0``, so the extremes over the full pair
     grid are exactly ``max(r)^2 - 1`` and ``min(r)^2 - 1``, attained at
     the (smallest) per-operand ratio extremizers — no search needed at
-    any bitwidth.
+    any bitwidth.  ``approx`` is the model's own ``_approximate``.
     """
     n = model.bitwidth
     v = np.arange(1, np.int64(1) << n, dtype=np.int64)
-    if model.family == "DRUM":
-        approx = model._approximate(v)
-    elif model.family in ("SSM", "ESSM"):
-        seg, shift = model._segment(v)
-        approx = seg << shift
-    else:  # Accurate
-        approx = v.copy()
+    approx = model._approximate(v)
     extremes = []
     for largest in (False, True):
         # approx * v < 2**63 at every supported width: exact in int64
@@ -469,13 +438,51 @@ def _product_form_extremes(model):
     return tuple(extremes)
 
 
-def _interval_engine(model):
-    if model.family in _INTERVAL_LOG_FAMILIES:
-        return _LogBoxEngine(model)
-    raise UnsupportedDesignError(
-        f"no interval enclosure for family {model.family!r}; install z3 or "
-        f"use a width the exhaustive sweep covers"
+def _ratio_route(model, box_budget: int):
+    """Product forms: closed-form extremes, exact at any width."""
+    lo, hi = _product_form_extremes(model)
+    return "ratio-exact", (*lo, True), (*hi, True)
+
+
+def _box_route(engine_for):
+    """Branch-and-bound over the boxes of ``engine_for(model)``'s engine."""
+
+    def route(model, box_budget: int):
+        engine = engine_for(model)
+        hi, pair_hi, exact_hi, _ = _branch_and_bound(model, engine, "max", box_budget)
+        lo, pair_lo, exact_lo, _ = _branch_and_bound(model, engine, "min", box_budget)
+        return "interval-bb", (lo, *pair_lo, exact_lo), (hi, *pair_hi, exact_hi)
+
+    return route
+
+
+def _corrected_log_engine(model) -> _LogBoxEngine:
+    if model.overflow == "saturate":
+        raise UnsupportedDesignError(
+            "interval engine models the extend overflow mode only"
+        )
+    return _LogBoxEngine(
+        model.bitwidth, model.t, model.q, model.lut_codes, forced=True
     )
+
+
+def _mitchell_engine(model) -> _LogBoxEngine:
+    codes = np.zeros((1, 1), dtype=np.int64)
+    return _LogBoxEngine(model.bitwidth, 0, 0, codes, forced=False)
+
+
+#: family class -> interval route ``(model, box_budget) -> (method, min,
+#: max)``, each extreme ``(error, a, b, exact)``; keyed on
+#: :func:`~repro.multipliers.base.datapath_family`
+_INTERVAL_ROUTES: dict[type, Callable] = {
+    RealmMultiplier: _box_route(_corrected_log_engine),
+    MbmMultiplier: _box_route(_corrected_log_engine),
+    MitchellMultiplier: _box_route(_mitchell_engine),
+    AccurateMultiplier: _ratio_route,
+    DrumMultiplier: _ratio_route,
+    SsmMultiplier: _ratio_route,
+    EssmMultiplier: _ratio_route,
+}
 
 
 def _branch_and_bound(model, engine, direction: str, budget: int):
@@ -624,22 +631,17 @@ def certify_worst_error(
             return WorstCaseBounds(design_id, n, "smt-ascent", peak_min, peak_max)
 
         if method == "interval":
-            if model.family in _INTERVAL_PRODUCT_FAMILIES:
-                (lo, a_lo, b_lo), (hi, a_hi, b_hi) = _product_form_extremes(model)
-                peak_min = _certificate(model, "min", a_lo, b_lo, lo, True)
-                peak_max = _certificate(model, "max", a_hi, b_hi, hi, True)
-                return WorstCaseBounds(
-                    design_id, n, "ratio-exact", peak_min, peak_max
+            route = _INTERVAL_ROUTES.get(datapath_family(model))
+            if route is None:
+                raise UnsupportedDesignError(
+                    f"no interval enclosure for family {model.family!r}; "
+                    f"install z3 or use a width the exhaustive sweep covers"
                 )
-            engine = _interval_engine(model)
-            hi, pair_hi, exact_hi, _ = _branch_and_bound(
-                model, engine, "max", box_budget
+            kind, (lo, a_lo, b_lo, exact_lo), (hi, a_hi, b_hi, exact_hi) = route(
+                model, box_budget
             )
-            lo, pair_lo, exact_lo, _ = _branch_and_bound(
-                model, engine, "min", box_budget
-            )
-            peak_min = _certificate(model, "min", *pair_lo, lo, exact_lo)
-            peak_max = _certificate(model, "max", *pair_hi, hi, exact_hi)
-            return WorstCaseBounds(design_id, n, "interval-bb", peak_min, peak_max)
+            peak_min = _certificate(model, "min", a_lo, b_lo, lo, exact_lo)
+            peak_max = _certificate(model, "max", a_hi, b_hi, hi, exact_hi)
+            return WorstCaseBounds(design_id, n, kind, peak_min, peak_max)
 
     raise ValueError(f"unknown method {method!r}; use sweep, smt or interval")

@@ -17,9 +17,12 @@ the product bus, both LSB first.  Two independent lowerings produce
   arithmetic — not the RTL — and an equivalence proof between the two
   is meaningful.
 
-Families whose models are irregular array multipliers (AM1/AM2, IntALP,
-ImpLM) have no symbolic encoder; at ``N <= FULL_TABLE_MAX_BITWIDTH``
-they are encoded as their exhaustive product table (:func:`encode_table`)
+:data:`ENCODERS` holds one encoder per family class, looked up by
+:func:`~repro.multipliers.base.datapath_family`.  Families whose models
+are irregular array multipliers (AM1/AM2, IntALP, ImpLM) have no
+symbolic encoder, and neither has a subclass that overrides its
+family's datapath; at ``N <= FULL_TABLE_MAX_BITWIDTH`` such models
+are encoded as their exhaustive product table (:func:`encode_table`)
 — the table *is* the specification at those widths, the same way
 ``compile_full_table`` treats it as the kernel.  So is the compiled
 kernel (:func:`encode_kernel`), a NumPy closure rather than a circuit;
@@ -38,6 +41,8 @@ from __future__ import annotations
 
 import functools
 
+from collections.abc import Callable
+
 import numpy as np
 
 from ..analysis import telemetry
@@ -52,28 +57,35 @@ from ..circuits.logdatapath import (
 from ..circuits.mux import constant_lut
 from ..circuits.shifter import _mux_bus, scaling_shifter
 from ..circuits.wallace import wallace_multiplier
+from ..core.bitops import shift_value
+from ..core.realm import RealmMultiplier
 from ..kernels import kernel_for
 from ..kernels.netlist import NetlistKernel, compile_netlist
 from ..kernels.tables import FULL_TABLE_MAX_BITWIDTH, build_full_table
 from ..logic.netlist import CONST0, CONST1, Netlist
 from ..logic.sim import _check_values
+from ..multipliers import (
+    AccurateMultiplier,
+    ApproxAdderLogMultiplier,
+    DrumMultiplier,
+    EssmMultiplier,
+    MbmMultiplier,
+    MitchellMultiplier,
+    SsmMultiplier,
+)
+from ..multipliers.base import datapath_family
+from ..multipliers.dnnco import DnnCoMultiplier
+from ..multipliers.scaletrim import ScaleTrimMultiplier
 
 __all__ = [
+    "ENCODERS",
     "Encoding",
     "UnsupportedDesignError",
-    "SYMBOLIC_FAMILIES",
     "encode_kernel",
     "encode_model",
     "encode_netlist",
     "encode_table",
 ]
-
-#: families with a direct symbolic model encoder (any bitwidth)
-SYMBOLIC_FAMILIES = frozenset(
-    {"Accurate", "ALM-LOA", "ALM-MAA", "ALM-SOA", "cALM", "DNNCO", "DRUM",
-     "ESSM", "MBM", "REALM", "scaleTRIM", "SSM"}
-)
-
 
 class UnsupportedDesignError(ValueError):
     """No formal encoding exists for this design at this bitwidth."""
@@ -188,24 +200,17 @@ def encode_netlist(netlist: Netlist, bitwidth: int, design: str = "?") -> Encodi
 # symbolic model encoders: circuits blocks wired like the NumPy models
 # ----------------------------------------------------------------------
 
-def _shift_const(value: int, shift: int) -> int:
-    """``value * 2**shift`` with floor semantics (``shift_value`` on ints)."""
-    return value << shift if shift >= 0 else value >> -shift
-
-
-def _encode_log_corrected(
-    nl: Netlist, a: list, b: list, t: int, q: int, codes: np.ndarray,
-    saturate: bool,
-) -> list:
+def _encode_log_corrected(nl: Netlist, a: list, b: list, model) -> list:
     """REALM/MBM: truncated log add + segment-selected correction.
 
-    ``codes`` is the ``(M, M)`` quantized LUT (``M = 1`` for MBM).  The
-    two carry variants of the correction — ``2**width + s_full`` for
-    ``c_of = 0``, ``s_half`` for ``c_of = 1`` — are folded into one
-    hardwired constant table indexed by ``(carry, seg_a, seg_b)``, so
-    the mantissa is a single adder ``fraction_sum + K`` and the Fig. 3
-    carry mux becomes one more select line of the LUT.
+    ``model.lut_codes`` is the ``(M, M)`` quantized LUT (``M = 1`` for
+    MBM).  The two carry variants of the correction — ``2**width +
+    s_full`` for ``c_of = 0``, ``s_half`` for ``c_of = 1`` — are folded
+    into one hardwired constant table indexed by ``(carry, seg_a,
+    seg_b)``, so the mantissa is a single adder ``fraction_sum + K`` and
+    the Fig. 3 carry mux becomes one more select line of the LUT.
     """
+    t, q, codes = model.t, model.q, model.lut_codes
     n = len(a)
     m = codes.shape[0]
     logm = m.bit_length() - 1
@@ -218,21 +223,21 @@ def _encode_log_corrected(
     fsum, carry = ripple_adder(
         nl, truncate_bus(op_a.fraction, t), truncate_bus(op_b.fraction, t)
     )
-    # mantissa < 2**(width+2) in both carry branches (factors < 0.25)
-    table = []
-    for index in range(2 << (2 * logm)):
-        code = int(codes[(index >> 1) & (m - 1), index >> (1 + logm)])
-        if index & 1:
-            table.append(_shift_const(code, width - q - 1))
-        else:
-            table.append(_shift_const(code, width - q) + (1 << width))
-    correction = constant_lut(nl, table, width + 2, [carry] + seg_a + seg_b)
+    # mantissa < 2**(width+2) in both carry branches (factors < 0.25);
+    # the select value carry | seg_a << 1 | seg_b << (1 + logm) reads
+    # table[seg_b, seg_a, carry]
+    full = shift_value(codes, width - q) + (1 << width)
+    table = np.stack([full, shift_value(codes, width - q - 1)], axis=-1)
+    table = table.transpose(1, 0, 2)
+    correction = constant_lut(
+        nl, table.ravel().tolist(), width + 2, [carry] + seg_a + seg_b
+    )
     mantissa, _ = ripple_adder(nl, fsum + [carry], correction)
 
     shift = exponent_sum(nl, op_a.characteristic, op_b.characteristic, carry)
     product = scaling_shifter(nl, mantissa, shift, width, 2 * n + 1)
     product = gate_output(nl, product, op_a.nonzero, op_b.nonzero)
-    if saturate:
+    if model.overflow == "saturate":
         product = _mux_bus(nl, product[: 2 * n], [CONST1] * (2 * n), product[2 * n])
     return product
 
@@ -260,7 +265,7 @@ def _encode_log_add(nl: Netlist, a: list, b: list, adder: str | None, m: int) ->
     return gate_output(nl, product, op_a.nonzero, op_b.nonzero)
 
 
-def _encode_drum(nl: Netlist, a: list, b: list, k: int) -> list:
+def _encode_drum(nl: Netlist, a: list, b: list, model) -> list:
     """DRUM: leading-one fragment with forced LSB, then exact multiply.
 
     For leading-one position ``i`` the fragment shift is
@@ -268,6 +273,8 @@ def _encode_drum(nl: Netlist, a: list, b: list, k: int) -> list:
     ``(v & ~mask(s_i)) | 2**s_i`` when ``s_i > 0`` and ``v`` itself
     otherwise, expressed per bit through the one-hot LOD.
     """
+
+    k = model.k
 
     def approximate(bus: list) -> list:
         n = len(bus)
@@ -316,9 +323,14 @@ def _encode_segment(
     return wallace_multiplier(nl, approximate(a), approximate(b))
 
 
-def _encode_scaletrim(
-    nl: Netlist, a: list, b: list, t: int, c: int, lut: np.ndarray
-) -> list:
+def _encode_essm(nl: Netlist, a: list, b: list, model) -> list:
+    """ESSM: the high, middle or low segment by the leading one."""
+    high = model.bitwidth - model.m
+    mid = high // 2
+    return _encode_segment(nl, a, b, [(model.m + mid, high), (model.m, mid)])
+
+
+def _encode_scaletrim(nl: Netlist, a: list, b: list, model) -> list:
     """scaleTRIM: scaled-fraction linearized product + compensation LUT.
 
     Mirrors the NumPy model: the scaled fraction is the top ``t`` bits
@@ -328,7 +340,7 @@ def _encode_scaletrim(
     ``2^2t + (S << t) + carry * (S mod 2^t) * 2^t + LB`` on the
     ``2^-2t`` grid, scaled out by a ``ka + kb`` barrel shift.
     """
-    n = len(a)
+    n, t, c = len(a), model.t, model.c
     op_a, op_b = log_front_end(nl, a), log_front_end(nl, b)
     xs_a = op_a.fraction[n - 1 - t :]
     xs_b = op_b.fraction[n - 1 - t :]
@@ -340,7 +352,7 @@ def _encode_scaletrim(
     head, _ = ripple_adder(nl, head + [head_carry], [CONST0] * t + [CONST1])
 
     mantissa = [CONST0] * t + head
-    lut = [int(v) for v in lut]
+    lut = [int(v) for v in model.lut]
     lb_width = max(lut).bit_length()
     if lb_width:
         select = xs_b[t - c :] + xs_a[t - c :]
@@ -353,7 +365,7 @@ def _encode_scaletrim(
     return gate_output(nl, product, op_a.nonzero, op_b.nonzero)
 
 
-def _encode_dnnco(nl: Netlist, a: list, b: list, l: int) -> list:
+def _encode_dnnco(nl: Netlist, a: list, b: list, model) -> list:
     """DNNCO: exact product minus the OR-column deficits.
 
     The deficit ``sum_{j<l} 2^j (colsum_j - or_j)`` is assembled from
@@ -362,7 +374,7 @@ def _encode_dnnco(nl: Netlist, a: list, b: list, l: int) -> list:
     the exact product — exactly the model's arithmetic, and naturally
     zero-safe (a zero operand zeroes every term).
     """
-    n = len(a)
+    n, l = len(a), model.l
     full = wallace_multiplier(nl, a, b)
     deficit_width = l + 4  # sum_j (j+1) 2^j < l * 2^l <= 2^(l+3)
     colsum = [CONST0] * deficit_width
@@ -456,65 +468,59 @@ def _table_dag(table: np.ndarray, bitwidth: int) -> Netlist:
 # dispatch
 # ----------------------------------------------------------------------
 
+#: family class -> symbolic encoder ``(nl, a, b, model) -> product bus``,
+#: keyed on :func:`~repro.multipliers.base.datapath_family`
+ENCODERS: dict[type, Callable] = {
+    AccurateMultiplier: lambda nl, a, b, model: wallace_multiplier(nl, a, b),
+    RealmMultiplier: _encode_log_corrected,
+    MbmMultiplier: _encode_log_corrected,
+    MitchellMultiplier: lambda nl, a, b, model: _encode_log_add(nl, a, b, None, 0),
+    ApproxAdderLogMultiplier: lambda nl, a, b, model: _encode_log_add(
+        nl, a, b, model.adder, model.m
+    ),
+    DrumMultiplier: _encode_drum,
+    SsmMultiplier: lambda nl, a, b, model: _encode_segment(
+        nl, a, b, [(model.m, model.bitwidth - model.m)]
+    ),
+    EssmMultiplier: _encode_essm,
+    ScaleTrimMultiplier: _encode_scaletrim,
+    DnnCoMultiplier: _encode_dnnco,
+}
+
+
 def encode_model(model, design: str = "?") -> Encoding:
     """Symbolically encode a functional model's datapath.
 
-    Falls back to the exhaustive truth table for families without a
-    symbolic encoder when the width allows; raises
+    The encoder is the one of the family whose datapath the model runs
+    unmodified; a model with none (an irregular array family, or a
+    subclass overriding its datapath) is encoded as its exhaustive truth
+    table when the width allows, and raises
     :class:`UnsupportedDesignError` otherwise.
     """
     tele = telemetry.get()
-    family = model.family
     n = model.bitwidth
-    partial = functools.partial
-    with tele.span("formal.encode", design=design, source="model", family=family):
-        if family == "REALM":
-            cfg = model.config
-            build = partial(
-                _encode_log_corrected, t=cfg.t, q=cfg.q, codes=model.lut_codes,
-                saturate=model.overflow == "saturate",
+    family = datapath_family(model)
+    encoder = ENCODERS.get(family)
+    with tele.span(
+        "formal.encode", design=design, source="model", family=model.family
+    ):
+        if encoder is None:
+            if n <= FULL_TABLE_MAX_BITWIDTH:
+                return encode_table(
+                    build_full_table(model), n, design, source="model"
+                )
+            datapath = (
+                f"family {model.family!r}" if family is not None
+                else f"{type(model).__name__}'s own datapath"
             )
-        elif family == "MBM":
-            codes = np.array([[model.correction_code]], dtype=np.int64)
-            build = partial(
-                _encode_log_corrected, t=model.t, q=model.q, codes=codes,
-                saturate=False,
-            )
-        elif family == "cALM":
-            build = partial(_encode_log_add, adder=None, m=0)
-        elif family in ("ALM-LOA", "ALM-SOA", "ALM-MAA"):
-            build = partial(_encode_log_add, adder=model.adder, m=model.m)
-        elif family == "DRUM":
-            build = partial(_encode_drum, k=model.k)
-        elif family == "SSM":
-            build = partial(_encode_segment, offsets_above=[(model.m, n - model.m)])
-        elif family == "ESSM":
-            high = n - model.m
-            mid = high // 2
-            build = partial(
-                _encode_segment,
-                offsets_above=[(model.m + mid, high), (model.m, mid)],
-            )
-        elif family == "scaleTRIM":
-            build = partial(_encode_scaletrim, t=model.t, c=model.c, lut=model.lut)
-        elif family == "DNNCO":
-            build = partial(_encode_dnnco, l=model.l)
-        elif family == "Accurate":
-            build = wallace_multiplier
-        elif n <= FULL_TABLE_MAX_BITWIDTH:
-            return encode_table(
-                build_full_table(model), n, design, source="model"
-            )
-        else:
             raise UnsupportedDesignError(
-                f"family {family!r} has no symbolic encoder and {n}-bit "
-                f"operands exceed the truth-table limit "
-                f"({FULL_TABLE_MAX_BITWIDTH})"
+                f"{datapath} has no symbolic encoder and {n}-bit operands "
+                f"exceed the truth-table limit ({FULL_TABLE_MAX_BITWIDTH})"
             )
         nl = Netlist(f"{design}-formula")
         a = nl.input_bus("a", n)
         b = nl.input_bus("b", n)
-        nl.set_outputs(build(nl, a, b))
+        nl.set_outputs(encoder(nl, a, b, model))
         nl.prune()
         return Encoding(design, n, "model", "symbolic", netlist=nl)
 

@@ -1,16 +1,17 @@
 """Kernel compiler: model -> fused evaluator, with a fingerprint cache.
 
-Dispatch is structural: each registered family maps to the table
-specializer of :mod:`repro.kernels.tables` that folds its datapath, and
-a specializer applies only where the model runs its family's own
-datapath methods — a subclass that overrides ``_multiply`` (or AM's
-``_accumulate``/``_recover``) gets the generic ladder, which evaluates
-through the override.  Every registered family has a specializer; the
-models left without one (such overriding subclasses, DNNCO windows
-beyond the deficit-table budget) get the exhaustive product table when
-the operand width allows and a transparent interpreted fallback
-otherwise — every model therefore *has* a kernel, and every kernel is
-bit-identical to the interpreted datapath.
+Dispatch is structural: :func:`~repro.multipliers.base.datapath_family`
+names the family class whose datapath a model runs unmodified, and that
+class keys the table specializer of :mod:`repro.kernels.tables` that
+folds it.  A subclass that overrides ``_multiply`` (or AM's
+``_accumulate``/``_recover``, or a product form's ``_approximate``)
+has no family, and gets the generic ladder, which evaluates through the
+override.  Every registered family has a specializer; the models left
+without one (such overriding subclasses, DNNCO windows beyond the
+deficit-table budget) get the exhaustive product table when the operand
+width allows and a transparent interpreted fallback otherwise — every
+model therefore *has* a kernel, and every kernel is bit-identical to the
+interpreted datapath.
 
 The compile cache is keyed on ``(registry fingerprint, KERNEL_VERSION)``:
 the fingerprint covers every functional attribute of the instance (the
@@ -36,7 +37,7 @@ from ..core.realm import RealmMultiplier
 from ..multipliers.alm import ApproxAdderLogMultiplier
 from ..multipliers.accurate import AccurateMultiplier
 from ..multipliers.am import Am1Multiplier, Am2Multiplier
-from ..multipliers.base import Multiplier
+from ..multipliers.base import Multiplier, datapath_family
 from ..multipliers.dnnco import DnnCoMultiplier
 from ..multipliers.drum import DrumMultiplier
 from ..multipliers.implm import ImpLmMultiplier
@@ -60,7 +61,7 @@ __all__ = [
 ]
 
 #: bump on ANY change to kernel generation; part of every cache key
-KERNEL_VERSION = 3
+KERNEL_VERSION = 4
 
 #: table bytes the compile cache may hold before it evicts the least
 #: recently used kernels.  Table I alone compiles ~50 MB of tables; a
@@ -134,43 +135,28 @@ def _blocked(evaluate):
     return run
 
 
-#: family -> specializer; see :func:`_specializer` for when one applies
-_SPECIALIZERS: tuple[tuple[type, Callable], ...] = (
-    (AccurateMultiplier, _compile_direct),
-    (RealmMultiplier, tables.compile_realm),
-    (MbmMultiplier, tables.compile_mbm),
-    (ApproxAdderLogMultiplier, tables.compile_alm),
-    (MitchellMultiplier, tables.compile_mitchell),
-    (ImpLmMultiplier, tables.compile_implm),
-    (DrumMultiplier, tables.compile_drum),
-    (SsmMultiplier, tables.compile_segment),
-    (EssmMultiplier, tables.compile_segment),
-    (ScaleTrimMultiplier, tables.compile_scaletrim),
-    (DnnCoMultiplier, tables.compile_dnnco),
-    (Am1Multiplier, tables.compile_am),
-    (Am2Multiplier, tables.compile_am),
-    (IntAlpMultiplier, tables.compile_intalp),
-)
-
-#: the methods a specializer folds: it applies only to models whose class
-#: resolves each of them exactly as the family class does
-_DATAPATH = ("_multiply", "_accumulate", "_recover")
-
-
-def _specializer(model) -> Callable | None:
-    for klass, specializer in _SPECIALIZERS:
-        if isinstance(model, klass):
-            exact = all(
-                getattr(type(model), name, None) is getattr(klass, name, None)
-                for name in _DATAPATH
-            )
-            return specializer if exact else None
-    return None
+#: family class -> specializer (see :func:`datapath_family`)
+_SPECIALIZERS: dict[type, Callable] = {
+    AccurateMultiplier: _compile_direct,
+    RealmMultiplier: tables.compile_realm,
+    MbmMultiplier: tables.compile_realm,
+    ApproxAdderLogMultiplier: tables.compile_alm,
+    MitchellMultiplier: tables.compile_mitchell,
+    ImpLmMultiplier: tables.compile_implm,
+    DrumMultiplier: tables.compile_product_form,
+    SsmMultiplier: tables.compile_product_form,
+    EssmMultiplier: tables.compile_product_form,
+    ScaleTrimMultiplier: tables.compile_scaletrim,
+    DnnCoMultiplier: tables.compile_dnnco,
+    Am1Multiplier: tables.compile_am,
+    Am2Multiplier: tables.compile_am,
+    IntAlpMultiplier: tables.compile_intalp,
+}
 
 
 def compile_kernel(model: Multiplier) -> CompiledKernel:
     """Specialize one model into a :class:`CompiledKernel` (uncached)."""
-    builder = _specializer(model)
+    builder = _SPECIALIZERS.get(datapath_family(model))
     wide = model.bitwidth > tables.OPERAND_TABLE_MAX_BITWIDTH
     if wide and builder is not _compile_direct:
         builder = None  # decomposition tables would stop fitting cache

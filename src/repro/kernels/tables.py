@@ -53,16 +53,14 @@ __all__ = [
     "build_log_tables",
     "compile_alm",
     "compile_am",
-    "compile_drum",
     "compile_full_table",
     "compile_implm",
     "compile_intalp",
-    "compile_mbm",
     "compile_dnnco",
     "compile_mitchell",
+    "compile_product_form",
     "compile_realm",
     "compile_scaletrim",
-    "compile_segment",
     "dnnco_deficit_table",
     "intalp_walk_tables",
 ]
@@ -172,45 +170,8 @@ def compile_implm(model):
     return evaluate, "table", k_near.nbytes + f.nbytes
 
 
-def compile_mbm(model):
-    """MBM: one packed ``(k, xt)`` table + hardwired correction constants.
-
-    ``k`` and the truncated fraction share one int64 word per operand
-    (``xt`` in the low ``width + 1`` bits — one headroom bit so the
-    fraction-sum carry stays inside its own field — ``k`` above), so the
-    per-call front end is two gathers and an add; field sums can never
-    cross field boundaries (``xt`` sums stay under ``2**(width+1)``,
-    ``k`` sums under 128).
-    """
-    n = model.bitwidth
-    raw_width = n - 1
-    width = raw_width - model.t
-    k, x = build_log_tables(n)
-    xt = truncate_fraction(x, model.t, raw_width)
-    packed = (k << (width + 1)) | xt
-    code = np.int64(model.correction_code)
-    c_full = shift_value(code, width - model.q)
-    c_half = shift_value(code, width - model.q - 1)
-    fraction_mask = mask(width + 1)
-
-    def evaluate(a, b):
-        s = packed[a] + packed[b]
-        fraction_sum = s & fraction_mask
-        carry = fraction_sum >> width
-        not_carry = carry ^ 1
-        mantissa = (
-            fraction_sum
-            + (not_carry << width)
-            + (c_half + not_carry * (c_full - c_half))
-        )
-        product = shift_value(mantissa, (s >> (width + 1)) + carry - width)
-        return np.where((a > 0) & (b > 0), product, 0)
-
-    return evaluate, "table", packed.nbytes
-
-
 def compile_realm(model):
-    """REALM: the whole per-operand front end in one packed table.
+    """REALM and MBM: the whole per-operand front end in one packed table.
 
     Everything Fig. 3 derives per operand — LOD characteristic ``k``,
     truncated fraction ``xt``, segment index — shares one int64 word:
@@ -228,29 +189,33 @@ def compile_realm(model):
     LUT is pre-shifted to the fraction grid in both carry variants and
     interleaved (``s[2 * ij + carry]``), so the carry select is one
     small gather instead of a branch.  Per call: two 2**N-word gathers,
-    one LUT gather, and ~10 elementwise int64 ops.
+    one LUT gather, and ~10 elementwise int64 ops.  MBM's constant is
+    the ``M = 1`` LUT, whose segment field is always 0.
     """
     from ..core.factors import segment_index
 
-    cfg = model.config
     n = model.bitwidth
     raw_width = n - 1
-    width = cfg.fraction_width
-    logm = cfg.m.bit_length() - 1
+    width = raw_width - model.t
+    m = model.lut_codes.shape[0]
+    logm = m.bit_length() - 1
     seg_shift = width + 8
     if seg_shift + 2 * logm >= 63:  # packed fields would overflow int64
         return None
 
     k, x = build_log_tables(n)
-    xt = truncate_fraction(x, cfg.t, raw_width)
-    seg = segment_index(x, raw_width, cfg.m)
-    left = ((seg << logm) << seg_shift) | (k << (width + 1)) | xt
-    right = (seg << seg_shift) | (k << (width + 1)) | xt
+    xt = truncate_fraction(x, model.t, raw_width)
+    seg = segment_index(x, raw_width, m)
+    fields = (k << (width + 1)) | xt
+    right = (seg << seg_shift) | fields
+    # one segment (M = 1, MBM) leaves the segment field empty: both
+    # operands gather from one table, half the cache footprint
+    left = right if logm == 0 else ((seg << logm) << seg_shift) | fields
 
     flat_codes = np.ascontiguousarray(model.lut_codes, dtype=np.int64).ravel()
     s_pair = np.empty(2 * flat_codes.size, dtype=np.int64)
-    s_pair[0::2] = shift_value(flat_codes, width - cfg.q)
-    s_pair[1::2] = shift_value(flat_codes, width - cfg.q - 1)
+    s_pair[0::2] = shift_value(flat_codes, width - model.q)
+    s_pair[1::2] = shift_value(flat_codes, width - model.q - 1)
     saturate = model.overflow == "saturate"
     top = mask(2 * n)
     fraction_mask = mask(width + 1)
@@ -269,7 +234,8 @@ def compile_realm(model):
             product = np.minimum(product, top)
         return product
 
-    return evaluate, "table", left.nbytes + right.nbytes + s_pair.nbytes
+    held = {id(table): table.nbytes for table in (left, right, s_pair)}  # once each
+    return evaluate, "table", sum(held.values())
 
 
 def compile_scaletrim(model):
@@ -496,25 +462,13 @@ def compile_intalp(model):
     return evaluate, "table", fraction.nbytes + k.nbytes + small
 
 
-def compile_drum(model):
-    """DRUM: the leading-one fragment extraction is per-operand."""
-    approx = model._approximate(_operand_space(model.bitwidth))
+def compile_product_form(model):
+    """DRUM, SSM, ESSM: one table of the per-operand approximation.
 
-    def evaluate(a, b):
-        return approx[a] * approx[b]
-
-    return evaluate, "table", approx.nbytes
-
-
-def compile_segment(model):
-    """SSM/ESSM: per-operand segment value, pre-scaled.
-
-    ``(seg_a << sh_a) * (seg_b << sh_b) == (seg_a * seg_b) << (sh_a +
-    sh_b)`` exactly (int64 headroom: the rescaled operands are at most
-    ``N`` bits each), so one table of rescaled operands suffices.
+    The product is ``approx(a) * approx(b)``, and ``approx`` is the
+    model's own ``_approximate`` run over every operand.
     """
-    seg, sh = model._segment(_operand_space(model.bitwidth))
-    approx = seg << sh
+    approx = model._approximate(_operand_space(model.bitwidth))
 
     def evaluate(a, b):
         return approx[a] * approx[b]

@@ -3,7 +3,7 @@
 from .accurate import AccurateMultiplier
 from .alm import AlmLoa, AlmMaa, AlmSoa, ApproxAdderLogMultiplier
 from .am import Am1Multiplier, Am2Multiplier
-from .base import Multiplier
+from .base import Multiplier, ProductFormMultiplier, datapath_family
 from .drum import DrumMultiplier
 from .floating import (
     BFLOAT16_LIKE,
@@ -44,12 +44,14 @@ __all__ = [
     "MbmMultiplier",
     "MitchellMultiplier",
     "Multiplier",
+    "ProductFormMultiplier",
     "REGISTRY",
     "SignedMultiplier",
     "SsmMultiplier",
     "TABLE1_IDS",
     "build",
     "convolve2d",
+    "datapath_family",
     "dot_product",
     "iter_multipliers",
     "names",

@@ -15,7 +15,12 @@ import abc
 
 import numpy as np
 
-__all__ = ["Multiplier", "as_operands"]
+__all__ = [
+    "Multiplier",
+    "ProductFormMultiplier",
+    "as_operands",
+    "datapath_family",
+]
 
 
 def as_operands(a, b, bitwidth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,3 +132,47 @@ class Multiplier(abc.ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r} N={self.bitwidth}>"
+
+
+class ProductFormMultiplier(Multiplier):
+    """``approx(a) * approx(b)``: each operand approximated on its own.
+
+    DRUM's leading-one fragment and SSM/ESSM's static segments differ
+    only in :meth:`_approximate`; the exact multiply of the two results
+    is shared, and so is everything derived from it (the kernel's one
+    per-operand table, the closed-form error extremes).
+    """
+
+    @abc.abstractmethod
+    def _approximate(self, v: np.ndarray) -> np.ndarray:
+        """The value the datapath multiplies in place of operand ``v``."""
+
+    def _multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._approximate(a) * self._approximate(b)
+
+
+#: the methods that make up a datapath: a model runs its family's
+#: datapath unmodified when its class resolves each of them exactly as
+#: the family class does
+_DATAPATH = ("_multiply", "_accumulate", "_recover", "_approximate")
+
+
+def datapath_family(model: Multiplier) -> type[Multiplier] | None:
+    """The family class whose datapath ``model`` runs unmodified, if any.
+
+    A family class declares its own ``family``; subclasses that only
+    parametrize it (``AlmMaa``) inherit both.  The answer is the nearest
+    family class of the model's type, provided the type resolves every
+    ``_DATAPATH`` method as that class does: a subclass that overrides
+    one runs a datapath of its own and gets ``None``.  Every layer
+    derived from a model (kernel, formula, bounds engine, netlist) keys
+    its class table on this answer, so none of them can take a model
+    for a family whose arithmetic it does not run.
+    """
+    klass = type(model)
+    family = next(k for k in klass.__mro__ if "family" in vars(k))
+    unmodified = all(
+        getattr(klass, name, None) is getattr(family, name, None)
+        for name in _DATAPATH
+    )
+    return family if family is not Multiplier and unmodified else None

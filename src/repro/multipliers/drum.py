@@ -17,12 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.bitops import floor_log2
-from .base import Multiplier
+from .base import ProductFormMultiplier
 
 __all__ = ["DrumMultiplier"]
 
 
-class DrumMultiplier(Multiplier):
+class DrumMultiplier(ProductFormMultiplier):
     """DRUM with fragment width ``k`` [3]."""
 
     family = "DRUM"
@@ -43,6 +43,3 @@ class DrumMultiplier(Multiplier):
         shift = np.maximum(leading - (self.k - 1), 0)
         fragment = (v >> shift) | np.where(shift > 0, np.int64(1), np.int64(0))
         return fragment << shift
-
-    def _multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._approximate(a) * self._approximate(b)

@@ -19,7 +19,9 @@ one value instead of ``M**2`` — REALM's Section II observes this is why
 MBM's bias is low while its mean/peak error stay high.
 
 MBM shares REALM's fraction-truncation knob ``t`` (truncate ``t`` LSBs,
-force the next bit to 1).
+force the next bit to 1), and runs REALM's datapath
+(:class:`~repro.multipliers.mitchell.CorrectedLogMultiplier`) with its
+constant as a 1x1 LUT.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..core.bitops import shift_value, truncate_fraction
-from .base import Multiplier
-from .mitchell import log_operands
+from .mitchell import CorrectedLogMultiplier
 
 __all__ = ["MbmMultiplier", "MBM_CORRECTION"]
 
@@ -38,10 +38,13 @@ __all__ = ["MbmMultiplier", "MBM_CORRECTION"]
 MBM_CORRECTION = Fraction(1, 12)
 
 
-class MbmMultiplier(Multiplier):
+class MbmMultiplier(CorrectedLogMultiplier):
     """MBM [4] with truncation parameter ``t`` and ``q``-bit correction."""
 
     family = "MBM"
+
+    #: the corrected product is kept at full width, as REALM's default
+    overflow = "extend"
 
     def __init__(self, bitwidth: int = 16, t: int = 0, q: int = 6):
         super().__init__(bitwidth)
@@ -58,25 +61,7 @@ class MbmMultiplier(Multiplier):
     def name(self) -> str:
         return f"MBM (t={self.t})"
 
-    def _multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        raw_width = self.bitwidth - 1
-        width = raw_width - self.t
-        ka, kb, xa, xb, nonzero = log_operands(a, b, self.bitwidth)
-
-        xa_t = truncate_fraction(xa, self.t, raw_width)
-        xb_t = truncate_fraction(xb, self.t, raw_width)
-        fraction_sum = xa_t + xb_t
-        carry = fraction_sum >> width
-
-        # Correction aligned to the fraction grid, halved on carry —
-        # identical wiring to REALM's LUT path with M = 1.
-        code = np.int64(self.correction_code)
-        c_full = shift_value(code, width - self.q)
-        c_half = shift_value(code, width - self.q - 1)
-        mantissa = np.where(
-            carry == 0,
-            (np.int64(1) << width) + fraction_sum + c_full,
-            fraction_sum + c_half,
-        )
-        product = shift_value(mantissa, ka + kb + carry - width)
-        return np.where(nonzero, product, 0)
+    @property
+    def lut_codes(self) -> np.ndarray:
+        """The correction constant as REALM's LUT with ``M = 1``."""
+        return np.array([[self.correction_code]], dtype=np.int64)

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bitops import floor_log2, log_fraction, mask, shift_value
+from ..core.bitops import floor_log2, log_fraction, mask, shift_value, truncate_fraction
+from ..core.factors import segment_index
 from .base import Multiplier
 
-__all__ = ["MitchellMultiplier", "log_operands", "antilog"]
+__all__ = ["CorrectedLogMultiplier", "MitchellMultiplier", "log_operands", "antilog"]
 
 
 def log_operands(
@@ -71,3 +72,58 @@ class MitchellMultiplier(Multiplier):
         log_b = (kb << width) | xb
         product = antilog(log_a + log_b, width)
         return np.where(nonzero, product, 0)
+
+
+class CorrectedLogMultiplier(Multiplier):
+    """Mitchell's log product plus a segment-selected correction.
+
+    The datapath of the paper's Fig. 3, shared by REALM and MBM: the
+    fractions are truncated by ``t`` bits with a forced rounding 1, the
+    ``log2(M)`` fraction MSBs of each operand select a ``q``-bit code of
+    the ``(M, M)`` LUT ``lut_codes``, and the code (halved on a fraction
+    carry) is added before the final scaling.  REALM holds ``M**2``
+    codes; MBM is the same datapath with ``M = 1``, a single constant.
+    Subclasses provide ``t``, ``q``, ``lut_codes`` and ``overflow``
+    (``"extend"`` keeps the ``2N + 1``-bit corrected product,
+    ``"saturate"`` clamps it to ``2**(2N) - 1``).
+    """
+
+    def _multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        raw_width = self.bitwidth - 1
+        ka, kb, xa, xb, nonzero = log_operands(a, b, self.bitwidth)
+
+        # Segment selection uses the fraction MSBs, which truncation never
+        # touches (Fig. 3: x_msbs / y_msbs feed the LUT mux select lines).
+        m = self.lut_codes.shape[0]
+        i = segment_index(xa, raw_width, m)
+        j = segment_index(xb, raw_width, m)
+        s_codes = self.lut_codes[i, j]
+
+        # Fraction truncation with the forced rounding 1 (t+1 bits dropped).
+        width = raw_width - self.t
+        xa_t = truncate_fraction(xa, self.t, raw_width)
+        xb_t = truncate_fraction(xb, self.t, raw_width)
+
+        fraction_sum = xa_t + xb_t  # width+1 bits; MSB is c_of
+        carry = fraction_sum >> width
+
+        # Fixed-point realization of Eq. 13.  The LUT output is added to
+        # the fraction sum, so it is aligned to the fraction grid
+        # (2**-width): factor bits below that grid are floored away by the
+        # adder wiring.  For the paper's q=6 this matters only at t=9,
+        # where the halved factor s_ij/2 loses its LSB — which is exactly
+        # the paper's observed t=9 bias/error jump (Table I).
+        s_full = shift_value(s_codes, width - self.q)
+        s_half = shift_value(s_codes, width - self.q - 1)
+        mantissa = np.where(
+            carry == 0,
+            # 2**(ka+kb)   * (1 + x + y + s_ij)
+            (np.int64(1) << width) + fraction_sum + s_full,
+            # 2**(ka+kb+1) * (x + y + s_ij/2); fraction_sum already >= 2**width
+            fraction_sum + s_half,
+        )
+        product = shift_value(mantissa, ka + kb + carry - width)
+        product = np.where(nonzero, product, 0)
+        if self.overflow == "saturate":
+            product = np.minimum(product, mask(2 * self.bitwidth))
+        return product

@@ -92,6 +92,32 @@ def _sum_k(products: np.ndarray, out: np.ndarray) -> None:
     np.einsum("...kj->...j", products, out=out)
 
 
+def _blocks(shape: tuple[int, ...]) -> list[tuple[slice, slice]]:
+    """``(rows, columns)`` slices of the blocks of a ``(..., i, k, j)`` call.
+
+    Whole leading rows, about :data:`MAC_BLOCK` products a block; a row
+    holding more than that is cut further into slices of ``j``.
+    """
+    row = math.prod(shape[1:])
+    every = slice(None)
+    if row <= MAC_BLOCK:
+        step = MAC_BLOCK // max(1, row)
+        return [(slice(r, r + step), every) for r in range(0, shape[0], step)]
+    step = max(1, MAC_BLOCK // math.prod(shape[1:-1]))
+    return [
+        (slice(r, r + 1), slice(c, c + step))
+        for r in range(shape[0])
+        for c in range(0, shape[-1], step)
+    ]
+
+
+def _cut(x: np.ndarray, rows: slice, columns: slice) -> np.ndarray:
+    """The part of a broadcast ``(..., i, k, j)`` operand a block reads."""
+    if len(x) > 1:
+        x = x[rows]
+    return x[..., columns] if x.shape[-1] > 1 else x
+
+
 def _table_plan(operands: list[np.ndarray], products: int):
     """Which operand a product table would cover, or ``None``.
 
@@ -120,9 +146,9 @@ def signed_matmul(multiplier: Multiplier, left, right) -> np.ndarray:
     stacks; each product is ``signed_product(multiplier, left[..., i, k],
     right[..., k, j])`` and the sums are exact int64.  Products are taken
     in blocks of about :data:`MAC_BLOCK` along the leading axis of the
-    broadcast ``(..., i, k, j)`` shape (at least one leading row each),
-    which keeps temporaries a few MB; integer sums make the result
-    independent of the block size.
+    broadcast ``(..., i, k, j)`` shape, a leading row wider than that
+    in slices of ``j`` (:func:`_blocks`), which keeps temporaries a few
+    MB; integer sums make the result independent of the block size.
 
     When one operand holds few distinct values against the other's range
     (a DCT basis, CNN weights), one ``signed_product`` call in the
@@ -146,18 +172,21 @@ def signed_matmul(multiplier: Multiplier, left, right) -> np.ndarray:
     operands = [x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in operands]
     products = math.prod(shape)
     out = np.empty(shape[:-2] + shape[-1:], dtype=np.int64)
-    step = max(1, MAC_BLOCK // max(1, math.prod(shape[1:])))
-    blocks = [slice(start, start + step) for start in range(0, shape[0], step)]
+    blocks = _blocks(shape)
     tele = telemetry.get()
     tele.counter("mac.products", products)
     plan = _table_plan(operands, products)
     if plan is None:
         with tele.span("mac.direct", products=products):
-            # an operand the blocks do not split keeps one magnitude and sign
+            # an operand the rows do not split keeps one magnitude and sign
             fixed = [None if len(x) > 1 else _sign_magnitude(x) for x in operands]
-            for rows in blocks:
-                pair = (f or _sign_magnitude(x[rows]) for f, x in zip(fixed, operands))
-                _sum_k(_product(multiplier, *pair), out[rows])
+            for rows, columns in blocks:
+                pair = (
+                    _sign_magnitude(_cut(x, rows, columns)) if f is None
+                    else [p if p is None else _cut(p, rows, columns) for p in f]
+                    for f, x in zip(fixed, operands)
+                )
+                _sum_k(_product(multiplier, *pair), out[rows][..., columns])
         return out
     small, values, inverse, lo, hi = plan
     with tele.span("mac.table", products=products):
@@ -169,9 +198,9 @@ def signed_matmul(multiplier: Multiplier, left, right) -> np.ndarray:
             grid.reverse()
         table = signed_product(multiplier, *grid).ravel()
         operands[small] = inverse * width - lo
-        for rows in blocks:
-            index = [x[rows] if len(x) > 1 else x for x in operands]
-            _sum_k(table.take(index[0] + index[1]), out[rows])
+        for rows, columns in blocks:
+            index = [_cut(x, rows, columns) for x in operands]
+            _sum_k(table.take(index[0] + index[1]), out[rows][..., columns])
     return out
 
 

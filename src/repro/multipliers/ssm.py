@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Multiplier
+from .base import ProductFormMultiplier
 
 __all__ = ["SsmMultiplier", "EssmMultiplier"]
 
 
-class SsmMultiplier(Multiplier):
+class SsmMultiplier(ProductFormMultiplier):
     """SSM with segment width ``m`` [14]."""
 
     family = "SSM"
@@ -40,17 +40,18 @@ class SsmMultiplier(Multiplier):
     def name(self) -> str:
         return f"SSM (m={self.m})"
 
-    def _segment(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _approximate(self, v: np.ndarray) -> np.ndarray:
+        """The selected segment, shifted back into place.
+
+        Shifting each segment back before the exact multiply gives the
+        hardware's shifted ``m x m`` product: ``(s_a 2^i)(s_b 2^j) = s_a
+        s_b 2^(i+j)``, exactly in int64.
+        """
         shift = np.where(v < (np.int64(1) << self.m), 0, self.bitwidth - self.m)
-        return v >> shift, shift
-
-    def _multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        seg_a, sh_a = self._segment(a)
-        seg_b, sh_b = self._segment(b)
-        return (seg_a * seg_b) << (sh_a + sh_b)
+        return (v >> shift) << shift
 
 
-class EssmMultiplier(Multiplier):
+class EssmMultiplier(ProductFormMultiplier):
     """ESSM: SSM extended with a middle segment [14].
 
     Segments are ``m`` bits wide and start at offsets ``N-m``,
@@ -76,7 +77,8 @@ class EssmMultiplier(Multiplier):
     def name(self) -> str:
         return f"ESSM{self.m} (m={self.m})"
 
-    def _segment(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _approximate(self, v: np.ndarray) -> np.ndarray:
+        """The highest segment holding the leading one, shifted back."""
         n, m = self.bitwidth, self.m
         high_offset = n - m
         mid_offset = high_offset // 2
@@ -85,9 +87,4 @@ class EssmMultiplier(Multiplier):
             high_offset,
             np.where(v >= (np.int64(1) << m), mid_offset, 0),
         )
-        return v >> shift, shift
-
-    def _multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        seg_a, sh_a = self._segment(a)
-        seg_b, sh_b = self._segment(b)
-        return (seg_a * seg_b) << (sh_a + sh_b)
+        return (v >> shift) << shift

@@ -367,6 +367,8 @@ class TestCoverageMap4Bit:
 
     def test_default_segments_follows_design(self):
         assert default_segments(build("realm16-t0")) == 16
+        assert default_segments(build("scaletrim-t4-c2")) == 8
+        assert default_segments(build("mbm-t0")) == 4
         assert default_segments(build("drum-k8")) == 4
 
     def test_16bit_reachable_count_matches_formula(self):

@@ -20,10 +20,11 @@ from hypothesis import given, settings
 
 from repro.analysis import chaos
 from repro.analysis.exhaustive import exhaustive_metrics
+from repro.circuits.catalog import generator_for
 from repro.conformance.fuzz import shrink_pair
 from repro.conformance.oracles import LAYERS, DifferentialOracle, resolve_design
 from repro.formal import (
-    SYMBOLIC_FAMILIES,
+    ENCODERS,
     UnsupportedDesignError,
     certify_worst_error,
     encode_kernel,
@@ -41,6 +42,8 @@ from repro.formal.backends import _to_z3
 from repro.formal.bounds import SWEEP_EXACT_MAX_BITWIDTH, _extreme_index
 from repro.kernels import compile_netlist
 from repro.multipliers.alm import AlmLoa
+from repro.multipliers.base import datapath_family
+from repro.multipliers.drum import DrumMultiplier
 from repro.multipliers.registry import REGISTRY
 from repro.multipliers.ssm import EssmMultiplier, SsmMultiplier
 
@@ -126,6 +129,20 @@ class TestCertifiedVsBruteForce:
                 got = getattr(interval, side)
                 want = getattr(sweep, side)
                 assert got.as_fraction() == want.as_fraction(), (design, side)
+
+    @pytest.mark.parametrize("design", ["ssm-m8", "essm8", "drum-k8"])
+    def test_product_form_route_agrees_with_sweep(self, design):
+        # the ratio route's certificate, at the narrowest width where
+        # these ids build, against the exhaustive sweep, witnesses included
+        interval = certify_worst_error(design, 10, method="interval")
+        sweep = certify_worst_error(
+            design, 10, method="sweep", sweep_max_bitwidth=10
+        )
+        assert interval.method == "ratio-exact"
+        assert interval.exact and sweep.exact
+        for side in ("peak_min", "peak_max"):
+            got = getattr(interval, side).to_payload()
+            assert got == getattr(sweep, side).to_payload(), (design, side)
 
     def test_sixteen_bit_bounds_are_sound(self):
         # pure-python at 16 bits gives honest outer bounds, not exact
@@ -311,8 +328,28 @@ SYMBOLIC_MODELS = {
 
 class TestSymbolicEncoders:
     def test_every_symbolic_family_is_covered(self):
-        families = {build(8).family for build in SYMBOLIC_MODELS.values()}
-        assert families == SYMBOLIC_FAMILIES
+        families = {datapath_family(build(8)) for build in SYMBOLIC_MODELS.values()}
+        assert families == set(ENCODERS)
+
+    def test_overriding_subclass_is_not_its_family(self):
+        # a DRUM subclass with its own datapath must not be encoded, or
+        # given a netlist, as plain DRUM: at 8 bits its formula is its
+        # own product table, and above that it has none
+        class HalvedDrum(DrumMultiplier):
+            def _multiply(self, a, b):
+                return super()._multiply(a, b) // 2
+
+        model = HalvedDrum(8, k=4)
+        encoding = encode_model(model)
+        assert encoding.method == "truth-table"
+        a, b = encode_module._pair_grid(8)
+        np.testing.assert_array_equal(
+            encoding.table, model.multiply(a, b, compiled=False)
+        )
+        assert int(encoding.eval_pairs([200], [201])[0]) == 21632
+        with pytest.raises(UnsupportedDesignError):
+            encode_model(HalvedDrum(16, k=4))
+        assert generator_for(model) is None
 
     @pytest.mark.parametrize("bitwidth", [8, 7])
     @pytest.mark.parametrize("name", sorted(SYMBOLIC_MODELS))

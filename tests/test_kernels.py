@@ -357,6 +357,13 @@ class TestKernelCache:
         assert kernel.kind == "table"
         assert kernel.table_bytes > 0
 
+    def test_single_segment_lut_shares_one_operand_table(self):
+        # MBM's 1x1 LUT leaves no segment field, so both operands gather
+        # from one 2**16-word table (two equal ones cost 25% a product)
+        kernel = compile_kernel(build("mbm-t0", 16))
+        assert kernel.kind == "table"
+        assert kernel.table_bytes == 8 * (1 << 16) + 2 * 8
+
     def test_fallback_kinds(self):
         # models with no specializer: full table while the operand space
         # is small, interpreted wrap beyond

@@ -15,13 +15,16 @@ the same grid runs in every tier-1 invocation.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 import pytest
 
-from repro.circuits.catalog import NETLISTS, netlist_for
+from repro.circuits.catalog import generator_for, netlist_for, netlist_of
 from repro.circuits.ssm_rtl import essm_netlist, ssm_netlist
+from repro.core.realm import RealmMultiplier
 from repro.logic.sim import evaluate_words
+from repro.multipliers.intalp import IntAlpMultiplier
 from repro.multipliers.registry import REGISTRY, build
 from repro.multipliers.ssm import EssmMultiplier, SsmMultiplier
 
@@ -40,10 +43,11 @@ def vectors():
 
 
 def test_catalog_covers_registry():
-    assert set(NETLISTS) == set(REGISTRY)
+    for name in REGISTRY:
+        assert generator_for(build(name, 16)) is not None, name
 
 
-@pytest.mark.parametrize("name", sorted(NETLISTS))
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_netlist_matches_functional_model(name, vectors):
     a, b = vectors
     netlist = netlist_for(name, 16)
@@ -79,6 +83,30 @@ def test_realm_output_width_covers_overflow(name):
     assert len(netlist.outputs) == 33
 
 
+@pytest.mark.parametrize(
+    "name, bitwidth",
+    [("alm-maa-m9", 8), ("alm-soa-m9", 8), ("alm-maa-m12", 12), ("alm-soa-m12", 12)],
+)
+def test_width_the_model_refuses_has_no_netlist(name, bitwidth):
+    with pytest.raises(ValueError) as refused:
+        build(name, bitwidth)
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        netlist_for(name, bitwidth)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [RealmMultiplier(8, m=4, overflow="saturate"), IntAlpMultiplier(8, fit="ls")],
+    ids=["realm-saturate", "intalp-ls"],
+)
+def test_parameters_no_generator_implements_are_refused(model):
+    # the generator is found, but it must not build its family's default
+    # datapath in place of the one the model runs
+    assert generator_for(model) is not None
+    with pytest.raises(ValueError):
+        netlist_of(model)
+
+
 def test_non_overflowing_designs_use_2n_outputs():
     for name in ("calm", "drum-k8", "ssm-m9", "intalp-l2", "accurate"):
         assert len(netlist_for(name, 16).outputs) == 32
@@ -99,7 +127,7 @@ def _eightbit_ids() -> list[str]:
     in ``EXTRA_8BIT_PAIRS``.
     """
     names = []
-    for name in sorted(NETLISTS):
+    for name in sorted(REGISTRY):
         try:
             build(name, 8)
         except ValueError:
@@ -110,13 +138,19 @@ def _eightbit_ids() -> list[str]:
 
 EIGHTBIT_IDS = _eightbit_ids()
 
+#: an MSE-objective REALM, whose netlist hardwires its own LUT: at M = 2
+#: three of its four codes differ from the mean objective's
+MSE_REALM = RealmMultiplier(8, m=2, t=1, objective="mse")
+
 #: (label, model, netlist) pairs covering the families whose *registry*
-#: parameterizations do not fit in 8 bits (SSM/ESSM need m < 8)
+#: parameterizations do not fit in 8 bits (SSM/ESSM need m < 8), and
+#: the MSE objective, which no registry id uses
 EXTRA_8BIT_PAIRS = [
     ("ssm8-m6", SsmMultiplier(8, m=6), ssm_netlist(8, m=6)),
     ("ssm8-m4", SsmMultiplier(8, m=4), ssm_netlist(8, m=4)),
     ("essm8-m6", EssmMultiplier(8, m=6), essm_netlist(8, m=6)),
     ("essm8-m4", EssmMultiplier(8, m=4), essm_netlist(8, m=4)),
+    ("realm8-m2-mse", MSE_REALM, netlist_of(MSE_REALM)),
 ]
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,25 @@ class TestSignedMatmul:
         expected = (signs * magnitudes).sum(axis=1)
         assert np.array_equal(signed_matmul(multiplier, left, right), expected)
         assert not np.array_equal(signed_matmul(multiplier, right.T, left.T).T, expected)
+
+    def test_a_wide_row_is_cut_into_column_blocks(self):
+        # one leading row of 5 x MAC_BLOCK products: the blocks, not the
+        # row, bound the temporaries (as one block the row peaked at 55
+        # block sizes).  The right operand has no negatives, so no
+        # operand-sized magnitude copy is taken.
+        multiplier = build("realm16-t0")
+        rng = np.random.default_rng(5)
+        left = rng.integers(-(1 << 14), 1 << 14, (1, 640))
+        right = rng.integers(0, 1 << 14, (640, 1024))
+        signed_matmul(multiplier, left[:, :1], right[:1, :1])  # compile untraced
+        tracemalloc.start()
+        try:
+            out = signed_matmul(multiplier, left, right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * MAC_BLOCK * 8
+        assert np.array_equal(out, definition(multiplier, left, right))
 
     def test_shape_mismatch(self):
         acc = AccurateMultiplier()
