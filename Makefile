@@ -63,12 +63,18 @@ verify:
 	PYTHONPATH=src $(PYTHON) -m repro conform --design intalp-l2 --budget 20000 --seed 0 \
 		--layers model rtl kernel exact
 	@echo "--- formal smoke (8-bit equivalence proof + certified peaks) ---"
-	PYTHONPATH=src $(PYTHON) -m repro formal --design realm-8-m4-q5 --prove-equiv --max-error --no-cache
+	PYTHONPATH=src $(PYTHON) -m repro formal --design realm-8-m4-q5 --prove-equiv --max-error
 	for design in am2-nb13 calm alm-soa-m3 alm-maa-m3 mbm-t2 drum-k5 \
 			scaletrim-t4-c2 dnnco-l6 accurate; do \
 		PYTHONPATH=src $(PYTHON) -m repro formal --design $$design --bitwidth 8 \
-			--prove-equiv --max-error --no-cache || exit 1; \
+			--prove-equiv --max-error || exit 1; \
 	done
+	@echo "--- certificate reuse (a formal row read back by Table I) ---"
+	rm -rf .repro-formal
+	PYTHONPATH=src $(PYTHON) -m repro formal --design drum-k8 --max-error --warehouse .repro-formal
+	PYTHONPATH=src $(PYTHON) -m repro table1 --quick --warehouse .repro-formal \
+		| grep -q "formally certified worst-case peak"
+	rm -rf .repro-formal
 	@echo "--- warehouse smoke (record, warm reuse, trend report) ---"
 	rm -rf .repro-warehouse
 	PYTHONPATH=src REPRO_WAREHOUSE_DIR=.repro-warehouse $(PYTHON) -m repro characterize calm --quick
@@ -108,5 +114,6 @@ quick:
 	$(PYTHON) -m repro table1 --quick
 
 clean:
-	rm -rf build *.egg-info .pytest_cache benchmarks/results .repro-engine .repro-warehouse .repro-identity
+	rm -rf build *.egg-info .pytest_cache benchmarks/results .repro-engine .repro-warehouse .repro-identity \
+		.repro-formal
 	find . -name __pycache__ -type d -exec rm -rf {} +

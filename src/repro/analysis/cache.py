@@ -10,10 +10,10 @@ Monte-Carlo metrics live in the experiment warehouse
 (:mod:`repro.warehouse`), which keys its rows this way and reads them
 back through :func:`metrics_from_fields`.
 
-The state directory holds what is not a warehouse row: campaign
-checkpoints (``checkpoints/``), formal certificates (``formal/``),
-conformance counterexamples (``conformance/``) and the default
-warehouse database (``warehouse/``).  It is resolved per call:
+The state directory holds campaign checkpoints (``checkpoints/``) and
+the default warehouse database (``warehouse/``); formal certificates
+and conformance counterexamples are warehouse rows, not files.  It is
+resolved per call:
 
 * ``cache=False`` — off;
 * ``cache=None`` (default) — on only if ``REPRO_CACHE_DIR`` is set;
@@ -147,8 +147,6 @@ def sweep_stale_temps(
 #: clear_cache drops them all
 _SUBSYSTEM_GLOBS = (
     "checkpoints/*.json",     # campaign checkpoints (runtime.Checkpoint)
-    "formal/*.json",          # equivalence/worst-case certificates
-    "conformance/*.json",     # shrunk fuzzing counterexamples
     "warehouse/warehouse.db*",  # experiment warehouse + quarantined copies
 )
 
@@ -156,11 +154,10 @@ _SUBSYSTEM_GLOBS = (
 def clear_cache(cache=True) -> int:
     """Drop every entry in the resolved directory; returns the count.
 
-    Covers all stores under the state directory — campaign checkpoints
-    (``checkpoints/``), formal certificates (``formal/``), conformance
-    counterexamples (``conformance/``) and the experiment warehouse
-    database (``warehouse/``, including quarantined copies) — and sweeps
-    orphaned temp files left by writers that died mid-store (the
+    Covers both stores under the state directory — campaign checkpoints
+    (``checkpoints/``) and the experiment warehouse database
+    (``warehouse/``, including quarantined copies) — and sweeps orphaned
+    checkpoint temp files left by writers that died mid-store (the
     returned count covers removed entries only, not the swept temps).
     """
     directory = resolve_cache_dir(cache)
@@ -174,6 +171,5 @@ def clear_cache(cache=True) -> int:
                 removed += 1
             except (FileNotFoundError, IsADirectoryError):
                 pass
-    for subdirectory in ("checkpoints", "formal", "conformance"):
-        sweep_stale_temps(directory / subdirectory)
+    sweep_stale_temps(directory / "checkpoints")
     return removed

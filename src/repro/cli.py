@@ -329,11 +329,11 @@ def cmd_fig5(args) -> int:
 def cmd_verilog(args) -> int:
     import numpy as np
 
-    from .circuits.catalog import netlist_for
+    from .circuits.catalog import netlist_of
     from .logic.sim import evaluate_words
     from .logic.verilog import testbench, to_verilog
 
-    netlist = netlist_for(args.design)
+    netlist = netlist_of(_known_design(args))
     text = to_verilog(netlist)
     if args.testbench:
         rng = np.random.default_rng(0)
@@ -354,10 +354,10 @@ def cmd_verilog(args) -> int:
 
 def cmd_report(args) -> int:
     if args.design is not None:
-        from .circuits.catalog import netlist_for
+        from .circuits.catalog import netlist_of
         from .synth.report import design_report
 
-        print(design_report(netlist_for(args.design)))
+        print(design_report(netlist_of(_known_design(args))))
         return 0
     from .warehouse import build_trends, open_warehouse, render_json, render_text
 
@@ -708,7 +708,6 @@ def cmd_conform(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    cache = False if args.no_cache else args.cache
     try:
         result = fuzz(
             args.design,
@@ -718,7 +717,6 @@ def cmd_conform(args) -> int:
             layers=args.layers or None,
             workers=args.workers,
             m=args.m,
-            cache=cache,
             on_progress=_conform_progress(args),
             warehouse=_warehouse_option(args),
         )
@@ -741,7 +739,6 @@ def cmd_formal(args) -> int:
     import json
 
     from .formal import certify_worst_error, prove_equivalence
-    from .formal.certificates import save_certificate
     from .formal.encode import UnsupportedDesignError
 
     if not args.prove_equiv and not args.max_error:
@@ -750,7 +747,6 @@ def cmd_formal(args) -> int:
             file=sys.stderr,
         )
         return 2
-    cache = False if args.no_cache else args.cache
     payloads = []
     exit_code = 0
     try:
@@ -806,12 +802,8 @@ def cmd_formal(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for payload in payloads:
-        path = save_certificate(payload, cache)
-        if path is not None:
-            print(f"# certificate written to {path}", file=sys.stderr)
     if payloads:
-        _record_certificates(payloads, args, cache)
+        _record_certificates(payloads, args)
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(payloads, handle, sort_keys=True, indent=1)
@@ -820,11 +812,11 @@ def cmd_formal(args) -> int:
     return exit_code
 
 
-def _record_certificates(payloads, args, cache) -> None:
+def _record_certificates(payloads, args) -> None:
     """Record a ``repro formal`` run in the experiment warehouse, if on."""
     from .warehouse import WarehouseError, open_warehouse
 
-    wh = open_warehouse(_warehouse_option(args), cache)
+    wh = open_warehouse(_warehouse_option(args))
     if wh is None:
         return
     rows = []
@@ -886,14 +878,6 @@ def make_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="disable the experiment warehouse",
         )
-
-    def _cache_flags(p, help):
-        group = p.add_mutually_exclusive_group()
-        group.add_argument(
-            "--cache", nargs="?", const=True, default=None, metavar="DIR",
-            help=help,
-        )
-        group.add_argument("--no-cache", action="store_true")
 
     def sample_flags(p):
         p.add_argument(
@@ -1146,7 +1130,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="PATH",
         help="also write the deterministic JSON report to PATH",
     )
-    _cache_flags(p, "cache dir receiving shrunk counterexamples of failing runs")
     p.add_argument(
         "--progress", action="store_true",
         help="print per-round coverage progress to stderr",
@@ -1199,7 +1182,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="PATH",
         help="also write the certificates as JSON to PATH",
     )
-    _cache_flags(p, "persist certificates under <cache>/formal/")
     p.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a JSONL telemetry trace (formal.encode/formal.solve "

@@ -21,8 +21,9 @@ The loop:
    DifferentialOracle`, fold coverage and divergences in batch order;
 4. **shrink** the first divergence of every failing check to a locally
    minimal pair (operand halving, then greedy MSB-first bit clearing,
-   then decrement — each accepted move strictly shrinks ``a + b``), and
-   persist the shrunk counterexamples under the cache directory.
+   then decrement — each accepted move strictly shrinks ``a + b``); the
+   shrunk pairs land in the result, its JSON report and, with a
+   warehouse on, the campaign's ``conformance`` row.
 
 With the chaos harness injecting a broken model (see
 :mod:`repro.conformance.oracles`), run serial (``workers=None``): each
@@ -32,14 +33,11 @@ worker process builds its own oracle and would consume one chaos claim.
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
 import time
 
 import numpy as np
 
 from ..analysis import telemetry
-from ..analysis.cache import resolve_cache_dir
 from ..analysis.parallel import substream
 from .coverage import CoverageMap, default_segments
 from .oracles import DifferentialOracle, Divergence
@@ -262,7 +260,6 @@ class FuzzResult:
     counts: dict[str, int]
     total_divergences: int
     shrunk: list[dict]
-    counterexample_path: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -316,7 +313,6 @@ def fuzz(
     workers: int | None = None,
     m: int | None = None,
     limit: int = 8,
-    cache=None,
     on_progress=None,
     warehouse=None,
 ) -> FuzzResult:
@@ -325,12 +321,10 @@ def fuzz(
     ``budget`` bounds generated operand pairs; the campaign stops early on
     full coverage of every reachable cell and LSB pattern.  ``workers``
     fans batch evaluation out over a process pool — the result is
-    bit-identical at any worker count.  ``cache`` resolves the state
-    directory (``None``: only if ``REPRO_CACHE_DIR`` is set) and
-    receives the shrunk counterexamples of a failing run.  ``warehouse``
-    opts into the experiment warehouse: the campaign summary (coverage,
-    divergences, counterexample count) is recorded as one
-    ``conformance`` run with full provenance.
+    bit-identical at any worker count.  ``warehouse`` opts into the
+    experiment warehouse: the campaign summary (coverage, divergences,
+    shrunk counterexamples) is recorded as one ``conformance`` run with
+    full provenance.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -472,9 +466,7 @@ def fuzz(
         total_divergences=total,
         shrunk=shrunk,
     )
-    if shrunk:
-        result.counterexample_path = _persist_counterexamples(result, cache)
-    _record_campaign(result, time.perf_counter() - campaign_start, warehouse, cache)
+    _record_campaign(result, time.perf_counter() - campaign_start, warehouse)
     return result
 
 
@@ -521,11 +513,11 @@ def _shrink_candidates(a: int, b: int):
         yield a, b - 1
 
 
-def _record_campaign(result: FuzzResult, wall: float, warehouse, cache) -> None:
+def _record_campaign(result: FuzzResult, wall: float, warehouse) -> None:
     """Record the campaign summary in the experiment warehouse, if on."""
     from ..warehouse.store import WarehouseError, open_warehouse
 
-    wh = open_warehouse(warehouse, cache)
+    wh = open_warehouse(warehouse)
     if wh is None:
         return
     payload = {
@@ -545,7 +537,7 @@ def _record_campaign(result: FuzzResult, wall: float, warehouse, cache) -> None:
         "coverage": result.coverage.segment_cell_coverage(),
         "total_divergences": result.total_divergences,
         "counts": dict(sorted(result.counts.items())),
-        "counterexamples": len(result.shrunk),
+        "counterexamples": result.shrunk,
     }
     try:
         wh.record_run(
@@ -563,24 +555,3 @@ def _record_campaign(result: FuzzResult, wall: float, warehouse, cache) -> None:
     finally:
         wh.close()
 
-
-def _persist_counterexamples(result: FuzzResult, cache) -> str | None:
-    """Write the shrunk counterexamples under the cache dir, if resolved."""
-    directory = resolve_cache_dir(cache)
-    if directory is None:
-        return None
-    directory = pathlib.Path(directory) / "conformance"
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{result.design}-b{result.bitwidth}-s{result.seed}.json"
-    payload = {
-        "design": result.design,
-        "bitwidth": result.bitwidth,
-        "seed": result.seed,
-        "budget": result.budget,
-        "layers": list(result.layers),
-        "relations": list(result.relations),
-        "total_divergences": result.total_divergences,
-        "counterexamples": result.shrunk,
-    }
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    return str(path)

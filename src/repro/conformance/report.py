@@ -105,6 +105,4 @@ def render_text(result: FuzzResult) -> str:
                 f" a={entry['shrunk_a']} b={entry['shrunk_b']}"
                 f" (from a={entry['a']} b={entry['b']})"
             )
-        if result.counterexample_path:
-            lines.append(f"  counterexamples saved to {result.counterexample_path}")
     return "\n".join(lines) + "\n"

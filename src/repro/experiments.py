@@ -109,9 +109,10 @@ def table1_errors(
     can resume after an interruption.  ``warehouse`` selects the
     experiment warehouse (see :mod:`repro.warehouse`): designs whose
     fingerprint is already recorded are served from the store, and the
-    campaign is recorded as one ``table1`` run.  Peaks certified by
-    ``repro formal`` under ``$REPRO_CACHE_DIR/formal/`` replace the
-    sampled ones.
+    campaign is recorded as one ``table1`` run.  The newest worst-case
+    certificate that ``repro formal`` recorded in that warehouse for a
+    design at its bitwidth replaces the sampled peaks when it is exact
+    and replayed.
     """
     designs = [(name, build(name)) for name in ids]
     measured = characterize_many(
@@ -127,11 +128,14 @@ def table1_errors(
         warehouse=warehouse,
         _warehouse_kind="table1",
     )
+    certificates = _stored_certificates(warehouse)
     rows = []
     for name, multiplier in designs:
         metrics = measured[name]
         reference = paper.TABLE1.get(name)
-        certified = _certified_peaks(name, multiplier, metrics)
+        certified = _certified_peaks(
+            metrics, certificates.get((name, multiplier.bitwidth))
+        )
         rows.append(
             {
                 "name": name,
@@ -148,20 +152,28 @@ def table1_errors(
     return rows
 
 
-def _certified_peaks(name, multiplier, metrics):
+def _stored_certificates(warehouse) -> dict[tuple[str, int], dict]:
+    """The warehouse's worst-case certificates (one open, one query)."""
+    from .warehouse.store import open_warehouse
+
+    wh = open_warehouse(warehouse)
+    if wh is None:
+        return {}
+    try:
+        return wh.certificates()
+    finally:
+        wh.close()
+
+
+def _certified_peaks(metrics, payload):
     """Certified ``(min%, max%)`` peaks for a Table I row, else ``None``.
 
     Prefers a certificate attached to the metrics themselves (exhaustive
-    sweeps), then a stored ``repro formal`` worst-case certificate under
-    ``$REPRO_CACHE_DIR`` that is both exact and replayed.
+    sweeps), then a stored ``repro formal`` worst-case certificate that
+    is both exact and replayed.
     """
     if metrics.peak_certified is not None:
         return metrics.peak_certified
-    from .formal.certificates import load_certificate
-
-    payload = load_certificate(
-        name, multiplier.bitwidth, "worst-case-error", None
-    )
     if not payload or not payload.get("exact") or not payload.get("replayed"):
         return None
     try:

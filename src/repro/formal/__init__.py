@@ -15,19 +15,19 @@ This package replaces *sampled* confidence with *certified* claims:
 * :mod:`~repro.formal.bounds` — exact worst-case relative-error
   certificates ``(a*, b*, err*)``, replayed through the concrete model
   as a self-check, via exhaustive formula sweep, SMT binary search, or
-  a branch-and-bound interval engine for wide log/segment designs;
-* :mod:`~repro.formal.certificates` — JSON persistence of proofs and
-  bounds under the cache directory.
+  a branch-and-bound interval engine for wide log/segment designs.
 
 The ``formal`` conformance layer (:mod:`repro.conformance.oracles`) and
-the ``repro formal`` CLI are the consumer surfaces.
+the ``repro formal`` CLI are the consumer surfaces.  A proof or bound
+persists only as a ``formal`` row of the experiment warehouse
+(``repro formal --warehouse``), which is where Table I reads exact,
+replayed worst-case certificates from.
 """
 
 from __future__ import annotations
 
 from .backends import BddBackend, ExhaustiveBackend, available_backends, z3_available
 from .bounds import ErrorCertificate, WorstCaseBounds, certify_worst_error
-from .certificates import certificate_dir, load_certificate, save_certificate
 from .encode import (
     ENCODERS,
     Encoding,
@@ -50,14 +50,11 @@ __all__ = [
     "ExhaustiveBackend",
     "UnsupportedDesignError",
     "available_backends",
-    "certificate_dir",
     "certify_worst_error",
     "encode_kernel",
     "encode_model",
     "encode_netlist",
     "encode_table",
-    "load_certificate",
     "prove_equivalence",
-    "save_certificate",
     "z3_available",
 ]

@@ -120,16 +120,23 @@ _BLOCK = 1 << 15
 
 def _blocked(evaluate):
     """Evaluate in blocks of about :data:`_BLOCK` elements, split along
-    the leading axis (whole rows of an N-d batch per block)."""
+    the leading axis (whole rows of an N-d batch per block).  While a
+    row holds more than :data:`_BLOCK` elements, the split moves one
+    axis in, row by row."""
 
     def run(a, b):
         if a.size <= _BLOCK:
             return evaluate(a, b)
-        step = max(1, _BLOCK * a.shape[0] // a.size)
+        axis, row = 0, a.size // a.shape[0]
+        while row > _BLOCK:
+            axis += 1
+            row //= a.shape[axis]
+        step = _BLOCK // row
         out = np.empty(a.shape, dtype=np.int64)
-        for start in range(0, a.shape[0], step):
-            stop = start + step
-            out[start:stop] = evaluate(a[start:stop], b[start:stop])
+        for index in np.ndindex(a.shape[:axis]):
+            for start in range(0, a.shape[axis], step):
+                block = (*index, slice(start, start + step))
+                out[block] = evaluate(a[block], b[block])
         return out
 
     return run

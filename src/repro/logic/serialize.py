@@ -22,7 +22,7 @@ import numpy as np
 
 from .netlist import CONST0, CONST1, Gate, Netlist
 from .cells import cell
-from .sim import bus_to_int, int_to_bus, simulate
+from .sim import evaluate_words
 
 __all__ = ["to_json", "from_json", "check_equivalence", "EquivalenceResult"]
 
@@ -99,25 +99,6 @@ class EquivalenceResult:
         return self.equivalent
 
 
-def _evaluate(netlist: Netlist, buses: list[list[int]], values) -> np.ndarray:
-    stimulus = {}
-    for bus, vals in zip(buses, values):
-        bits = int_to_bus(np.asarray(vals), len(bus))
-        for position, net in enumerate(bus):
-            stimulus[net] = bits[:, position]
-    waves = simulate(netlist, stimulus)
-    shape = np.asarray(values[0]).shape
-    columns = []
-    for net in netlist.outputs:
-        if net == CONST0:
-            columns.append(np.zeros(shape, dtype=bool))
-        elif net == CONST1:
-            columns.append(np.ones(shape, dtype=bool))
-        else:
-            columns.append(waves[net])
-    return bus_to_int(np.stack(columns, axis=1))
-
-
 def check_equivalence(
     netlist: Netlist,
     reference,
@@ -159,7 +140,7 @@ def check_equivalence(
             random_part = rng.integers(0, 1 << width, random_vectors)
             values.append(np.concatenate([corner, random_part]))
 
-    got = _evaluate(netlist, input_buses, values)
+    got = evaluate_words(netlist, input_buses, values)
     if isinstance(reference, Netlist):
         if len(reference.inputs) != total_bits:
             raise ValueError(
@@ -171,7 +152,7 @@ def check_equivalence(
         for width in widths:
             reference_buses.append(reference.inputs[position : position + width])
             position += width
-        expected = _evaluate(reference, reference_buses, values)
+        expected = evaluate_words(reference, reference_buses, values)
     else:
         expected = np.asarray(reference(*values), dtype=np.int64)
 

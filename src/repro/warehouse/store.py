@@ -114,13 +114,13 @@ class ResultRow:
     reused: bool
 
 
-def resolve_warehouse_path(warehouse, cache=None) -> pathlib.Path | None:
+def resolve_warehouse_path(warehouse) -> pathlib.Path | None:
     """Map a ``warehouse`` argument to a database path, or ``None``.
 
     * ``False`` — warehouse off;
     * ``None`` (default) — on only if :data:`WAREHOUSE_ENV` is set;
     * ``True`` — :data:`WAREHOUSE_ENV`, else a ``warehouse/`` subdirectory
-      of the resolved state directory (so ``clear_cache`` owns it);
+      of the state directory (so ``clear_cache`` owns it);
     * a path — that directory (or the file itself when it ends in ``.db``).
     """
     if warehouse is False:
@@ -131,22 +131,19 @@ def resolve_warehouse_path(warehouse, cache=None) -> pathlib.Path | None:
             return pathlib.Path(env) / DB_NAME
         if warehouse is None:
             return None
-        base = resolve_cache_dir(cache if cache is not None else True)
-        if base is None:
-            base = resolve_cache_dir(True)
-        return base / "warehouse" / DB_NAME
+        return resolve_cache_dir(True) / "warehouse" / DB_NAME
     path = pathlib.Path(warehouse)
     return path if path.suffix == ".db" else path / DB_NAME
 
 
-def open_warehouse(warehouse, cache=None) -> "Warehouse | None":
+def open_warehouse(warehouse) -> "Warehouse | None":
     """A ready :class:`Warehouse` per the resolution rules, or ``None``.
 
     Unusable stores (e.g. written by a newer schema) resolve to ``None``
     with a ``warehouse.errors`` counter rather than raising: recording
     provenance must never take the computation it describes down.
     """
-    path = resolve_warehouse_path(warehouse, cache)
+    path = resolve_warehouse_path(warehouse)
     if path is None:
         return None
     store = Warehouse(path)
@@ -349,6 +346,29 @@ class Warehouse:
             return metrics_from_fields(fields)
         except (ValueError, TypeError, KeyError):
             return None
+
+    def certificates(self) -> dict[tuple[str, int], dict]:
+        """The newest worst-case certificate of each ``(design, bitwidth)``.
+
+        One query over the result rows of ``formal`` runs (``repro formal
+        --warehouse``).  An equivalence proof or a damaged row is not a
+        worst-case certificate and is skipped; whether a payload is exact
+        and replayed is the reader's to check.
+        """
+        try:
+            rows = self.connect().execute(
+                "SELECT results.design, results.data FROM results"
+                " JOIN runs ON runs.id = results.run_id"
+                " WHERE runs.kind = 'formal' ORDER BY results.id"
+            ).fetchall()
+        except sqlite3.Error as exc:
+            raise WarehouseError(f"lookup failed: {exc}") from exc
+        latest = {}
+        for design, text in rows:
+            data = _loads(text)
+            if isinstance(data, dict) and data.get("kind") == "worst-case-error":
+                latest[design, data.get("bitwidth")] = data
+        return latest
 
     def runs(self, kind: str | None = None, limit: int | None = None) -> list[RunRow]:
         """Recorded runs, oldest first, optionally filtered by kind."""

@@ -265,21 +265,6 @@ class TestClearCacheSubsystems:
     directory — one regression per subsystem so a future store addition
     that forgets to register its glob fails here by name."""
 
-    def test_clears_formal_certificates(self, tmp_path):
-        formal = tmp_path / "formal"
-        formal.mkdir()
-        (formal / "cert-a.json").write_text("{}")
-        (formal / "cert-b.json").write_text("{}")
-        assert clear_cache(tmp_path) == 2
-        assert list(formal.glob("*.json")) == []
-
-    def test_clears_conformance_counterexamples(self, tmp_path):
-        conformance = tmp_path / "conformance"
-        conformance.mkdir()
-        (conformance / "campaign.json").write_text("{}")
-        assert clear_cache(tmp_path) == 1
-        assert list(conformance.glob("*.json")) == []
-
     def test_clears_checkpoints(self, tmp_path):
         checkpoints = tmp_path / "checkpoints"
         checkpoints.mkdir()
@@ -296,20 +281,18 @@ class TestClearCacheSubsystems:
         assert list(warehouse.iterdir()) == []
 
     def test_clears_every_store_in_one_call(self, tmp_path):
-        for name in ("checkpoints", "formal", "conformance", "warehouse"):
+        for name in ("checkpoints", "warehouse"):
             (tmp_path / name).mkdir()
         (tmp_path / "checkpoints" / "run.json").write_text("{}")
-        (tmp_path / "formal" / "cert.json").write_text("{}")
-        (tmp_path / "conformance" / "campaign.json").write_text("{}")
         (tmp_path / "warehouse" / "warehouse.db").write_text("x")
-        assert clear_cache(tmp_path) == 4
-        for name in ("checkpoints", "formal", "conformance", "warehouse"):
+        assert clear_cache(tmp_path) == 2
+        for name in ("checkpoints", "warehouse"):
             assert list((tmp_path / name).iterdir()) == []
 
     def test_sweeps_stale_temps_in_subdirectories(self, tmp_path):
-        formal = tmp_path / "formal"
-        formal.mkdir()
-        orphan = formal / "cert.tmp42"
+        checkpoints = tmp_path / "checkpoints"
+        checkpoints.mkdir()
+        orphan = checkpoints / "run.tmp42"
         orphan.write_text("x")
         _backdate(orphan, STALE_TEMP_SECONDS + 60)
         assert clear_cache(tmp_path) == 0  # temps are swept, not counted

@@ -48,12 +48,17 @@ class TestBasicCommands:
 
     def test_unknown_design_exits_cleanly(self, capsys):
         # a bad design id is a usage error (exit 2 + stderr), not a traceback
-        with pytest.raises(SystemExit) as info:
-            run_cli(capsys, "characterize", "realm99-t0", "--quick")
-        assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert "unknown multiplier 'realm99-t0'" in err
-        assert "repro-realm list" in err
+        for argv in (
+            ["characterize", "realm99-t0", "--quick"],
+            ["verilog", "realm99-t0"],
+            ["report", "realm99-t0"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                run_cli(capsys, *argv)
+            assert info.value.code == 2, argv
+            err = capsys.readouterr().err
+            assert "unknown multiplier 'realm99-t0'" in err
+            assert "repro-realm list" in err
 
     def test_no_command_exits(self):
         with pytest.raises(SystemExit):
@@ -293,26 +298,22 @@ class TestArgumentValidation:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["formal", "--design", "calm", "--max-error", "--cache", "/tmp/x",
-             "--no-cache"],
-            ["conform", "--design", "calm", "--cache", "/tmp/x", "--no-cache"],
-            ["formal", "--design", "calm", "--max-error", "--no-cache", "--cache"],
+            ["formal", "--design", "calm", "--max-error", "--warehouse",
+             "wh-dir", "--no-warehouse"],
+            ["conform", "--design", "calm", "--warehouse", "wh-dir",
+             "--no-warehouse"],
+            ["formal", "--design", "calm", "--max-error", "--no-warehouse",
+             "--warehouse"],
         ],
     )
     def test_conflicting_cache_knobs(self, capsys, argv):
+        # the warehouse is the result store of formal and conform: asking
+        # for it and switching it off in one call is a usage error
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert "not allowed with argument" in err
-
-    def test_bare_cache_flag_is_not_a_conflict(self, capsys, tmp_path,
-                                               monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        code, out = run_cli(capsys, "formal", "--design", "realm-8-m4-q4",
-                            "--bitwidth", "8", "--max-error", "--cache")
-        assert code == 0
-        assert list((tmp_path / "formal").glob("*.json"))
+        assert "--warehouse and --no-warehouse are mutually exclusive" in err
 
     @pytest.mark.parametrize("flag", ["--cache", "--no-cache"])
     @pytest.mark.parametrize(
@@ -323,10 +324,13 @@ class TestArgumentValidation:
             ["fig4", "--quick"],
             ["fig5", "--quick"],
             ["serve"],
+            ["formal", "--design", "calm", "--max-error"],
+            ["conform", "--design", "calm"],
         ],
     )
     def test_engine_commands_reject_cache_flags(self, capsys, argv, flag):
         # the warehouse is the one result store: --warehouse/--no-warehouse
+        # (certificates and counterexamples included)
         with pytest.raises(SystemExit) as info:
             main(argv + [flag])
         assert info.value.code == 2

@@ -174,21 +174,24 @@ class TestInjectedBugs:
             assert entry["shrunk_b"] == 1
 
     def test_chaos_corrupt_fault_breaks_model(self, tmp_path):
+        from repro.warehouse import Warehouse
+
         spec = chaos.FaultSpec(kind="corrupt", block=0, design="realm-8-m4-q5")
         chaos.install([spec], tmp_path / "claims")
         try:
-            result = fuzz("realm-8-m4-q5", 1024, seed=0, cache=tmp_path / "cache")
+            result = fuzz("realm-8-m4-q5", 1024, seed=0, warehouse=tmp_path)
         finally:
             chaos.uninstall()
         assert not result.ok
         for entry in result.shrunk:
             assert entry["shrunk_a"].bit_length() <= 8
             assert entry["shrunk_b"].bit_length() <= 8
-        # counterexamples persisted under the cache dir for replay
-        assert result.counterexample_path is not None
-        saved = json.loads(open(result.counterexample_path).read())
-        assert saved["design"] == "realm-8-m4-q5"
-        assert saved["counterexamples"] == result.shrunk
+        # the campaign's warehouse row keeps the shrunk pairs for replay
+        with Warehouse(tmp_path / "warehouse.db") as wh:
+            (run,) = wh.runs(kind="conformance")
+            (row,) = wh.results(run.id)
+        assert row.design == "realm-8-m4-q5"
+        assert row.data["counterexamples"] == result.shrunk
 
     def test_chaos_fault_for_other_design_is_ignored(self, tmp_path):
         spec = chaos.FaultSpec(kind="corrupt", block=0, design="some-other-id")

@@ -30,9 +30,7 @@ from repro.formal import (
     encode_kernel,
     encode_model,
     encode_netlist,
-    load_certificate,
     prove_equivalence,
-    save_certificate,
 )
 from repro.core.realm import RealmMultiplier
 from repro.formal import backends as backends_module
@@ -437,28 +435,124 @@ class TestFormalConformanceLayer:
         assert "formal" in oracle.skipped_layers
 
 
+def _certificate(**fields) -> dict:
+    """A 16-bit ``mbm-t2`` worst-case certificate payload."""
+    payload = {
+        "design": "mbm-t2", "bitwidth": 16, "kind": "worst-case-error",
+        "method": "smt-ascent", "exact": True, "replayed": True,
+        "peak_min": {"error_num": -1, "error_den": 12},
+        "peak_max": {"error_num": 1, "error_den": 8},
+    }
+    payload.update(fields)
+    return payload
+
+
+def _record_formal(directory, *payloads) -> None:
+    """Record payloads as one ``formal`` run, in ``repro formal``'s rows."""
+    from repro.warehouse import Warehouse
+
+    with Warehouse(directory / "warehouse.db") as wh:
+        wh.record_run(
+            "formal",
+            [
+                (payload["design"],
+                 {"kind": "formal", "certificate": payload["kind"],
+                  "design": payload["design"], "bitwidth": payload["bitwidth"]},
+                 payload, False)
+                for payload in payloads
+            ],
+        )
+
+
+def _table1_rows(ids=("mbm-t2",), **kwargs) -> dict:
+    from repro.experiments import table1_errors
+
+    return {
+        row["name"]: row
+        for row in table1_errors(samples=2048, ids=list(ids), **kwargs)
+    }
+
+
 class TestCertificateStore:
+    """Certificates are ``formal`` rows of the warehouse: Table I takes
+    the newest worst-case row of a design at its bitwidth, and only when
+    it is exact and replayed."""
+
     def test_roundtrip(self, tmp_path):
-        bounds = certify_worst_error("calm", 6)
-        path = save_certificate(bounds.to_payload(), tmp_path)
-        assert path is not None and path.exists()
-        loaded = load_certificate("calm", 6, "worst-case-error", tmp_path)
-        assert loaded == bounds.to_payload()
+        from repro.warehouse import Warehouse
+
+        calm6 = certify_worst_error("calm", 6).to_payload()
+        _record_formal(tmp_path, _certificate(peak_max={"error_num": 1, "error_den": 2}))
+        _record_formal(tmp_path, calm6, _certificate())
+        with Warehouse(tmp_path / "warehouse.db") as wh:
+            assert wh.certificates() == {
+                ("calm", 6): calm6, ("mbm-t2", 16): _certificate()
+            }
+        rows = _table1_rows(("mbm-t2", "calm"), warehouse=tmp_path)
+        assert (rows["mbm-t2"]["peak_min"], rows["mbm-t2"]["peak_max"]) == (
+            100.0 * -1 / 12, 100.0 * 1 / 8
+        )
+        assert rows["mbm-t2"]["peak_certified"]
+        # a 6-bit certificate says nothing about the 16-bit Table I row
+        assert not rows["calm"]["peak_certified"]
 
     def test_kind_mismatch_returns_none(self, tmp_path):
-        bounds = certify_worst_error("calm", 6)
-        save_certificate(bounds.to_payload(), tmp_path)
-        assert load_certificate("calm", 6, "equivalence", tmp_path) is None
+        # an equivalence row is no worst-case certificate, and the newest
+        # worst-case row is used only when exact and replayed
+        for label, payload in [
+            ("equivalence", _certificate(kind="equivalence")),
+            ("inexact", _certificate(exact=False)),
+            ("unreplayed", _certificate(replayed=False)),
+        ]:
+            _record_formal(tmp_path / label, payload)
+            rows = _table1_rows(warehouse=tmp_path / label)
+            assert not rows["mbm-t2"]["peak_certified"], label
+        _record_formal(tmp_path / "equivalence", _certificate())
+        _record_formal(tmp_path / "equivalence", _certificate(kind="equivalence"))
+        assert _table1_rows(warehouse=tmp_path / "equivalence")["mbm-t2"]["peak_certified"]
 
     def test_corrupt_certificate_returns_none(self, tmp_path):
-        bounds = certify_worst_error("calm", 6)
-        path = save_certificate(bounds.to_payload(), tmp_path)
-        path.write_text("{broken")
-        assert load_certificate("calm", 6, "worst-case-error", tmp_path) is None
+        from repro.warehouse import Warehouse
 
-    def test_disabled_cache_stores_nothing(self):
-        bounds = certify_worst_error("calm", 6)
-        assert save_certificate(bounds.to_payload(), False) is None
+        _record_formal(tmp_path, _certificate())
+        with Warehouse(tmp_path / "warehouse.db") as wh:
+            wh.connect().execute("UPDATE results SET data = '{broken'")
+            (row,) = wh.results()
+            assert row.data is None
+            assert wh.certificates() == {}
+        assert not _table1_rows(warehouse=tmp_path)["mbm-t2"]["peak_certified"]
+
+    def test_disabled_cache_stores_nothing(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        state = tmp_path / "state"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(state))
+        monkeypatch.delenv("REPRO_WAREHOUSE_DIR", raising=False)
+        code = main(["formal", "--design", "realm-8-m4-q4", "--bitwidth", "8",
+                     "--max-error"])
+        capsys.readouterr()
+        assert code == 0
+        assert not state.exists()  # no warehouse: nothing is recorded
+        # the state directory alone brings no certificate in: Table I
+        # reads the warehouse it is given
+        _record_formal(state / "warehouse", _certificate())
+        assert not _table1_rows()["mbm-t2"]["peak_certified"]
+        assert _table1_rows(warehouse=True)["mbm-t2"]["peak_certified"]
+
+    def test_formal_run_certifies_table1(self, tmp_path, capsys):
+        from repro.cli import main
+
+        code = main(["formal", "--design", "drum-k8", "--max-error",
+                     "--warehouse", str(tmp_path)])
+        capsys.readouterr()
+        assert code == 0
+        rows = _table1_rows(("drum-k8", "calm"), warehouse=tmp_path)
+        drum = rows["drum-k8"]
+        assert drum["peak_certified"]
+        assert (f"{drum['peak_min']:+.6f}", f"{drum['peak_max']:+.6f}") == (
+            "-1.526627", "+1.568604"
+        )
+        assert not rows["calm"]["peak_certified"]
 
 
 class TestPeakCertified:
@@ -497,21 +591,9 @@ class TestPeakCertified:
         old = wh.latest_metrics(cache_key({"k": 2}))
         assert old is not None and old.peak_certified is None
 
-    def test_table1_prefers_stored_certificates(self, tmp_path, monkeypatch):
-        from repro.experiments import table1_errors
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        payload = {
-            "design": "mbm-t2", "bitwidth": 16, "kind": "worst-case-error",
-            "method": "smt-ascent", "exact": True, "replayed": True,
-            "peak_min": {"error_num": -1, "error_den": 12},
-            "peak_max": {"error_num": 1, "error_den": 8},
-        }
-        save_certificate(payload, tmp_path)
-        rows = {
-            r["name"]: r
-            for r in table1_errors(samples=2048, ids=["mbm-t2", "calm"])
-        }
+    def test_table1_prefers_stored_certificates(self, tmp_path):
+        _record_formal(tmp_path, _certificate())
+        rows = _table1_rows(("mbm-t2", "calm"), warehouse=tmp_path)
         assert rows["mbm-t2"]["peak_certified"]
         assert rows["mbm-t2"]["peak_min"] == pytest.approx(-100.0 / 12)
         assert rows["mbm-t2"]["peak_max"] == pytest.approx(100.0 / 8)
@@ -529,7 +611,7 @@ class TestFormalCli:
     def test_prove_and_max_error(self, capsys):
         code, out = self.run(
             capsys, "formal", "--design", "realm-8-m4-q5",
-            "--prove-equiv", "--max-error", "--no-cache",
+            "--prove-equiv", "--max-error",
         )
         assert code == 0
         assert "proved" in out
@@ -541,7 +623,5 @@ class TestFormalCli:
         assert code == 2
 
     def test_unknown_design_exits_two(self, capsys):
-        code, _ = self.run(
-            capsys, "formal", "--design", "nope", "--max-error", "--no-cache"
-        )
+        code, _ = self.run(capsys, "formal", "--design", "nope", "--max-error")
         assert code == 2

@@ -13,6 +13,8 @@ multiply is forced onto the interpreted datapath.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +162,30 @@ class TestModelKernelEquivalence:
         got = model.multiply(x, w)
         assert got.shape == a.shape
         assert np.array_equal(got, model._multiply(a, b))
+
+    def test_short_leading_axis_is_blocked_inside_rows(self):
+        # a leading row wider than _BLOCK is cut inside the row, so the
+        # temporaries stay a block's, not the batch's (at (1, 2**20) one
+        # block peaked at about 8x the flat call)
+        model = build("realm16-t0")
+        rng = np.random.default_rng(7)
+        a = rng.integers(0, 1 << 16, 1 << 20)
+        b = rng.integers(0, 1 << 16, 1 << 20)
+        model.multiply(a[:1], b[:1])  # compile untraced
+
+        def traced(shape):
+            tracemalloc.start()
+            try:
+                out = model.multiply(a.reshape(shape), b.reshape(shape))
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        flat, flat_peak = traced(a.shape)
+        for shape in [(1, 1 << 20), (2, 1 << 19)]:
+            out, peak = traced(shape)
+            assert np.array_equal(out.ravel(), flat), shape
+            assert peak <= 1.5 * flat_peak, (shape, peak, flat_peak)
 
     @pytest.mark.parametrize("bitwidth", [12, 16, 20])
     @pytest.mark.parametrize("name", ["am1-nb13", "am2-nb13", "am1-nb5"])
@@ -356,6 +382,25 @@ class TestKernelCache:
         assert kernel.version == KERNEL_VERSION
         assert kernel.kind == "table"
         assert kernel.table_bytes > 0
+
+    def test_dropped_kernel_frees_its_tables_at_once(self):
+        # an evicted kernel must not wait for the cycle collector: with
+        # 72 designs cycling through the LRU, tables kept by a reference
+        # cycle raised a warehouse replay's peak RSS by about 30 MB
+        model = build("realm16-t3", 16)
+        compile_kernel(model)  # warm any table caches untraced
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            kernel = compile_kernel(model)
+            tables = kernel.table_bytes
+            del kernel
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert left < tables // 2
 
     def test_single_segment_lut_shares_one_operand_table(self):
         # MBM's 1x1 LUT leaves no segment field, so both operands gather

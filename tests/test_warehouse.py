@@ -539,14 +539,13 @@ class TestMigration:
 class TestClearCache:
     def test_clear_cache_drops_warehouse_and_subsystem_stores(self, tmp_path):
         # one file in every subsystem store under the state directory
-        for sub in ("checkpoints", "formal", "conformance"):
-            (tmp_path / sub).mkdir()
-            (tmp_path / sub / "a.json").write_text("{}")
+        (tmp_path / "checkpoints").mkdir()
+        (tmp_path / "checkpoints" / "a.json").write_text("{}")
         wh_dir = tmp_path / "warehouse"
         wh_dir.mkdir()
         (wh_dir / "warehouse.db").write_bytes(b"db")
         (wh_dir / "warehouse.db.corrupt-123").write_bytes(b"old")
-        assert clear_cache(tmp_path) == 5
+        assert clear_cache(tmp_path) == 3
         assert list(tmp_path.rglob("*.json")) == []
         assert list(wh_dir.iterdir()) == []
 
@@ -673,7 +672,7 @@ class TestCampaignRecording:
         code = main(
             [
                 "formal", "--design", "realm-8-m4-q4", "--bitwidth", "8",
-                "--max-error", "--no-cache", "--warehouse", str(tmp_path),
+                "--max-error", "--warehouse", str(tmp_path),
             ]
         )
         capsys.readouterr()
