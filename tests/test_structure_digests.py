@@ -6,7 +6,10 @@ are derived from each registered design.  The SHA-256 digests below
 pin all three over the whole registry, so a refactor of how a layer is
 derived (which generator, encoder or attribute a design reaches) must
 leave every netlist, every 8-bit formula table and every fingerprint
-byte-identical.
+byte-identical.  A fourth digest pins what gate evaluation makes of the
+netlists: Table I's synthesized area and power, the activity reports,
+pipeline register power and the stuck-at fault ablation, so a change of
+gate evaluator must leave every float of them unchanged.
 """
 
 from __future__ import annotations
@@ -14,15 +17,24 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
+
 from repro.circuits.catalog import netlist_for
+from repro.circuits.realm_rtl import realm_netlist
+from repro.circuits.wallace import wallace_netlist
 from repro.formal.encode import encode_model
+from repro.logic.activity import estimate_power
+from repro.logic.faults import fault_coverage, fault_impact, fault_sites
+from repro.logic.pipeline import pipeline_netlist
 from repro.logic.serialize import to_json
-from repro.multipliers.registry import build, fingerprint, names
+from repro.multipliers.registry import TABLE1_IDS, build, fingerprint, names
+from repro.synth.cost import synthesize_design
 
 DIGESTS = {
     "netlists": "803b288abc47d25b9680ea35f39af805df624cc120d8743e3bf7e1803048c76f",
     "encodings": "af13c556a4609172583b5002b919fdc8adb7a1e7cf4fecef903f270eab281586",
     "fingerprints": "8b9f5a2c4ec211aab8ae8275a0a191e33e234d0b54023f228f2a124a88fa8ca9",
+    "synthesis": "856cee9f5f38a0a7d19ad7990158e356a4e816b4b9a1f2fe955d9b86f4a1a0e3",
 }
 
 
@@ -83,3 +95,57 @@ def test_fingerprints():
     digest, count = _digest(parts)
     assert count == 187
     assert digest == DIGESTS["fingerprints"]
+
+
+def _report(report) -> str:
+    return repr(
+        (report.dynamic_uw, report.leakage_uw, report.mean_toggle_rate, report.vectors)
+    )
+
+
+def test_synthesis():
+    """Table I's area/power columns and the power, pipelining and fault
+    ablations, every float by ``repr``."""
+
+    def parts():
+        for name in ("accurate", *TABLE1_IDS):
+            result = synthesize_design(name)
+            yield f"{name}:synthesis", repr(
+                (result.area_um2, result.power_uw, result.gate_count, result.depth)
+            )
+            # 1000 vectors: the last 64-vector word is partly padding
+            yield f"{name}:power", _report(
+                estimate_power(netlist_for(name, 16), vectors=1000)
+            )
+        # the pipelining ablation's designs
+        wallace = wallace_netlist(16)
+        wallace.prune()
+        for label, netlist in (
+            ("accurate", wallace),
+            ("realm16-t0", realm_netlist(16, m=16, t=0)),
+        ):
+            for stages in range(1, 6):
+                pipe = pipeline_netlist(netlist, stages)
+                yield f"{label}x{stages}:pipeline", _report(pipe.estimate_power())
+        # the fault ablation: 160 sampled stuck-at faults per design
+        rng = np.random.default_rng(2020)
+        a = rng.integers(1, 256, 192)
+        b = rng.integers(1, 256, 192)
+        wallace = wallace_netlist(8)
+        wallace.prune()
+        for label, netlist in (
+            ("accurate8", wallace),
+            ("realm8(M=4)", realm_netlist(8, m=4, t=0)),
+        ):
+            buses = [netlist.inputs[:8], netlist.inputs[8:]]
+            sites = fault_sites(netlist)
+            sample = [sites[i] for i in rng.choice(len(sites), 160, replace=False)]
+            impacts = [fault_impact(netlist, buses, [a, b], f) for f in sample]
+            yield f"{label}:impacts", repr(impacts)
+            yield f"{label}:coverage", repr(
+                fault_coverage(netlist, buses, [a, b], faults=sample)
+            )
+
+    digest, count = _digest(parts())
+    assert count == 2 * 73 + 10 + 2 * 2
+    assert digest == DIGESTS["synthesis"]
