@@ -45,6 +45,11 @@ verify:
 	PYTHONPATH=src $(PYTHON) -m repro conform --design realm-16-m4-q5 --budget 20000 --seed 0
 	@echo "--- structure identity (netlists, formula tables, fingerprints) ---"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_structure_digests.py -q
+	@echo "--- synthesis and fault results identity (committed bench results) ---"
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_table1_synthesis.py \
+		benchmarks/bench_ablation_faults.py --benchmark-disable -q
+	git diff --exit-code benchmarks/results/table1_synthesis.txt \
+		benchmarks/results/ablation_faults.txt
 	@echo "--- MAC identity (table and direct paths, application digests) ---"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_signed.py tests/test_application_digests.py -q
 	@echo "--- CNN application smoke (5 designs) ---"

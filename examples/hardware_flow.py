@@ -15,7 +15,7 @@ import numpy as np
 from repro.circuits.realm_rtl import realm_netlist
 from repro.circuits.wallace import wallace_netlist
 from repro.core.realm import RealmMultiplier
-from repro.logic.sim import evaluate_words
+from repro.kernels import compile_netlist
 from repro.synth.cost import synthesize
 
 # ----------------------------------------------------------------------
@@ -27,12 +27,13 @@ print("cell mix:", dict(netlist.cell_histogram()))
 
 # ----------------------------------------------------------------------
 # 2. Prove it against the functional model (the library does this for
-#    every design in its test suite).
+#    every design in its test suite), on the bit-parallel netlist kernel.
 # ----------------------------------------------------------------------
 rng = np.random.default_rng(1)
 a = rng.integers(0, 1 << 16, 5000)
 b = rng.integers(0, 1 << 16, 5000)
-hardware = evaluate_words(netlist, [netlist.inputs[:16], netlist.inputs[16:]], [a, b])
+kernel = compile_netlist(netlist)
+hardware = kernel.evaluate_words([netlist.inputs[:16], netlist.inputs[16:]], [a, b])
 model = RealmMultiplier(bitwidth=16, m=8, t=4).multiply(a, b)
 assert np.array_equal(hardware, model)
 print(f"\nnetlist == functional model on {len(a)} random vectors: OK")

@@ -330,7 +330,7 @@ def cmd_verilog(args) -> int:
     import numpy as np
 
     from .circuits.catalog import netlist_of
-    from .logic.sim import evaluate_words
+    from .kernels.netlist import compile_netlist
     from .logic.verilog import testbench, to_verilog
 
     netlist = netlist_of(_known_design(args))
@@ -341,7 +341,7 @@ def cmd_verilog(args) -> int:
         a = rng.integers(0, 1 << width, args.vectors)
         b = rng.integers(0, 1 << width, args.vectors)
         buses = [netlist.inputs[:width], netlist.inputs[width:]]
-        golden = evaluate_words(netlist, buses, [a, b])
+        golden = compile_netlist(netlist).evaluate_words(buses, [a, b])
         text += "\n\n" + testbench(netlist, buses, [a, b], golden)
     if args.output:
         with open(args.output, "w") as handle:

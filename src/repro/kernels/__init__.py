@@ -1,9 +1,9 @@
 """Compiled evaluation kernels — the default multiply path of the repo.
 
 The functional models *interpret* a design per call, walking a handful
-of NumPy ops per batch, and the gate-level simulator walks the netlist
-gate by gate through Python dicts.  This package **compiles** each
-design once into a fused evaluator and caches it:
+of NumPy ops per batch, and the reference gate-level simulator walks the
+netlist gate by gate through Python dicts.  This package **compiles**
+each design once into a fused evaluator and caches it:
 
 * :func:`compile_kernel` / :func:`kernel_for` specialize a
   :class:`~repro.multipliers.base.Multiplier` into a
@@ -21,7 +21,10 @@ design once into a fused evaluator and caches it:
   :class:`~repro.logic.netlist.Netlist` into a straight-line
   bit-parallel program over uint64-packed stimulus lanes
   (:class:`NetlistKernel`) — 64 vectors per word, one NumPy call per
-  ``(level, cell)`` group instead of one dict walk per gate.
+  ``(level, cell)`` group instead of one dict walk per gate.  It is the
+  package's one gate evaluator: output words, every net's packed
+  waveform (power, pipeline registers) and stuck-at faults as extra
+  program steps.
 
 :meth:`Multiplier.multiply <repro.multipliers.base.Multiplier.multiply>`
 runs every batch through :func:`kernel_for` unless called with

@@ -1,16 +1,10 @@
-"""Gate-level substrate: cells, netlists, simulation, activity/power."""
+"""Gate-level substrate: cells, netlists, reference simulation, activity/power."""
 
 from .activity import ActivityReport, estimate_power, markov_stream
 from .cells import CELLS, Cell, cell
 from .netlist import CONST0, CONST1, Gate, Netlist
 from .sim import bus_to_int, evaluate_words, int_to_bus, simulate
-from .faults import (
-    Fault,
-    fault_coverage,
-    fault_impact,
-    fault_sites,
-    simulate_with_faults,
-)
+from .faults import Fault, fault_coverage, fault_impact, fault_sites
 from .pipeline import (
     PipelinedNetlist,
     pipeline_cuts,
@@ -45,7 +39,6 @@ __all__ = [
     "pipeline_netlist",
     "simulate",
     "simulate_pipeline",
-    "simulate_with_faults",
     "testbench",
     "to_json",
     "to_verilog",

@@ -11,8 +11,9 @@ Two reasons this lives in an approximate-arithmetic library:
   move the output?) makes that measurable per design
   (``bench_ablation_faults``).
 
-Faults are expressed as ``(net, stuck_value)`` pairs and injected at
-simulation time — the netlist itself is never modified.
+Faults are expressed as ``(net, stuck_value)`` pairs and injected into
+the kernel's program (``NetlistKernel.with_faults``) — the netlist
+itself is never modified.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ import dataclasses
 
 import numpy as np
 
-from .netlist import CONST0, CONST1, Netlist
-from .sim import bus_to_int, int_to_bus
+from ..kernels.netlist import compile_netlist
+from .netlist import Netlist
 
 __all__ = [
     "Fault",
     "fault_sites",
-    "simulate_with_faults",
     "fault_impact",
     "fault_coverage",
 ]
@@ -50,54 +50,12 @@ def fault_sites(netlist: Netlist) -> list[Fault]:
     return [Fault(net, value) for net in nets for value in (False, True)]
 
 
-def simulate_with_faults(
-    netlist: Netlist,
-    stimulus: dict[int, np.ndarray],
-    faults: tuple[Fault, ...] | list[Fault] = (),
-) -> dict[int, np.ndarray]:
-    """Like :func:`repro.logic.sim.simulate` with nets forced."""
-    forced = {fault.net: fault.stuck_value for fault in faults}
-    shapes = {np.asarray(v).shape for v in stimulus.values()}
-    shape = shapes.pop() if shapes else (1,)
-    values: dict[int, np.ndarray] = {
-        CONST0: np.zeros(shape, dtype=bool),
-        CONST1: np.ones(shape, dtype=bool),
-    }
-    for net in netlist.inputs:
-        wave = np.asarray(stimulus[net], dtype=bool)
-        if net in forced:
-            wave = np.full(shape, forced[net], dtype=bool)
-        values[net] = wave
-    for gate in netlist.gates:
-        if gate.output in forced:
-            values[gate.output] = np.full(shape, forced[gate.output], dtype=bool)
-            continue
-        values[gate.output] = gate.cell.evaluate(
-            *(values[i] for i in gate.inputs)
-        )
-    return values
-
-
-def _outputs_as_ints(netlist: Netlist, values) -> np.ndarray:
-    shape = next(iter(values.values())).shape
-    columns = []
-    for net in netlist.outputs:
-        if net == CONST0:
-            columns.append(np.zeros(shape, dtype=bool))
-        elif net == CONST1:
-            columns.append(np.ones(shape, dtype=bool))
-        else:
-            columns.append(values[net])
-    return bus_to_int(np.stack(columns, axis=1))
-
-
-def _stimulus_for(netlist: Netlist, operand_buses, operand_values):
-    stimulus = {}
-    for bus, vals in zip(operand_buses, operand_values):
-        bits = int_to_bus(np.asarray(vals), len(bus))
-        for position, net in enumerate(bus):
-            stimulus[net] = bits[:, position]
-    return stimulus
+def _responses(netlist: Netlist, operand_buses, operand_values, faults):
+    """The golden output words, then those under each fault alone."""
+    kernel = compile_netlist(netlist)
+    yield kernel.evaluate_words(operand_buses, operand_values)
+    for fault in faults:
+        yield kernel.with_faults([fault]).evaluate_words(operand_buses, operand_values)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,11 +74,7 @@ def fault_impact(
     fault: Fault,
 ) -> FaultImpact:
     """How one stuck-at fault moves the outputs over a vector set."""
-    stimulus = _stimulus_for(netlist, operand_buses, operand_values)
-    golden = _outputs_as_ints(netlist, simulate_with_faults(netlist, stimulus))
-    faulty = _outputs_as_ints(
-        netlist, simulate_with_faults(netlist, stimulus, (fault,))
-    )
+    golden, faulty = _responses(netlist, operand_buses, operand_values, [fault])
     changed = faulty != golden
     nonzero = golden != 0
     if np.any(nonzero):
@@ -149,13 +103,7 @@ def fault_coverage(
     faults = faults if faults is not None else fault_sites(netlist)
     if not faults:
         return 1.0
-    stimulus = _stimulus_for(netlist, operand_buses, operand_values)
-    golden = _outputs_as_ints(netlist, simulate_with_faults(netlist, stimulus))
-    detected = 0
-    for fault in faults:
-        faulty = _outputs_as_ints(
-            netlist, simulate_with_faults(netlist, stimulus, (fault,))
-        )
-        if np.any(faulty != golden):
-            detected += 1
+    responses = _responses(netlist, operand_buses, operand_values, faults)
+    golden = next(responses)
+    detected = sum(bool(np.any(faulty != golden)) for faulty in responses)
     return detected / len(faults)

@@ -24,6 +24,7 @@ import dataclasses
 
 import numpy as np
 
+from .activity import ActivityReport, estimate_power
 from .netlist import CONST0, CONST1, Netlist
 from .sim import bus_to_int, int_to_bus
 from ..synth.timing import CELL_DELAY_PS
@@ -143,33 +144,18 @@ class PipelinedNetlist:
         Combinational power comes from the usual activity estimate of the
         underlying netlist; each register adds clock-pin switching every
         cycle plus data-dependent output switching at the registered
-        net's own toggle rate.  Returns an
+        net's own toggle rate, read from the same kernel run.  Returns an
         :class:`~repro.logic.activity.ActivityReport`.
         """
-        from .activity import ActivityReport, estimate_power, markov_stream
-
         base = estimate_power(
             self.netlist, vectors=vectors, seed=seed, clock_hz=clock_hz
         )
         if self.register_count == 0:
             return base
-        # data toggle rates of the registered nets under the same stimulus
-        from .sim import simulate
-
-        rng = np.random.default_rng(seed)
-        stimulus = {
-            net: markov_stream(vectors, rng=rng) for net in self.netlist.inputs
-        }
-        waves = simulate(self.netlist, stimulus)
         register_fj = 0.0
         for nets in self.registered_nets:
             for net in nets:
-                wave = waves.get(net)
-                if wave is None:  # registered primary input
-                    wave = stimulus[net]
-                rate = float(np.count_nonzero(wave[1:] != wave[:-1])) / (
-                    vectors - 1
-                )
+                rate = float(base.toggle_rates[net])
                 # clock pin toggles every cycle (~40% of DFF energy) plus
                 # data-dependent Q switching
                 register_fj += REGISTER_ENERGY * (0.4 + 0.6 * rate)
@@ -179,6 +165,7 @@ class PipelinedNetlist:
             leakage_uw=base.leakage_uw + self.register_count * 0.08,
             mean_toggle_rate=base.mean_toggle_rate,
             vectors=vectors,
+            toggle_rates=base.toggle_rates,
         )
 
     def __repr__(self) -> str:

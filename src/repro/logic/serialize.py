@@ -20,9 +20,9 @@ import json
 
 import numpy as np
 
+from ..kernels.netlist import compile_netlist
 from .netlist import CONST0, CONST1, Gate, Netlist
 from .cells import cell
-from .sim import evaluate_words
 
 __all__ = ["to_json", "from_json", "check_equivalence", "EquivalenceResult"]
 
@@ -140,7 +140,7 @@ def check_equivalence(
             random_part = rng.integers(0, 1 << width, random_vectors)
             values.append(np.concatenate([corner, random_part]))
 
-    got = evaluate_words(netlist, input_buses, values)
+    got = compile_netlist(netlist).evaluate_words(input_buses, values)
     if isinstance(reference, Netlist):
         if len(reference.inputs) != total_bits:
             raise ValueError(
@@ -152,7 +152,7 @@ def check_equivalence(
         for width in widths:
             reference_buses.append(reference.inputs[position : position + width])
             position += width
-        expected = evaluate_words(reference, reference_buses, values)
+        expected = compile_netlist(reference).evaluate_words(reference_buses, values)
     else:
         expected = np.asarray(reference(*values), dtype=np.int64)
 

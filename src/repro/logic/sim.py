@@ -1,11 +1,11 @@
-"""Vectorized gate-level simulation.
+"""Reference gate-level simulation.
 
 Evaluates a :class:`~repro.logic.netlist.Netlist` on many stimulus vectors
 at once: every net's waveform is a boolean NumPy array over the stimulus
 axis, and gates are evaluated once each, in construction (= topological)
-order.  This is both the functional cross-check against the NumPy
-multiplier models and the waveform source for the simulation-based power
-estimation (:mod:`repro.logic.activity`).
+order.  It is the reference that the tests pin the package's evaluator,
+:class:`~repro.kernels.netlist.NetlistKernel`, against — as
+``multiply(compiled=False)`` is for the multiply kernels.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ def _check_width(width: int) -> None:
     if width > MAX_BUS_WIDTH:
         raise ValueError(
             f"bus width {width} exceeds {MAX_BUS_WIDTH}; int64 word "
-            "conversion would silently overflow — simulate wider buses "
-            "bit-wise (simulate()) instead of through int_to_bus/bus_to_int"
+            "conversion would silently overflow — read wider buses "
+            "bit-wise (simulate() or NetlistKernel.waveforms) instead"
         )
 
 

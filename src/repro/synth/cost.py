@@ -39,6 +39,7 @@ class SynthesisResult:
     power_uw: float
     gate_count: int
     depth: int
+    mean_toggle_rate: float
 
     def reductions(self, reference: "SynthesisResult") -> tuple[float, float]:
         """Percentage area/power reduction vs. a reference design."""
@@ -92,12 +93,18 @@ def synthesize(
         power_uw=report.total_uw * power_scale,
         gate_count=netlist.gate_count,
         depth=netlist.depth(),
+        mean_toggle_rate=report.mean_toggle_rate,
     )
 
 
-@functools.lru_cache(maxsize=None)
 def synthesize_design(name: str, bitwidth: int = 16) -> SynthesisResult:
-    """Build, estimate and cache the named registry configuration."""
+    """Build, estimate and cache the named registry configuration, one
+    entry per ``(name, bitwidth)`` however the width is passed."""
+    return _synthesized(name, bitwidth)
+
+
+@functools.lru_cache(maxsize=None)
+def _synthesized(name: str, bitwidth: int) -> SynthesisResult:
     from ..circuits.catalog import netlist_for
 
     return synthesize(netlist_for(name, bitwidth), bitwidth=bitwidth)

@@ -9,7 +9,6 @@ configuration.
 
 from __future__ import annotations
 
-from ..logic.activity import estimate_power
 from ..logic.netlist import Netlist
 from .cost import synthesize
 from .timing import analyze_timing
@@ -20,7 +19,6 @@ __all__ = ["design_report"]
 def design_report(netlist: Netlist, clock_ps: float = 1000.0) -> str:
     """Area / power / timing report for one netlist."""
     result = synthesize(netlist)
-    activity = estimate_power(netlist)
     timing = analyze_timing(netlist, clock_ps)
     histogram = netlist.cell_histogram()
 
@@ -42,7 +40,7 @@ def design_report(netlist: Netlist, clock_ps: float = 1000.0) -> str:
         "",
         "Power (1 GHz, 25% toggle / 50% probability):",
         f"  total:    {result.power_uw:10.1f} uW",
-        f"  mean gate toggle rate: {activity.mean_toggle_rate:.3f} /cycle",
+        f"  mean gate toggle rate: {result.mean_toggle_rate:.3f} /cycle",
         "",
         f"Timing (clock {timing.clock_ps:.0f} ps):",
         f"  critical path: {timing.critical_path_ps:7.1f} ps over "

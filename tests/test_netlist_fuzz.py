@@ -2,22 +2,30 @@
 
 Hypothesis generates random feed-forward netlists; every generated design
 must survive the substrate's full round trips — simulation vs. a direct
-Python evaluation oracle, JSON serialization, Verilog re-interpretation,
-pruning, and pipelining — without changing function.  This is the
-substrate-wide contract the hand-written designs rely on.
+Python evaluation oracle, the netlist kernel's waveforms and stuck-at
+faults vs. the reference simulator, JSON serialization, Verilog
+re-interpretation, pruning, and pipelining — without changing function.
+This is the substrate-wide contract the hand-written designs rely on.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels.netlist import compile_netlist
 from repro.logic.cells import CELLS
+from repro.logic.faults import fault_sites
 from repro.logic.netlist import CONST0, CONST1, Netlist
 from repro.logic.pipeline import pipeline_netlist, simulate_pipeline
 from repro.logic.serialize import from_json, to_json
-from repro.logic.sim import simulate
+from repro.logic.sim import evaluate_words, simulate
+
+#: vector counts around the kernel's 64-vector words
+LANE_COUNTS = (1, 63, 64, 65)
 
 _CELL_NAMES = sorted(CELLS)
 
@@ -78,6 +86,59 @@ def test_simulation_matches_oracle(netlist_plan, pattern):
         assert bool(waves[net][0]) == oracle[net]
 
 
+def _unpacked(waves: np.ndarray, count: int) -> np.ndarray:
+    """Kernel value matrix -> one boolean row per net, ``count`` long."""
+    return np.unpackbits(waves.view(np.uint8), axis=1, bitorder="little")[
+        :, :count
+    ].astype(bool)
+
+
+@given(random_netlists(), st.integers(min_value=0, max_value=(1 << 32) - 1))
+@settings(max_examples=60, deadline=None)
+def test_kernel_waveforms_match_reference(netlist_plan, seed):
+    netlist, _ = netlist_plan
+    kernel = compile_netlist(netlist)
+    rng = np.random.default_rng(seed)
+    for count in LANE_COUNTS:
+        stimulus = rng.random((len(netlist.inputs), count)) < 0.5
+        waves = _unpacked(kernel.waveforms(stimulus), count)
+        for net, wave in simulate(netlist, dict(zip(netlist.inputs, stimulus))).items():
+            assert np.array_equal(waves[net], wave), (count, net)
+
+
+def _tied(netlist: Netlist, net: int, tie: int) -> Netlist:
+    """A copy whose consumers (gates and outputs) of ``net`` read ``tie``."""
+    document = json.loads(to_json(netlist))
+    for gate in document["gates"]:
+        gate["inputs"] = [tie if i == net else i for i in gate["inputs"]]
+    document["outputs"] = [tie if i == net else i for i in document["outputs"]]
+    return from_json(json.dumps(document))
+
+
+@given(random_netlists(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_forced_net_matches_tied_consumers(netlist_plan, data):
+    netlist, _ = netlist_plan
+    fault = data.draw(st.sampled_from(fault_sites(netlist)))
+    tie = CONST1 if fault.stuck_value else CONST0
+    faulty = compile_netlist(netlist).with_faults([fault])
+    tied = _tied(netlist, fault.net, tie)
+    rng = np.random.default_rng(data.draw(st.integers(0, (1 << 32) - 1)))
+    for count in LANE_COUNTS:
+        stimulus = rng.random((len(netlist.inputs), count)) < 0.5
+        waves = _unpacked(faulty.waveforms(stimulus), count)
+        assert np.all(waves[fault.net] == fault.stuck_value)
+        for net, wave in simulate(tied, dict(zip(netlist.inputs, stimulus))).items():
+            if net != fault.net:
+                assert np.array_equal(waves[net], wave), (count, net)
+        # the integer path fault_impact and fault_coverage read
+        values = (stimulus << np.arange(len(netlist.inputs))[:, None]).sum(axis=0)
+        assert np.array_equal(
+            faulty.evaluate_words([netlist.inputs], [values]),
+            evaluate_words(tied, [tied.inputs], [values]),
+        )
+
+
 @given(random_netlists())
 @settings(max_examples=40, deadline=None)
 def test_json_roundtrip_preserves_function(netlist_plan):
@@ -126,9 +187,6 @@ def test_pipelining_preserves_function(netlist_plan, stages):
     width = len(netlist.inputs)
     values = rng.integers(0, 1 << width, cycles)
     streamed = simulate_pipeline(pipe, [netlist.inputs], [values])
-
-    from repro.logic.sim import evaluate_words
-
     reference = evaluate_words(netlist, [netlist.inputs], [values])
     latency = pipe.latency_cycles
     assert np.array_equal(streamed[latency:], reference[: cycles - latency])

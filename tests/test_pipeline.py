@@ -7,6 +7,7 @@ import pytest
 
 from repro.circuits.realm_rtl import realm_netlist
 from repro.circuits.wallace import wallace_netlist
+from repro.kernels.netlist import NetlistKernel
 from repro.logic.netlist import Netlist
 from repro.logic.pipeline import (
     pipeline_cuts,
@@ -149,6 +150,20 @@ class TestPipelinePower:
             pipe.estimate_power(vectors=512).dynamic_uw
             == estimate_power(netlist, vectors=512).dynamic_uw
         )
+
+    @pytest.mark.parametrize("stages", [1, 3])
+    def test_one_kernel_run_per_estimate(self, monkeypatch, stages):
+        # the registers' toggle rates come from the combinational run
+        runs = []
+        run = NetlistKernel._run
+        monkeypatch.setattr(
+            NetlistKernel, "_run", lambda *args: runs.append(1) or run(*args)
+        )
+        netlist = wallace_netlist(8)
+        netlist.prune()
+        pipe = pipeline_netlist(netlist, stages)
+        pipe.estimate_power(vectors=512)
+        assert len(runs) == 1
 
     def test_more_stages_more_register_power(self):
         netlist = wallace_netlist(8)

@@ -12,6 +12,9 @@ import pytest
 
 from repro import paper
 from repro.circuits.catalog import netlist_for
+from repro.experiments import table1_synthesis
+from repro.multipliers.registry import TABLE1_IDS
+from repro.synth import cost
 from repro.synth.cost import reductions, synthesize, synthesize_design
 
 
@@ -28,6 +31,21 @@ class TestCalibration:
 
     def test_synthesize_design_cached(self):
         assert synthesize_design("calm") is synthesize_design("calm")
+
+    def test_table1_synthesizes_each_design_once(self, monkeypatch):
+        # reductions(name) and synthesize_design(name) share one entry
+        estimates = []
+        estimate = cost.estimate_power
+        monkeypatch.setattr(
+            cost,
+            "estimate_power",
+            lambda *args, **kwargs: estimates.append(1) or estimate(*args, **kwargs),
+        )
+        cost._synthesized.cache_clear()
+        cost._calibration.cache_clear()
+        table1_synthesis()
+        assert cost._synthesized.cache_info().misses == len(TABLE1_IDS) + 1 == 73
+        assert len(estimates) == 73 + 1  # the calibration's reference too
 
     def test_synthesize_matches_design_path(self):
         direct = synthesize(netlist_for("calm"))

@@ -7,6 +7,7 @@ import pytest
 from repro.circuits.catalog import netlist_for
 from repro.circuits.realm_rtl import realm_netlist
 from repro.logic.netlist import Netlist
+from repro.synth import cost
 from repro.synth.report import design_report
 from repro.synth.timing import CELL_DELAY_PS, analyze_timing
 
@@ -75,6 +76,19 @@ class TestDesignReport:
         text = design_report(realm_netlist(16, m=4, t=2))
         for marker in ("Design:", "Area", "Power", "Timing", "critical path"):
             assert marker in text
+
+    def test_one_power_estimate(self, monkeypatch):
+        netlist = netlist_for("calm")
+        first = design_report(netlist)  # calibrates the cost model
+        estimates = []
+        estimate = cost.estimate_power
+        monkeypatch.setattr(
+            cost,
+            "estimate_power",
+            lambda *args, **kwargs: estimates.append(1) or estimate(*args, **kwargs),
+        )
+        assert design_report(netlist) == first
+        assert len(estimates) == 1
 
     def test_cell_shares_sum_sensibly(self):
         text = design_report(netlist_for("ssm-m8"))
