@@ -17,7 +17,7 @@ from conftest import run_once
 from repro.circuits.realm_rtl import realm_netlist
 from repro.circuits.wallace import wallace_netlist
 from repro.experiments import format_table
-from repro.logic.faults import fault_coverage, fault_impact, fault_sites
+from repro.logic.faults import fault_coverage, fault_impacts, fault_sites
 
 
 def _designs():
@@ -36,9 +36,7 @@ def test_ablation_fault_sensitivity(benchmark, record_result):
             buses = [netlist.inputs[:8], netlist.inputs[8:]]
             sites = fault_sites(netlist)
             sample = [sites[i] for i in rng.choice(len(sites), 160, replace=False)]
-            impacts = [
-                fault_impact(netlist, buses, [a, b], fault) for fault in sample
-            ]
+            impacts = fault_impacts(netlist, buses, [a, b], sample)
             errors = np.array([i.mean_relative_error for i in impacts])
             detection = np.array([i.detection_rate for i in impacts])
             coverage = fault_coverage(netlist, buses, [a, b], faults=sample)

@@ -17,8 +17,12 @@ The loop:
    per uncovered fraction-LSB pattern, plus boundary **mutations** of
    pairs that previously hit new cells (±1, bit flips at and just below
    the leading-one position, halving, min/max fractions);
-3. evaluate each batch through the :class:`~repro.conformance.oracles.
-   DifferentialOracle`, fold coverage and divergences in batch order;
+3. evaluate the round through the :class:`~repro.conformance.oracles.
+   DifferentialOracle` — a serial run in one pass per group of whole
+   batches (at most :data:`ROUND_PAIRS` pairs), a pooled run one batch
+   per task — and fold coverage and divergences in batch order.  Batches,
+   not groups, set the substreams and the per-check record limit, so
+   both paths report the same;
 4. **shrink** the first divergence of every failing check to a locally
    minimal pair (operand halving, then greedy MSB-first bit clearing,
    then decrement — each accepted move strictly shrinks ``a + b``); the
@@ -44,10 +48,14 @@ from .oracles import DifferentialOracle, Divergence
 
 __all__ = ["BatchSpec", "FuzzResult", "fuzz", "shrink_pair"]
 
-#: operand pairs per batch (one inter-process message in pooled runs)
+#: operand pairs per batch: the unit of substreams, of the per-check
+#: divergence record limit and of the coverage fold, and one task in
+#: pooled runs
 BATCH_PAIRS = 256
 
-#: most pairs one planning round may spend
+#: most pairs one planning round may spend, and one serial oracle pass
+#: (a group of whole batches) may evaluate: within the serve layer's
+#: ``BatchPolicy.max_batch``
 ROUND_PAIRS = 4096
 
 #: planning rounds before giving up on the remaining cells
@@ -128,23 +136,21 @@ def corpus_pairs(bitwidth: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(a), np.concatenate(b)
 
 
-def _synthesize_operand(k: int, segment: int, m: int, bitwidth: int, rng):
-    """A value in leading-one interval ``k`` selecting ``segment``."""
-    logm = m.bit_length() - 1
-    base = 1 << k
-    if k >= logm:
-        step = 1 << (k - logm)
-        low = int(rng.integers(0, step)) if step > 1 else 0
-        return base + segment * step + low
-    return base + (segment >> (logm - k))
+def _cell_operands(k: np.ndarray, segment: np.ndarray, m: int, rng) -> np.ndarray:
+    """Values in leading-one intervals ``k`` selecting ``segment``.
 
-
-def _lsb_operand(pattern: int, lsb_bits: int, bitwidth: int, rng):
-    """A max-interval value whose fraction LSBs equal ``pattern``."""
-    width = bitwidth - 1
-    base = 1 << width
-    high = int(rng.integers(0, 1 << max(0, width - lsb_bits)))
-    return base + ((high << lsb_bits) | pattern) % (1 << width)
+    An interval with at least ``log2(M)`` fraction bits draws the bits
+    below the segment, all in one call and in row-major order; a
+    narrower one holds a single value per reachable segment and draws
+    nothing.
+    """
+    shift = k - (m.bit_length() - 1)
+    step = 1 << np.maximum(shift, 0)
+    below = segment >> np.maximum(-shift, 0)
+    values = (1 << k) + np.where(shift >= 0, segment * step, below)
+    free = step > 1
+    values[free] += rng.integers(0, step[free])
+    return values
 
 
 def _mutations(a: int, b: int, bitwidth: int, rng) -> list[tuple[int, int]]:
@@ -185,18 +191,19 @@ def generate_batch(
             b[spec.start : spec.start + spec.count],
         )
     if spec.kind == "cells":
-        a = np.empty(len(spec.payload), dtype=np.int64)
-        b = np.empty(len(spec.payload), dtype=np.int64)
-        for pos, (ka, kb, i, j) in enumerate(spec.payload):
-            a[pos] = _synthesize_operand(ka, i, m, bitwidth, rng)
-            b[pos] = _synthesize_operand(kb, j, m, bitwidth, rng)
+        # one row per pair, a then b: the draws run in that order, which
+        # the batches' structure digest pins
+        cells = np.array(spec.payload, dtype=np.int64).reshape(-1, 4)
+        a, b = _cell_operands(cells[:, :2], cells[:, 2:], m, rng).T.copy()
         return a, b
     if spec.kind == "lsb":
-        a = np.empty(len(spec.payload), dtype=np.int64)
-        b = np.empty(len(spec.payload), dtype=np.int64)
-        for pos, (pa, pb) in enumerate(spec.payload):
-            a[pos] = _lsb_operand(pa, lsb_bits, bitwidth, rng)
-            b[pos] = _lsb_operand(pb, lsb_bits, bitwidth, rng)
+        # a max-interval value per operand whose fraction LSBs equal its
+        # pattern, the high fraction bits drawn a then b per pair
+        patterns = np.array(spec.payload, dtype=np.int64).reshape(-1, 2)
+        width = bitwidth - 1
+        high = rng.integers(0, 1 << max(0, width - lsb_bits), size=patterns.shape)
+        values = (1 << width) + ((high << lsb_bits) | patterns) % (1 << width)
+        a, b = values.T.copy()
         return a, b
     if spec.kind == "mutate":
         pairs = []
@@ -277,7 +284,7 @@ def _plan_round(coverage: CoverageMap, interesting, next_index: int, budget_left
             BatchSpec(
                 index=next_index + len(specs),
                 kind="cells",
-                payload=tuple(tuple(int(v) for v in cell) for cell in chunk),
+                payload=tuple(map(tuple, chunk.tolist())),
             )
         )
         allowance -= len(chunk)
@@ -287,7 +294,7 @@ def _plan_round(coverage: CoverageMap, interesting, next_index: int, budget_left
             BatchSpec(
                 index=next_index + len(specs),
                 kind="lsb",
-                payload=tuple(tuple(int(v) for v in p) for p in patterns),
+                payload=tuple(map(tuple, patterns.tolist())),
             )
         )
         allowance -= len(patterns)
@@ -301,6 +308,22 @@ def _plan_round(coverage: CoverageMap, interesting, next_index: int, budget_left
             )
         )
     return specs
+
+
+def _groups(batches):
+    """The non-empty batches in order, in runs of at most
+    :data:`ROUND_PAIRS` pairs."""
+    group, size = [], 0
+    for a, b in batches:
+        if a.size == 0:
+            continue
+        if group and size + a.size > ROUND_PAIRS:
+            yield group
+            group, size = [], 0
+        group.append((a, b))
+        size += a.size
+    if group:
+        yield group
 
 
 def fuzz(
@@ -375,18 +398,26 @@ def fuzz(
                     for spec in specs
                 ]
                 results = [future.result() for future in futures]
+                batches = [(a, b) for _, a, b, _, _ in results]
+                verdicts = [(kept, count) for *_, kept, count in results]
             else:
-                # serial: evaluate on this call's own oracle (the worker
-                # cache would outlive the chaos plan's install window)
-                results = []
-                for spec in specs:
-                    a, b = generate_batch(spec, n, grid, coverage.lsb_bits, seed)
-                    if a.size == 0:
-                        results.append((spec.index, a, b, [], 0))
-                        continue
-                    batch_records, batch_total = oracle.evaluate(a, b, limit=limit)
-                    results.append((spec.index, a, b, batch_records, batch_total))
-            for _, a, b, batch_records, batch_total in results:
+                # serial: one oracle pass per group of batches, on this
+                # call's own oracle (the worker cache would outlive the
+                # chaos plan's install window)
+                batches = [
+                    generate_batch(spec, n, grid, coverage.lsb_bits, seed)
+                    for spec in specs
+                ]
+                verdicts = [
+                    oracle.evaluate(
+                        np.concatenate([a for a, _ in group]),
+                        np.concatenate([b for _, b in group]),
+                        limit=limit,
+                        batches=[a.size for a, _ in group],
+                    )
+                    for group in _groups(batches)
+                ]
+            for a, b in batches:
                 if a.size == 0:
                     continue
                 new_mask = coverage.newly_covered(a, b)
@@ -395,6 +426,7 @@ def fuzz(
                     for pos in np.nonzero(new_mask)[0][:8]:
                         interesting.append((int(a[pos]), int(b[pos])))
                 pairs_done += int(a.size)
+            for batch_records, batch_total in verdicts:
                 total += batch_total
                 for record in batch_records:
                     counts_key = f"{record.kind}:{record.name}"

@@ -335,34 +335,49 @@ class DifferentialOracle:
 
     # -- checks ----------------------------------------------------------
 
-    def evaluate(self, a, b, *, limit: int = 8) -> tuple[list[Divergence], int]:
+    def evaluate(
+        self, a, b, *, limit: int = 8, batches=None
+    ) -> tuple[list[Divergence], int]:
         """Run every layer and relation on a batch.
 
         Returns ``(records, total)`` where ``records`` holds at most
         ``limit`` :class:`Divergence` records per check and ``total`` is
         the exact count of divergent (pair, check) combinations.
+        ``batches`` splits the pairs into consecutive batches of the
+        given sizes, all evaluated in one pass: ``limit`` then holds per
+        check and batch, and the records come batch by batch, exactly as
+        one call per batch would return them.
         """
         a = np.atleast_1d(np.asarray(a, dtype=np.int64))
         b = np.atleast_1d(np.asarray(b, dtype=np.int64))
+        sizes = [a.size] if batches is None else [int(size) for size in batches]
+        if sum(sizes) != a.size:
+            raise ValueError(f"batch sizes {sizes} do not add up to {a.size} pairs")
         tele = telemetry.get()
         with tele.span("conform.eval", design=self.design, pairs=int(a.size)):
             reference = self._eval_model(a, b)
-            records: list[Divergence] = []
-            total = 0
-            for name, values in self._layer_values(a, b, reference):
-                mask = values != reference
-                total += self._record(
-                    records, "layer", name, a, b, values, reference, mask, limit
-                )
-            for name, got, want, valid in self._relation_values(a, b, reference):
-                mask = valid & (got != want)
-                total += self._record(
-                    records, "relation", name, a, b, got, want, mask, limit
-                )
-            records = [
-                dataclasses.replace(record, design=self.design)
-                for record in records
+            checks = [
+                ("layer", name, values, reference, values != reference)
+                for name, values in self._layer_values(a, b, reference)
             ]
+            checks += [
+                ("relation", name, got, want, valid & (got != want))
+                for name, got, want, valid in self._relation_values(a, b, reference)
+            ]
+            hits = [np.flatnonzero(mask) for *_, mask in checks]
+            total = sum(int(found.size) for found in hits)
+            records: list[Divergence] = []
+            edges = np.cumsum([0, *sizes])
+            for start, stop in zip(edges[:-1], edges[1:]):
+                for (kind, name, got, want, _), found in zip(checks, hits):
+                    low, high = np.searchsorted(found, (start, stop))
+                    records.extend(
+                        Divergence(
+                            self.design, kind, name, int(a[index]), int(b[index]),
+                            int(got[index]), int(want[index]),
+                        )
+                        for index in found[low : min(high, low + limit)]
+                    )
         tele.counter("conform.divergences", total)
         return records, total
 
@@ -410,23 +425,6 @@ class DifferentialOracle:
                 yield name, np.maximum(plain, reference), reference, np.ones(
                     a.shape, dtype=bool
                 )
-
-    @staticmethod
-    def _record(records, kind, name, a, b, got, want, mask, limit) -> int:
-        hits = np.nonzero(mask)[0]
-        for index in hits[:limit]:
-            records.append(
-                Divergence(
-                    design="",  # filled below to keep the hot loop light
-                    kind=kind,
-                    name=name,
-                    a=int(a[index]),
-                    b=int(b[index]),
-                    got=int(got[index]),
-                    want=int(want[index]),
-                )
-            )
-        return int(hits.size)
 
     # -- single-pair re-checks (the shrinker's predicate) ----------------
 

@@ -52,26 +52,42 @@ def _to_words(packed: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view(np.uint64)
 
 
+# Bit transposes a byte at a time.  A lane byte holds one bit of 8
+# consecutive values, and a value byte holds 8 bits of one value, so
+# both directions are 8x8 bit-matrix transposes, run over every net at
+# once.  ``_SPREAD[r, v]`` spreads lane byte ``v`` of net ``8p + r``
+# over its 8 values: bit ``t`` of ``v`` lands on bit ``r`` of byte
+# ``t``, so OR-ing the 8 nets of group ``p`` yields byte ``p`` of each
+# value.  The other way, ``(x >> i) & _LOW`` keeps bit ``i`` of the 8
+# value bytes in ``x``, and times ``_GATHER`` byte ``t``'s bit lands on
+# bit ``56 + t`` with no carries: the lane byte of net ``8p + i``.
+_BITS = np.arange(8, dtype=np.uint64)[:, None]
+_ROWS = np.arange(8, dtype=np.intp)[:, None]
+_SPREAD = np.bitwise_or.reduce(
+    ((np.arange(256, dtype=np.uint64) >> _BITS) & np.uint64(1)) << 8 * _BITS, axis=0
+) << _BITS
+_LOW = np.uint64(0x0101010101010101)
+_GATHER = np.uint64(0x0102040810204080)
+
+
 def _pack_words(values: np.ndarray, width: int) -> np.ndarray:
     """Integers -> uint64 lanes ``(width, words)``, bit ``i`` of value
     ``j`` at lane ``[i, j // 64]`` bit ``j % 64``.
 
-    Same validation contract as :func:`repro.logic.sim.int_to_bus`; the
-    bit transpose runs entirely through packbits/unpackbits along the
-    contiguous axis, never materializing a per-(value, bit) int64
-    matrix — only the ``ceil(width / 8)`` bytes a value actually
-    occupies are ever unpacked.
+    Same validation contract as :func:`repro.logic.sim.int_to_bus`;
+    only the ``ceil(width / 8)`` bytes a value occupies are transposed.
     """
     _check_values(values, width)
+    count = values.size
+    groups = (count + 63) // 64 * 8  # lane bytes per net
     nbytes = (width + 7) // 8
-    raw = np.ascontiguousarray(values).view(np.uint8).reshape(values.size, 8)
-    bits = np.unpackbits(
-        np.ascontiguousarray(raw[:, :nbytes]), axis=1, bitorder="little"
-    )[:, :width]
-    # transpose-copy first: packbits along the contiguous axis is ~5x
-    # faster than strided axis-0 packing of the same matrix
-    lanes = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
-    return _to_words(lanes)
+    raw = np.zeros((groups * 8, 8), dtype=np.uint8)
+    raw[:count] = np.ascontiguousarray(values).view(np.uint8).reshape(count, 8)
+    # x[p, 0, q]: byte p of values 8q .. 8q + 7 as one uint64
+    x = raw.reshape(groups, 8, 8)[:, :, :nbytes].transpose(2, 0, 1).copy()
+    x = x.view(np.uint64).reshape(nbytes, 1, groups)
+    lanes = ((x >> _BITS) & _LOW) * _GATHER >> np.uint64(56)
+    return lanes.reshape(nbytes * 8, groups)[:width].astype(np.uint8).view(np.uint64)
 
 
 def _unpack_words(lanes: np.ndarray, count: int) -> np.ndarray:
@@ -81,11 +97,16 @@ def _unpack_words(lanes: np.ndarray, count: int) -> np.ndarray:
     _check_width(nets)
     if nets == 0:
         return np.zeros(count, dtype=np.int64)
-    raw = np.ascontiguousarray(lanes).view(np.uint8)
-    bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :count]
-    # transpose-copy first (see _pack_words): value j's bits, LSB first
-    packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
-    return _to_words(packed).view(np.int64).reshape(count)
+    nbytes = (nets + 7) // 8
+    groups = lanes.shape[1] * 8  # lane bytes per net
+    raw = np.zeros((nbytes * 8, groups), dtype=np.uint8)
+    raw[:nets] = np.ascontiguousarray(lanes).view(np.uint8)
+    spread = _SPREAD[_ROWS, raw.reshape(nbytes, 8, groups)]
+    # y[p, q]: byte p of values 8q .. 8q + 7, one per byte
+    y = np.bitwise_or.reduce(spread, axis=1)
+    out = np.zeros((groups * 8, 8), dtype=np.uint8)
+    out[:, :nbytes] = y.view(np.uint8).reshape(nbytes, groups * 8).T
+    return out.view(np.int64).reshape(-1)[:count]
 
 
 class NetlistKernel:

@@ -4,7 +4,7 @@ from .activity import ActivityReport, estimate_power, markov_stream
 from .cells import CELLS, Cell, cell
 from .netlist import CONST0, CONST1, Gate, Netlist
 from .sim import bus_to_int, evaluate_words, int_to_bus, simulate
-from .faults import Fault, fault_coverage, fault_impact, fault_sites
+from .faults import Fault, fault_coverage, fault_impact, fault_impacts, fault_sites
 from .pipeline import (
     PipelinedNetlist,
     pipeline_cuts,
@@ -30,6 +30,7 @@ __all__ = [
     "evaluate_words",
     "fault_coverage",
     "fault_impact",
+    "fault_impacts",
     "fault_sites",
     "int_to_bus",
     "markov_stream",

@@ -29,6 +29,7 @@ __all__ = [
     "Fault",
     "fault_sites",
     "fault_impact",
+    "fault_impacts",
     "fault_coverage",
 ]
 
@@ -50,14 +51,6 @@ def fault_sites(netlist: Netlist) -> list[Fault]:
     return [Fault(net, value) for net in nets for value in (False, True)]
 
 
-def _responses(netlist: Netlist, operand_buses, operand_values, faults):
-    """The golden output words, then those under each fault alone."""
-    kernel = compile_netlist(netlist)
-    yield kernel.evaluate_words(operand_buses, operand_values)
-    for fault in faults:
-        yield kernel.with_faults([fault]).evaluate_words(operand_buses, operand_values)
-
-
 @dataclasses.dataclass(frozen=True)
 class FaultImpact:
     """Output damage of one fault over a vector set."""
@@ -67,6 +60,38 @@ class FaultImpact:
     mean_relative_error: float  # vs golden outputs, zero-golden skipped
 
 
+def fault_impacts(
+    netlist: Netlist,
+    operand_buses,
+    operand_values,
+    faults: list[Fault],
+) -> list[FaultImpact]:
+    """How each stuck-at fault alone moves the outputs over a vector set.
+
+    The netlist is compiled and its fault-free outputs computed once for
+    the whole list.
+    """
+    kernel = compile_netlist(netlist)
+    golden = kernel.evaluate_words(operand_buses, operand_values)
+    nonzero = golden != 0
+    impacts = []
+    for fault in faults:
+        faulty = kernel.with_faults([fault]).evaluate_words(operand_buses, operand_values)
+        if np.any(nonzero):
+            relative = np.abs(faulty[nonzero] - golden[nonzero]) / golden[nonzero]
+            mean_relative = float(relative.mean())
+        else:
+            mean_relative = 0.0
+        impacts.append(
+            FaultImpact(
+                fault=fault,
+                detection_rate=float((faulty != golden).mean()),
+                mean_relative_error=mean_relative,
+            )
+        )
+    return impacts
+
+
 def fault_impact(
     netlist: Netlist,
     operand_buses,
@@ -74,19 +99,7 @@ def fault_impact(
     fault: Fault,
 ) -> FaultImpact:
     """How one stuck-at fault moves the outputs over a vector set."""
-    golden, faulty = _responses(netlist, operand_buses, operand_values, [fault])
-    changed = faulty != golden
-    nonzero = golden != 0
-    if np.any(nonzero):
-        relative = np.abs(faulty[nonzero] - golden[nonzero]) / golden[nonzero]
-        mean_relative = float(relative.mean())
-    else:
-        mean_relative = 0.0
-    return FaultImpact(
-        fault=fault,
-        detection_rate=float(changed.mean()),
-        mean_relative_error=mean_relative,
-    )
+    return fault_impacts(netlist, operand_buses, operand_values, [fault])[0]
 
 
 def fault_coverage(
@@ -103,7 +116,5 @@ def fault_coverage(
     faults = faults if faults is not None else fault_sites(netlist)
     if not faults:
         return 1.0
-    responses = _responses(netlist, operand_buses, operand_values, faults)
-    golden = next(responses)
-    detected = sum(bool(np.any(faulty != golden)) for faulty in responses)
-    return detected / len(faults)
+    impacts = fault_impacts(netlist, operand_buses, operand_values, faults)
+    return sum(impact.detection_rate > 0 for impact in impacts) / len(faults)

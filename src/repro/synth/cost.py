@@ -65,16 +65,9 @@ class SynthesisResult:
         return self.energy_per_op_pj * critical_path_ps * 1e-3
 
 
-@functools.lru_cache(maxsize=1)
 def _calibration(bitwidth: int = 16) -> tuple[float, float]:
     """(area_scale, power_scale) pinning the accurate multiplier."""
-    from ..circuits.catalog import netlist_for
-
-    reference = netlist_for("accurate", bitwidth)
-    raw_area = reference.area()
-    raw_power = estimate_power(
-        reference, vectors=_POWER_VECTORS, seed=_POWER_SEED
-    ).total_uw
+    _, raw_area, raw_power, *_ = _estimated("accurate", bitwidth)
     return ACCURATE_AREA_UM2 / raw_area, ACCURATE_POWER_UW / raw_power
 
 
@@ -85,16 +78,7 @@ def synthesize(
     bitwidth: int = 16,
 ) -> SynthesisResult:
     """Calibrated area/power of an already-built netlist."""
-    area_scale, power_scale = _calibration(bitwidth)
-    report = estimate_power(netlist, vectors=vectors, seed=seed)
-    return SynthesisResult(
-        name=netlist.name,
-        area_um2=netlist.area() * area_scale,
-        power_uw=report.total_uw * power_scale,
-        gate_count=netlist.gate_count,
-        depth=netlist.depth(),
-        mean_toggle_rate=report.mean_toggle_rate,
-    )
+    return _calibrated(_measured(netlist, vectors, seed), bitwidth)
 
 
 def synthesize_design(name: str, bitwidth: int = 16) -> SynthesisResult:
@@ -105,9 +89,43 @@ def synthesize_design(name: str, bitwidth: int = 16) -> SynthesisResult:
 
 @functools.lru_cache(maxsize=None)
 def _synthesized(name: str, bitwidth: int) -> SynthesisResult:
+    return _calibrated(_estimated(name, bitwidth), bitwidth)
+
+
+@functools.lru_cache(maxsize=None)
+def _estimated(name: str, bitwidth: int) -> tuple:
+    """A registry design's :func:`_measured` figures, built and estimated
+    once: the calibration reads the accurate design's entry."""
     from ..circuits.catalog import netlist_for
 
-    return synthesize(netlist_for(name, bitwidth), bitwidth=bitwidth)
+    return _measured(netlist_for(name, bitwidth), _POWER_VECTORS, _POWER_SEED)
+
+
+def _measured(netlist: Netlist, vectors: int, seed: int) -> tuple:
+    """Name, area, power, mean toggle rate, gate count and depth, before
+    calibration."""
+    report = estimate_power(netlist, vectors=vectors, seed=seed)
+    return (
+        netlist.name,
+        netlist.area(),
+        report.total_uw,
+        report.mean_toggle_rate,
+        netlist.gate_count,
+        netlist.depth(),
+    )
+
+
+def _calibrated(figures: tuple, bitwidth: int) -> SynthesisResult:
+    name, area, power, toggle_rate, gate_count, depth = figures
+    area_scale, power_scale = _calibration(bitwidth)
+    return SynthesisResult(
+        name=name,
+        area_um2=area * area_scale,
+        power_uw=power * power_scale,
+        gate_count=gate_count,
+        depth=depth,
+        mean_toggle_rate=toggle_rate,
+    )
 
 
 def reductions(name: str, bitwidth: int = 16) -> tuple[float, float]:

@@ -9,6 +9,7 @@ count and across repeated runs.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.analysis import chaos
+from repro.analysis import chaos, telemetry
 from repro.conformance import (
     CoverageMap,
     DifferentialOracle,
@@ -35,8 +36,11 @@ from repro.conformance.oracles import (
     POW2_SHIFT_FAMILIES,
     UNDERESTIMATE_FAMILIES,
 )
+from repro.core.realm import RealmMultiplier
 from repro.multipliers.registry import build
 from tests.strategies import ALL_IDS, operand_pairs
+
+_REALM_MULTIPLY = RealmMultiplier.multiply
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +153,38 @@ _MODEL_ONLY_ORACLE = DifferentialOracle("realm16-t0", layers=("model", "exact"))
 # ---------------------------------------------------------------------------
 # injected bugs are caught and shrunk
 # ---------------------------------------------------------------------------
+
+
+def _broken_on_a_third(self, a, b, *, compiled=None):
+    """``RealmMultiplier.multiply`` off by one on a third of the nonzero pairs."""
+    products = _REALM_MULTIPLY(self, a, b, compiled=compiled)
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return np.where((a > 0) & (b > 0) & ((7 * a + b) % 3 == 0), products + 1, products)
+
+
+class TestBatchedEvaluate:
+    def test_batches_return_what_one_call_per_batch_returns(self, monkeypatch):
+        monkeypatch.setattr(RealmMultiplier, "multiply", _broken_on_a_third)
+        oracle = DifferentialOracle("realm-8-m4-q5")
+        rng = np.random.default_rng(9)
+        a = rng.integers(0, 256, 700)
+        b = rng.integers(0, 256, 700)
+        sizes = [256, 256, 1, 0, 187]
+        records, total = oracle.evaluate(a, b, limit=4, batches=sizes)
+        want_records, want_total = [], 0
+        for start, stop in zip(np.cumsum([0, *sizes[:-1]]), np.cumsum(sizes)):
+            part, count = oracle.evaluate(a[start:stop], b[start:stop], limit=4)
+            want_records += part
+            want_total += count
+        assert total == want_total > len(records)
+        assert records == want_records
+
+    def test_batch_sizes_must_cover_the_pairs(self):
+        oracle = DifferentialOracle("realm-8-m4-q5", layers=("model", "exact"))
+        pairs = np.arange(1, 9, dtype=np.int64)
+        with pytest.raises(ValueError, match="add up"):
+            oracle.evaluate(pairs, pairs, batches=[4, 3])
 
 
 class TestInjectedBugs:
@@ -395,6 +431,34 @@ class TestDeterminism:
         serial = fuzz("realm-8-m4-q5", 600, seed=3)
         pooled = fuzz("realm-8-m4-q5", 600, seed=3, workers=2)
         assert render_json(serial) == render_json(pooled)
+
+    def test_worker_count_invariance_past_the_record_limit(self, monkeypatch):
+        # a model broken on a third of its nonzero pairs: every batch holds
+        # more divergences per check than the record limit, so the fused
+        # serial pass must cut its records per batch as the pool does
+        monkeypatch.setattr(RealmMultiplier, "multiply", _broken_on_a_third)
+        serial = fuzz("realm-8-m4-q5", 1500, seed=4, limit=3)
+        pooled = fuzz("realm-8-m4-q5", 1500, seed=4, limit=3, workers=2)
+        assert not serial.ok
+        assert sum(serial.counts.values()) < serial.total_divergences
+        assert render_json(serial) == render_json(pooled)
+
+    def test_serial_campaign_evaluates_one_group_per_round(self):
+        with telemetry.recording() as rec:
+            result = fuzz("realm-16-m4-q5", 20000, seed=0)
+        # the corpus and every planned round fit in ROUND_PAIRS pairs
+        assert rec.snapshot.phase("conform.eval").count == result.rounds
+
+    def test_groups_split_at_round_pairs(self, monkeypatch):
+        fuzz_module = importlib.import_module("repro.conformance.fuzz")
+        monkeypatch.setattr(fuzz_module, "ROUND_PAIRS", 2 * fuzz_module.BATCH_PAIRS)
+        with telemetry.recording() as rec:
+            result = fuzz("realm-16-m4-q5", 6000, seed=0)
+        corpus = fuzz_module.corpus_pairs(16, 4)[0].size
+        corpus_batches = -(-corpus // fuzz_module.BATCH_PAIRS)
+        # the corpus round in groups of two batches, then one per round
+        groups = -(-corpus_batches // 2) + result.rounds - 1
+        assert rec.snapshot.phase("conform.eval").count == groups
 
     def test_different_seeds_differ(self):
         first = fuzz("realm-8-m4-q5", 400, seed=0)

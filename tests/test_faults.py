@@ -165,6 +165,23 @@ class TestRealmCampaign:
         assert top.detection_rate > 0.3
         assert bottom.mean_relative_error < 0.01
 
+    def test_a_fault_sample_compiles_once(self, campaign, monkeypatch):
+        from repro.logic import faults
+
+        nl, groups, vectors = campaign
+        compiles = []
+        compile_once = faults.compile_netlist
+        monkeypatch.setattr(
+            faults,
+            "compile_netlist",
+            lambda netlist: compiles.append(netlist) or compile_once(netlist),
+        )
+        sample = fault_sites(nl)[::7]
+        impacts = faults.fault_impacts(nl, groups, vectors, sample)
+        assert len(compiles) == 1
+        # the same impacts as each fault evaluated on its own
+        assert impacts == [fault_impact(nl, groups, vectors, fault) for fault in sample]
+
     def test_output_msb_fault_dominates(self, campaign):
         nl, groups, vectors = campaign
         msb = Fault(nl.outputs[-1], True)

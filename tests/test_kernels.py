@@ -34,7 +34,7 @@ from repro.kernels import (
 )
 from repro.kernels.compiler import _BLOCK
 from repro.kernels.netlist import _pack_words, _unpack_words
-from repro.logic.sim import evaluate_words
+from repro.logic.sim import bus_to_int, evaluate_words, int_to_bus
 from repro.multipliers.accurate import AccurateMultiplier
 from repro.multipliers.am import Am1Multiplier
 from repro.multipliers.base import Multiplier
@@ -335,6 +335,35 @@ class TestNetlistKernel:
         buses = [netlist.inputs[:4], netlist.inputs[4:]]
         with pytest.raises(ValueError, match="disagree on length"):
             kernel.evaluate_words(buses, [np.array([1, 2]), np.array([3])])
+
+    @pytest.mark.parametrize("width", [1, 8, 16, 32, 63])
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4097])
+    def test_transposes_match_reference(self, width, count):
+        rng = np.random.default_rng(1000 * width + count)
+        top = (1 << width) - 1
+        values = rng.integers(0, top, count, dtype=np.int64, endpoint=True)
+        values[: min(count, 2)] = [0, top][: min(count, 2)]
+        bits = int_to_bus(values, width)
+        # lane [i, j // 64] holds bit i of value j at bit j % 64
+        want = np.zeros((width, (count + 63) // 64), dtype=np.uint64)
+        vector, bit = np.nonzero(bits)
+        np.bitwise_or.at(
+            want,
+            (bit, vector // 64),
+            np.left_shift(np.uint64(1), (vector % 64).astype(np.uint64)),
+        )
+        lanes = _pack_words(values, width)
+        assert lanes.dtype == np.uint64
+        assert np.array_equal(lanes, want)
+        assert np.array_equal(_unpack_words(lanes, count), bus_to_int(bits))
+
+    def test_transposes_reject_what_the_reference_rejects(self):
+        with pytest.raises(ValueError, match="outside"):
+            _pack_words(np.array([256], dtype=np.int64), 8)
+        with pytest.raises(ValueError, match="outside"):
+            _pack_words(np.array([3, -1], dtype=np.int64), 8)
+        with pytest.raises(ValueError, match="exceeds"):
+            _unpack_words(np.zeros((64, 1), dtype=np.uint64), 1)
 
     @given(
         st.lists(
