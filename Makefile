@@ -37,12 +37,12 @@ verify:
 	PYTHONPATH=src $(PYTHON) -m repro table1 --samples 262144 --no-warehouse \
 		--workers 2 > .repro-identity/table1-w2.txt
 	cmp .repro-identity/table1-w1.txt .repro-identity/table1-w2.txt
-	@echo "--- conformance worker-count identity (JSON report at 1 and 2 workers) ---"
+	@echo "--- conformance report determinism (JSON report of two runs) ---"
 	PYTHONPATH=src $(PYTHON) -m repro conform --design realm-16-m4-q5 --budget 20000 \
-		--seed 0 --workers 1 --json .repro-identity/conform-w1.json > /dev/null
+		--seed 0 --json .repro-identity/conform-1.json > /dev/null
 	PYTHONPATH=src $(PYTHON) -m repro conform --design realm-16-m4-q5 --budget 20000 \
-		--seed 0 --workers 2 --json .repro-identity/conform-w2.json > /dev/null
-	cmp .repro-identity/conform-w1.json .repro-identity/conform-w2.json
+		--seed 0 --json .repro-identity/conform-2.json > /dev/null
+	cmp .repro-identity/conform-1.json .repro-identity/conform-2.json
 	rm -rf .repro-identity
 	PYTHONPATH=src $(PYTHON) tools/serve_smoke.py --only base
 	@echo "--- serve chaos smoke (supervised fleet) ---"

@@ -16,8 +16,7 @@ out over that many processes, and setting ``REPRO_WAREHOUSE_DIR`` turns
 on the experiment warehouse (second runs reuse every stored design and
 become near-instant).  Results are
 bit-identical at any setting — the engine's substream scheme guarantees
-the same seed produces the same metrics at every chunk size and worker
-count.
+the same seed produces the same metrics at every worker count.
 """
 
 from __future__ import annotations

@@ -65,25 +65,20 @@ def sweep(
     seed: int = 2020,
     source: str = "model",
     *,
-    chunk: int | None = None,
     workers: int | None = None,
     progress=None,
-    max_retries: int | None = None,
-    batch_timeout: float | None = None,
     policy=None,
     checkpoint: bool = False,
-    resume: bool = False,
     warehouse=None,
 ) -> list[DesignPoint]:
     """Characterize error and synthesis cost for each design.
 
     The Monte-Carlo engine options (``workers``/``progress`` plus the
-    resilience knobs ``max_retries``/``batch_timeout``/``policy``/
-    ``checkpoint``/``resume``) are forwarded to
+    resilience ``policy`` and ``checkpoint``) are forwarded to
     :func:`repro.analysis.montecarlo.characterize_many`, so the whole
     sweep runs as one block-major campaign, survives worker faults, and
-    — with ``checkpoint``/``resume`` — an interrupted sweep restarted
-    with ``resume=True`` recomputes only the unfinished (design, block)
+    — with ``checkpoint`` — an interrupted sweep rerun with
+    ``checkpoint=True`` recomputes only the unfinished (design, block)
     pairs.  ``warehouse`` selects the experiment warehouse (see
     :mod:`repro.warehouse`): a warm sweep over an unchanged registry
     performs zero model evaluations — every design is served from the
@@ -96,19 +91,14 @@ def sweep(
         if columns is not None:
             chosen.append((name, build(name), columns))
     synthesis = {name: columns for name, _, columns in chosen}
-    engine = {} if chunk is None else {"chunk": chunk}
     measured = characterize_many(
         [(name, multiplier) for name, multiplier, _ in chosen],
         samples=samples,
         seed=seed,
         workers=workers,
-        **engine,
         progress=progress,
-        max_retries=max_retries,
-        batch_timeout=batch_timeout,
         policy=policy,
         checkpoint=checkpoint,
-        resume=resume,
         warehouse=warehouse,
         _warehouse_kind="sweep",
         _warehouse_decorate=lambda name: {

@@ -10,7 +10,7 @@ block order.  The guarantees:
 
 * the input stream is a pure function of ``(seed, samples)``;
 * the resulting :class:`ErrorMetrics` are **bit-identical** at any
-  ``chunk`` size and any ``workers`` count;
+  ``workers`` count;
 * the same ``seed`` drives identical inputs into every design, so
   cross-design comparisons are noise-free.
 
@@ -25,12 +25,12 @@ warehouse, each row flagged reused or recomputed.
 
 Runs can be fanned out across processes (``workers=``); ``progress=``
 receives event dicts with per-run wall time, throughput and warehouse
-outcome.  Long campaigns survive worker faults: batches retry with
-backoff (``max_retries=``), hung workers time out (``batch_timeout=``),
-broken pools rebuild and eventually degrade to serial execution, and
-per-block state can checkpoint to disk and resume
-(``checkpoint=``/``resume=``) — see :mod:`repro.analysis.runtime` for
-the guarantees.
+outcome.  Long campaigns survive worker faults as the ``policy=``
+(a :class:`~repro.analysis.runtime.ResiliencePolicy`) sets: batches
+retry with backoff, hung workers time out, broken pools rebuild and
+eventually degrade to serial execution.  With ``checkpoint=True``,
+per-block state is saved to disk and a rerun resumes from it — see
+:mod:`repro.analysis.runtime` for the guarantees.
 """
 
 from __future__ import annotations
@@ -74,8 +74,6 @@ PAPER_SAMPLES = 1 << 24
 #: every result fingerprint, so stale rows can never be replayed
 ENGINE_VERSION = 2
 
-_CHUNK = 1 << 20
-
 
 def sample_pairs(bitwidth: int, samples: int, seed: int = 2020):
     """Yield the engine's uniform ``(a, b)`` operand blocks for one run.
@@ -100,39 +98,19 @@ def _max_product(multiplier: Multiplier) -> int:
     return ((1 << multiplier.bitwidth) - 1) ** 2
 
 
-def _validate_engine_args(samples, chunk, workers) -> None:
+def _validate_engine_args(samples, workers) -> None:
     """Clear errors at the API boundary, before any fan-out machinery."""
     if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if not isinstance(chunk, (int, np.integer)) or isinstance(chunk, bool):
-        raise ValueError(f"chunk must be an integer, got {chunk!r}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     if workers is not None and workers < 0:
         raise ValueError(
             f"workers must be None or a non-negative integer, got {workers}"
         )
 
 
-def _resolve_policy(policy, max_retries, batch_timeout) -> ResiliencePolicy | None:
-    """Fold the convenience knobs into a policy (``None`` = runtime default)."""
-    if policy is not None:
-        if max_retries is not None or batch_timeout is not None:
-            raise ValueError(
-                "pass either policy= or max_retries=/batch_timeout=, not both"
-            )
-        return policy
-    overrides = {}
-    if max_retries is not None:
-        overrides["max_retries"] = max_retries
-    if batch_timeout is not None:
-        overrides["batch_timeout"] = batch_timeout
-    return ResiliencePolicy(**overrides) if overrides else None
-
-
-def _resolve_checkpoint(checkpoint, resume, payload) -> Checkpoint | None:
+def _resolve_checkpoint(checkpoint, payload) -> Checkpoint | None:
     """A :class:`Checkpoint` under the state directory, or ``None`` when off.
 
     Checkpoints are written under ``$REPRO_CACHE_DIR``, else the user
@@ -141,7 +119,7 @@ def _resolve_checkpoint(checkpoint, resume, payload) -> Checkpoint | None:
     payload, so resumed state can never leak between different designs,
     seeds or sample counts.
     """
-    if not (checkpoint or resume):
+    if not checkpoint:
         return None
     if payload is None:
         raise ValueError(
@@ -171,7 +149,6 @@ def _campaign(
     designs,
     samples: int,
     seed: int,
-    chunk: int,
     *,
     warehouse,
     on_metrics,
@@ -221,7 +198,7 @@ def _campaign(
             with recorder as rec:
                 results.update(
                     _evaluate(
-                        fresh, samples, chunk, "off" if wh is None else "miss",
+                        fresh, samples, "off" if wh is None else "miss",
                         on_metrics, **engine,
                     )
                 )
@@ -280,14 +257,12 @@ def _record(wh, kind, rows, seed, samples, wall, counters) -> None:
 def _evaluate(
     designs,
     samples: int,
-    chunk: int,
     outcome: str,
     on_metrics,
     *,
     workers,
     policy: ResiliencePolicy | None,
     checkpoint: bool,
-    resume: bool,
     on_progress=None,
     on_event=None,
     pool=None,
@@ -321,8 +296,7 @@ def _evaluate(
         on_metrics(name, metrics, seconds, outcome)
 
     checkpoints = [
-        _resolve_checkpoint(checkpoint, resume, payload)
-        for _, _, _, payload in designs
+        _resolve_checkpoint(checkpoint, payload) for _, _, _, payload in designs
     ]
     with contextlib.ExitStack() as spans:
         for label in labels:
@@ -333,12 +307,10 @@ def _evaluate(
             campaign_task,
             (draws, members),
             block_plan(samples),
-            chunk,
             labels,
             checkpoints=checkpoints,
             workers=workers,
             policy=policy,
-            resume=resume,
             on_progress=on_progress,
             on_event=on_event,
             on_design=on_design,
@@ -353,7 +325,7 @@ def _evaluate(
 
 
 def _characterize_one(
-    multiplier, draw, payload, samples, seed, chunk, *, progress, **engine
+    multiplier, draw, payload, samples, seed, *, progress, **engine
 ) -> ErrorMetrics:
     """A one-design campaign, reporting ``progress``/``done`` events."""
     label = multiplier.name
@@ -379,7 +351,7 @@ def _characterize_one(
         _emit(progress, design=label, **event)
 
     return _campaign(
-        [(label, multiplier, draw, payload)], samples, seed, chunk,
+        [(label, multiplier, draw, payload)], samples, seed,
         on_metrics=on_metrics,
         on_progress=on_progress if progress is not None else None,
         on_event=on_event, **engine,
@@ -390,15 +362,11 @@ def characterize(
     multiplier: Multiplier,
     samples: int = PAPER_SAMPLES,
     seed: int = 2020,
-    chunk: int = _CHUNK,
     *,
     workers: int | None = None,
     progress=None,
-    max_retries: int | None = None,
-    batch_timeout: float | None = None,
     policy: ResiliencePolicy | None = None,
     checkpoint: bool = False,
-    resume: bool = False,
     pool=None,
     warehouse=None,
 ) -> ErrorMetrics:
@@ -407,20 +375,20 @@ def characterize(
     Uses the paper's input model: both operands i.i.d. uniform over the
     full ``N``-bit range, including zero.  The same ``seed`` gives every
     design the identical input stream, so cross-design comparisons are
-    noise-free; results are bit-identical at any ``chunk``/``workers``
-    — and under any retry/rebuild/degradation recovery path.  The run is
-    a one-design campaign on :func:`characterize_many`'s path.
+    noise-free; results are bit-identical at any ``workers`` count — and
+    under any retry/rebuild/degradation recovery path.  The run is a
+    one-design campaign on :func:`characterize_many`'s path.
 
     ``workers`` > 1 fans blocks out over a process pool.  ``progress``
     receives ``progress`` events (cumulative ``samples_done``), runtime
     events (retry, pool-rebuild, degraded, resume) and one final
-    ``done`` event with the wall time and warehouse outcome.
-    ``max_retries``/``batch_timeout`` (or a full
-    :class:`~repro.analysis.runtime.ResiliencePolicy` via ``policy``)
-    tune failure handling; ``checkpoint=True`` persists per-block state
-    under the state directory (``$REPRO_CACHE_DIR``, else the user cache
-    directory) and ``resume=True`` skips blocks a previous interrupted
-    run already finished.  ``pool`` is an optional
+    ``done`` event with the wall time and warehouse outcome.  ``policy``
+    (a :class:`~repro.analysis.runtime.ResiliencePolicy`) tunes failure
+    handling: retries, the per-batch timeout, pool rebuilds.
+    ``checkpoint=True`` persists per-block state under the state
+    directory (``$REPRO_CACHE_DIR``, else the user cache directory) and
+    resumes from a checkpoint of the same run, skipping the blocks an
+    interrupted run already finished.  ``pool`` is an optional
     :class:`~repro.analysis.runtime.SharedPool` whose workers are reused
     across calls (the serving layer's mode).  ``warehouse`` selects the
     experiment warehouse (see :mod:`repro.warehouse`; ``None`` uses it
@@ -428,20 +396,18 @@ def characterize(
     this exact fingerprint (engine, design, bitwidth, seed, samples) is
     reused if present, and the run is recorded with full provenance.
     """
-    _validate_engine_args(samples, chunk, workers)
+    _validate_engine_args(samples, workers)
     return _characterize_one(
         multiplier,
         UniformDraw(multiplier.bitwidth, seed),
         _uniform_payload(multiplier, samples, seed),
         samples,
         seed,
-        chunk,
         progress=progress,
         warehouse=warehouse,
         workers=workers,
-        policy=_resolve_policy(policy, max_retries, batch_timeout),
+        policy=policy,
         checkpoint=checkpoint,
-        resume=resume,
         pool=pool,
     )
 
@@ -450,15 +416,11 @@ def characterize_many(
     multipliers,
     samples: int = PAPER_SAMPLES,
     seed: int = 2020,
-    chunk: int = _CHUNK,
     *,
     workers: int | None = None,
     progress=None,
-    max_retries: int | None = None,
-    batch_timeout: float | None = None,
     policy: ResiliencePolicy | None = None,
     checkpoint: bool = False,
-    resume: bool = False,
     warehouse=None,
     _warehouse_kind: str = "characterize",
     _warehouse_decorate=None,
@@ -480,19 +442,18 @@ def characterize_many(
     campaign they sum to its compute time.
 
     Failed batches retry, broken pools rebuild and the run degrades to
-    serial execution per the resilience policy (see
-    :mod:`repro.analysis.runtime`).  ``checkpoint``/``resume`` give every
-    design its own content-addressed per-block checkpoint, saved as each
-    block group completes, so an interrupted campaign restarted with
-    ``resume=True`` recomputes only the (design, block) pairs it had not
-    finished.  ``warehouse`` selects the experiment warehouse (see
+    serial execution per the resilience ``policy`` (see
+    :mod:`repro.analysis.runtime`).  ``checkpoint`` gives every design
+    its own content-addressed per-block checkpoint, saved as each block
+    group completes, so an interrupted campaign rerun with
+    ``checkpoint=True`` recomputes only the (design, block) pairs it had
+    not finished.  ``warehouse`` selects the experiment warehouse (see
     :mod:`repro.warehouse`): designs whose exact fingerprint was already
     recorded are served from the store without a single model
     evaluation, only changed fingerprints recompute, and the whole run is
     recorded with provenance and reused-vs-recomputed flags per design.
     """
-    _validate_engine_args(samples, chunk, workers)
-    policy = _resolve_policy(policy, max_retries, batch_timeout)
+    _validate_engine_args(samples, workers)
     items = list(multipliers.items() if hasattr(multipliers, "items") else multipliers)
     names = [name for name, _ in items]
     for name, count in collections.Counter(names).items():
@@ -523,14 +484,12 @@ def characterize_many(
         ],
         samples,
         seed,
-        chunk,
         warehouse=warehouse,
         kind=_warehouse_kind,
         decorate=_warehouse_decorate,
         workers=workers,
         policy=policy,
         checkpoint=checkpoint,
-        resume=resume,
         on_metrics=on_metrics,
         on_event=on_event,
     )
@@ -556,15 +515,11 @@ def characterize_workload(
     sampler,
     samples: int = PAPER_SAMPLES,
     seed: int = 2020,
-    chunk: int = _CHUNK,
     *,
     workers: int | None = None,
     progress=None,
-    max_retries: int | None = None,
-    batch_timeout: float | None = None,
     policy: ResiliencePolicy | None = None,
     checkpoint: bool = False,
-    resume: bool = False,
     warehouse=None,
 ) -> ErrorMetrics:
     """Error statistics under an application-specific input distribution.
@@ -578,14 +533,14 @@ def characterize_workload(
     The sampler is the block draw of a one-design campaign: it is called
     once per fixed-size block with that block's substream, so — like
     :func:`characterize` — the input stream depends only on ``(seed,
-    samples)``, never on ``chunk`` or ``workers``.  The warehouse reuses
+    samples)``, never on ``workers``.  The warehouse reuses
     and records the run (as a ``workload`` run) only for a
     fingerprintable sampler (the built-in sampler dataclasses are);
     otherwise the run skips the store.  Parallel runs require the
     sampler to be picklable.  ``progress`` receives the events
     :func:`characterize` sends.
     """
-    _validate_engine_args(samples, chunk, workers)
+    _validate_engine_args(samples, workers)
     sampler_info = _sampler_fingerprint(sampler)
     payload = None
     if sampler_info is not None:
@@ -604,14 +559,12 @@ def characterize_workload(
         payload,
         samples,
         seed,
-        chunk,
         progress=progress,
         warehouse=warehouse,
         kind="workload",
         workers=workers,
-        policy=_resolve_policy(policy, max_retries, batch_timeout),
+        policy=policy,
         checkpoint=checkpoint,
-        resume=resume,
     )
 
 

@@ -10,9 +10,9 @@ the full input stream is a pure function of ``(seed, samples)``.
 Per-block :class:`~repro.analysis.metrics.Accumulator` objects are merged
 in ascending block order, which pins the floating-point addition order, so
 the resulting :class:`~repro.analysis.metrics.ErrorMetrics` are
-bit-identical at any ``chunk`` size and any ``workers`` count.  ``chunk``
-is purely a batching knob: how many blocks one task (and one inter-process
-message) covers.
+bit-identical at any ``workers`` count and however the blocks are grouped
+into tasks.  A task (and one inter-process message) covers at most
+:data:`GROUP_BLOCKS` blocks.
 
 A campaign characterizes many designs on one stream, block-major: a task
 covers a group of blocks and every design that still needs them.  The
@@ -88,17 +88,15 @@ def block_plan(samples: int) -> list[tuple[int, int]]:
 
 
 def group_blocks(
-    blocks: list[tuple[int, int]], chunk: int, workers: int | None = None
+    blocks: list[tuple[int, int]], workers: int | None = None
 ) -> list[list[tuple[int, int]]]:
     """Group consecutive blocks into per-task batches.
 
-    A batch covers at most ``~chunk`` samples and :data:`GROUP_BLOCKS`
-    blocks.  With ``workers`` > 1 it is also small enough that every
-    worker gets a batch, as long as there are blocks enough.
+    A batch covers at most :data:`GROUP_BLOCKS` blocks.  With ``workers``
+    > 1 it is also small enough that every worker gets a batch, as long
+    as there are blocks enough.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    per_task = min(max(1, chunk // BLOCK), GROUP_BLOCKS)
+    per_task = GROUP_BLOCKS
     if workers and workers > 1:
         per_task = min(per_task, max(1, len(blocks) // workers))
     return [blocks[i : i + per_task] for i in range(0, len(blocks), per_task)]

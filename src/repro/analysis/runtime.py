@@ -18,8 +18,9 @@ purity to make the fan-out *survivable*:
   run falls back to in-process serial execution of the remaining
   batches, which is slower but cannot be killed by worker faults;
 * **checkpoint/resume** — completed per-block accumulators are
-  periodically persisted, one checkpoint per design (content-addressed
-  like warehouse rows, see :class:`Checkpoint`), so a restarted
+  persisted after every batch, one checkpoint per design
+  (content-addressed like warehouse rows, see :class:`Checkpoint`), and
+  a campaign given a checkpoint resumes from it, so a restarted
   campaign recomputes only the unfinished (design, block) pairs.
 
 The unit of work is a batch of a campaign (:func:`run_campaign`): a
@@ -242,7 +243,7 @@ def validate_batch(blocks, accumulators) -> None:
 
 @dataclasses.dataclass
 class Checkpoint:
-    """Periodic persistence of completed per-block accumulators.
+    """Persistence of completed per-block accumulators.
 
     Lives under ``<directory>/checkpoints/<key>.json`` where ``key`` is
     the same content address the warehouse would use for the run
@@ -250,13 +251,11 @@ class Checkpoint:
     checkpoint can never be replayed into a different campaign.  The
     file stores the full run payload plus one accumulator state per
     completed block; floats survive the JSON round trip bit-exactly.
-    ``every`` batches between saves bounds the rewrite cost.
     """
 
     directory: pathlib.Path
     key: str
     payload: dict
-    every: int = 1
 
     @property
     def path(self) -> pathlib.Path:
@@ -375,13 +374,13 @@ class _Batch(NamedTuple):
     blocks: list[tuple[int, int]]
 
 
-def _batches(plan, needs, chunk, workers) -> list[_Batch]:
+def _batches(plan, needs, workers) -> list[_Batch]:
     """Group the needed blocks (:func:`~repro.analysis.parallel.group_blocks`),
     then split each group where the set of designs needing a block changes
     (only after a resume can two blocks differ)."""
     return [
         _Batch(designs, list(run))
-        for group in group_blocks([b for b in plan if needs[b[0]]], chunk, workers)
+        for group in group_blocks([b for b in plan if needs[b[0]]], workers)
         for designs, run in itertools.groupby(group, key=lambda b: needs[b[0]])
     ]
 
@@ -411,13 +410,11 @@ def run_campaign(
     task,
     task_args: tuple,
     plan: list[tuple[int, int]],
-    chunk: int,
     labels: list[str],
     *,
     checkpoints: list[Checkpoint | None] | None = None,
     workers: int | None = None,
     policy: ResiliencePolicy | None = None,
-    resume: bool = False,
     on_progress=None,
     on_event=None,
     on_design=None,
@@ -439,13 +436,13 @@ def run_campaign(
     guards the pooled path.
 
     ``checkpoints`` holds one :class:`Checkpoint` (or ``None``) per
-    design, saved as each of its batches completes; with ``resume`` a
-    design skips the blocks its checkpoint holds.  Each design's
-    accumulators merge in ascending block order, so every result is
-    bit-identical to an undisturbed serial run whatever recovery paths
-    fired.  Returns one merged accumulator per design;
-    ``on_design(position, accumulator, seconds)`` fires as a design's
-    last block merges, with the seconds its batches reported.
+    design, saved as each of its batches completes; a design skips the
+    blocks its checkpoint already holds.  Each design's accumulators
+    merge in ascending block order, so every result is bit-identical to
+    an undisturbed serial run whatever recovery paths fired.  Returns
+    one merged accumulator per design; ``on_design(position,
+    accumulator, seconds)`` fires as a design's last block merges, with
+    the seconds its batches reported.
 
     ``on_progress(samples_done)`` reports cumulative samples, summed
     over designs, strictly increasing (see :func:`monotonic_progress`);
@@ -467,7 +464,7 @@ def run_campaign(
     counts = dict(plan)
     done: list[dict[int, Accumulator]] = []
     for checkpoint in checkpoints:
-        loaded = checkpoint.load() if checkpoint is not None and resume else {}
+        loaded = checkpoint.load() if checkpoint is not None else {}
         done.append(
             {index: acc for index, acc in loaded.items() if counts.get(index) == acc.all_count}
         )
@@ -484,7 +481,6 @@ def run_campaign(
             on_progress(samples_done)
 
     seconds = [0.0] * len(labels)
-    saves = [0] * len(labels)
     merged = [Accumulator() for _ in labels]
     cursor = [0] * len(labels)  # plan blocks merged into ``merged``
     order = {index: i for i, (index, _) in enumerate(plan)}
@@ -513,7 +509,7 @@ def run_campaign(
         index: tuple(p for p, blocks in enumerate(done) if index not in blocks)
         for index, _ in plan
     }
-    batches = _batches(plan, needs, chunk, workers)
+    batches = _batches(plan, needs, workers)
     for position in range(len(labels)):
         fold(position)  # finishes a design its checkpoint already held whole
 
@@ -535,11 +531,8 @@ def run_campaign(
             done[position][index] = acc
             samples_done += count
         seconds[position] += spent
-        checkpoint = checkpoints[position]
-        if checkpoint is not None:
-            saves[position] += 1
-            if saves[position] % checkpoint.every == 0:
-                checkpoint.save(done[position])
+        if checkpoints[position] is not None:
+            checkpoints[position].save(done[position])
         if on_progress is not None:
             on_progress(samples_done)
         fold(position)

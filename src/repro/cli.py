@@ -36,6 +36,7 @@ from .analysis import telemetry
 from .analysis.distribution import ascii_histogram
 from .analysis.montecarlo import characterize
 from .analysis.profiles import ascii_heatmap
+from .analysis.runtime import ResiliencePolicy
 from .multipliers.registry import build, names
 
 QUICK_SAMPLES = 1 << 18
@@ -90,17 +91,24 @@ def _known_design(args) -> "object":
 
 def _engine_options(args) -> dict:
     """Monte-Carlo engine knobs shared by the characterization commands."""
-    resume = getattr(args, "resume", False)
     return {
         "workers": getattr(args, "workers", None),
         "progress": _progress_printer(args),
-        "max_retries": getattr(args, "max_retries", None),
-        "batch_timeout": getattr(args, "batch_timeout", None),
-        # --resume implies checkpointing, else there is nothing to resume to
-        "checkpoint": getattr(args, "checkpoint", False) or resume,
-        "resume": resume,
+        "policy": _resilience_policy(args),
+        "checkpoint": getattr(args, "checkpoint", False),
         "warehouse": _warehouse_option(args),
     }
+
+
+def _resilience_policy(args):
+    """One ``ResiliencePolicy`` from ``--max-retries``/``--batch-timeout``,
+    or ``None`` (the engine's default) when neither is given."""
+    fields = {
+        name: value
+        for name in ("max_retries", "batch_timeout")
+        if (value := getattr(args, name, None)) is not None
+    }
+    return ResiliencePolicy(**fields) if fields else None
 
 
 def _warehouse_option(args):
@@ -507,10 +515,9 @@ def _serve_engine_options(args) -> dict:
     warehouse = _warehouse_option(args)
     if warehouse is not None:
         engine["warehouse"] = warehouse
-    if args.max_retries is not None:
-        engine["max_retries"] = args.max_retries
-    if args.batch_timeout is not None:
-        engine["batch_timeout"] = args.batch_timeout
+    policy = _resilience_policy(args)
+    if policy is not None:
+        engine["policy"] = policy
     return engine
 
 
@@ -715,7 +722,6 @@ def cmd_conform(args) -> int:
             args.seed,
             bitwidth=args.bitwidth,
             layers=args.layers or None,
-            workers=args.workers,
             m=args.m,
             on_progress=_conform_progress(args),
             warehouse=_warehouse_option(args),
@@ -917,14 +923,9 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--checkpoint",
             action="store_true",
-            help="periodically persist per-block state under $REPRO_CACHE_DIR "
-            "(else the user cache dir) so an interrupted run can be resumed",
-        )
-        p.add_argument(
-            "--resume",
-            action="store_true",
-            help="skip blocks/designs a previous interrupted run already "
-            "finished (implies --checkpoint)",
+            help="persist per-block state under $REPRO_CACHE_DIR (else the "
+            "user cache dir) and resume from a matching checkpoint, so a "
+            "rerun after an interruption skips the blocks already finished",
         )
         p.add_argument(
             "--progress",
@@ -1116,11 +1117,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bitwidth", type=_positive_int, default=None,
         help="operand bitwidth (default: the design's own)",
-    )
-    p.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="process-pool fan-out for batch evaluation (bit-identical "
-        "report at any worker count)",
     )
     p.add_argument(
         "--m", type=_positive_int, default=None,

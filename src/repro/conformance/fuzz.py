@@ -1,12 +1,11 @@
 """Coverage-guided differential fuzzing with counterexample shrinking.
 
-The generator is **deterministic and worker-invariant**: every batch of
-operand pairs is a pure function of ``(seed, batch_index)`` through the
-same counter-based substreams the Monte-Carlo engine uses
+The generator is **deterministic**: every batch of operand pairs is a
+pure function of ``(seed, batch_index)`` through the same counter-based
+substreams the Monte-Carlo engine uses
 (:func:`repro.analysis.parallel.substream`), and batch *planning* only
-reads coverage state that was folded in ascending batch order.  Fanning
-the batches out over a process pool therefore changes wall time, never
-the report: ``--workers 1`` and ``--workers 4`` produce identical JSON.
+reads coverage state that was folded in ascending batch order, so
+repeated runs produce identical JSON.
 
 The loop:
 
@@ -18,25 +17,21 @@ The loop:
    pairs that previously hit new cells (±1, bit flips at and just below
    the leading-one position, halving, min/max fractions);
 3. evaluate the round through the :class:`~repro.conformance.oracles.
-   DifferentialOracle` — a serial run in one pass per group of whole
-   batches (at most :data:`ROUND_PAIRS` pairs), a pooled run one batch
-   per task — and fold coverage and divergences in batch order.  Batches,
-   not groups, set the substreams and the per-check record limit, so
-   both paths report the same;
+   DifferentialOracle`, one pass per group of whole batches (at most
+   :data:`ROUND_PAIRS` pairs), and fold coverage and divergences in
+   batch order.  Batches, not groups, set the substreams and the
+   per-check record limit, so the grouping never changes the report;
 4. **shrink** the first divergence of every failing check to a locally
    minimal pair (operand halving, then greedy MSB-first bit clearing,
    then decrement — each accepted move strictly shrinks ``a + b``); the
    shrunk pairs land in the result, its JSON report and, with a
    warehouse on, the campaign's ``conformance`` row.
-
-With the chaos harness injecting a broken model (see
-:mod:`repro.conformance.oracles`), run serial (``workers=None``): each
-worker process builds its own oracle and would consume one chaos claim.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 
 import numpy as np
@@ -49,12 +44,11 @@ from .oracles import DifferentialOracle, Divergence
 __all__ = ["BatchSpec", "FuzzResult", "fuzz", "shrink_pair"]
 
 #: operand pairs per batch: the unit of substreams, of the per-check
-#: divergence record limit and of the coverage fold, and one task in
-#: pooled runs
+#: divergence record limit and of the coverage fold
 BATCH_PAIRS = 256
 
-#: most pairs one planning round may spend, and one serial oracle pass
-#: (a group of whole batches) may evaluate: within the serve layer's
+#: most pairs one planning round may spend, and one oracle pass (a group
+#: of whole batches) may evaluate: within the serve layer's
 #: ``BatchPolicy.max_batch``
 ROUND_PAIRS = 4096
 
@@ -120,8 +114,13 @@ def segment_edge_values(bitwidth: int, m: int) -> np.ndarray:
     return np.array(sorted(values), dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=16)
 def corpus_pairs(bitwidth: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical seed corpus: corner cross products + boundary pairs."""
+    """The canonical seed corpus: corner cross products + boundary pairs.
+
+    Built once per ``(bitwidth, m)`` and shared by every corpus batch of
+    every campaign on that grid, so the arrays are read-only.
+    """
     corners = corner_values(bitwidth)
     if corners.size > 32:
         picks = np.linspace(0, corners.size - 1, 32).astype(np.int64)
@@ -133,7 +132,10 @@ def corpus_pairs(bitwidth: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     for partner in (edges[::-1], np.full_like(edges, 1), np.full_like(edges, top)):
         a.append(edges)
         b.append(partner)
-    return np.concatenate(a), np.concatenate(b)
+    a, b = np.concatenate(a), np.concatenate(b)
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return a, b
 
 
 def _cell_operands(k: np.ndarray, segment: np.ndarray, m: int, rng) -> np.ndarray:
@@ -215,31 +217,6 @@ def generate_batch(
         arr = np.array(pairs, dtype=np.int64)
         return arr[:, 0], arr[:, 1]
     raise ValueError(f"unknown batch kind {spec.kind!r}")
-
-
-# ----------------------------------------------------------------------
-# Worker body (module-level for picklability; oracle cached per process)
-# ----------------------------------------------------------------------
-
-_WORKER_ORACLES: dict = {}
-
-
-def _oracle_for(design, bitwidth, layers) -> DifferentialOracle:
-    key = (design, bitwidth, layers)
-    oracle = _WORKER_ORACLES.get(key)
-    if oracle is None:
-        oracle = DifferentialOracle(design, bitwidth, layers)
-        _WORKER_ORACLES[key] = oracle
-    return oracle
-
-
-def _eval_batch(design, bitwidth, layers, m, lsb_bits, seed, limit, spec):
-    oracle = _oracle_for(design, bitwidth, layers)
-    a, b = generate_batch(spec, oracle.bitwidth, m, lsb_bits, seed)
-    if a.size == 0:
-        return spec.index, a, b, [], 0
-    records, total = oracle.evaluate(a, b, limit=limit)
-    return spec.index, a, b, records, total
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +310,6 @@ def fuzz(
     *,
     bitwidth: int | None = None,
     layers=None,
-    workers: int | None = None,
     m: int | None = None,
     limit: int = 8,
     on_progress=None,
@@ -342,12 +318,10 @@ def fuzz(
     """Run one coverage-guided conformance campaign.
 
     ``budget`` bounds generated operand pairs; the campaign stops early on
-    full coverage of every reachable cell and LSB pattern.  ``workers``
-    fans batch evaluation out over a process pool — the result is
-    bit-identical at any worker count.  ``warehouse`` opts into the
-    experiment warehouse: the campaign summary (coverage, divergences,
-    shrunk counterexamples) is recorded as one ``conformance`` run with
-    full provenance.
+    full coverage of every reachable cell and LSB pattern.  ``warehouse``
+    opts into the experiment warehouse: the campaign summary (coverage,
+    divergences, shrunk counterexamples) is recorded as one
+    ``conformance`` run with full provenance.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -381,82 +355,55 @@ def fuzz(
     pairs_reported = 0
     rounds = 0
 
-    pool = None
-    try:
-        if workers and workers > 1:
-            import concurrent.futures
-
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-
-        while specs:
-            if pool is not None:
-                futures = [
-                    pool.submit(
-                        _eval_batch, design, bitwidth, layers, grid,
-                        coverage.lsb_bits, seed, limit, spec,
-                    )
-                    for spec in specs
-                ]
-                results = [future.result() for future in futures]
-                batches = [(a, b) for _, a, b, _, _ in results]
-                verdicts = [(kept, count) for *_, kept, count in results]
-            else:
-                # serial: one oracle pass per group of batches, on this
-                # call's own oracle (the worker cache would outlive the
-                # chaos plan's install window)
-                batches = [
-                    generate_batch(spec, n, grid, coverage.lsb_bits, seed)
-                    for spec in specs
-                ]
-                verdicts = [
-                    oracle.evaluate(
-                        np.concatenate([a for a, _ in group]),
-                        np.concatenate([b for _, b in group]),
-                        limit=limit,
-                        batches=[a.size for a, _ in group],
-                    )
-                    for group in _groups(batches)
-                ]
-            for a, b in batches:
-                if a.size == 0:
-                    continue
-                new_mask = coverage.newly_covered(a, b)
-                coverage.update(a, b)
-                if len(interesting) < MAX_INTERESTING:
-                    for pos in np.nonzero(new_mask)[0][:8]:
-                        interesting.append((int(a[pos]), int(b[pos])))
-                pairs_done += int(a.size)
-            for batch_records, batch_total in verdicts:
-                total += batch_total
-                for record in batch_records:
-                    counts_key = f"{record.kind}:{record.name}"
-                    counts[counts_key] = counts.get(counts_key, 0) + 1
-                    first_by_key.setdefault(record.key(), record)
-                    if len(records) < MAX_RECORDS:
-                        records.append(record)
-            rounds += 1
-            tele.gauge("conform.coverage", coverage.segment_cell_coverage())
-            tele.counter("conform.pairs", pairs_done - pairs_reported)
-            pairs_reported = pairs_done
-            if on_progress is not None:
-                on_progress(
-                    {
-                        "event": "round",
-                        "round": rounds,
-                        "pairs": pairs_done,
-                        "coverage": coverage.segment_cell_coverage(),
-                        "divergences": total,
-                    }
-                )
-            if pairs_done >= budget or coverage.full_cover() or rounds >= MAX_ROUNDS:
-                break
-            specs = _plan_round(
-                coverage, interesting, next_index, budget - pairs_done
+    while specs:
+        # one oracle pass per group of batches
+        batches = [
+            generate_batch(spec, n, grid, coverage.lsb_bits, seed) for spec in specs
+        ]
+        verdicts = [
+            oracle.evaluate(
+                np.concatenate([a for a, _ in group]),
+                np.concatenate([b for _, b in group]),
+                limit=limit,
+                batches=[a.size for a, _ in group],
             )
-            next_index += len(specs)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            for group in _groups(batches)
+        ]
+        for a, b in batches:
+            if a.size == 0:
+                continue
+            new_mask = coverage.newly_covered(a, b)
+            coverage.update(a, b)
+            if len(interesting) < MAX_INTERESTING:
+                for pos in np.nonzero(new_mask)[0][:8]:
+                    interesting.append((int(a[pos]), int(b[pos])))
+            pairs_done += int(a.size)
+        for batch_records, batch_total in verdicts:
+            total += batch_total
+            for record in batch_records:
+                counts_key = f"{record.kind}:{record.name}"
+                counts[counts_key] = counts.get(counts_key, 0) + 1
+                first_by_key.setdefault(record.key(), record)
+                if len(records) < MAX_RECORDS:
+                    records.append(record)
+        rounds += 1
+        tele.gauge("conform.coverage", coverage.segment_cell_coverage())
+        tele.counter("conform.pairs", pairs_done - pairs_reported)
+        pairs_reported = pairs_done
+        if on_progress is not None:
+            on_progress(
+                {
+                    "event": "round",
+                    "round": rounds,
+                    "pairs": pairs_done,
+                    "coverage": coverage.segment_cell_coverage(),
+                    "divergences": total,
+                }
+            )
+        if pairs_done >= budget or coverage.full_cover() or rounds >= MAX_ROUNDS:
+            break
+        specs = _plan_round(coverage, interesting, next_index, budget - pairs_done)
+        next_index += len(specs)
 
     shrunk = []
     for (kind, name), record in sorted(first_by_key.items()):

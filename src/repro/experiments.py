@@ -92,10 +92,8 @@ def table1_errors(
     *,
     workers: int | None = None,
     progress=None,
-    max_retries: int | None = None,
-    batch_timeout: float | None = None,
+    policy=None,
     checkpoint: bool = False,
-    resume: bool = False,
     warehouse=None,
 ) -> list[dict]:
     """Error columns of Table I: measured next to the published values.
@@ -103,13 +101,13 @@ def table1_errors(
     The designs run as one block-major campaign (see
     :func:`~repro.analysis.montecarlo.characterize_many`): ``workers``
     fans its block groups out over a process pool and ``progress``
-    receives one event dict per completed design.  The resilience knobs
-    (``max_retries``/``batch_timeout``/``checkpoint``/``resume``)
-    forward to the engine, so a long campaign survives worker faults and
-    can resume after an interruption.  ``warehouse`` selects the
-    experiment warehouse (see :mod:`repro.warehouse`): designs whose
-    fingerprint is already recorded are served from the store, and the
-    campaign is recorded as one ``table1`` run.  The newest worst-case
+    receives one event dict per completed design.  The resilience
+    ``policy`` and ``checkpoint`` forward to the engine, so a long
+    campaign survives worker faults and resumes after an interruption.
+    ``warehouse`` selects the experiment warehouse (see
+    :mod:`repro.warehouse`): designs whose fingerprint is already
+    recorded are served from the store, and the campaign is recorded as
+    one ``table1`` run.  The newest worst-case
     certificate that ``repro formal`` recorded in that warehouse for a
     design at its bitwidth replaces the sampled peaks when it is exact
     and replayed.
@@ -121,10 +119,8 @@ def table1_errors(
         seed=seed,
         workers=workers,
         progress=progress,
-        max_retries=max_retries,
-        batch_timeout=batch_timeout,
+        policy=policy,
         checkpoint=checkpoint,
-        resume=resume,
         warehouse=warehouse,
         _warehouse_kind="table1",
     )
@@ -215,10 +211,8 @@ def table1_text(
     *,
     workers: int | None = None,
     progress=None,
-    max_retries: int | None = None,
-    batch_timeout: float | None = None,
+    policy=None,
     checkpoint: bool = False,
-    resume: bool = False,
     warehouse=None,
 ) -> str:
     """Rendered Table I: measured vs. paper for every column."""
@@ -226,8 +220,7 @@ def table1_text(
         r["name"]: r
         for r in table1_errors(
             samples, ids, workers=workers, progress=progress,
-            max_retries=max_retries, batch_timeout=batch_timeout,
-            checkpoint=checkpoint, resume=resume, warehouse=warehouse,
+            policy=policy, checkpoint=checkpoint, warehouse=warehouse,
         )
     }
     synthesis = {r["name"]: r for r in table1_synthesis(ids)}
@@ -353,10 +346,8 @@ def fig4_designspace(
     *,
     workers: int | None = None,
     progress=None,
-    max_retries: int | None = None,
-    batch_timeout: float | None = None,
+    policy=None,
     checkpoint: bool = False,
-    resume: bool = False,
     warehouse=None,
 ) -> dict:
     """Fig. 4: the four panels' points and Pareto fronts."""
@@ -365,10 +356,8 @@ def fig4_designspace(
         source=source,
         workers=workers,
         progress=progress,
-        max_retries=max_retries,
-        batch_timeout=batch_timeout,
+        policy=policy,
         checkpoint=checkpoint,
-        resume=resume,
         warehouse=warehouse,
     )
     kept = fig4_points(points)
@@ -434,10 +423,12 @@ def cnn_study(
     """
     import time as _time
 
+    from .analysis import telemetry
     from .analysis.cache import cache_key
     from .multipliers.registry import fingerprint
     from .nn import cnn_scores, float_cnn_accuracy, trained_cnn_setup
     from .synth.cost import reductions
+    from .warehouse.store import WarehouseError, open_warehouse
 
     if ids is None:
         from .multipliers.registry import REGISTRY
@@ -449,11 +440,7 @@ def cnn_study(
     data, params = trained_cnn_setup(seed)
     reference = float_cnn_accuracy(data, params)
 
-    wh = None
-    if warehouse is not False:
-        from .warehouse.store import open_warehouse
-
-        wh = open_warehouse(warehouse)
+    wh = open_warehouse(warehouse)
 
     start = _time.perf_counter()
     payloads = {
@@ -492,8 +479,6 @@ def cnn_study(
     _pareto_accuracy_area(rows)
 
     if wh is not None:
-        from .warehouse.store import WarehouseError
-
         results = [
             (
                 name,
@@ -511,8 +496,10 @@ def cnn_study(
                 samples=int(len(data.test_y)),
                 wall_seconds=_time.perf_counter() - start,
             )
-        except WarehouseError:
-            pass  # provenance must never take the study down with it
+        except WarehouseError as exc:
+            # provenance must never take the study down with it
+            telemetry.get().counter("warehouse.errors")
+            telemetry.get().event("warehouse.error", kind="cnn", cause=str(exc))
         finally:
             wh.close()
     return rows

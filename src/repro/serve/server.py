@@ -61,7 +61,7 @@ class Service:
     ``workers`` > 1 gives characterize requests a :class:`SharedPool`
     whose worker processes are reused across requests; ``engine`` is a
     dict of extra :func:`~repro.analysis.montecarlo.characterize`
-    keyword arguments (``warehouse=``, ``max_retries=``, ...);
+    keyword arguments (``warehouse=``, ``policy=``, ...);
     ``characterize_slots`` bounds concurrent characterize runs (default
     1 — the engine parallelizes internally, and the shared pool is not
     thread-safe).

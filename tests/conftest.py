@@ -39,3 +39,16 @@ def exhaustive8() -> tuple[np.ndarray, np.ndarray]:
     values = np.arange(256, dtype=np.int64)
     a, b = np.meshgrid(values, values, indexing="ij")
     return a.ravel(), b.ravel()
+
+
+@pytest.fixture()
+def task_blocks(monkeypatch):
+    """``task_blocks(n)`` caps every Monte-Carlo engine task at ``n``
+    blocks (``parallel.GROUP_BLOCKS``) for the test; ``task_blocks(1)``
+    gives the one-block batches that fault and resume tests target."""
+    from repro.analysis import parallel
+
+    def cap(blocks: int) -> None:
+        monkeypatch.setattr(parallel, "GROUP_BLOCKS", blocks)
+
+    return cap

@@ -25,7 +25,6 @@ from repro.multipliers.mitchell import MitchellMultiplier
 from repro.multipliers.registry import build
 
 SAMPLES = 2 * BLOCK  # two blocks, one per batch
-CHUNK = BLOCK
 SEED = 7
 
 #: no real sleeping between retries
@@ -33,9 +32,11 @@ FAST = dict(sleep=lambda s: None, jitter=lambda low, high: low)
 
 
 @pytest.fixture(autouse=True)
-def clean_plan(monkeypatch):
-    """Every test starts and ends with no active fault plan."""
+def clean_plan(monkeypatch, task_blocks):
+    """Every test starts and ends with no active fault plan, and runs
+    one block per batch so that each fault hits one batch."""
     monkeypatch.delenv(CHAOS_ENV, raising=False)
+    task_blocks(1)
     chaos.uninstall()
     yield
     chaos.uninstall()
@@ -48,7 +49,7 @@ def calm():
 
 @pytest.fixture()
 def reference(calm):
-    return characterize(calm, samples=SAMPLES, seed=SEED, chunk=CHUNK)
+    return characterize(calm, samples=SAMPLES, seed=SEED)
 
 
 def run(calm, *, workers=None, policy=None, progress=None, **kwargs):
@@ -56,7 +57,6 @@ def run(calm, *, workers=None, policy=None, progress=None, **kwargs):
         calm,
         samples=SAMPLES,
         seed=SEED,
-        chunk=CHUNK,
         workers=workers,
         policy=policy,
         progress=progress,
@@ -233,9 +233,7 @@ class TestCheckpointResume:
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         samples = 4 * BLOCK
-        reference = characterize(
-            calm, samples=samples, seed=SEED, chunk=CHUNK
-        )
+        reference = characterize(calm, samples=samples, seed=SEED)
         count_blocks.executed.clear()
 
         chaos.install(
@@ -243,7 +241,7 @@ class TestCheckpointResume:
         )
         with pytest.raises(BatchFailure):
             characterize(
-                calm, samples=samples, seed=SEED, chunk=CHUNK,
+                calm, samples=samples, seed=SEED,
                 checkpoint=True,
                 policy=ResiliencePolicy(max_retries=0, **FAST),
             )
@@ -251,16 +249,14 @@ class TestCheckpointResume:
 
         chaos.uninstall()
         count_blocks.executed.clear()
-        resumed = characterize(
-            calm, samples=samples, seed=SEED, chunk=CHUNK,
-            checkpoint=True, resume=True,
-        )
+        # checkpoint=True alone resumes: the rerun skips blocks 0..1
+        resumed = characterize(calm, samples=samples, seed=SEED, checkpoint=True)
         assert count_blocks.executed == [(calm.name, 2), (calm.name, 3)]
         assert resumed == reference
 
     def test_sweep_resumes_from_checkpoints(self, tmp_path, count_blocks, monkeypatch):
-        """An interrupted ``designspace.sweep`` resumed with
-        ``resume=True`` recomputes only the unfinished (design, block)
+        """An interrupted ``designspace.sweep`` rerun with
+        ``checkpoint=True`` recomputes only the unfinished (design, block)
         pairs, in block-major order, from checkpoints under
         ``$REPRO_CACHE_DIR``."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -268,7 +264,7 @@ class TestCheckpointResume:
         samples = 4 * BLOCK
         reference = {
             p.name: p.metrics
-            for p in sweep(ids, samples=samples, chunk=CHUNK)
+            for p in sweep(ids, samples=samples)
         }
         count_blocks.executed.clear()
         calm, drum, realm = (build(name).name for name in ids)
@@ -280,7 +276,7 @@ class TestCheckpointResume:
         )
         with pytest.raises(BatchFailure) as excinfo:
             sweep(
-                ids, samples=samples, chunk=CHUNK,
+                ids, samples=samples,
                 checkpoint=True,
                 policy=ResiliencePolicy(max_retries=0, **FAST),
             )
@@ -294,10 +290,7 @@ class TestCheckpointResume:
         count_blocks.executed.clear()
         resumed = {
             p.name: p.metrics
-            for p in sweep(
-                ids, samples=samples, chunk=CHUNK,
-                checkpoint=True, resume=True,
-            )
+            for p in sweep(ids, samples=samples, checkpoint=True)
         }
         # every design resumes blocks 2..3 from its own checkpoint
         assert count_blocks.executed == [

@@ -206,16 +206,24 @@ class TestResilienceFlags:
         assert code == 0
         assert "cALM" in out
 
-    def test_resume_implies_checkpoint(self):
+    def test_engine_options_build_one_policy(self):
         import argparse
+        import pickle
 
-        from repro.cli import _engine_options
+        from repro.analysis.runtime import ResiliencePolicy
+        from repro.cli import _engine_options, _serve_engine_options
 
-        args = argparse.Namespace(resume=True)
-        options = _engine_options(args)
-        assert options["checkpoint"] is True
-        assert options["resume"] is True
-        assert _engine_options(argparse.Namespace())["checkpoint"] is False
+        args = argparse.Namespace(max_retries=0, batch_timeout=60.0)
+        policy = _engine_options(args)["policy"]
+        assert policy == ResiliencePolicy(max_retries=0, batch_timeout=60.0)
+        only_retries = _engine_options(argparse.Namespace(max_retries=5))
+        assert only_retries["policy"] == ResiliencePolicy(max_retries=5)
+        assert _engine_options(argparse.Namespace())["policy"] is None
+        # serve ships its engine options to shard processes
+        engine = _serve_engine_options(args)
+        assert pickle.loads(pickle.dumps(engine)) == {"policy": policy}
+        unset = argparse.Namespace(max_retries=None, batch_timeout=None)
+        assert _serve_engine_options(unset) == {}
 
     def test_checkpoint_run_leaves_no_state_behind(self, capsys, tmp_path,
                                                    monkeypatch):
@@ -335,6 +343,21 @@ class TestArgumentValidation:
             main(argv + [flag])
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["conform", "--design", "calm", "--workers", "2"],
+            ["table1", "--quick", "--resume"],
+            ["characterize", "calm", "--quick", "--resume"],
+        ],
+    )
+    def test_removed_campaign_flags_are_rejected(self, capsys, argv):
+        # a campaign runs one serial fuzzing path, and --checkpoint resumes
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag,value",

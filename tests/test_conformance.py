@@ -163,6 +163,15 @@ def _broken_on_a_third(self, a, b, *, compiled=None):
     return np.where((a > 0) & (b > 0) & ((7 * a + b) % 3 == 0), products + 1, products)
 
 
+FUZZ = importlib.import_module("repro.conformance.fuzz")
+
+
+def _one_group_per_batch(batches):
+    """``fuzz._groups`` with every non-empty batch its own group: one
+    oracle pass per batch."""
+    return ([(a, b)] for a, b in batches if a.size)
+
+
 class TestBatchedEvaluate:
     def test_batches_return_what_one_call_per_batch_returns(self, monkeypatch):
         monkeypatch.setattr(RealmMultiplier, "multiply", _broken_on_a_third)
@@ -427,21 +436,42 @@ class TestDeterminism:
         second = fuzz("realm-8-m4-q5", 800, seed=11)
         assert render_json(first) == render_json(second)
 
-    def test_worker_count_invariance(self):
-        serial = fuzz("realm-8-m4-q5", 600, seed=3)
-        pooled = fuzz("realm-8-m4-q5", 600, seed=3, workers=2)
-        assert render_json(serial) == render_json(pooled)
+    def test_grouping_invariance(self, monkeypatch):
+        with telemetry.recording() as rec:
+            grouped = fuzz("realm-8-m4-q5", 600, seed=3)
+        monkeypatch.setattr(FUZZ, "_groups", _one_group_per_batch)
+        with telemetry.recording() as per_batch_rec:
+            per_batch = fuzz("realm-8-m4-q5", 600, seed=3)
+        assert (
+            rec.snapshot.phase("conform.eval").count
+            < per_batch_rec.snapshot.phase("conform.eval").count
+        )
+        assert render_json(grouped) == render_json(per_batch)
 
-    def test_worker_count_invariance_past_the_record_limit(self, monkeypatch):
+    def test_grouping_invariance_past_the_record_limit(self, monkeypatch):
         # a model broken on a third of its nonzero pairs: every batch holds
         # more divergences per check than the record limit, so the fused
-        # serial pass must cut its records per batch as the pool does
+        # pass must cut its records per batch as one pass per batch does
         monkeypatch.setattr(RealmMultiplier, "multiply", _broken_on_a_third)
-        serial = fuzz("realm-8-m4-q5", 1500, seed=4, limit=3)
-        pooled = fuzz("realm-8-m4-q5", 1500, seed=4, limit=3, workers=2)
-        assert not serial.ok
-        assert sum(serial.counts.values()) < serial.total_divergences
-        assert render_json(serial) == render_json(pooled)
+        grouped = fuzz("realm-8-m4-q5", 1500, seed=4, limit=3)
+        monkeypatch.setattr(FUZZ, "_groups", _one_group_per_batch)
+        per_batch = fuzz("realm-8-m4-q5", 1500, seed=4, limit=3)
+        assert not grouped.ok
+        assert sum(grouped.counts.values()) < grouped.total_divergences
+        assert render_json(grouped) == render_json(per_batch)
+
+    def test_campaign_builds_the_corpus_once(self, monkeypatch):
+        edges = FUZZ.segment_edge_values
+        calls = []
+
+        def counting(bitwidth, m):
+            calls.append((bitwidth, m))
+            return edges(bitwidth, m)
+
+        FUZZ.corpus_pairs.cache_clear()
+        monkeypatch.setattr(FUZZ, "segment_edge_values", counting)
+        fuzz("realm-16-m4-q5", 20000, seed=0)
+        assert calls == [(16, 4)]
 
     def test_serial_campaign_evaluates_one_group_per_round(self):
         with telemetry.recording() as rec:
@@ -450,12 +480,11 @@ class TestDeterminism:
         assert rec.snapshot.phase("conform.eval").count == result.rounds
 
     def test_groups_split_at_round_pairs(self, monkeypatch):
-        fuzz_module = importlib.import_module("repro.conformance.fuzz")
-        monkeypatch.setattr(fuzz_module, "ROUND_PAIRS", 2 * fuzz_module.BATCH_PAIRS)
+        monkeypatch.setattr(FUZZ, "ROUND_PAIRS", 2 * FUZZ.BATCH_PAIRS)
         with telemetry.recording() as rec:
             result = fuzz("realm-16-m4-q5", 6000, seed=0)
-        corpus = fuzz_module.corpus_pairs(16, 4)[0].size
-        corpus_batches = -(-corpus // fuzz_module.BATCH_PAIRS)
+        corpus = FUZZ.corpus_pairs(16, 4)[0].size
+        corpus_batches = -(-corpus // FUZZ.BATCH_PAIRS)
         # the corpus round in groups of two batches, then one per round
         groups = -(-corpus_batches // 2) + result.rounds - 1
         assert rec.snapshot.phase("conform.eval").count == groups

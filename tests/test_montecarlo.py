@@ -37,12 +37,13 @@ class TestCharacterize:
         assert metrics.mean_error == 0.0
         assert metrics.peak_min == 0.0 and metrics.peak_max == 0.0
 
-    def test_chunking_does_not_change_result(self):
+    def test_chunking_does_not_change_result(self, task_blocks):
         # exact invariance: per-block accumulators merge in block order,
-        # so chunk is purely a batching knob
+        # so how blocks group into tasks is purely a batching choice
         calm = MitchellMultiplier()
-        whole = characterize(calm, samples=1 << 16, chunk=1 << 16)
-        pieces = characterize(calm, samples=1 << 16, chunk=1 << 12)
+        whole = characterize(calm, samples=3 << 16)
+        task_blocks(1)
+        pieces = characterize(calm, samples=3 << 16)
         assert whole == pieces
 
     def test_workers_bit_identical(self):
@@ -51,10 +52,11 @@ class TestCharacterize:
         parallel = characterize(realm, samples=1 << 17, seed=5, workers=2)
         assert serial == parallel
 
-    def test_workers_and_chunk_commute(self):
+    def test_workers_and_chunk_commute(self, task_blocks):
         calm = MitchellMultiplier()
-        a = characterize(calm, samples=(1 << 17) + 123, chunk=1 << 16, workers=2)
-        b = characterize(calm, samples=(1 << 17) + 123, chunk=1 << 18)
+        b = characterize(calm, samples=(1 << 17) + 123)
+        task_blocks(1)
+        a = characterize(calm, samples=(1 << 17) + 123, workers=2)
         assert a == b
 
     def test_sample_counting_excludes_zero_products(self):
@@ -82,10 +84,6 @@ class TestArgumentValidation:
         with pytest.raises(ValueError, match="samples"):
             characterize(AccurateMultiplier(), samples=2.5)
 
-    def test_rejects_bad_chunk(self):
-        with pytest.raises(ValueError, match="chunk"):
-            characterize(AccurateMultiplier(), samples=1 << 12, chunk=0)
-
     def test_rejects_negative_workers(self):
         with pytest.raises(ValueError, match="workers"):
             characterize(AccurateMultiplier(), samples=1 << 12, workers=-1)
@@ -93,17 +91,6 @@ class TestArgumentValidation:
     def test_characterize_many_validates_too(self):
         with pytest.raises(ValueError, match="samples"):
             characterize_many({"a": AccurateMultiplier()}, samples=0)
-
-    def test_rejects_policy_and_knob_conflict(self):
-        from repro.analysis.runtime import ResiliencePolicy
-
-        with pytest.raises(ValueError, match="not both"):
-            characterize(
-                AccurateMultiplier(),
-                samples=1 << 12,
-                policy=ResiliencePolicy(),
-                max_retries=1,
-            )
 
 
 class TestCharacterizeMany:
@@ -123,15 +110,15 @@ class TestCharacterizeMany:
         )
         assert results["a"] == results["b"]
 
-    def test_forwards_chunk_and_workers(self):
+    def test_forwards_chunk_and_workers(self, task_blocks):
         designs = {"realm": RealmMultiplier(m=4), "calm": MitchellMultiplier()}
-        serial = characterize_many(designs, samples=1 << 16, chunk=1 << 12)
-        parallel = characterize_many(
-            designs, samples=1 << 16, chunk=1 << 12, workers=2
-        )
+        alone = characterize(designs["realm"], samples=1 << 16)
+        task_blocks(1)
+        serial = characterize_many(designs, samples=1 << 16)
+        parallel = characterize_many(designs, samples=1 << 16, workers=2)
         assert serial == parallel
         # and the results are the same as characterizing one by one
-        assert serial["realm"] == characterize(designs["realm"], samples=1 << 16)
+        assert serial["realm"] == alone
 
     def test_per_design_progress_callback(self):
         designs = {"a": MitchellMultiplier(), "b": AccurateMultiplier()}
@@ -176,17 +163,14 @@ class TestSamplePairs:
 
 
 class TestCharacterizeWorkload:
-    def test_chunk_invariant(self):
+    def test_chunk_invariant(self, task_blocks):
         # regression: the workload stream must depend only on (seed,
-        # samples) — the chunk memory knob used to change the inputs
+        # samples), never on how blocks group into tasks
         realm = RealmMultiplier(m=4)
         sampler = gaussian_sampler(16)
-        small = characterize_workload(
-            realm, sampler, samples=1 << 16, seed=3, chunk=1 << 12
-        )
-        large = characterize_workload(
-            realm, sampler, samples=1 << 16, seed=3, chunk=1 << 20
-        )
+        large = characterize_workload(realm, sampler, samples=3 << 16, seed=3)
+        task_blocks(1)
+        small = characterize_workload(realm, sampler, samples=3 << 16, seed=3)
         assert small == large
 
     def test_workers_bit_identical(self):
@@ -215,7 +199,7 @@ class TestCampaign:
             ("realm8-t4@8", build("realm8-t4", 8)),
         ]
 
-    def test_each_block_is_drawn_once(self, monkeypatch):
+    def test_each_block_is_drawn_once(self, monkeypatch, task_blocks):
         from repro.analysis import parallel, telemetry
         from repro.multipliers.registry import build
 
@@ -227,12 +211,12 @@ class TestCampaign:
             return real_draw(bitwidth, seed, index, count)
 
         monkeypatch.setattr(parallel, "draw_uniform_block", counting_draw)
+        task_blocks(1)
         designs = [(name, build(name)) for name in ("calm", "mbm-t0", "drum-k8")]
         blocks = 3
         with telemetry.recording() as rec:
             characterize_many(
-                designs, samples=blocks * parallel.BLOCK, chunk=parallel.BLOCK,
-                warehouse=False,
+                designs, samples=blocks * parallel.BLOCK, warehouse=False,
             )
         assert draws == list(range(blocks))
         assert rec.snapshot.phase("mc.sample").count == blocks
@@ -240,22 +224,25 @@ class TestCampaign:
         assert rec.snapshot.phase("finalize").count == len(designs)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("chunk", [1 << 16, 3 << 16, None])
-    def test_matches_one_run_per_design(self, workers, chunk):
+    @pytest.mark.parametrize("task_samples", [1 << 16, 3 << 16, None])
+    def test_matches_one_run_per_design(self, workers, task_samples, task_blocks):
         # four blocks, the last one short; three 16-bit designs and one
         # built at 8 bits, which draws its own stream
+        from repro.analysis.parallel import BLOCK
+
         samples = (3 << 16) + 777
-        engine = {} if chunk is None else {"chunk": chunk}
         designs = self._designs()
+        alone = {
+            name: characterize(multiplier, samples=samples, seed=11, warehouse=False)
+            for name, multiplier in designs
+        }
+        if task_samples is not None:
+            task_blocks(task_samples // BLOCK)
         campaign = characterize_many(
-            designs, samples=samples, seed=11, workers=workers,
-            warehouse=False, **engine,
+            designs, samples=samples, seed=11, workers=workers, warehouse=False,
         )
-        for name, multiplier in designs:
-            alone = characterize(
-                multiplier, samples=samples, seed=11, warehouse=False
-            )
-            assert campaign[name] == alone, name
+        for name, _ in designs:
+            assert campaign[name] == alone[name], name
 
     def test_design_seconds_share_the_campaign(self):
         import time

@@ -270,3 +270,18 @@ class TestCnnStudy:
             assert len(apps[name]) == 2
             assert apps[name][0]["accuracy"] == apps[name][1]["accuracy"]
             assert "area_reduction" in apps[name][0]
+
+    def test_recording_failure_is_counted_not_raised(self, tmp_path, monkeypatch):
+        from repro.analysis import telemetry
+        from repro.experiments import cnn_study
+        from repro.warehouse.store import Warehouse, WarehouseError
+
+        def failing(self, *args, **kwargs):
+            raise WarehouseError("disk full")
+
+        monkeypatch.setattr(Warehouse, "record_run", failing)
+        ids = ["accurate", "realm16-t0"]
+        with telemetry.recording() as rec:
+            rows = cnn_study(ids, warehouse=tmp_path)
+        assert [row["name"] for row in rows] == ids
+        assert rec.snapshot.counter("warehouse.errors") == 1

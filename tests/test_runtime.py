@@ -38,7 +38,6 @@ from repro.multipliers.mitchell import MitchellMultiplier
 
 #: three blocks — two full, one short tail — one block per batch
 SAMPLES = 2 * BLOCK + 1234
-CHUNK = BLOCK
 SEED = 11
 
 #: a policy that never actually sleeps (tests stay fast and deterministic)
@@ -63,12 +62,12 @@ class OneDesign:
         return [(self.task(*task_args, blocks), 0.0)]
 
 
-def run_plan(task, task_args, plan, chunk, *, checkpoint=None, **options):
+def run_plan(task, task_args, plan, *, checkpoint=None, **options):
     """``run_campaign`` for one design whose ``task(*task_args, blocks)``
     returns one accumulator per block; the runtime's contracts are
     tested through it with plain per-block fault-injecting tasks."""
     (total,) = run_campaign(
-        OneDesign(task), task_args, plan, chunk, ["run"],
+        OneDesign(task), task_args, plan, ["run"],
         checkpoints=[checkpoint], **options,
     )
     return total
@@ -76,7 +75,13 @@ def run_plan(task, task_args, plan, chunk, *, checkpoint=None, **options):
 
 def clean_run(multiplier, samples=SAMPLES, seed=SEED) -> Accumulator:
     """The undisturbed serial reference every recovery path must match."""
-    return run_plan(uniform_task, (multiplier, seed), block_plan(samples), CHUNK)
+    return run_plan(uniform_task, (multiplier, seed), block_plan(samples))
+
+
+@pytest.fixture()
+def one_block_batches(task_blocks):
+    """One block per batch, so a per-block fault fails one batch."""
+    task_blocks(1)
 
 
 class FlakyTask:
@@ -237,6 +242,7 @@ class TestCheckpoint:
         assert not ckpt.path.exists()
 
 
+@pytest.mark.usefixtures("one_block_batches")
 class TestRunPlanSerial:
     def test_matches_plain_serial_run(self):
         calm = MitchellMultiplier()
@@ -244,7 +250,6 @@ class TestRunPlanSerial:
             uniform_task,
             (calm, SEED),
             block_plan(SAMPLES),
-            CHUNK,
             policy=ResiliencePolicy(**FAST),
         )
         assert resilient == clean_run(calm)
@@ -261,7 +266,6 @@ class TestRunPlanSerial:
             flaky,
             (calm, SEED),
             block_plan(SAMPLES),
-            CHUNK,
             policy=policy,
             on_event=events.append,
         )
@@ -280,7 +284,6 @@ class TestRunPlanSerial:
                 flaky,
                 (MitchellMultiplier(), SEED),
                 block_plan(SAMPLES),
-                CHUNK,
                 policy=ResiliencePolicy(max_retries=1, **FAST),
             )
         failure = excinfo.value
@@ -307,7 +310,6 @@ class TestRunPlanSerial:
             CorruptOnce(),
             (calm, SEED),
             block_plan(SAMPLES),
-            CHUNK,
             policy=ResiliencePolicy(max_retries=2, **FAST),
             on_event=events.append,
         )
@@ -326,7 +328,6 @@ class TestRunPlanSerial:
                 bomb,
                 (calm, SEED),
                 block_plan(SAMPLES),
-                CHUNK,
                 policy=ResiliencePolicy(max_retries=0, **FAST),
                 checkpoint=ckpt,
             )
@@ -338,9 +339,7 @@ class TestRunPlanSerial:
             counting,
             (calm, SEED),
             block_plan(SAMPLES),
-            CHUNK,
             checkpoint=Checkpoint(tmp_path, "abc123", dict(payload)),
-            resume=True,
             on_event=events.append,
         )
         # only the interrupted block was recomputed, result is bit-identical
@@ -363,9 +362,7 @@ class TestRunPlanSerial:
             counting,
             (calm, SEED),
             block_plan(SAMPLES),
-            CHUNK,
             checkpoint=Checkpoint(tmp_path, "key", dict(payload)),
-            resume=True,
         )
         assert counting.calls == [0, 1, 2]  # nothing was trusted
         assert result == clean_run(calm)
@@ -374,7 +371,7 @@ class TestRunPlanSerial:
         calm = MitchellMultiplier()
         ckpt = Checkpoint(tmp_path, "clean", {"kind": "t"})
         run_plan(
-            uniform_task, (calm, SEED), block_plan(SAMPLES), CHUNK, checkpoint=ckpt
+            uniform_task, (calm, SEED), block_plan(SAMPLES), checkpoint=ckpt
         )
         assert not ckpt.path.exists()
         assert not list((tmp_path / "checkpoints").glob("*.tmp*"))
@@ -385,7 +382,6 @@ class TestRunPlanSerial:
             uniform_task,
             (MitchellMultiplier(), SEED),
             block_plan(SAMPLES),
-            CHUNK,
             on_progress=seen.append,
         )
         assert seen == [BLOCK, 2 * BLOCK, SAMPLES]
@@ -414,6 +410,7 @@ class FailOnceAcrossProcesses:
         return uniform_task(multiplier, seed, blocks)
 
 
+@pytest.mark.usefixtures("one_block_batches")
 class TestMonotonicProgress:
     """Regression suite for the ``on_progress`` monotonicity contract:
     retried/duplicated batch deliveries must never surface as a
@@ -439,7 +436,6 @@ class TestMonotonicProgress:
             flaky,
             (calm, SEED),
             block_plan(SAMPLES),
-            CHUNK,
             policy=ResiliencePolicy(max_retries=2, **FAST),
             on_progress=seen.append,
         )
@@ -463,7 +459,6 @@ class TestMonotonicProgress:
             flaky,
             (calm, SEED),
             block_plan(SAMPLES),
-            CHUNK,
             workers=2,
             policy=ResiliencePolicy(max_retries=2, **FAST),
             on_progress=seen.append,
@@ -482,7 +477,6 @@ class TestMonotonicProgress:
                 bomb,
                 (calm, SEED),
                 block_plan(SAMPLES),
-                CHUNK,
                 policy=ResiliencePolicy(max_retries=0, **FAST),
                 checkpoint=Checkpoint(tmp_path, "mono", dict(payload)),
             )
@@ -491,9 +485,7 @@ class TestMonotonicProgress:
             FlakyTask(),
             (calm, SEED),
             block_plan(SAMPLES),
-            CHUNK,
             checkpoint=Checkpoint(tmp_path, "mono", dict(payload)),
-            resume=True,
             on_progress=seen.append,
         )
         assert resumed == clean_run(calm)
@@ -502,13 +494,10 @@ class TestMonotonicProgress:
 
 
 class TestGroupBlocks:
-    def test_rejects_bad_chunk(self):
-        with pytest.raises(ValueError, match="chunk must be >= 1"):
-            group_blocks([(0, BLOCK)], 0)
-
-    def test_partitions_in_order(self):
+    def test_partitions_in_order(self, task_blocks):
+        task_blocks(2)
         plan = block_plan(3 * BLOCK + 5)
-        groups = group_blocks(plan, 2 * BLOCK)
+        groups = group_blocks(plan)
         assert [len(g) for g in groups] == [2, 2]
         assert [g[0][0] for g in groups] == [0, 2]
 
@@ -516,12 +505,12 @@ class TestGroupBlocks:
         from repro.analysis.parallel import BLOCK_BYTES, GROUP_BLOCKS, GROUP_BYTES
 
         assert GROUP_BLOCKS * BLOCK_BYTES <= GROUP_BYTES
-        groups = group_blocks(block_plan(64 * BLOCK), 1 << 30)
+        groups = group_blocks(block_plan(64 * BLOCK))
         assert max(len(g) for g in groups) == GROUP_BLOCKS
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_every_worker_gets_a_batch(self, workers):
-        groups = group_blocks(block_plan(4 * BLOCK), 1 << 20, workers)
+        groups = group_blocks(block_plan(4 * BLOCK), workers)
         assert len(groups) >= workers
         assert [b for g in groups for b in g] == block_plan(4 * BLOCK)
 
@@ -538,6 +527,7 @@ class AlwaysFailBlock:
         return uniform_task(multiplier, seed, blocks)
 
 
+@pytest.mark.usefixtures("one_block_batches")
 class TestSharedPool:
     """The serve layer's reusable executor (see DESIGN.md §10)."""
 
@@ -566,14 +556,14 @@ class TestSharedPool:
         calm = MitchellMultiplier()
         with SharedPool(2) as pool:
             one = run_plan(
-                uniform_task, (calm, SEED), block_plan(SAMPLES), CHUNK,
+                uniform_task, (calm, SEED), block_plan(SAMPLES),
                 policy=ResiliencePolicy(**FAST), pool=pool,
             )
             # the clean exit left the executor alive ...
             assert pool.live
             executor = pool.acquire()
             two = run_plan(
-                uniform_task, (calm, SEED), block_plan(SAMPLES), CHUNK,
+                uniform_task, (calm, SEED), block_plan(SAMPLES),
                 policy=ResiliencePolicy(**FAST), pool=pool,
             )
             # ... and the second campaign borrowed the very same one
@@ -589,7 +579,7 @@ class TestSharedPool:
             with pytest.raises(BatchFailure):
                 run_plan(
                     AlwaysFailBlock(1), (calm, SEED),
-                    block_plan(SAMPLES), CHUNK,
+                    block_plan(SAMPLES),
                     policy=ResiliencePolicy(max_retries=0, **FAST),
                     pool=pool,
                 )
@@ -598,7 +588,7 @@ class TestSharedPool:
             assert not pool.live
             # and the pool recovers: the next campaign gets a fresh one
             clean = run_plan(
-                uniform_task, (calm, SEED), block_plan(SAMPLES), CHUNK,
+                uniform_task, (calm, SEED), block_plan(SAMPLES),
                 policy=ResiliencePolicy(**FAST), pool=pool,
             )
         assert clean == clean_run(calm)

@@ -294,11 +294,12 @@ class TestWorkerMerge:
         assert telemetry.merge_workers(tele) == 0
         assert (tmp_path / f"events-{os.getpid()}.jsonl").exists()
 
-    def test_pooled_run_merges_worker_events(self, tmp_path, calm):
+    def test_pooled_run_merges_worker_events(self, tmp_path, calm, task_blocks):
         """The acceptance case: a 2-worker run leaves exactly one merged
         parent file whose mc.block spans carry worker pids."""
+        task_blocks(1)
         tele = telemetry.enable(directory=tmp_path)
-        characterize(calm, samples=4 * BLOCK, chunk=BLOCK, workers=2)
+        characterize(calm, samples=4 * BLOCK, workers=2)
         snap = tele.snapshot()
         assert snap.phase("mc.block").count == 4
         assert snap.gauges["pool.workers"] == 2
@@ -313,9 +314,10 @@ class TestWorkerMerge:
 
 
 class TestEngineIntegration:
-    def test_serial_run_phases_and_gauges(self, calm):
+    def test_serial_run_phases_and_gauges(self, calm, task_blocks):
+        task_blocks(1)
         tele = telemetry.enable()
-        characterize(calm, samples=2 * BLOCK, chunk=BLOCK)
+        characterize(calm, samples=2 * BLOCK)
         snap = tele.snapshot()
         assert snap.phase("characterize").count == 1
         assert snap.phase("mc.block").count == 2
@@ -343,10 +345,11 @@ class TestEngineIntegration:
         telemetry.disable()
         assert tele.snapshot().counter("warehouse.misses") == 1
 
-    def test_checkpoint_writes_counted(self, tmp_path, calm, monkeypatch):
+    def test_checkpoint_writes_counted(self, tmp_path, calm, monkeypatch, task_blocks):
+        task_blocks(1)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         with telemetry.recording() as rec:
-            characterize(calm, samples=2 * BLOCK, chunk=BLOCK, checkpoint=True)
+            characterize(calm, samples=2 * BLOCK, checkpoint=True)
         snap = rec.snapshot
         assert snap.counter("runtime.checkpoint_writes") == 2
         assert snap.phase("checkpoint.save").count == 2
@@ -365,14 +368,12 @@ class TestEngineIntegration:
         assert len(points) == 2
         assert rec.snapshot.phase("mc.block").count == 2
 
-    def test_progress_events_still_delivered(self, calm):
+    def test_progress_events_still_delivered(self, calm, task_blocks):
         """Telemetry-backed events must not break the progress callback."""
+        task_blocks(1)
         events = []
         telemetry.enable()
-        characterize(
-            calm, samples=2 * BLOCK, chunk=BLOCK,
-            progress=events.append,
-        )
+        characterize(calm, samples=2 * BLOCK, progress=events.append)
         kinds = [e["event"] for e in events]
         assert kinds.count("progress") == 2
         assert kinds[-1] == "done"
@@ -492,38 +493,43 @@ class TestChaosInterplay:
         claims = len(list(directory.glob("claim-0-*")))
         return min(spec.times, claims)
 
-    def test_retry_counter_matches_serial_raise_firings(self, tmp_path, calm):
+    def test_retry_counter_matches_serial_raise_firings(
+        self, tmp_path, calm, task_blocks
+    ):
+        task_blocks(1)
         spec = FaultSpec(kind="raise", block=1, times=2)
         chaos.install([spec], tmp_path)
         tele = telemetry.enable()
         characterize(
-            calm, samples=2 * BLOCK, chunk=BLOCK,
+            calm, samples=2 * BLOCK,
             policy=ResiliencePolicy(max_retries=3, **FAST),
         )
         fired = self._firings(tmp_path, spec)
         assert fired == 2
         assert tele.snapshot().counter("runtime.retries") == fired
 
-    def test_retry_counter_matches_corrupt_firings(self, tmp_path, calm):
+    def test_retry_counter_matches_corrupt_firings(self, tmp_path, calm, task_blocks):
+        task_blocks(1)
         spec = FaultSpec(kind="corrupt", block=0, times=1)
         chaos.install([spec], tmp_path)
         tele = telemetry.enable()
         characterize(
-            calm, samples=2 * BLOCK, chunk=BLOCK,
+            calm, samples=2 * BLOCK,
             policy=ResiliencePolicy(max_retries=2, **FAST),
         )
         assert self._firings(tmp_path, spec) == 1
         assert tele.snapshot().counter("runtime.retries") == 1
 
     def test_rebuild_counter_matches_crash_firings(
-        self, tmp_path, monkeypatch, calm
+        self, tmp_path, monkeypatch, calm, task_blocks
     ):
+        task_blocks(1)
         spec = FaultSpec(kind="crash", block=0, times=1)
         plan = ChaosPlan((spec,), str(tmp_path))
         monkeypatch.setenv(CHAOS_ENV, plan.to_json())
         tele = telemetry.enable()
         characterize(
-            calm, samples=2 * BLOCK, chunk=BLOCK, workers=2,
+            calm, samples=2 * BLOCK, workers=2,
             policy=ResiliencePolicy(max_retries=2, **FAST),
         )
         fired = self._firings(tmp_path, spec)
@@ -534,14 +540,15 @@ class TestChaosInterplay:
         assert snap.counter("runtime.degraded") == 0
 
     def test_degraded_counter_after_persistent_crashes(
-        self, tmp_path, monkeypatch, calm
+        self, tmp_path, monkeypatch, calm, task_blocks
     ):
+        task_blocks(1)
         spec = FaultSpec(kind="crash", block=0, times=99)
         plan = ChaosPlan((spec,), str(tmp_path))
         monkeypatch.setenv(CHAOS_ENV, plan.to_json())
         tele = telemetry.enable()
         characterize(
-            calm, samples=2 * BLOCK, chunk=BLOCK, workers=2,
+            calm, samples=2 * BLOCK, workers=2,
             policy=ResiliencePolicy(max_retries=0, max_pool_rebuilds=1, **FAST),
         )
         snap = tele.snapshot()
