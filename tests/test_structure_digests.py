@@ -12,10 +12,14 @@ pipeline register power and the stuck-at fault ablation, so a change of
 gate evaluator must leave every float of them unchanged.  A fifth pins
 the operand pairs the conformance fuzzer draws for every kind of batch,
 so a faster generator must draw the same pairs from the same substreams.
+A sixth pins the serving wire: the response frames of both serving
+fronts to one request script, so a refactor of how a front dispatches
+must answer every request byte for byte as before.
 """
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 
@@ -32,6 +36,7 @@ from repro.logic.faults import fault_coverage, fault_impacts, fault_sites
 from repro.logic.pipeline import pipeline_netlist
 from repro.logic.serialize import to_json
 from repro.multipliers.registry import TABLE1_IDS, build, fingerprint, names
+from repro.serve import BatchPolicy, LocalShard, Service, Supervisor
 from repro.synth.cost import synthesize_design
 
 DIGESTS = {
@@ -40,6 +45,7 @@ DIGESTS = {
     "fingerprints": "8b9f5a2c4ec211aab8ae8275a0a191e33e234d0b54023f228f2a124a88fa8ca9",
     "synthesis": "856cee9f5f38a0a7d19ad7990158e356a4e816b4b9a1f2fe955d9b86f4a1a0e3",
     "fuzz_batches": "620ab15e59960716e9e5cb8eaa031c24819d54cf74e0e06782db32a1cad08a78",
+    "serve_frames": "510e726482525c6710414507322bc771d9b0d105b8a9bd3da582c0ffdc163af4",
 }
 
 
@@ -199,3 +205,89 @@ def test_fuzz_batches():
     digest, count = _digest(parts())
     assert count == 138
     assert digest == DIGESTS["fuzz_batches"]
+
+
+#: the request script of the ``serve_frames`` digest, in three phases:
+#: a healthy front, a front whose shards are dead (a ``Service`` has none
+#: and answers as before), and a draining front
+SERVE_SCRIPT = {
+    "healthy": (
+        b'{"op":"ping","id":1}',
+        b'{"op":"status","id":"s"}',
+        b'{"op":"designs","prefix":"drum-","id":2}',
+        b'{"op":"multiply","design":"realm16-t4","a":40000,"b":51234,"id":3}',
+        b'{"op":"multiply","design":"calm","a":[3,5,255],"b":[7,9,254],"bitwidth":8,"id":4}',
+        b'{"op":"multiply","design":"drum-k6","a":[1,2,3,4,5,6,7,8],"b":12345,"id":5}',
+        b'{"op":"characterize","design":"calm","bitwidth":8,"samples":4096,"seed":7,"id":6}',
+        # bad-frame: not JSON, not UTF-8, not an object
+        b"not json",
+        b"\xff\xfe",
+        b"[1,2]",
+        # bad-request
+        b'{"op":"frobnicate","id":7}',
+        b'{"id":8}',
+        b'{"op":"multiply","design":"calm","a":[1,2],"b":[1,2,3],"id":9}',
+        b'{"op":"ping","id":[1]}',
+        # unknown-design, bad-operands, and a width the design cannot take
+        b'{"op":"multiply","design":"no-such-design","a":1,"b":2,"id":10}',
+        b'{"op":"characterize","design":"no-such-design","id":11}',
+        b'{"op":"multiply","design":"calm","a":65536,"b":2,"id":12}',
+        b'{"op":"multiply","design":"drum-k6","a":1,"b":2,"bitwidth":4,"id":13}',
+        b'{"op":"characterize","design":"drum-k6","bitwidth":4,"samples":16,"id":14}',
+        # more pairs than a queue holds: overloaded, or degraded by a fleet
+        b'{"op":"multiply","design":"calm","a":[1,2,3,4,5,6,7,8,9],"b":3,"id":15}',
+    ),
+    "shards-dead": (
+        b'{"op":"multiply","design":"mbm-t4","a":[300,301],"b":[7,65535],"id":16}',
+        b'{"op":"characterize","design":"calm","bitwidth":8,"samples":64,"id":17}',
+        b'{"op":"status","id":18}',
+    ),
+    "draining": (
+        b'{"op":"multiply","design":"calm","a":1,"b":2,"id":19}',
+        b'{"op":"characterize","design":"calm","id":20}',
+        b'{"op":"designs","id":21}',
+        b'{"op":"ping","id":22}',
+        b'{"op":"status","id":23}',
+    ),
+}
+
+
+async def _serve_frames(front: str) -> list[bytes]:
+    """The frames one front answers :data:`SERVE_SCRIPT` with, one
+    request at a time through ``handle_line``."""
+    policy = BatchPolicy(max_latency=0, max_queue=8)
+    if front == "service":
+        server = Service(policy=policy)
+        server.start()
+        shards = []
+    else:
+        shards = [LocalShard(f"shard-{i}", policy=policy) for i in (0, 1)]
+        server = Supervisor(shards)
+        await server.up()
+    frames = []
+    for phase, lines in SERVE_SCRIPT.items():
+        if phase == "shards-dead":
+            for shard in shards:
+                shard.kill()
+        elif phase == "draining":
+            await server.drain()
+        for line in lines:
+            frames.append(await server.handle_line(line + b"\n"))
+    return frames
+
+
+def test_serve_frames(monkeypatch):
+    """Every op, every error code a front answers in process and the
+    drain gate, through a ``Service`` and through a ``Supervisor`` over
+    two in-process shards.  (``deadline-exceeded`` needs a shard that
+    stops answering, which an in-process shard never does.)"""
+    monkeypatch.delenv("REPRO_WAREHOUSE_DIR", raising=False)
+
+    def parts():
+        for front in ("service", "supervisor"):
+            for index, frame in enumerate(asyncio.run(_serve_frames(front))):
+                yield f"{front}:{index}", frame
+
+    digest, count = _digest(parts())
+    assert count == 2 * 28
+    assert digest == DIGESTS["serve_frames"]
