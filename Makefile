@@ -68,7 +68,7 @@ verify:
 	PYTHONPATH=src $(PYTHON) examples/jpeg_compression.py
 	@echo "--- compiled-kernel smoke (the default path vs the interpreted model) ---"
 	PYTHONPATH=src $(PYTHON) -m repro conform --design realm-16-m4-q5 --budget 20000 --seed 0 \
-		--layers model kernel exact
+		--layers model rtl kernel exact
 	PYTHONPATH=src $(PYTHON) -m repro conform --design am2-nb13 --budget 20000 --seed 0 \
 		--layers model rtl kernel exact
 	PYTHONPATH=src $(PYTHON) -m repro conform --design intalp-l2 --budget 20000 --seed 0 \

@@ -61,6 +61,7 @@ __all__ = [
     "CorruptResultError",
     "ResiliencePolicy",
     "SharedPool",
+    "decorrelated_jitter",
     "monotonic_progress",
     "run_campaign",
     "validate_batch",
@@ -73,8 +74,12 @@ _ACC_FIELDS = tuple(field.name for field in dataclasses.fields(Accumulator))
 _ACC_INT_FIELDS = ("count", "all_count")
 
 
-def _default_jitter(low: float, high: float) -> float:
-    return random.uniform(low, high)
+def decorrelated_jitter(previous: float, base: float, cap: float, jitter=None) -> float:
+    """The decorrelated-jitter backoff after a delay of ``previous``
+    seconds: ``min(cap, U(base, 3*previous))``.  ``jitter(low, high)``
+    replaces the uniform draw (``random.uniform``) in tests."""
+    uniform = jitter if jitter is not None else random.uniform
+    return min(cap, uniform(base, max(base, 3.0 * previous)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,9 +120,9 @@ class ResiliencePolicy:
 
     def next_delay(self, previous: float) -> float:
         """Decorrelated-jitter backoff: ``min(cap, U(base, 3*previous))``."""
-        uniform = self.jitter if self.jitter is not None else _default_jitter
-        high = max(self.backoff_base, 3.0 * previous)
-        return min(self.backoff_cap, uniform(self.backoff_base, high))
+        return decorrelated_jitter(
+            previous, self.backoff_base, self.backoff_cap, self.jitter
+        )
 
     def pause(self, seconds: float) -> None:
         if seconds > 0:

@@ -587,7 +587,6 @@ def cmd_serve(args) -> int:
             policy=policy,
             workers=args.workers,
             engine=_serve_engine_options(args),
-            characterize_slots=args.characterize_slots,
         )
 
     async def run() -> None:
@@ -1074,10 +1073,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers", type=_positive_int, default=None,
         help="worker processes reused across characterize requests",
-    )
-    p.add_argument(
-        "--characterize-slots", type=_positive_int, default=1,
-        help="concurrent characterize runs (multiplies are unaffected)",
     )
     p.add_argument(
         "--max-retries", type=_nonnegative_int, default=None,

@@ -59,7 +59,7 @@ from ..multipliers import (
 )
 from ..multipliers.base import datapath_family
 from .backends import import_z3
-from .encode import Encoding, UnsupportedDesignError, encode_model
+from .encode import Encoding, UnsupportedDesignError, model_encoding
 
 __all__ = [
     "ErrorCertificate",
@@ -612,7 +612,7 @@ def certify_worst_error(
                     f"exhaustive sweep gated to N <= {sweep_max_bitwidth}, "
                     f"got {n}; use method='smt' or 'interval'"
                 )
-            encoding = encode_model(model, design_id)
+            encoding = model_encoding(model, design_id)
             (lo, a_lo, b_lo), (hi, a_hi, b_hi) = _sweep(encoding)
             peak_min = _certificate(model, "min", a_lo, b_lo, lo, True)
             peak_max = _certificate(model, "max", a_hi, b_hi, hi, True)
@@ -623,7 +623,7 @@ def certify_worst_error(
                 raise UnsupportedDesignError(
                     "method 'smt' requires z3, which is not installed"
                 )
-            encoding = encode_model(model, design_id)
+            encoding = model_encoding(model, design_id)
             lo, pair_lo, exact_lo = _smt_ascent(model, encoding, "min", smt_timeout_ms)
             hi, pair_hi, exact_hi = _smt_ascent(model, encoding, "max", smt_timeout_ms)
             peak_min = _certificate(model, "min", *pair_lo, lo, exact_lo)

@@ -46,6 +46,7 @@ from collections.abc import Callable
 import numpy as np
 
 from ..analysis import telemetry
+from ..analysis.cache import cache_key
 from ..circuits.adders import ALM_ADDERS, ripple_adder, ripple_subtractor
 from ..circuits.lod import leading_one, or_tree
 from ..circuits.logdatapath import (
@@ -75,6 +76,7 @@ from ..multipliers import (
 )
 from ..multipliers.base import datapath_family
 from ..multipliers.dnnco import DnnCoMultiplier
+from ..multipliers.registry import fingerprint
 from ..multipliers.scaletrim import ScaleTrimMultiplier
 
 __all__ = [
@@ -85,6 +87,7 @@ __all__ = [
     "encode_model",
     "encode_netlist",
     "encode_table",
+    "model_encoding",
 ]
 
 class UnsupportedDesignError(ValueError):
@@ -523,6 +526,28 @@ def encode_model(model, design: str = "?") -> Encoding:
         nl.set_outputs(encoder(nl, a, b, model))
         nl.prune()
         return Encoding(design, n, "model", "symbolic", netlist=nl)
+
+
+#: the most recent :func:`model_encoding`, keyed by design id and the
+#: model's content address
+_RECENT: dict[tuple[str, str], Encoding] = {}
+
+
+def model_encoding(model, design: str = "?") -> Encoding:
+    """:func:`encode_model`, reused while the same design is asked for.
+
+    A proof and a certificate of one design read one encoding instead of
+    building two.  The key is the design id plus
+    ``cache_key(fingerprint(model))``, so two different models never
+    share one.  Only the most recent encoding is kept, and it is dropped
+    before the next one is built, so reuse never holds two at once.
+    """
+    key = (design, cache_key(fingerprint(model)))
+    encoding = _RECENT.get(key)
+    if encoding is None:
+        _RECENT.clear()
+        encoding = _RECENT[key] = encode_model(model, design)
+    return encoding
 
 
 def encode_kernel(model, design: str = "?") -> Encoding:

@@ -38,8 +38,8 @@ from .encode import (
     UnsupportedDesignError,
     _pair_grid,
     encode_kernel,
-    encode_model,
     encode_netlist,
+    model_encoding,
 )
 
 __all__ = ["LegResult", "EquivalenceResult", "prove_equivalence", "sample_operands"]
@@ -217,7 +217,7 @@ def prove_equivalence(
     tele = telemetry.get()
     legs: list[LegResult] = []
     with tele.span("formal.prove_equiv", design=design_id, bitwidth=n):
-        model_enc = encode_model(model, design_id)
+        model_enc = model_encoding(model, design_id)
 
         # formula ~ model: the encoder's own self-check, against the
         # interpreted datapath (the kernel has a leg of its own below)

@@ -3,7 +3,7 @@
 :class:`AsyncClient` speaks the newline-delimited JSON protocol over a
 TCP connection, pipelining requests (auto-assigned ``id``s, responses
 matched by ``id`` in completion order).  :class:`InProcessClient` drives
-a :class:`~repro.serve.server.Service` directly through the same codec
+a serving front directly through the same codec
 — the deterministic test transport: no sockets, no timers, identical
 frames on both paths.  :func:`request_once` is the synchronous one-shot
 used by the ``repro-realm client`` CLI.
@@ -125,10 +125,11 @@ class _RequestOps:
 
 
 class InProcessClient(_RequestOps):
-    """Drives a :class:`~repro.serve.server.Service` without a socket.
+    """Drives a serving front (a :class:`~repro.serve.server.Service` or
+    a :class:`~repro.serve.supervisor.Supervisor`) without a socket.
 
     Every request still round-trips the wire codec
-    (``encode_frame -> Service.handle_line -> decode_frame``), so tests
+    (``encode_frame -> handle_line -> decode_frame``), so tests
     exercise exactly the frames a TCP client would see.
     """
 
@@ -311,20 +312,17 @@ class AsyncClient(_RequestOps):
         await self.close()
 
 
-def request_once(
-    host: str, port: int, obj: dict, timeout: float = 30.0, retries: int = 0
-) -> dict:
+def request_once(host: str, port: int, obj: dict, timeout: float = 30.0) -> dict:
     """Synchronous one-shot: connect, send one request, return the response.
 
     The CLI's transport.  Raises :class:`ServeError` on a structured
     error response, ``ConnectionError``/``TimeoutError`` on transport
-    failures.  ``retries`` bounds reconnect-and-resend attempts for
-    idempotent ops (see :data:`IDEMPOTENT_OPS`); the ``timeout`` covers
-    the whole exchange including retries.
+    failures; the ``timeout`` covers the whole exchange.  A dropped
+    connection is not retried.
     """
 
     async def go() -> dict:
-        client = await AsyncClient.connect(host, port, retries=retries)
+        client = await AsyncClient.connect(host, port)
         try:
             response = await client.request(obj)
         finally:

@@ -1,15 +1,17 @@
 """The serving layer: request dispatch, TCP transport, graceful drain.
 
-:class:`Service` is the transport-independent core — it turns one
-decoded request into one response dict, multiplying through the
-micro-batcher (:mod:`repro.serve.batcher`), characterizing through the
-resilient Monte-Carlo engine (off the event loop, with a
-:class:`~repro.analysis.runtime.SharedPool` reused across requests),
-and answering ``designs``/``ping`` from the registry.
-:meth:`Service.handle_line` adds the framing layer: any input line in,
-exactly one well-formed response frame out, never an exception.
+:class:`Dispatcher` is what every serving front shares: it turns one
+decoded request into one response dict (parsing, the drain gate, op
+dispatch, structured errors, the ``designs`` listing), and
+:meth:`Dispatcher.handle_line` adds the framing layer: any input line
+in, exactly one well-formed response frame out, never an exception.
+:class:`Service` is the single-process front, multiplying through the
+micro-batcher (:mod:`repro.serve.batcher`) and characterizing through
+the resilient Monte-Carlo engine (off the event loop, with a
+:class:`~repro.analysis.runtime.SharedPool` reused across requests);
+:class:`~repro.serve.supervisor.Supervisor` forwards both ops to shards.
 
-:class:`TcpServer` binds a ``Service`` to an asyncio TCP endpoint
+:class:`TcpServer` binds a front to an asyncio TCP endpoint
 (newline-delimited JSON, one frame per line, requests pipelined per
 connection and answered in completion order, matched by ``id``).
 Shutdown is a graceful drain: stop accepting, flush the batcher so
@@ -17,7 +19,7 @@ every admitted request gets its response, then close connections —
 admitted work is never dropped, new work is refused with
 ``shutting-down``.
 
-The in-process path for tests is simply a ``Service`` plus
+The in-process path for tests is simply a front plus
 :class:`repro.serve.client.InProcessClient` — same dispatch, same
 codec, no sockets.
 """
@@ -47,70 +49,39 @@ from .protocol import (
     parse_request,
 )
 
-__all__ = ["DEFAULT_PORT", "Service", "TcpServer"]
+__all__ = ["DEFAULT_PORT", "Dispatcher", "Service", "TcpServer", "products_response"]
 
 #: default TCP port (no registered meaning; "REALM" on a phone keypad-ish)
 DEFAULT_PORT = 7325
 
 
-class Service:
-    """Transport-independent request dispatch.
+def products_response(request: MultiplyRequest, products) -> dict:
+    """The ``multiply`` answer: every product, plus the bare ``product``
+    when both operands were scalars."""
+    result = {"products": [int(value) for value in products]}
+    if request.scalar:
+        result["product"] = result["products"][0]
+    return ok_response(request.id, result)
 
-    ``policy``/``models``/``sleep`` configure the micro-batcher (the
-    injectable ``sleep`` is what the deterministic test harness uses);
-    ``workers`` > 1 gives characterize requests a :class:`SharedPool`
-    whose worker processes are reused across requests; ``engine`` is a
-    dict of extra :func:`~repro.analysis.montecarlo.characterize`
-    keyword arguments (``warehouse=``, ``policy=``, ...);
-    ``characterize_slots`` bounds concurrent characterize runs (default
-    1 — the engine parallelizes internally, and the shared pool is not
-    thread-safe).
+
+class Dispatcher:
+    """The request dispatch every serving front shares.
+
+    A front answers ``multiply`` and ``characterize`` (:meth:`_multiply`,
+    :meth:`_characterize`, given the typed request and the decoded frame
+    it came from) and reports ``ping``/``status`` (:meth:`_ping`,
+    :meth:`_status`); ``models`` (a :class:`ModelCache`) backs the
+    ``designs`` listing.  Once :attr:`draining`, every request but
+    ``ping`` and ``status`` is refused with ``shutting-down``.
     """
 
-    def __init__(
-        self,
-        *,
-        policy: BatchPolicy | None = None,
-        models: ModelCache | None = None,
-        sleep=None,
-        workers: int | None = None,
-        engine: dict | None = None,
-        characterize_slots: int = 1,
-    ):
-        if characterize_slots < 1:
-            raise ValueError(
-                f"characterize_slots must be >= 1, got {characterize_slots}"
-            )
-        self.batcher = MicroBatcher(policy, models=models, sleep=sleep)
-        self.workers = workers
-        self.pool = SharedPool(workers) if workers and workers > 1 else None
-        self.engine = dict(engine) if engine else {}
-        self._gate = asyncio.Semaphore(characterize_slots)
-        self._draining = False
-
-    # -- lifecycle ------------------------------------------------------
-
-    def start(self) -> None:
-        """Start the batcher's background flusher (needs a running loop)."""
-        self.batcher.start()
+    #: the ``shutting-down`` message of the drain gate
+    drain_message = "server is draining; retry elsewhere"
+    _draining = False
 
     @property
     def draining(self) -> bool:
         return self._draining
-
-    async def drain(self) -> None:
-        """Graceful shutdown: answer everything admitted, refuse the rest.
-
-        New requests are refused with ``shutting-down`` from the moment
-        this is called; queued multiplies flush and resolve; the shared
-        characterize pool shuts down after in-flight runs finish.
-        """
-        self._draining = True
-        await self.batcher.drain()
-        if self.pool is not None:
-            await asyncio.to_thread(self.pool.close)
-
-    # -- framing --------------------------------------------------------
 
     async def handle_line(self, line) -> bytes:
         """One frame in, one frame out; no exception ever escapes."""
@@ -134,14 +105,12 @@ class Service:
         except ProtocolError as exc:
             return error_response(request_id, exc.code, exc.message)
         if self._draining and not isinstance(request, (PingRequest, StatusRequest)):
-            return error_response(
-                request.id, "shutting-down", "server is draining; retry elsewhere"
-            )
+            return error_response(request.id, "shutting-down", self.drain_message)
         try:
             if isinstance(request, MultiplyRequest):
-                return await self._multiply(request)
+                return await self._multiply(request, obj)
             if isinstance(request, CharacterizeRequest):
-                return await self._characterize(request)
+                return await self._characterize(request, obj)
             if isinstance(request, DesignsRequest):
                 return self._designs(request)
             if isinstance(request, StatusRequest):
@@ -155,9 +124,71 @@ class Service:
                 request.id, "internal", f"{type(exc).__name__}: {exc}"
             )
 
+    def _designs(self, request: DesignsRequest) -> dict:
+        listing = []
+        for name in names():
+            if not name.startswith(request.prefix):
+                continue
+            model = self.models.get(name)
+            listing.append(
+                {"id": name, "name": model.name, "family": model.family}
+            )
+        return ok_response(request.id, {"designs": listing})
+
+
+class Service(Dispatcher):
+    """The single-process front: the micro-batcher and the engine.
+
+    ``policy``/``models``/``sleep`` configure the micro-batcher (the
+    injectable ``sleep`` is what the deterministic test harness uses);
+    ``workers`` > 1 gives characterize requests a :class:`SharedPool`
+    whose worker processes are reused across requests; ``engine`` is a
+    dict of extra :func:`~repro.analysis.montecarlo.characterize`
+    keyword arguments (``warehouse=``, ``policy=``, ...).  Characterize
+    runs one at a time: the engine parallelizes internally, and the
+    shared pool is not thread-safe.
+    """
+
+    def __init__(
+        self,
+        *,
+        policy: BatchPolicy | None = None,
+        models: ModelCache | None = None,
+        sleep=None,
+        workers: int | None = None,
+        engine: dict | None = None,
+    ):
+        self.batcher = MicroBatcher(policy, models=models, sleep=sleep)
+        self.workers = workers
+        self.pool = SharedPool(workers) if workers and workers > 1 else None
+        self.engine = dict(engine) if engine else {}
+        self._characterizing = asyncio.Lock()
+
+    @property
+    def models(self) -> ModelCache:
+        return self.batcher.models
+
+    # -- lifecycle ------------------------------------------------------
+
+    def start(self) -> None:
+        """Start the batcher's background flusher (needs a running loop)."""
+        self.batcher.start()
+
+    async def drain(self) -> None:
+        """Graceful shutdown: answer everything admitted, refuse the rest.
+
+        New requests are refused with ``shutting-down`` from the moment
+        this is called; queued multiplies flush and resolve; the shared
+        characterize pool shuts down after in-flight runs finish.
+        """
+        self._draining = True
+        await self.batcher.drain()
+        if self.pool is not None:
+            await asyncio.to_thread(self.pool.close)
+
     # -- ops ------------------------------------------------------------
 
-    async def _multiply(self, request: MultiplyRequest) -> dict:
+    async def _multiply(self, request: MultiplyRequest, frame: dict) -> dict:
         try:
             future = self.batcher.submit(
                 request.design, request.a, request.b, request.bitwidth
@@ -169,22 +200,18 @@ class Service:
         except ShedError as exc:
             code = "shutting-down" if self.batcher.closing else "overloaded"
             return error_response(request.id, code, str(exc))
-        products = await future
-        result = {"products": [int(value) for value in products]}
-        if request.scalar:
-            result["product"] = result["products"][0]
-        return ok_response(request.id, result)
+        return products_response(request, await future)
 
-    async def _characterize(self, request: CharacterizeRequest) -> dict:
+    async def _characterize(self, request: CharacterizeRequest, frame: dict) -> dict:
         if self.batcher.closing:
             return error_response(
                 request.id, "shutting-down", "server is draining"
             )
         try:
-            model = self.batcher.models.get(request.design, request.bitwidth)
+            model = self.models.get(request.design, request.bitwidth)
         except KeyError as exc:
             return error_response(request.id, "unknown-design", str(exc.args[0]))
-        async with self._gate:
+        async with self._characterizing:
             with telemetry.get().span(
                 "serve.characterize", design=model.name, samples=request.samples
             ):
@@ -207,17 +234,6 @@ class Service:
                 "metrics": dataclasses.asdict(metrics),
             },
         )
-
-    def _designs(self, request: DesignsRequest) -> dict:
-        listing = []
-        for name in names():
-            if not name.startswith(request.prefix):
-                continue
-            model = self.batcher.models.get(name)
-            listing.append(
-                {"id": name, "name": model.name, "family": model.family}
-            )
-        return ok_response(request.id, {"designs": listing})
 
     def _ping(self, request: PingRequest) -> dict:
         return ok_response(

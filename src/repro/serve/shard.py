@@ -7,8 +7,8 @@ the handle interface the supervisor routes through.  Two flavours share
 that interface:
 
 * :class:`ProcessShard` — the production unit: a child process (spawn
-  context by default, so no event-loop or lock state leaks across the
-  fork boundary) running :func:`shard_main`, which binds a
+  context, so no event-loop or lock state leaks across the fork
+  boundary) running :func:`shard_main`, which binds a
   :class:`~repro.serve.server.TcpServer` on an ephemeral loopback port,
   reports the port back through a pipe, and serves until SIGTERM
   triggers a graceful drain.  The parent talks to it over the ordinary
@@ -16,10 +16,13 @@ that interface:
   the shard link *is* the public wire format, so everything the protocol
   suite proves holds inside the fleet too.
 * :class:`LocalShard` — the same handle over an in-process ``Service``:
-  no sockets, no processes, deterministic.  This is what unit tests and
-  the conformance oracle's supervised ``serve`` layer use; it exercises
-  every supervisor code path (routing, validation, retry, degradation)
-  except OS-level crash/kill.
+  no sockets, no processes, deterministic.  A request dict goes straight
+  to :meth:`~repro.serve.server.Dispatcher.handle` — the frames were
+  already decoded once at the front, so the in-process hop skips a
+  second encode and decode.  This is what unit tests and the conformance
+  oracle's supervised ``serve`` layer use; it exercises every supervisor
+  code path (routing, validation, retry, degradation) except OS-level
+  crash/kill.
 
 **Chaos injection** rides the existing plans
 (:mod:`repro.analysis.chaos`): :class:`ShardService` counts multiply
@@ -45,7 +48,7 @@ import time
 
 from .batcher import BatchPolicy
 from .client import AsyncClient
-from .protocol import MultiplyRequest, decode_frame, encode_frame
+from .protocol import MultiplyRequest
 from .server import Service, TcpServer
 
 __all__ = [
@@ -58,6 +61,14 @@ __all__ = [
 
 #: exit code of a chaos-crashed shard (mirrors the batch-task harness)
 CRASH_EXIT_CODE = 17
+
+#: how a shard process starts: from a fresh interpreter, so no event
+#: loop, socket or lock state of the (possibly already-async) parent
+#: leaks across
+START_METHOD = "spawn"
+
+#: seconds a shard process has to report its bound port
+STARTUP_TIMEOUT = 60.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,7 +105,7 @@ class ShardService(Service):
         self.label = label
         self._multiply_seq = 0
 
-    async def _multiply(self, request: MultiplyRequest) -> dict:
+    async def _multiply(self, request: MultiplyRequest, frame: dict) -> dict:
         from ..analysis import chaos
 
         ordinal = self._multiply_seq
@@ -111,7 +122,7 @@ class ShardService(Service):
                 raise chaos.ChaosFault(
                     f"injected fault on {self.label} request {ordinal}"
                 )
-        response = await super()._multiply(request)
+        response = await super()._multiply(request, frame)
         if spec is not None and spec.kind == "corrupt" and response.get("ok"):
             # a poisoned reply: drop the last product so the supervisor's
             # length validation must catch it (never a silent wrong answer
@@ -205,8 +216,7 @@ class LocalShard:
     async def request(self, obj: dict) -> dict:
         if self.service is None:
             raise ConnectionError(f"shard {self.name!r} is not running")
-        line = await self.service.handle_line(encode_frame(obj))
-        return decode_frame(line)
+        return await self.service.handle(obj)
 
     async def stop(self) -> None:
         service, self.service = self.service, None
@@ -226,27 +236,18 @@ class LocalShard:
 class ProcessShard:
     """A shard running :func:`shard_main` in a child process.
 
-    ``mp_context`` defaults to ``"spawn"``: the child starts from a
-    fresh interpreter, so no event loop, socket, or lock state of the
-    (possibly already-async) parent leaks across.  :meth:`start` blocks
-    until the child reports its bound port (``startup_timeout`` guards a
-    child that dies before binding), then connects the parent-side
-    :class:`AsyncClient`.  :meth:`stop` is the graceful path (SIGTERM →
-    drain → join, escalating to SIGKILL after ``grace``); :meth:`kill`
-    is immediate — what the supervisor does to a hung shard.
+    The child starts by :data:`START_METHOD`.  :meth:`start` blocks
+    until the child reports its bound port (:data:`STARTUP_TIMEOUT`
+    guards a child that dies before binding), then connects the
+    parent-side :class:`AsyncClient`.  :meth:`stop` is the graceful path
+    (SIGTERM → drain → join, escalating to SIGKILL after ``grace``);
+    :meth:`kill` is immediate — what the supervisor does to a hung shard.
     """
 
-    def __init__(
-        self,
-        config: ShardConfig,
-        *,
-        mp_context: str = "spawn",
-        startup_timeout: float = 60.0,
-    ):
+    def __init__(self, config: ShardConfig):
         self.config = config
         self.name = config.name
-        self._ctx = multiprocessing.get_context(mp_context)
-        self._timeout = startup_timeout
+        self._ctx = multiprocessing.get_context(START_METHOD)
         self.process = None
         self.port: int | None = None
         self.client: AsyncClient | None = None
@@ -274,11 +275,11 @@ class ProcessShard:
         self.client = await AsyncClient.connect(self.config.host, self.port)
 
     def _await_ready(self, conn):
-        if not conn.poll(self._timeout):
+        if not conn.poll(STARTUP_TIMEOUT):
             self._reap()
             raise ConnectionError(
                 f"shard {self.name!r} did not report ready within "
-                f"{self._timeout}s"
+                f"{STARTUP_TIMEOUT}s"
             )
         try:
             message = conn.recv()

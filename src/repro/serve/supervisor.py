@@ -1,9 +1,10 @@
 """Supervised multi-shard serving: route, watch, restart, degrade.
 
-The :class:`Supervisor` is a drop-in :class:`~repro.serve.server.Service`
-replacement (same ``start`` / ``handle_line`` / ``drain`` / ``draining``
-surface, so the existing :class:`~repro.serve.server.TcpServer` fronts it
-unchanged) that owns a fleet of shards (:mod:`repro.serve.shard`) instead
+The :class:`Supervisor` is the fleet front: a
+:class:`~repro.serve.server.Dispatcher` like
+:class:`~repro.serve.server.Service`, with the same ``start`` /
+``drain`` lifecycle, so :class:`~repro.serve.server.TcpServer` fronts it
+unchanged.  It owns a fleet of shards (:mod:`repro.serve.shard`) instead
 of evaluating in-process.  The robustness contract, end to end:
 
 * **Routing** — multiply and characterize requests are routed by the
@@ -62,29 +63,26 @@ import bisect
 import dataclasses
 import hashlib
 import itertools
-import random
 import time
 
 import numpy as np
 
 from ..analysis import telemetry
 from ..analysis.cache import cache_key
+from ..analysis.runtime import decorrelated_jitter
 from ..multipliers.base import as_operands
-from ..multipliers.registry import fingerprint, names
+from ..multipliers.registry import fingerprint
 from .batcher import ModelCache
 from .protocol import (
     PROTOCOL_VERSION,
     CharacterizeRequest,
     MultiplyRequest,
     PingRequest,
-    ProtocolError,
     StatusRequest,
-    decode_frame,
-    encode_frame,
     error_response,
     ok_response,
-    parse_request,
 )
+from .server import Dispatcher, products_response
 
 __all__ = ["CircuitBreaker", "HashRing", "Supervisor", "SupervisorPolicy"]
 
@@ -92,10 +90,6 @@ __all__ = ["CircuitBreaker", "HashRing", "Supervisor", "SupervisorPolicy"]
 #: (bad-request, bad-operands, unknown-design) is deterministic and
 #: passed through to the client unchanged
 REDIRECTABLE_CODES = frozenset({"overloaded", "shutting-down", "internal"})
-
-
-def _default_jitter(low: float, high: float) -> float:
-    return random.uniform(low, high)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,9 +147,9 @@ class SupervisorPolicy:
 
     def next_delay(self, previous: float) -> float:
         """Decorrelated-jitter restart backoff: ``min(cap, U(base, 3·prev))``."""
-        uniform = self.jitter if self.jitter is not None else _default_jitter
-        high = max(self.restart_base, 3.0 * previous)
-        return min(self.restart_cap, uniform(self.restart_base, high))
+        return decorrelated_jitter(
+            previous, self.restart_base, self.restart_cap, self.jitter
+        )
 
     async def pause(self, seconds: float) -> None:
         if seconds > 0:
@@ -258,8 +252,8 @@ class HashRing:
         return self.order(key)[0]
 
 
-class Supervisor:
-    """Fleet front: a Service-shaped dispatcher over supervised shards.
+class Supervisor(Dispatcher):
+    """Fleet front: a dispatcher over supervised shards.
 
     ``shards`` is a sequence of shard handles
     (:class:`~repro.serve.shard.LocalShard` or
@@ -271,6 +265,8 @@ class Supervisor:
     computation, the ``designs`` listing and degraded evaluation; it
     never serves a healthy multiply.
     """
+
+    drain_message = "fleet is draining; retry elsewhere"
 
     def __init__(
         self,
@@ -295,7 +291,6 @@ class Supervisor:
         self._failed = dict.fromkeys(self.shards, False)  # budget exhausted
         self._seq = itertools.count(1)
         self._locks: dict[str, asyncio.Lock] = {}  # per-shard supervision
-        self._draining = False
         self._heartbeat_task: asyncio.Task | None = None
         self._inflight = 0
         self._settled: asyncio.Event | None = None
@@ -309,15 +304,11 @@ class Supervisor:
         telemetry.get().gauge("supervisor.shards_up", self._shards_up())
 
     def start(self) -> None:
-        """Start the heartbeat monitor (Service-compatible; needs a loop)."""
+        """Start the heartbeat monitor (needs a running loop)."""
         if self._heartbeat_task is None or self._heartbeat_task.done():
             self._heartbeat_task = asyncio.get_running_loop().create_task(
                 self._heartbeat_loop(), name="repro-supervisor-heartbeat"
             )
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     async def drain(self) -> None:
         """Graceful fleet shutdown: answer admitted work, then stop shards."""
@@ -380,60 +371,16 @@ class Supervisor:
     def _shards_up(self) -> int:
         return sum(1 for shard in self.shards.values() if shard.alive)
 
-    # -- framing (Service-compatible) -----------------------------------
-
-    async def handle_line(self, line) -> bytes:
-        """One frame in, one frame out; no exception ever escapes."""
-        try:
-            obj = decode_frame(line)
-        except ProtocolError as exc:
-            return encode_frame(error_response(None, exc.code, exc.message))
-        try:
-            response = await self.handle(obj)
-        except Exception as exc:  # pragma: no cover - defensive belt
-            response = error_response(
-                obj.get("id"), "internal", f"{type(exc).__name__}: {exc}"
-            )
-        return encode_frame(response)
-
-    async def handle(self, obj: dict) -> dict:
-        request_id = obj.get("id") if isinstance(obj, dict) else None
-        try:
-            request = parse_request(obj)
-        except ProtocolError as exc:
-            return error_response(request_id, exc.code, exc.message)
-        if self._draining and not isinstance(request, (PingRequest, StatusRequest)):
-            return error_response(
-                request.id, "shutting-down", "fleet is draining; retry elsewhere"
-            )
-        try:
-            if isinstance(request, MultiplyRequest):
-                return await self._forward_multiply(obj, request)
-            if isinstance(request, CharacterizeRequest):
-                return await self._forward_characterize(obj, request)
-            if isinstance(request, StatusRequest):
-                return self._status(request)
-            if isinstance(request, PingRequest):
-                return self._ping(request)
-            return self._designs(request)
-        except ProtocolError as exc:
-            return error_response(request.id, exc.code, exc.message)
-        except Exception as exc:
-            telemetry.get().counter("serve.internal_errors")
-            return error_response(
-                request.id, "internal", f"{type(exc).__name__}: {exc}"
-            )
-
     # -- forwarding -----------------------------------------------------
 
-    async def _forward_multiply(self, obj: dict, request: MultiplyRequest) -> dict:
+    async def _multiply(self, request: MultiplyRequest, frame: dict) -> dict:
         try:
             order = self.route(request.design, request.bitwidth)
         except KeyError as exc:
             return error_response(request.id, "unknown-design", str(exc.args[0]))
         pairs = max(len(request.a), len(request.b))
         response, reason = await self._forward(
-            obj,
+            frame,
             order,
             deadline=self.policy.request_deadline,
             validate=lambda result: self._valid_products(result, pairs, request.scalar),
@@ -444,15 +391,13 @@ class Supervisor:
             return self._degraded_multiply(request)
         return self._exhausted(request.id, reason)
 
-    async def _forward_characterize(
-        self, obj: dict, request: CharacterizeRequest
-    ) -> dict:
+    async def _characterize(self, request: CharacterizeRequest, frame: dict) -> dict:
         try:
             order = self.route(request.design, request.bitwidth)
         except KeyError as exc:
             return error_response(request.id, "unknown-design", str(exc.args[0]))
         response, reason = await self._forward(
-            obj,
+            frame,
             order,
             deadline=self.policy.characterize_deadline,
             validate=lambda result: isinstance(result.get("metrics"), dict),
@@ -561,24 +506,11 @@ class Supervisor:
             return error_response(request.id, "unknown-design", str(exc.args[0]))
         except ValueError as exc:
             return error_response(request.id, "bad-operands", str(exc))
-        products = model.multiply(np.atleast_1d(a), np.atleast_1d(b))
-        result = {"products": [int(value) for value in products]}
-        if request.scalar:
-            result["product"] = result["products"][0]
-        return ok_response(request.id, result)
+        return products_response(
+            request, model.multiply(np.atleast_1d(a), np.atleast_1d(b))
+        )
 
     # -- local ops ------------------------------------------------------
-
-    def _designs(self, request) -> dict:
-        listing = []
-        for name in names():
-            if not name.startswith(request.prefix):
-                continue
-            model = self.models.get(name)
-            listing.append(
-                {"id": name, "name": model.name, "family": model.family}
-            )
-        return ok_response(request.id, {"designs": listing})
 
     def _ping(self, request: PingRequest) -> dict:
         return ok_response(

@@ -350,10 +350,12 @@ class TestArgumentValidation:
             ["conform", "--design", "calm", "--workers", "2"],
             ["table1", "--quick", "--resume"],
             ["characterize", "calm", "--quick", "--resume"],
+            ["serve", "--characterize-slots", "2"],
         ],
     )
     def test_removed_campaign_flags_are_rejected(self, capsys, argv):
-        # a campaign runs one serial fuzzing path, and --checkpoint resumes
+        # a campaign runs one serial fuzzing path, --checkpoint resumes,
+        # and a served characterize runs one at a time
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
@@ -365,7 +367,6 @@ class TestArgumentValidation:
             ("--max-batch", "0"),
             ("--max-queue", "0"),
             ("--max-latency-ms", "-1"),
-            ("--characterize-slots", "0"),
             ("--workers", "0"),
         ],
     )

@@ -324,6 +324,35 @@ SYMBOLIC_MODELS = {
 }
 
 
+class TestEncodingReuse:
+    def test_prove_then_certify_builds_one_encoding(self, monkeypatch):
+        builds = []
+        encode_model = encode_module.encode_model
+
+        def counted(model, design="?"):
+            builds.append(design)
+            return encode_model(model, design)
+
+        monkeypatch.setattr(encode_module, "_RECENT", {})
+        monkeypatch.setattr(encode_module, "encode_model", counted)
+        assert prove_equivalence("drum-k5", 8).proved
+        assert certify_worst_error("drum-k5", 8).exact
+        assert builds == ["drum-k5"]
+        assert prove_equivalence("calm", 8).proved
+        assert builds == ["drum-k5", "calm"]
+
+    def test_different_models_never_share_an_encoding(self, monkeypatch):
+        monkeypatch.setattr(encode_module, "_RECENT", {})
+        model_encoding = encode_module.model_encoding
+        drum5 = model_encoding(DrumMultiplier(8, k=5), "drum")
+        assert model_encoding(DrumMultiplier(8, k=5), "drum") is drum5
+        drum6 = model_encoding(DrumMultiplier(8, k=6), "drum")
+        assert drum6 is not drum5
+        assert not np.array_equal(drum6.table, drum5.table)
+        assert model_encoding(DrumMultiplier(8, k=5), "other") is not drum5
+        assert len(encode_module._RECENT) == 1  # only the latest is held
+
+
 class TestSymbolicEncoders:
     def test_every_symbolic_family_is_covered(self):
         families = {datapath_family(build(8)) for build in SYMBOLIC_MODELS.values()}

@@ -33,11 +33,13 @@ from repro.serve import (
     AsyncClient,
     BatchPolicy,
     InProcessClient,
+    LocalShard,
     MicroBatcher,
     ModelCache,
     ServeError,
     Service,
     ShedError,
+    Supervisor,
     TcpServer,
     decode_frame,
     encode_frame,
@@ -380,11 +382,17 @@ class TestService:
 
         run(scenario())
 
-    def test_handle_line_is_total(self):
+    @pytest.mark.parametrize("front", ["service", "supervisor"])
+    def test_handle_line_is_total(self, front):
         async def scenario():
-            service = Service(sleep=NeverSleep())
+            if front == "service":
+                server = Service(sleep=NeverSleep())
+            else:
+                server = Supervisor(
+                    [LocalShard(f"shard-{i}", sleep=NeverSleep()) for i in (0, 1)]
+                )
             for bad in (b"{oops\n", b"\xff\xfe", b"[1,2]\n", b'"x"\n'):
-                response = decode_frame(await service.handle_line(bad))
+                response = decode_frame(await server.handle_line(bad))
                 assert response["ok"] is False
                 assert response["error"]["code"] == "bad-frame"
 
