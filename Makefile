@@ -37,6 +37,17 @@ verify:
 	PYTHONPATH=src $(PYTHON) -m repro table1 --samples 262144 --no-warehouse \
 		--workers 2 > .repro-identity/table1-w2.txt
 	cmp .repro-identity/table1-w1.txt .repro-identity/table1-w2.txt
+	@echo "--- damaged-warehouse identity (a store that lost its results table) ---"
+	PYTHONPATH=src $(PYTHON) -m repro characterize calm --quick \
+		--warehouse .repro-identity/damaged > /dev/null
+	$(PYTHON) -c "import sqlite3, sys; c = sqlite3.connect(sys.argv[1]); c.execute('DROP TABLE results'); c.commit()" .repro-identity/damaged/warehouse.db
+	PYTHONPATH=src $(PYTHON) -m repro table1 --samples 262144 \
+		--warehouse .repro-identity/damaged > .repro-identity/table1-damaged.txt
+	cmp .repro-identity/table1-w1.txt .repro-identity/table1-damaged.txt
+	status=0; PYTHONPATH=src $(PYTHON) -m repro report --warehouse .repro-identity/damaged \
+		2> .repro-identity/report.err || status=$$?; test $$status -eq 1
+	grep -q "^error:" .repro-identity/report.err
+	! grep -q Traceback .repro-identity/report.err
 	@echo "--- conformance report determinism (JSON report of two runs) ---"
 	PYTHONPATH=src $(PYTHON) -m repro conform --design realm-16-m4-q5 --budget 20000 \
 		--seed 0 --json .repro-identity/conform-1.json > /dev/null
@@ -73,13 +84,14 @@ verify:
 		--layers model rtl kernel exact
 	PYTHONPATH=src $(PYTHON) -m repro conform --design intalp-l2 --budget 20000 --seed 0 \
 		--layers model rtl kernel exact
-	@echo "--- formal smoke (8-bit equivalence proof + certified peaks) ---"
+	@echo "--- formal smoke (8-bit equivalence proof + certified peaks, one 12-bit proof) ---"
 	PYTHONPATH=src $(PYTHON) -m repro formal --design realm-8-m4-q5 --prove-equiv --max-error
 	for design in am2-nb13 calm alm-soa-m3 alm-maa-m3 mbm-t2 drum-k5 \
 			scaletrim-t4-c2 dnnco-l6 accurate; do \
 		PYTHONPATH=src $(PYTHON) -m repro formal --design $$design --bitwidth 8 \
 			--prove-equiv --max-error || exit 1; \
 	done
+	PYTHONPATH=src $(PYTHON) -m repro formal --design realm16-t0 --bitwidth 12 --prove-equiv
 	@echo "--- certificate reuse (a formal row read back by Table I) ---"
 	rm -rf .repro-formal
 	PYTHONPATH=src $(PYTHON) -m repro formal --design drum-k8 --max-error --warehouse .repro-formal

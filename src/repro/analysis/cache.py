@@ -7,8 +7,9 @@ bitwidth, seed and sample count — so a stored entry is guaranteed to
 describe the exact run being requested, and any change to a knob
 (``M``, ``t``, ``q``, seed, samples, engine) lands on a different key.
 Monte-Carlo metrics live in the experiment warehouse
-(:mod:`repro.warehouse`), which keys its rows this way and reads them
-back through :func:`metrics_from_fields`.
+(:mod:`repro.warehouse`), which keys its rows this way; the metrics row
+format (:func:`~repro.warehouse.store.metrics_fields` and its decoder
+:func:`~repro.warehouse.store.metrics_from_fields`) lives there too.
 
 The state directory holds campaign checkpoints (``checkpoints/``) and
 the default warehouse database (``warehouse/``); formal certificates
@@ -24,21 +25,17 @@ resolved per call:
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 import pathlib
 import time
 
-from .metrics import ErrorMetrics
-
 __all__ = [
     "CACHE_ENV",
     "cache_key",
     "clear_cache",
     "default_cache_dir",
-    "metrics_from_fields",
     "resolve_cache_dir",
     "sweep_stale_temps",
 ]
@@ -49,24 +46,6 @@ CACHE_ENV = "REPRO_CACHE_DIR"
 #: temp files older than this are considered orphaned (a writer that died
 #: between write and rename); younger ones may belong to a live writer
 STALE_TEMP_SECONDS = 3600.0
-
-_METRIC_FIELDS = tuple(field.name for field in dataclasses.fields(ErrorMetrics))
-_NUMERIC_FIELDS = tuple(
-    name for name in _METRIC_FIELDS if name != "peak_certified"
-)
-
-
-def _load_certified(value) -> tuple[float, float] | None:
-    """Validate a stored ``peak_certified`` entry (JSON list or null)."""
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError("peak_certified must be a 2-element pair or null")
-    lo, hi = value
-    for side in (lo, hi):
-        if isinstance(side, bool) or not isinstance(side, (int, float)):
-            raise ValueError("non-numeric peak_certified bound")
-    return (float(lo), float(hi))
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -92,29 +71,6 @@ def cache_key(payload: dict) -> str:
     """Stable content address of a run description (canonical-JSON SHA-256)."""
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def metrics_from_fields(fields: dict) -> ErrorMetrics:
-    """Strictly validate a metrics field mapping into :class:`ErrorMetrics`.
-
-    The warehouse's deserializer: every numeric field must be present
-    and numeric (booleans rejected), unknown fields are refused, and
-    ``peak_certified`` is optional — rows written before that field
-    arrived stay loadable (they simply carry no proof).  Raises
-    ``ValueError``/``TypeError``/``KeyError`` on anything else.
-    """
-    if not isinstance(fields, dict):
-        raise TypeError("metric fields must be a mapping")
-    if set(fields) - {"peak_certified"} != set(_NUMERIC_FIELDS):
-        raise ValueError("unexpected metric fields")
-    values = {}
-    for name in _NUMERIC_FIELDS:
-        value = fields[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"non-numeric metric field {name!r}")
-        values[name] = int(value) if name == "samples" else float(value)
-    values["peak_certified"] = _load_certified(fields.get("peak_certified"))
-    return ErrorMetrics(**values)
 
 
 def sweep_stale_temps(

@@ -161,44 +161,40 @@ def _campaign(
     ``designs`` lists ``(name, multiplier, draw, payload)``; ``payload``
     keys the design's warehouse rows and its checkpoint, and is ``None``
     for a draw without a stable fingerprint, whose campaign skips the
-    store.  With a warehouse open (see
-    :func:`~repro.warehouse.store.open_warehouse`), every design is looked
-    up first (``warehouse.hits``/``warehouse.misses``); a stored design
-    is reused and never enters the campaign.  The others
-    run as one campaign (:func:`_evaluate`), and the whole run is then
-    recorded as one ``kind`` run: reused rows flagged, computed rows
-    carrying the campaign's telemetry counters, and ``decorate(name)``
-    adding columns beside a row's metrics.  Stored metrics are canonical
-    JSON with ``repr`` float semantics, so a reused result is
-    bit-identical to the run that computed it.
+    store.  Through the warehouse's one door
+    (:class:`~repro.warehouse.store.Session`), every design is looked up
+    first; a stored design is reused and never enters the campaign.  The
+    others run as one campaign (:func:`_evaluate`), and the whole run is
+    then recorded as one ``kind`` run: reused rows flagged, computed
+    rows carrying the campaign's telemetry counters, and
+    ``decorate(name)`` adding columns beside a row's metrics.  Stored
+    metrics are canonical JSON with ``repr`` float semantics, so a
+    reused result is bit-identical to the run that computed it; a
+    failing store only costs the reuse and the record.
 
     ``on_metrics(name, metrics, seconds, outcome)`` fires per design: for
     a reused design at once, with ``0.0`` seconds and outcome
     ``"warehouse"``; for a computed one when it is finalized, with its
     cost and outcome ``"miss"`` (to be recorded) or ``"off"`` (no store).
     """
-    from ..warehouse.store import metrics_fields, open_warehouse
+    from ..warehouse.store import Session, metrics_fields
 
     start = time.perf_counter()
-    wh = None
-    if all(payload is not None for *_, payload in designs):
-        wh = open_warehouse(warehouse)
-    try:
-        reused = {} if wh is None else _lookup(wh, designs, kind)
-        results: dict[str, ErrorMetrics] = {}
-        for name, *_ in designs:
-            if name in reused:
-                results[name] = reused[name]
-                on_metrics(name, reused[name], 0.0, "warehouse")
+    keyed = all(payload is not None for *_, payload in designs)
+    with Session(warehouse if keyed else False, kind) as store:
+        reused = store.reuse({name: payload for name, *_, payload in designs})
+        results: dict[str, ErrorMetrics] = dict(reused)  # in design order
+        for name, metrics in reused.items():
+            on_metrics(name, metrics, 0.0, "warehouse")
         fresh = [design for design in designs if design[0] not in reused]
         counters: dict = {}
         if fresh:
             # a recorded run keeps the telemetry counters of its campaign
-            recorder = contextlib.nullcontext() if wh is None else telemetry.recording()
+            recorder = telemetry.recording() if store.active else contextlib.nullcontext()
             with recorder as rec:
                 results.update(
                     _evaluate(
-                        fresh, samples, "off" if wh is None else "miss",
+                        fresh, samples, "miss" if store.active else "off",
                         on_metrics, **engine,
                     )
                 )
@@ -206,52 +202,21 @@ def _campaign(
                 counters = dict(rec.snapshot.counters)
                 for phase, stat in rec.snapshot.phases.items():
                     counters[f"phase.{phase}"] = stat.count
-        if wh is not None:
-            rows = []
-            for name, _, _, payload in designs:
-                data = metrics_fields(results[name])
-                if decorate is not None:
-                    # extra columns ride under their own keys; the metrics
-                    # stay an exact, strictly-validated field set
-                    data = {"metrics": data, **decorate(name)}
-                rows.append((name, payload, data, name in reused))
-            _record(wh, kind, rows, seed, samples, time.perf_counter() - start, counters)
-        return results
-    finally:
-        if wh is not None:
-            wh.close()
 
+        def row(name, payload):
+            data = metrics_fields(results[name])
+            if decorate is not None:
+                # extra columns ride under their own keys; the metrics
+                # stay an exact, strictly-validated field set
+                data = {"metrics": data, **decorate(name)}
+            return name, payload, data, name in reused
 
-def _lookup(wh, designs, kind: str) -> dict[str, ErrorMetrics]:
-    """The stored metrics of every design found in ``wh``."""
-    tele = telemetry.get()
-    found: dict[str, ErrorMetrics] = {}
-    with tele.span("warehouse.lookup", kind=kind, designs=len(designs)):
-        for name, _, _, payload in designs:
-            metrics = wh.latest_metrics(cache_key(payload))
-            if metrics is not None:
-                found[name] = metrics
-                tele.counter("warehouse.hits")
-            else:
-                tele.counter("warehouse.misses")
-    tele.counter("warehouse.deltas", len(designs) - len(found))
-    return found
-
-
-def _record(wh, kind, rows, seed, samples, wall, counters) -> None:
-    """Record one run; a failing store never takes the results down."""
-    from ..warehouse.store import WarehouseError
-
-    tele = telemetry.get()
-    with tele.span("warehouse.record", kind=kind, designs=len(rows)):
-        try:
-            wh.record_run(
-                kind, rows, seed=seed, samples=samples,
-                wall_seconds=wall, counters=counters,
-            )
-        except WarehouseError as exc:
-            tele.counter("warehouse.errors")
-            tele.event("warehouse.error", kind=kind, cause=str(exc))
+        store.record(
+            (row(name, payload) for name, *_, payload in designs),
+            seed=seed, samples=samples, counters=counters,
+            wall_seconds=time.perf_counter() - start,
+        )
+    return results
 
 
 def _evaluate(

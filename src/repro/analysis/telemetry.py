@@ -81,7 +81,8 @@ The experiment warehouse (:mod:`repro.warehouse`), asserted by
   lookup outcomes), ``warehouse.deltas`` (designs actually recomputed
   — zero on a warm run over an unchanged registry),
   ``warehouse.records`` (runs persisted), ``warehouse.errors``
-  (recording failures swallowed so the computation survives) and
+  (store failures absorbed so the computation survives; each read or
+  record failure also emits a ``warehouse.error`` event) and
   ``warehouse.quarantined`` (corrupt databases moved aside);
 * the ``warehouse.quarantined`` event naming the damaged file and
   where its evidence went.

@@ -367,7 +367,9 @@ def cmd_report(args) -> int:
 
         print(design_report(netlist_of(_known_design(args))))
         return 0
-    from .warehouse import build_trends, open_warehouse, render_json, render_text
+    from .warehouse import (
+        WarehouseError, build_trends, open_warehouse, render_json, render_text,
+    )
 
     warehouse = _warehouse_option(args)
     wh = open_warehouse(True if warehouse is None else warehouse)
@@ -380,6 +382,9 @@ def cmd_report(args) -> int:
         return 1
     try:
         trends = build_trends(wh, kind=args.kind, limit=args.limit)
+    except WarehouseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         wh.close()
     sys.stdout.write(render_json(trends) if args.json else render_text(trends))
@@ -819,11 +824,8 @@ def cmd_formal(args) -> int:
 
 def _record_certificates(payloads, args) -> None:
     """Record a ``repro formal`` run in the experiment warehouse, if on."""
-    from .warehouse import WarehouseError, open_warehouse
+    from .warehouse import Session
 
-    wh = open_warehouse(_warehouse_option(args))
-    if wh is None:
-        return
     rows = []
     for payload in payloads:
         description = {
@@ -835,13 +837,10 @@ def _record_certificates(payloads, args) -> None:
         rows.append(
             (payload.get("design", args.design), description, payload, False)
         )
-    try:
-        wh.record_run("formal", rows, seed=getattr(args, "seed", None))
-    except WarehouseError as exc:
-        telemetry.get().counter("warehouse.errors")
-        print(f"# warehouse recording failed: {exc}", file=sys.stderr)
-    finally:
-        wh.close()
+    with Session(_warehouse_option(args), "formal") as store:
+        store.record(rows, seed=getattr(args, "seed", None))
+    if store.error is not None:
+        print(f"# warehouse recording failed: {store.error}", file=sys.stderr)
 
 
 def _conform_progress(args):

@@ -494,11 +494,8 @@ def _shrink_candidates(a: int, b: int):
 
 def _record_campaign(result: FuzzResult, wall: float, warehouse) -> None:
     """Record the campaign summary in the experiment warehouse, if on."""
-    from ..warehouse.store import WarehouseError, open_warehouse
+    from ..warehouse.store import Session
 
-    wh = open_warehouse(warehouse)
-    if wh is None:
-        return
     payload = {
         "kind": "conformance",
         "design": result.design,
@@ -518,19 +515,10 @@ def _record_campaign(result: FuzzResult, wall: float, warehouse) -> None:
         "counts": dict(sorted(result.counts.items())),
         "counterexamples": result.shrunk,
     }
-    try:
-        wh.record_run(
-            "conformance",
+    with Session(warehouse, "conformance") as store:
+        store.record(
             [(result.design, payload, data, False)],
             seed=result.seed,
             samples=result.pairs,
             wall_seconds=wall,
         )
-    except WarehouseError as exc:
-        telemetry.get().counter("warehouse.errors")
-        telemetry.get().event(
-            "warehouse.error", kind="conformance", cause=str(exc)
-        )
-    finally:
-        wh.close()
-

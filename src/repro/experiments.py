@@ -112,6 +112,8 @@ def table1_errors(
     design at its bitwidth replaces the sampled peaks when it is exact
     and replayed.
     """
+    from .warehouse.store import Session
+
     designs = [(name, build(name)) for name in ids]
     measured = characterize_many(
         designs,
@@ -124,7 +126,8 @@ def table1_errors(
         warehouse=warehouse,
         _warehouse_kind="table1",
     )
-    certificates = _stored_certificates(warehouse)
+    with Session(warehouse, "table1") as store:
+        certificates = store.certificates()
     rows = []
     for name, multiplier in designs:
         metrics = measured[name]
@@ -146,19 +149,6 @@ def table1_errors(
             }
         )
     return rows
-
-
-def _stored_certificates(warehouse) -> dict[tuple[str, int], dict]:
-    """The warehouse's worst-case certificates (one open, one query)."""
-    from .warehouse.store import open_warehouse
-
-    wh = open_warehouse(warehouse)
-    if wh is None:
-        return {}
-    try:
-        return wh.certificates()
-    finally:
-        wh.close()
 
 
 def _certified_peaks(metrics, payload):
@@ -423,12 +413,10 @@ def cnn_study(
     """
     import time as _time
 
-    from .analysis import telemetry
-    from .analysis.cache import cache_key
     from .multipliers.registry import fingerprint
     from .nn import cnn_scores, float_cnn_accuracy, trained_cnn_setup
     from .synth.cost import reductions
-    from .warehouse.store import WarehouseError, open_warehouse
+    from .warehouse.store import Session
 
     if ids is None:
         from .multipliers.registry import REGISTRY
@@ -440,69 +428,59 @@ def cnn_study(
     data, params = trained_cnn_setup(seed)
     reference = float_cnn_accuracy(data, params)
 
-    wh = open_warehouse(warehouse)
-
-    start = _time.perf_counter()
-    payloads = {
-        name: {
-            "experiment": "cnn-study",
-            "design": fingerprint(build(name)),
-            "dataset_seed": seed,
-            "test_samples": int(len(data.test_y)),
-        }
-        for name in ids
-    }
-    reused: dict[str, dict] = {}
-    if wh is not None:
-        for name in ids:
-            row = wh.latest(cache_key(payloads[name]))
-            if row is not None and isinstance(row.data, dict):
-                reused[name] = row.data
-    scores = cnn_scores([name for name in ids if name not in reused], seed)
-
-    rows = []
-    for name in ids:
-        if name in reused:
-            data_row = dict(reused[name])
-        else:
-            area_reduction, power_reduction = reductions(name)
-            accuracy, distortion = scores[name]
-            data_row = {
-                "accuracy": accuracy,
-                "accuracy_drop": reference - accuracy,
-                "logit_distortion": distortion,
-                "area_reduction": area_reduction,
-                "power_reduction": power_reduction,
-                "float_reference": reference,
+    with Session(warehouse, "cnn") as store:
+        start = _time.perf_counter()
+        payloads = {
+            name: {
+                "experiment": "cnn-study",
+                "design": fingerprint(build(name)),
+                "dataset_seed": seed,
+                "test_samples": int(len(data.test_y)),
             }
-        rows.append({"name": name, "display": build(name).name, **data_row})
-    _pareto_accuracy_area(rows)
+            for name in ids
+        }
+        reused = store.reuse(payloads, _stored_cnn_row)
+        scores = cnn_scores([name for name in ids if name not in reused], seed)
 
-    if wh is not None:
-        results = [
+        rows = []
+        for name in ids:
+            if name in reused:
+                data_row = dict(reused[name])
+            else:
+                area_reduction, power_reduction = reductions(name)
+                accuracy, distortion = scores[name]
+                data_row = {
+                    "accuracy": accuracy,
+                    "accuracy_drop": reference - accuracy,
+                    "logit_distortion": distortion,
+                    "area_reduction": area_reduction,
+                    "power_reduction": power_reduction,
+                    "float_reference": reference,
+                }
+            rows.append({"name": name, "display": build(name).name, **data_row})
+        _pareto_accuracy_area(rows)
+
+        store.record(
             (
-                name,
-                payloads[name],
-                {k: row[k] for k in row if k not in ("name", "display")},
-                name in reused,
-            )
-            for name, row in zip(ids, rows)
-        ]
-        try:
-            wh.record_run(
-                "cnn",
-                results,
-                seed=seed,
-                samples=int(len(data.test_y)),
-                wall_seconds=_time.perf_counter() - start,
-            )
-        except WarehouseError as exc:
-            # provenance must never take the study down with it
-            telemetry.get().counter("warehouse.errors")
-            telemetry.get().event("warehouse.error", kind="cnn", cause=str(exc))
-        finally:
-            wh.close()
+                (
+                    name,
+                    payloads[name],
+                    {k: row[k] for k in row if k not in ("name", "display")},
+                    name in reused,
+                )
+                for name, row in zip(ids, rows)
+            ),
+            seed=seed,
+            samples=int(len(data.test_y)),
+            wall_seconds=_time.perf_counter() - start,
+        )
     return rows
+
+
+def _stored_cnn_row(store, fingerprint: str) -> dict | None:
+    """A stored CNN study row's columns, or ``None`` (a miss)."""
+    row = store.latest(fingerprint)
+    return row.data if row is not None and isinstance(row.data, dict) else None
 
 
 def _buildable(name: str, bitwidth: int = 16) -> bool:

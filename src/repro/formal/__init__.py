@@ -7,9 +7,9 @@ This package replaces *sampled* confidence with *certified* claims:
   formula is a pruned :class:`~repro.logic.netlist.Netlist` over shared
   operand inputs, run by :class:`~repro.kernels.netlist.NetlistKernel`
   and backed by its product table at ``N <= 8``;
-* :mod:`~repro.formal.backends` — the solver ladder: z3 (strictly
-  optional, used when importable) → bounded pure-python BDD →
-  exhaustive bit-parallel sweep; tier-1 never needs a dependency;
+* :mod:`~repro.formal.backends` — the solver ladder: exhaustive
+  bit-parallel sweep (to 12 bits) → z3 (strictly optional, used when
+  importable) → bounded pure-python BDD; tier-1 needs no dependency;
 * :mod:`~repro.formal.equiv` — model↔RTL↔kernel equivalence proofs with
   concrete divergence witnesses that feed the conformance shrinker;
 * :mod:`~repro.formal.bounds` — exact worst-case relative-error

@@ -1,4 +1,4 @@
-"""The solver ladder: optional SMT on top, pure python underneath.
+"""The solver ladder: exhaustive sweep, optional SMT, then a bounded BDD.
 
 Equivalence queries run through one of three interchangeable backends:
 
@@ -15,7 +15,7 @@ Equivalence queries run through one of three interchangeable backends:
 * :class:`ExhaustiveBackend` — sweep of the full ``2**(2N)`` pair grid
   through both encodings' ``eval_pairs``: at ``N <= 8`` a comparison of
   two product tables, above it the bit-parallel netlist kernels.
-  Complete and fast for narrow operands, gated by ``max_bitwidth``.
+  Complete and fastest up to ``max_bitwidth`` (12); declines above it.
 
 Both symbolic backends read netlist gates through :func:`lower`, which
 applies each library cell's one boolean definition
@@ -284,14 +284,15 @@ def resolve_backend(name: str):
 
 
 def default_ladder(bitwidth: int) -> list:
-    """The fallback order a proof attempt walks through.
+    """The fallback order a proof attempt walks through, at any width.
 
-    Narrow designs try the exhaustive sweep first (complete, fast, no
-    diagram blowup risk); wide designs need a symbolic backend and only
-    fall back to exhaustion when it still applies.
+    The exhaustive sweep first (it decides up to 12 bits faster than
+    either symbolic rung, and declines at once above), then z3 when
+    importable, then the BDD, which proves truncated designs at 13-14
+    bits.
     """
-    symbolic = [Z3Backend()] if z3_available() else []
-    symbolic.append(BddBackend())
-    if bitwidth <= 8:
-        return [ExhaustiveBackend(), *symbolic]
-    return [*symbolic, ExhaustiveBackend()]
+    ladder = [ExhaustiveBackend()]
+    if z3_available():
+        ladder.append(Z3Backend())
+    ladder.append(BddBackend())
+    return ladder

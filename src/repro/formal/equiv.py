@@ -4,8 +4,8 @@
 design through the strongest applicable method:
 
 * **model ↔ rtl** — both sides are lowered to formulas and the miter is
-  discharged by the backend ladder (z3 when installed, bounded BDD,
-  exhaustive sweep for narrow operands).  ``proved`` here is a real
+  discharged by the backend ladder (exhaustive sweep up to 12 bits, z3
+  when installed, bounded BDD).  ``proved`` here is a real
   proof over the full operand space.
 * **model ↔ kernel** — at narrow widths the compiled kernel is lowered
   exactly from its enumerated product table and proved like the RTL

@@ -43,6 +43,7 @@ from ..analysis import telemetry
 from ..analysis.cache import cache_key
 from ..multipliers.base import Multiplier, as_operands
 from ..multipliers.registry import build, fingerprint
+from .protocol import ProtocolError
 
 __all__ = ["BatchPolicy", "MicroBatcher", "ModelCache", "ShedError"]
 
@@ -89,7 +90,9 @@ class ModelCache:
     model object; the key is the content address of
     :func:`repro.multipliers.registry.fingerprint`, so any two registry
     ids that construct identical configurations also share an entry.
-    Raises ``KeyError`` for unknown design ids (the registry's error).
+    Raises :class:`ProtocolError` ``unknown-design`` for an id the
+    registry does not know and ``bad-request`` for a width the model
+    refuses, each with the registry's or model's message.
 
     Requests evaluate through the compiled kernels, which share the same
     fingerprint keying through :func:`repro.kernels.kernel_for`, so a
@@ -106,7 +109,12 @@ class ModelCache:
             return self._by_request[(design, bitwidth)]
         except KeyError:
             pass
-        model = build(design, bitwidth)
+        try:
+            model = build(design, bitwidth)
+        except KeyError as exc:
+            raise ProtocolError("unknown-design", str(exc.args[0])) from None
+        except ValueError as exc:
+            raise ProtocolError("bad-request", str(exc)) from None
         key = cache_key(fingerprint(model))
         model = self._by_fingerprint.setdefault(key, model)
         self._by_request[(design, bitwidth)] = model
@@ -169,7 +177,7 @@ class MicroBatcher:
     def submit(self, design: str, a, b, bitwidth: int = 16) -> asyncio.Future:
         """Enqueue one multiply; the future resolves to the product array.
 
-        Validates the design (``KeyError`` for unknown ids) and the
+        Validates the design (:class:`ProtocolError`) and the
         operand ranges (``ValueError``, via
         :func:`~repro.multipliers.base.as_operands`) *before* occupying
         queue space; raises :class:`ShedError` when the bounded queue

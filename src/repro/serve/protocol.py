@@ -58,7 +58,8 @@ MAX_PAIRS = 1 << 16
 ERROR_CODES = frozenset(
     {
         "bad-frame",         # line is not a JSON object
-        "bad-request",       # object violates the request schema
+        "bad-request",       # object violates the request schema, or the
+                             # design refuses the requested bitwidth
         "unknown-design",    # design id not in the registry
         "bad-operands",      # operand out of range for the bitwidth
         "overloaded",        # backpressure shed (503-style; retry later)

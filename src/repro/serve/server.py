@@ -193,8 +193,8 @@ class Service(Dispatcher):
             future = self.batcher.submit(
                 request.design, request.a, request.b, request.bitwidth
             )
-        except KeyError as exc:
-            return error_response(request.id, "unknown-design", str(exc.args[0]))
+        except ProtocolError:
+            raise  # the model's own refusal, answered by the dispatcher
         except ValueError as exc:
             return error_response(request.id, "bad-operands", str(exc))
         except ShedError as exc:
@@ -207,10 +207,7 @@ class Service(Dispatcher):
             return error_response(
                 request.id, "shutting-down", "server is draining"
             )
-        try:
-            model = self.models.get(request.design, request.bitwidth)
-        except KeyError as exc:
-            return error_response(request.id, "unknown-design", str(exc.args[0]))
+        model = self.models.get(request.design, request.bitwidth)
         async with self._characterizing:
             with telemetry.get().span(
                 "serve.characterize", design=model.name, samples=request.samples

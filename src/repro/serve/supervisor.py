@@ -374,10 +374,7 @@ class Supervisor(Dispatcher):
     # -- forwarding -----------------------------------------------------
 
     async def _multiply(self, request: MultiplyRequest, frame: dict) -> dict:
-        try:
-            order = self.route(request.design, request.bitwidth)
-        except KeyError as exc:
-            return error_response(request.id, "unknown-design", str(exc.args[0]))
+        order = self.route(request.design, request.bitwidth)
         pairs = max(len(request.a), len(request.b))
         response, reason = await self._forward(
             frame,
@@ -392,10 +389,7 @@ class Supervisor(Dispatcher):
         return self._exhausted(request.id, reason)
 
     async def _characterize(self, request: CharacterizeRequest, frame: dict) -> dict:
-        try:
-            order = self.route(request.design, request.bitwidth)
-        except KeyError as exc:
-            return error_response(request.id, "unknown-design", str(exc.args[0]))
+        order = self.route(request.design, request.bitwidth)
         response, reason = await self._forward(
             frame,
             order,
@@ -499,11 +493,9 @@ class Supervisor(Dispatcher):
     def _degraded_multiply(self, request: MultiplyRequest) -> dict:
         """Last resort: serial in-parent evaluation (bit-identical anyway)."""
         telemetry.get().counter("supervisor.degraded")
+        model = self.models.get(request.design, request.bitwidth)
         try:
-            model = self.models.get(request.design, request.bitwidth)
             a, b = as_operands(request.a, request.b, model.bitwidth)
-        except KeyError as exc:
-            return error_response(request.id, "unknown-design", str(exc.args[0]))
         except ValueError as exc:
             return error_response(request.id, "bad-operands", str(exc))
         return products_response(

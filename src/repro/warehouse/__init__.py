@@ -24,9 +24,11 @@ from .store import (
     WAREHOUSE_ENV,
     ResultRow,
     RunRow,
+    Session,
     Warehouse,
     WarehouseError,
     metrics_fields,
+    metrics_from_fields,
     open_warehouse,
     resolve_warehouse_path,
 )
@@ -38,6 +40,7 @@ __all__ = [
     "RunRow",
     "SCHEMA_VERSION",
     "SchemaError",
+    "Session",
     "WAREHOUSE_ENV",
     "Warehouse",
     "WarehouseError",
@@ -46,6 +49,7 @@ __all__ = [
     "create_schema",
     "git_rev",
     "metrics_fields",
+    "metrics_from_fields",
     "migrate",
     "open_warehouse",
     "render_json",

@@ -20,8 +20,9 @@ Guarantees, enforced by ``tests/test_warehouse.py``:
   serialize on SQLite's lock (30 s busy timeout) without losing rows;
 * **corruption containment** — a truncated or corrupt database is
   quarantined (renamed to ``warehouse.db.corrupt-<pid>``) and rebuilt
-  empty; opening the warehouse never raises for corruption, so a
-  damaged store can never take ``characterize`` down with it;
+  empty, and every experiment goes through one door, :class:`Session`,
+  which absorbs a failing read or record, so a damaged store can never
+  take a run down with it;
 * **schema migrations** — old databases are upgraded in one
   transaction on open; newer-than-this-build databases are refused
   with :class:`WarehouseError`, never downgraded.
@@ -37,7 +38,7 @@ import sqlite3
 import time
 
 from ..analysis import telemetry
-from ..analysis.cache import metrics_from_fields, resolve_cache_dir
+from ..analysis.cache import cache_key, resolve_cache_dir
 from ..analysis.metrics import ErrorMetrics
 from .provenance import Provenance, capture
 from .schema import SCHEMA_VERSION, SchemaError, migrate
@@ -47,9 +48,11 @@ __all__ = [
     "WAREHOUSE_ENV",
     "ResultRow",
     "RunRow",
+    "Session",
     "Warehouse",
     "WarehouseError",
     "metrics_fields",
+    "metrics_from_fields",
     "open_warehouse",
     "resolve_warehouse_path",
 ]
@@ -73,12 +76,52 @@ def _canonical(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+_NUMERIC_FIELDS = tuple(
+    f.name for f in dataclasses.fields(ErrorMetrics) if f.name != "peak_certified"
+)
+
+
 def metrics_fields(metrics: ErrorMetrics) -> dict:
     """The JSON-ready field dict of one :class:`ErrorMetrics`."""
     fields = dataclasses.asdict(metrics)
     if fields.get("peak_certified") is not None:
         fields["peak_certified"] = list(fields["peak_certified"])
     return fields
+
+
+def metrics_from_fields(fields: dict) -> ErrorMetrics:
+    """Strictly decode :func:`metrics_fields` output into :class:`ErrorMetrics`.
+
+    Every numeric field must be present and numeric (booleans rejected),
+    unknown fields are refused, and ``peak_certified`` is optional (rows
+    written before it arrived carry no proof).  Raises
+    ``ValueError``/``TypeError``/``KeyError`` on anything else.
+    """
+    if not isinstance(fields, dict):
+        raise TypeError("metric fields must be a mapping")
+    if set(fields) - {"peak_certified"} != set(_NUMERIC_FIELDS):
+        raise ValueError("unexpected metric fields")
+    values = {}
+    for name in _NUMERIC_FIELDS:
+        value = fields[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"non-numeric metric field {name!r}")
+        values[name] = int(value) if name == "samples" else float(value)
+    values["peak_certified"] = _load_certified(fields.get("peak_certified"))
+    return ErrorMetrics(**values)
+
+
+def _load_certified(value) -> tuple[float, float] | None:
+    """Validate a stored ``peak_certified`` entry (JSON list or null)."""
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError("peak_certified must be a 2-element pair or null")
+    lo, hi = value
+    for side in (lo, hi):
+        if isinstance(side, bool) or not isinstance(side, (int, float)):
+            raise ValueError("non-numeric peak_certified bound")
+    return (float(lo), float(hi))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,6 +197,80 @@ def open_warehouse(warehouse) -> "Warehouse | None":
         store.close()
         return None
     return store
+
+
+class Session:
+    """The one door to the warehouse for the runs of one ``kind``.
+
+    A context manager over :func:`open_warehouse` (inactive when off or
+    unusable) that reuses by fingerprint and records runs.  A read that
+    raises :class:`WarehouseError` returns an empty result (every name
+    a miss) and a failed record is dropped; each failure counts
+    ``warehouse.errors``, emits one ``warehouse.error`` event (``kind``,
+    ``cause``) and is kept as :attr:`error`.
+    """
+
+    def __init__(self, warehouse, kind: str):
+        self.kind = kind
+        self.error: WarehouseError | None = None
+        self._store = open_warehouse(warehouse)
+
+    @property
+    def active(self) -> bool:
+        return self._store is not None
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._store is not None:
+            self._store.close()
+            self._store = None
+
+    def reuse(self, payloads: dict, read=None) -> dict:
+        """``{name: value}`` of each ``{name: payload}`` stored.
+
+        ``read(store, fingerprint)`` returns a value or ``None`` (default
+        :meth:`Warehouse.latest_metrics`), counted as a hit or a miss.
+        """
+        if self._store is None:
+            return {}
+        read = read or Warehouse.latest_metrics
+        tele = telemetry.get()
+
+        def lookup():
+            values = {n: read(self._store, cache_key(p)) for n, p in payloads.items()}
+            return {name: value for name, value in values.items() if value is not None}
+
+        with tele.span("warehouse.lookup", kind=self.kind, designs=len(payloads)):
+            found = self._guarded(lookup, {})
+            for name in payloads:
+                tele.counter("warehouse.hits" if name in found else "warehouse.misses")
+        tele.counter("warehouse.deltas", len(payloads) - len(found))
+        return found
+
+    def certificates(self) -> dict[tuple[str, int], dict]:
+        """:meth:`Warehouse.certificates`, ``{}`` when inactive or failing."""
+        if self._store is None:
+            return {}
+        return self._guarded(self._store.certificates, {})
+
+    def record(self, rows, **run) -> None:
+        """:meth:`Warehouse.record_run` of ``rows``, iterated only when active."""
+        if self._store is None:
+            return
+        rows = list(rows)
+        with telemetry.get().span("warehouse.record", kind=self.kind, designs=len(rows)):
+            self._guarded(lambda: self._store.record_run(self.kind, rows, **run), None)
+
+    def _guarded(self, call, fallback):
+        try:
+            return call()
+        except WarehouseError as exc:
+            self.error = exc
+            telemetry.get().counter("warehouse.errors")
+            telemetry.get().event("warehouse.error", kind=self.kind, cause=str(exc))
+            return fallback
 
 
 class Warehouse:
@@ -239,10 +356,8 @@ class Warehouse:
 
     @property
     def schema_version(self) -> int:
-        row = self.connect().execute(
-            "SELECT value FROM meta WHERE key='schema_version'"
-        ).fetchone()
-        return int(row[0]) if row is not None else SCHEMA_VERSION
+        rows = self._read("SELECT value FROM meta WHERE key='schema_version'")
+        return int(rows[0][0]) if rows else SCHEMA_VERSION
 
     # -- recording ------------------------------------------------------
 
@@ -270,8 +385,6 @@ class Warehouse:
             provenance = capture()
         if created is None:
             created = time.time()
-        from ..analysis.cache import cache_key
-
         try:  # serialize everything up front: nothing fails mid-transaction
             counters_text = _canonical(counters or {})
             rows = [
@@ -314,27 +427,29 @@ class Warehouse:
 
     # -- querying -------------------------------------------------------
 
-    def latest(self, fingerprint: str) -> ResultRow | None:
-        """The most recent result row with this fingerprint, or ``None``."""
+    def _read(self, query: str, args: tuple = ()) -> list[sqlite3.Row]:
+        """Every row of one read query; any ``sqlite3.Error`` re-raised as a
+        :class:`WarehouseError`."""
         try:
-            row = self.connect().execute(
-                "SELECT * FROM results WHERE fingerprint = ?"
-                " ORDER BY id DESC LIMIT 1",
-                (fingerprint,),
-            ).fetchone()
+            return self.connect().execute(query, args).fetchall()
         except sqlite3.Error as exc:
             raise WarehouseError(f"lookup failed: {exc}") from exc
-        return self._result_row(row) if row is not None else None
+
+    def latest(self, fingerprint: str) -> ResultRow | None:
+        """The most recent result row with this fingerprint, or ``None``."""
+        rows = self._read(
+            "SELECT * FROM results WHERE fingerprint = ? ORDER BY id DESC LIMIT 1",
+            (fingerprint,),
+        )
+        return self._result_row(rows[0]) if rows else None
 
     def latest_metrics(self, fingerprint: str) -> ErrorMetrics | None:
         """The stored :class:`ErrorMetrics` for a fingerprint, or ``None``.
 
-        Accepts both row shapes: a bare metrics field dict (characterize
-        runs) and decorated rows holding the field dict under a
-        ``"metrics"`` key (sweep/table rows with synthesis columns).
-        Rows whose data does not validate as a complete metrics field set
-        (hand-edited databases, rows of a different kind) are treated as
-        misses, so a damaged row is recomputed, never replayed.
+        Reads a bare metrics field dict (characterize runs) or one under
+        a ``"metrics"`` key (sweep rows with synthesis columns).  A row
+        that does not decode (hand-edited, or of another kind) is a
+        miss, so a damaged row is recomputed, never replayed.
         """
         row = self.latest(fingerprint)
         if row is None:
@@ -355,14 +470,11 @@ class Warehouse:
         worst-case certificate and is skipped; whether a payload is exact
         and replayed is the reader's to check.
         """
-        try:
-            rows = self.connect().execute(
-                "SELECT results.design, results.data FROM results"
-                " JOIN runs ON runs.id = results.run_id"
-                " WHERE runs.kind = 'formal' ORDER BY results.id"
-            ).fetchall()
-        except sqlite3.Error as exc:
-            raise WarehouseError(f"lookup failed: {exc}") from exc
+        rows = self._read(
+            "SELECT results.design, results.data FROM results"
+            " JOIN runs ON runs.id = results.run_id"
+            " WHERE runs.kind = 'formal' ORDER BY results.id"
+        )
         latest = {}
         for design, text in rows:
             data = _loads(text)
@@ -378,10 +490,7 @@ class Warehouse:
             query += " WHERE kind = ?"
             args = (kind,)
         query += " ORDER BY id"
-        rows = [
-            self._run_row(row)
-            for row in self.connect().execute(query, args).fetchall()
-        ]
+        rows = [self._run_row(row) for row in self._read(query, args)]
         return rows[-limit:] if limit is not None else rows
 
     def results(
@@ -401,25 +510,20 @@ class Warehouse:
         if clauses:
             query += " WHERE " + " AND ".join(clauses)
         query += " ORDER BY id"
-        return [
-            self._result_row(row)
-            for row in self.connect().execute(query, tuple(args)).fetchall()
-        ]
+        return [self._result_row(row) for row in self._read(query, tuple(args))]
 
     def designs(self) -> list[str]:
         """Every design name with at least one recorded result, sorted."""
         return [
             row[0]
-            for row in self.connect().execute(
-                "SELECT DISTINCT design FROM results ORDER BY design"
-            ).fetchall()
+            for row in self._read("SELECT DISTINCT design FROM results ORDER BY design")
         ]
 
     def count_runs(self) -> int:
-        return self.connect().execute("SELECT COUNT(*) FROM runs").fetchone()[0]
+        return self._read("SELECT COUNT(*) FROM runs")[0][0]
 
     def count_results(self) -> int:
-        return self.connect().execute("SELECT COUNT(*) FROM results").fetchone()[0]
+        return self._read("SELECT COUNT(*) FROM results")[0][0]
 
     def export(self) -> dict:
         """The whole store as one JSON-ready dict, runs oldest first.

@@ -476,6 +476,21 @@ class TestWarehouseReport:
         assert code == 1
         assert "no experiment warehouse available" in captured.err
 
+    def test_damaged_warehouse_is_one_error_line(self, capsys, tmp_path):
+        import sqlite3
+
+        self._populate(capsys, tmp_path)
+        connection = sqlite3.connect(tmp_path / "warehouse.db")
+        connection.execute("DROP TABLE results")
+        connection.commit()
+        connection.close()
+        code = main(["report", "--warehouse", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "no such table: results" in line
+
     def test_warehouse_flags_are_mutually_exclusive(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as info:
             run_cli(

@@ -253,9 +253,17 @@ class TestEquivalence:
         assert result.proved, [leg.detail for leg in result.legs]
         assert certify_worst_error("am2-nb13", 8).exact
 
+    @pytest.mark.parametrize("z3", [False, True])
+    def test_ladder_is_one_order_at_every_width(self, monkeypatch, z3):
+        monkeypatch.setattr(backends_module, "z3_available", lambda: z3)
+        order = ["exhaustive", "z3", "bdd"] if z3 else ["exhaustive", "bdd"]
+        for bitwidth in (4, 8, 10, 12, 13, 16):
+            ladder = backends_module.default_ladder(bitwidth)
+            assert [rung.name for rung in ladder] == order
+
     def test_unknown_leg_names_each_rungs_reason(self, monkeypatch):
-        # above 12 bits the exhaustive rung declines after the BDD rung;
-        # the BDD's budget message must survive in the leg's detail
+        # above 12 bits the exhaustive rung declines before the BDD rung;
+        # both reasons must survive in the leg's detail
         default_ladder = equiv_module.default_ladder
 
         def small_budget_ladder(bitwidth):
@@ -654,3 +662,15 @@ class TestFormalCli:
     def test_unknown_design_exits_two(self, capsys):
         code, _ = self.run(capsys, "formal", "--design", "nope", "--max-error")
         assert code == 2
+
+    @pytest.mark.parametrize("design", ["calm", "accurate"])
+    def test_ten_bit_proof_takes_the_exhaustive_rung(self, capsys, design):
+        # one log-family and one product-form design: the sweep decides
+        # every width up to 12 bits, so it runs before z3 and the BDD
+        code, out = self.run(
+            capsys, "formal", "--design", design, "--bitwidth", "10",
+            "--prove-equiv",
+        )
+        assert code == 0
+        (rtl,) = [line for line in out.splitlines() if "model~rtl" in line]
+        assert "proved [exhaustive]" in rtl

@@ -36,6 +36,7 @@ from repro.serve import (
     LocalShard,
     MicroBatcher,
     ModelCache,
+    ProtocolError,
     ServeError,
     Service,
     ShedError,
@@ -282,10 +283,12 @@ class TestBackpressure:
             assert record.snapshot.counter("serve.shed") == 1
             # invalid requests fail their own way even when full: they
             # must never be reported as overload
-            with pytest.raises(KeyError):
+            with pytest.raises(ProtocolError) as info:
                 batcher.submit("no-such-design", [1], [1])
-            with pytest.raises(ValueError):
+            assert info.value.code == "unknown-design"
+            with pytest.raises(ValueError) as info:
                 batcher.submit("calm", [1 << 16], [1])
+            assert not isinstance(info.value, ProtocolError)
 
         run(scenario())
 
@@ -427,8 +430,42 @@ class TestService:
         cache = ModelCache()
         assert cache.get("calm") is cache.get("calm")
         assert cache.get("calm", 16) is not cache.get("calm", 8)
-        with pytest.raises(KeyError):
+        with pytest.raises(ProtocolError) as info:
             cache.get("no-such-design")
+        assert info.value.code == "unknown-design"
+        assert "unknown multiplier 'no-such-design'" in info.value.message
+        with pytest.raises(ProtocolError) as info:
+            cache.get("drum-k6", 4)
+        assert info.value.code == "bad-request"
+        assert info.value.message == "fragment width k must be in [3, 4], got 6"
+
+    @pytest.mark.parametrize("op", ["multiply", "characterize"])
+    @pytest.mark.parametrize("front", ["service", "supervisor"])
+    def test_a_width_the_model_refuses_is_a_bad_request(self, front, op):
+        # drum-k6 cannot be built at 4 bits: every front answers both ops
+        # with the model's message, never as a server fault
+        async def scenario():
+            if front == "service":
+                server = Service(sleep=NeverSleep())
+            else:
+                server = Supervisor(
+                    [LocalShard(f"shard-{i}", sleep=NeverSleep()) for i in (0, 1)]
+                )
+            request = {"op": op, "design": "drum-k6", "bitwidth": 4, "id": 1}
+            if op == "multiply":
+                request.update(a=1, b=2)
+            else:
+                request.update(samples=16)
+            with telemetry.recording() as rec:
+                response = await server.handle(request)
+            assert response["ok"] is False
+            assert response["error"] == {
+                "code": "bad-request",
+                "message": "fragment width k must be in [3, 4], got 6",
+            }
+            assert rec.snapshot.counter("serve.internal_errors") == 0
+
+        run(scenario())
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ DIGESTS = {
     "fingerprints": "8b9f5a2c4ec211aab8ae8275a0a191e33e234d0b54023f228f2a124a88fa8ca9",
     "synthesis": "856cee9f5f38a0a7d19ad7990158e356a4e816b4b9a1f2fe955d9b86f4a1a0e3",
     "fuzz_batches": "620ab15e59960716e9e5cb8eaa031c24819d54cf74e0e06782db32a1cad08a78",
-    "serve_frames": "510e726482525c6710414507322bc771d9b0d105b8a9bd3da582c0ffdc163af4",
+    "serve_frames": "b1e246026dd0bae8705500cd2f703c8b9f3e0765380933c98183630b3f623adf",
 }
 
 

@@ -492,6 +492,89 @@ class TestCorruption:
         assert row[0] == "99"
 
 
+class TestDamagedStore:
+    """A store that opens cleanly (``quick_check`` passes) but has lost
+    its ``results`` table: every entry point returns what it returns
+    with the warehouse off, and counts the failure."""
+
+    @pytest.fixture
+    def damaged(self, tmp_path):
+        characterize(build("calm"), SAMPLES, warehouse=tmp_path)
+        connection = sqlite3.connect(tmp_path / "warehouse.db")
+        connection.execute("DROP TABLE results")
+        connection.commit()
+        connection.close()
+        return tmp_path
+
+    def test_every_read_is_a_warehouse_error(self, tmp_path):
+        wh = Warehouse(tmp_path / "warehouse.db")
+        _record(wh)
+        for table in ("results", "runs", "meta"):
+            wh.connect().execute(f"DROP TABLE {table}")
+        reads = (
+            lambda: wh.latest("0" * 64),
+            lambda: wh.latest_metrics("0" * 64),
+            wh.certificates,
+            wh.runs,
+            wh.results,
+            wh.designs,
+            wh.count_runs,
+            wh.count_results,
+            lambda: wh.schema_version,
+            wh.export,
+        )
+        for read in reads:
+            with pytest.raises(WarehouseError, match="no such table"):
+                read()
+        wh.close()
+
+    def test_a_failing_store_never_takes_a_run_down(
+        self, damaged, monkeypatch, capsys
+    ):
+        from repro.cli import main
+        from repro.conformance import fuzz, render_json
+        from repro.experiments import cnn_study
+
+        events = []
+        emit = telemetry.Telemetry.event
+
+        def spy(self, name, **fields):
+            if name == "warehouse.error":
+                events.append(fields)
+            emit(self, name, **fields)
+
+        monkeypatch.setattr(telemetry.Telemetry, "event", spy)
+
+        def formal(warehouse):
+            flags = ["--no-warehouse"] if warehouse is False else [
+                "--warehouse", str(warehouse)
+            ]
+            code = main(
+                ["formal", "--design", "calm", "--bitwidth", "8", "--max-error", *flags]
+            )
+            return code, capsys.readouterr().out
+
+        ids = ("calm", "mbm-t0")
+        entry_points = {
+            "characterize": lambda w: characterize(build("calm"), SAMPLES, warehouse=w),
+            "table1_errors": lambda w: table1_errors(SAMPLES, ids, warehouse=w),
+            "sweep": lambda w: sweep(ids, samples=SAMPLES, warehouse=w),
+            "cnn_study": lambda w: cnn_study(["accurate", "calm"], warehouse=w),
+            "fuzz": lambda w: render_json(fuzz("realm4-t0", 1 << 10, warehouse=w)),
+            "formal": formal,
+        }
+        for name, run in entry_points.items():
+            expected = run(False)
+            events.clear()
+            with telemetry.recording() as rec:
+                got = run(damaged)
+            assert got == expected, name
+            assert rec.snapshot.counter("warehouse.errors") >= 1, name
+            assert events, name
+            for event in events:
+                assert event["kind"] and "no such table" in event["cause"], name
+
+
 class TestMigration:
     def _v1_database(self, path):
         connection = sqlite3.connect(path)
