@@ -67,8 +67,15 @@ verify:
 		benchmarks/bench_ablation_faults.py --benchmark-disable -q
 	git diff --exit-code benchmarks/results/table1_synthesis.txt \
 		benchmarks/results/ablation_faults.txt
-	@echo "--- MAC identity (table and direct paths, application digests) ---"
+	@echo "--- MAC identity (table and direct paths, application digests and results) ---"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_signed.py tests/test_application_digests.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_table2_jpeg.py \
+		benchmarks/bench_app_table2_extended.py benchmarks/bench_app_fir_filter.py \
+		benchmarks/bench_app_neural_network.py benchmarks/bench_app_rate_distortion.py \
+		--benchmark-disable -q
+	git diff --exit-code benchmarks/results/table2_jpeg.txt \
+		benchmarks/results/app_table2_extended.txt benchmarks/results/app_fir_filter.txt \
+		benchmarks/results/app_neural_network.txt benchmarks/results/app_rate_distortion.txt
 	@echo "--- CNN application smoke (5 designs) ---"
 	PYTHONPATH=src $(PYTHON) -m repro cnn accurate scaletrim-t4-c2 alm-maa-m3 am1-nb13 \
 		intalp-l2 --no-warehouse

@@ -178,8 +178,10 @@ def _run_summary(samples: int | None = None):
     The reused and computed design counts are this run's own
     ``warehouse.hits``/``warehouse.misses`` counters
     (:func:`~repro.analysis.telemetry.recording` works with telemetry
-    off).  A throughput is printed only when something was computed:
-    with the warehouse off, or with at least one design missing from it.
+    off), and a store that failed (refused at open, or under a read or a
+    record) is named with its ``warehouse.errors`` count.  A throughput
+    is printed only when something was computed: with the warehouse off,
+    or with at least one design missing from it.
     """
     start = time.perf_counter()
     with telemetry.recording() as rec:
@@ -187,13 +189,16 @@ def _run_summary(samples: int | None = None):
     elapsed = time.perf_counter() - start
     reused = rec.snapshot.counter("warehouse.hits")
     computed = rec.snapshot.counter("warehouse.misses")
+    errors = rec.snapshot.counter("warehouse.errors")
     parts = [f"wall {elapsed:.2f}s"]
     if samples and elapsed > 0 and (computed or not reused):
         parts.append(f"{samples / elapsed / 1e6:.2f} Msamples/s/design")
     if reused or computed:
         parts.append(f"warehouse {reused} reused / {computed} computed")
-    else:
+    elif not errors:
         parts.append("warehouse off")
+    if errors:
+        parts.append(f"warehouse failed ({errors} error{'' if errors == 1 else 's'})")
     print("# " + "  ".join(parts), file=sys.stderr)
 
 
@@ -372,7 +377,15 @@ def cmd_report(args) -> int:
     )
 
     warehouse = _warehouse_option(args)
-    wh = open_warehouse(True if warehouse is None else warehouse)
+    refused: list = []
+    wh = open_warehouse(
+        True if warehouse is None else warehouse, on_error=refused.append
+    )
+    if refused:
+        print(
+            f"error: no experiment warehouse available: {refused[0]}", file=sys.stderr
+        )
+        return 1
     if wh is None:
         print(
             "no experiment warehouse available (pass --warehouse DIR or set "
@@ -955,7 +968,13 @@ def make_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_table1)
 
-    sub.add_parser("table2").set_defaults(func=cmd_table2)
+    p = sub.add_parser("table2")
+    p.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="write a JSONL telemetry trace (mac.table/mac.direct spans, "
+        "mac.products counter) to PATH",
+    )
+    p.set_defaults(func=cmd_table2)
     sub.add_parser("fig1").set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("fig2")
@@ -1026,6 +1045,11 @@ def make_parser() -> argparse.ArgumentParser:
         "cnn", help="fixed-point CNN accuracy-vs-area study (full registry)"
     )
     p.add_argument("designs", nargs="*")
+    p.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="write a JSONL telemetry trace (mac.table/mac.direct and "
+        "warehouse spans) to PATH",
+    )
     _warehouse_flags(p)
     p.set_defaults(func=cmd_cnn)
 

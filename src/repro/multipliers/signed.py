@@ -46,15 +46,16 @@ MAC_BLOCK = 1 << 17
 
 #: least ratio of products to table entries for :func:`signed_matmul` to
 #: take its table path.  A table costs one kernel multiply per entry and
-#: then replaces each product's multiply with a gather.  In DCT-shaped
-#: calls (``(8, 8) @ (1024, 8, 8)`` and its mirror) on a 2-core Intel
-#: Xeon, one design per family, the direct path spent 11.5-12 ns a
-#: product with the exact kernel and 15-82 ns with the approximate ones;
-#: the table path's index add, gather and int64 sum spent 5.5-12.6 ns.
-#: Entries ``E`` and products ``P`` break even at ``P / E = t_direct /
-#: (t_direct - t_table)``: 3.3 for the exact kernel, the cheapest, and
-#: at most 2.2 for the approximate ones.  4, the next power of two,
-#: keeps every design's table call faster than its direct one.
+#: then replaces each product's multiply with its share of a row gather.
+#: In DCT-shaped calls (``(8, 8) @ (1024, 8, 8)`` and its mirror) on a
+#: 2-core Intel Xeon, one design per family, the direct path spent
+#: 6.3-6.4 ns a product with the exact kernel and 11-44 ns with the
+#: approximate ones; the row gathers spent 0.8-1.7 ns a product, and the
+#: table 9-90 ns an entry (its 2,660 to 7,518 entries carry the kernel's
+#: fixed cost per call).  Entries ``E`` and products ``P`` break even at
+#: ``P / E = t_entry / (t_direct - t_gather)``: 0.8-3.5, highest for the
+#: exact kernel's smaller table.  4, the next power of two, keeps every
+#: design's table call faster than its direct one.
 TABLE_RATIO = 4
 
 
@@ -139,6 +140,47 @@ def _table_plan(operands: list[np.ndarray], products: int):
     return small, values, inverse.reshape(operands[small].shape), lo, hi
 
 
+def _sum_dtype(depth: int, table: np.ndarray) -> type:
+    """int32 when no sum of ``depth`` entries of ``table`` can overflow it."""
+    return np.int32 if depth * int(np.abs(table).max()) < 1 << 31 else np.int64
+
+
+def _row_sums(table: np.ndarray, codes: np.ndarray, data, lo: int, out) -> None:
+    """``out[..., x, l] = sum_k table[codes[k, l], data[..., x, k] - lo]``.
+
+    ``codes`` index a constant's ``(k, lanes)`` values in the rows of the
+    value ``table``, whose columns are ``data``'s values from ``lo`` up.
+    Rearranged, the table becomes row tables: row ``(k, v)`` holds the
+    products of ``v`` with every lane of the constant's ``k``-th row.
+    Each block of data elements makes one row gather per ``k`` into one
+    contiguous buffer, int32 when no sum can overflow it
+    (:func:`_sum_dtype`), copied to ``out`` at the end.  A row table
+    holds at most :data:`MAC_BLOCK` entries or one ``k``'s rows (a very
+    wide constant's in slices of lanes).
+    """
+    depth, lanes = codes.shape
+    width = table.shape[1]
+    dtype = _sum_dtype(depth, table)
+    # the value codes of data, one contiguous row per k
+    index = np.subtract(np.moveaxis(data, -1, 0), lo, order="C").reshape(depth, -1)
+    sums = np.zeros((index.shape[1], lanes), dtype=dtype)
+    span = min(lanes, max(1, MAC_BLOCK // width))  # lanes per row table
+    ks = max(1, MAC_BLOCK // (width * span))  # k per row table
+    step = max(1, MAC_BLOCK // (depth * lanes))  # data elements per block
+    for lane in range(0, lanes, span):
+        cut = slice(lane, lane + span)
+        for k0 in range(0, depth, ks):
+            rows = np.ascontiguousarray(
+                table[codes[k0 : k0 + ks, cut]].swapaxes(1, 2), dtype=dtype
+            )
+            for start in range(0, len(sums), step):
+                block = index[:, start : start + step]
+                total = sums[start : start + step, cut]
+                for k, row in enumerate(rows, k0):
+                    total += row.take(block[k], axis=0)
+    out[...] = sums.reshape(out.shape)
+
+
 def signed_matmul(multiplier: Multiplier, left, right) -> np.ndarray:
     """``left @ right`` with every product through ``multiplier``.
 
@@ -153,12 +195,14 @@ def signed_matmul(multiplier: Multiplier, left, right) -> np.ndarray:
     When one operand holds few distinct values against the other's range
     (a DCT basis, CNN weights), one ``signed_product`` call in the
     caller's operand order builds a table of every product the call can
-    need, with the signs folded in, and each block is a gather from it
-    (:func:`_table_plan` says when).  That one multiply validates every
-    operand value, as the blocks' multiplies would.  Otherwise an operand
-    the blocks do not split has its magnitude and sign taken once.  The
-    ``mac.table`` or ``mac.direct`` telemetry span times the call, and the
-    ``mac.products`` counter counts its products.
+    need, with the signs folded in (:func:`_table_plan` says when).  That
+    one multiply validates every operand value, as the blocks' multiplies
+    would.  The table is then rearranged into rows over the constant's
+    lanes, and each element of the other operand gathers a whole row
+    (:func:`_row_sums`), so no array of the products' shape is built.
+    Otherwise an operand the blocks do not split has its magnitude and
+    sign taken once.  The ``mac.table`` or ``mac.direct`` telemetry span
+    times the call, and the ``mac.products`` counter counts its products.
     """
     from ..analysis import telemetry  # deferred: analysis imports this package
 
@@ -172,7 +216,6 @@ def signed_matmul(multiplier: Multiplier, left, right) -> np.ndarray:
     operands = [x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in operands]
     products = math.prod(shape)
     out = np.empty(shape[:-2] + shape[-1:], dtype=np.int64)
-    blocks = _blocks(shape)
     tele = telemetry.get()
     tele.counter("mac.products", products)
     plan = _table_plan(operands, products)
@@ -180,7 +223,7 @@ def signed_matmul(multiplier: Multiplier, left, right) -> np.ndarray:
         with tele.span("mac.direct", products=products):
             # an operand the rows do not split keeps one magnitude and sign
             fixed = [None if len(x) > 1 else _sign_magnitude(x) for x in operands]
-            for rows, columns in blocks:
+            for rows, columns in _blocks(shape):
                 pair = (
                     _sign_magnitude(_cut(x, rows, columns)) if f is None
                     else [p if p is None else _cut(p, rows, columns) for p in f]
@@ -191,16 +234,29 @@ def signed_matmul(multiplier: Multiplier, left, right) -> np.ndarray:
     small, values, inverse, lo, hi = plan
     with tele.span("mac.table", products=products):
         # row r, column v - lo holds the product of values[r] and v, taken
-        # in the caller's operand order; its flat index is (r * width - lo) + v
-        width = hi - lo + 1
+        # in the caller's operand order
         grid = [values[:, None], np.arange(lo, hi + 1)[None, :]]
         if small == 1:
             grid.reverse()
-        table = signed_product(multiplier, *grid).ravel()
-        operands[small] = inverse * width - lo
-        for rows, columns in blocks:
-            index = [_cut(x, rows, columns) for x in operands]
-            _sum_k(table.take(index[0] + index[1]), out[rows][..., columns])
+        table = signed_product(multiplier, *grid)
+        # a left constant is the right constant of the transposed call
+        # right.T @ left.T: its lanes are i, and the sums land transposed
+        if small == 0:
+            codes = inverse[..., 0].swapaxes(-1, -2)
+            data = operands[1][..., 0, :, :].swapaxes(-1, -2)
+            target = out.swapaxes(-1, -2)
+        else:
+            codes = inverse[..., 0, :, :]
+            data = operands[0][..., 0]
+            target = out
+        # row tables per entry of a constant stack (one entry in practice)
+        stack = codes.shape[:-2]
+        data = np.broadcast_to(data, target.shape[:-2] + data.shape[-2:])
+        for at in np.ndindex(stack):
+            part = tuple(
+                slice(t, t + 1) if n > 1 else slice(None) for t, n in zip(at, stack)
+            )
+            _row_sums(table, codes[at], data[part], lo, target[part])
     return out
 
 

@@ -179,12 +179,13 @@ def resolve_warehouse_path(warehouse) -> pathlib.Path | None:
     return path if path.suffix == ".db" else path / DB_NAME
 
 
-def open_warehouse(warehouse) -> "Warehouse | None":
+def open_warehouse(warehouse, on_error=None) -> "Warehouse | None":
     """A ready :class:`Warehouse` per the resolution rules, or ``None``.
 
     Unusable stores (e.g. written by a newer schema) resolve to ``None``
-    with a ``warehouse.errors`` counter rather than raising: recording
-    provenance must never take the computation it describes down.
+    rather than raising: recording provenance must never take the
+    computation it describes down.  Their :class:`WarehouseError` goes
+    to ``on_error``, which by default counts ``warehouse.errors``.
     """
     path = resolve_warehouse_path(warehouse)
     if path is None:
@@ -192,9 +193,12 @@ def open_warehouse(warehouse) -> "Warehouse | None":
     store = Warehouse(path)
     try:
         store.connect()
-    except WarehouseError:
-        telemetry.get().counter("warehouse.errors")
+    except WarehouseError as exc:
         store.close()
+        if on_error is None:
+            telemetry.get().counter("warehouse.errors")
+        else:
+            on_error(exc)
         return None
     return store
 
@@ -203,9 +207,10 @@ class Session:
     """The one door to the warehouse for the runs of one ``kind``.
 
     A context manager over :func:`open_warehouse` (inactive when off or
-    unusable) that reuses by fingerprint and records runs.  A read that
-    raises :class:`WarehouseError` returns an empty result (every name
-    a miss) and a failed record is dropped; each failure counts
+    unusable) that reuses by fingerprint and records runs.  A store
+    refused at open leaves the session inactive, a read that raises
+    :class:`WarehouseError` returns an empty result (every name a miss)
+    and a failed record is dropped; each failure counts
     ``warehouse.errors``, emits one ``warehouse.error`` event (``kind``,
     ``cause``) and is kept as :attr:`error`.
     """
@@ -213,7 +218,7 @@ class Session:
     def __init__(self, warehouse, kind: str):
         self.kind = kind
         self.error: WarehouseError | None = None
-        self._store = open_warehouse(warehouse)
+        self._store = open_warehouse(warehouse, on_error=self._fail)
 
     @property
     def active(self) -> bool:
@@ -267,10 +272,13 @@ class Session:
         try:
             return call()
         except WarehouseError as exc:
-            self.error = exc
-            telemetry.get().counter("warehouse.errors")
-            telemetry.get().event("warehouse.error", kind=self.kind, cause=str(exc))
+            self._fail(exc)
             return fallback
+
+    def _fail(self, exc: WarehouseError) -> None:
+        self.error = exc
+        telemetry.get().counter("warehouse.errors")
+        telemetry.get().event("warehouse.error", kind=self.kind, cause=str(exc))
 
 
 class Warehouse:

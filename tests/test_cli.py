@@ -491,6 +491,51 @@ class TestWarehouseReport:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and "no such table: results" in line
 
+    def test_a_refused_store_is_named_on_every_command(self, capsys, tmp_path):
+        import sqlite3
+
+        connection = sqlite3.connect(tmp_path / "warehouse.db")
+        connection.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+        connection.execute("INSERT INTO meta VALUES ('schema_version', '99')")
+        connection.commit()
+        connection.close()
+        cause = "database schema v99 is newer than this build"
+        notes = {
+            "characterize": "warehouse failed (1 error)",
+            "formal": f"# warehouse recording failed: {cause}",
+        }
+        commands = (
+            ["characterize", "calm", "--quick"],
+            ["formal", "--design", "calm", "--bitwidth", "8", "--max-error"],
+        )
+        for argv in commands:
+            assert main([*argv, "--no-warehouse"]) == 0
+            off = capsys.readouterr()
+            assert main([*argv, "--warehouse", str(tmp_path)]) == 0
+            refused = capsys.readouterr()
+            assert refused.out == off.out, argv
+            assert notes[argv[0]] in refused.err, argv
+            assert "warehouse off" not in refused.err, argv
+        assert main(["report", "--warehouse", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and cause in line
+        assert "pass --warehouse DIR" not in line
+
+    def test_a_damaged_store_is_named_in_the_summary(self, capsys, tmp_path):
+        import sqlite3
+
+        self._populate(capsys, tmp_path)
+        connection = sqlite3.connect(tmp_path / "warehouse.db")
+        connection.execute("DROP TABLE results")
+        connection.commit()
+        connection.close()
+        argv = ["characterize", "calm", "--quick", "--warehouse", str(tmp_path)]
+        assert main(argv) == 0
+        # the failed lookup and the dropped record
+        summary = "warehouse 0 reused / 1 computed  warehouse failed (2 errors)"
+        assert summary in capsys.readouterr().err
+
     def test_warehouse_flags_are_mutually_exclusive(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as info:
             run_cli(

@@ -271,6 +271,33 @@ class TestCnnStudy:
             assert apps[name][0]["accuracy"] == apps[name][1]["accuracy"]
             assert "area_reduction" in apps[name][0]
 
+    def test_a_warm_study_runs_no_forward_pass(self, tmp_path, monkeypatch):
+        import repro.nn
+        from repro.experiments import cnn_study
+        from repro.multipliers.base import Multiplier
+
+        ids = ["accurate", "calm"]
+        cold = cnn_study(ids, warehouse=tmp_path)
+        calls = []
+
+        def counted(original, name):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            repro.nn, "float_cnn_accuracy", counted(repro.nn.float_cnn_accuracy, "float")
+        )
+        monkeypatch.setattr(Multiplier, "multiply", counted(Multiplier.multiply, "multiply"))
+        assert cnn_study(ids, warehouse=tmp_path) == cold
+        assert calls == []
+        # one computed row brings back the float reference it needs
+        rows = cnn_study([*ids, "drum-k8"], warehouse=tmp_path)
+        assert calls.count("float") == 1 and "multiply" in calls
+        assert rows[2]["float_reference"] == cold[0]["float_reference"]
+
     def test_recording_failure_is_counted_not_raised(self, tmp_path, monkeypatch):
         from repro.analysis import telemetry
         from repro.experiments import cnn_study

@@ -12,6 +12,7 @@ from repro.analysis import telemetry
 from repro.core.realm import RealmMultiplier
 from repro.jpeg.dct import dct_matrix_q7, forward_dct
 from repro.jpeg.images import test_image as make_image
+from repro.multipliers import signed as signed_module
 from repro.multipliers.accurate import AccurateMultiplier
 from repro.multipliers.registry import build, names
 from repro.multipliers.signed import (
@@ -264,6 +265,72 @@ class TestTablePath:
         assert snap.phase("mac.table").count == 1
         assert snap.phase("mac.direct").count == 1
         assert snap.counter("mac.products") == 100 * (36 * 9 * 8 + 72 * 10)
+
+
+class TestRowTables:
+    @pytest.mark.parametrize("name", ["accurate", "alm-maa-m3"])
+    @pytest.mark.parametrize(
+        "depth, dtype",
+        [((1 << 14) - 1, np.int32), ((1 << 14) + 1, np.int64)],
+        ids=["int32", "int64"],
+    )
+    def test_sums_beside_the_int32_limit(self, name, depth, dtype, monkeypatch):
+        # one output sums depth products 512 x 256 = 2**17 (exact on both
+        # designs): 2**31 - 2**17, the largest sums the int32 buffer
+        # takes, or 2**31 + 2**17, which only an int64 buffer holds
+        chosen = []
+        original = signed_module._sum_dtype
+
+        def recording(depth, table):
+            chosen.append(original(depth, table))
+            return chosen[-1]
+
+        monkeypatch.setattr(signed_module, "_sum_dtype", recording)
+        multiplier = build(name)
+        rng = np.random.default_rng(11)
+        constant = rng.choice([-512, 300, 512], (2, depth))
+        constant[0] = 512
+        data = rng.integers(200, 257, (depth, 4))
+        data[:, 0] = 256
+        for left, right in ((constant, data), (data.T, constant.T)):
+            out, tables, _ = mac_paths(multiplier, left, right)
+            assert tables == 1
+            assert out[0, 0] == depth << 17
+            assert np.array_equal(out, definition(multiplier, left, right))
+        assert chosen == [dtype, dtype]
+
+    def test_row_tables_split_over_k_and_lanes(self, monkeypatch):
+        # a 64-entry row table holds 4 lanes of one k: 10 lane slices of
+        # each of 3 k, and blocks of one data element
+        monkeypatch.setattr("repro.multipliers.signed.MAC_BLOCK", 64)
+        multiplier = build("alm-maa-m3")
+        rng = np.random.default_rng(13)
+        constant = rng.choice([-2, 0, 3], (3, 40))
+        data = rng.integers(0, 16, (50, 3))
+        for left, right in ((data, constant), (constant.T, data.T)):
+            out, tables, _ = mac_paths(multiplier, left, right)
+            assert tables == 1
+            assert np.array_equal(out, definition(multiplier, left, right))
+
+    def test_a_deep_dct_stack_keeps_temporaries_bounded(self, monkeypatch):
+        # 4,608 blocks make 18 x MAC_BLOCK products.  The row gathers need
+        # the output, one operand-sized index and the int32 sums; the
+        # products alone, even as int32, would take 4 output sizes.
+        multiplier = build("realm16-t0")
+        basis = dct_matrix_q7()
+        data = np.random.default_rng(14).integers(-128, 128, (4608, 8, 8))
+        assert data.size * 8 > 16 * MAC_BLOCK
+        signed_matmul(multiplier, basis, data[:1])  # compile untraced
+        tracemalloc.start()
+        try:
+            out, tables, _ = mac_paths(multiplier, basis, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tables == 1
+        assert peak < 3 * out.nbytes
+        monkeypatch.setattr("repro.multipliers.signed.TABLE_RATIO", 1 << 62)
+        assert np.array_equal(out, signed_matmul(multiplier, basis, data))
 
 
 class TestSignedMultiplier:

@@ -410,6 +410,22 @@ class TestCliTrace:
         assert telemetry.get() is telemetry.DISABLED
         assert TELEMETRY_ENV not in os.environ
 
+    def test_table2_and_cnn_trace_the_shared_mac(self, tmp_path, capsys):
+        # every Table II DCT pass gathers from a product table; the CNN's
+        # conv layer does too, and its FC layer multiplies directly
+        table2 = tmp_path / "table2.jsonl"
+        assert main(["table2", "--trace", str(table2)]) == 0
+        cnn = tmp_path / "cnn.jsonl"
+        argv = ["cnn", "accurate", "calm", "--no-warehouse", "--trace", str(cnn)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        phases = telemetry.summarize_trace(table2)["phases"]
+        assert phases["mac.table"].count == 108
+        assert "mac.direct" not in phases
+        phases = telemetry.summarize_trace(cnn)["phases"]
+        assert phases["mac.table"].count == 3
+        assert phases["mac.direct"].count == 3
+
     def test_trace_records_cache_hit_on_warm_run(self, tmp_path, capsys):
         store = tmp_path / "warehouse"
         args = [

@@ -22,6 +22,7 @@ from repro.warehouse import (
     SCHEMA_VERSION,
     Provenance,
     SchemaError,
+    Session,
     Warehouse,
     WarehouseError,
     build_trends,
@@ -490,6 +491,35 @@ class TestCorruption:
             "SELECT value FROM meta WHERE key='schema_version'"
         ).fetchone()
         assert row[0] == "99"
+
+
+class TestRefusedStore:
+    """A store refused at open (a newer schema) is a failure of the
+    session, like a failed read or record, not a silent "off"."""
+
+    def test_the_session_keeps_the_cause(self, tmp_path, monkeypatch):
+        wh = Warehouse(tmp_path / "warehouse.db")
+        _record(wh)
+        wh.connect().execute("UPDATE meta SET value = '99' WHERE key = 'schema_version'")
+        wh.close()
+        events = []
+        emit = telemetry.Telemetry.event
+
+        def spy(self, name, **fields):
+            if name == "warehouse.error":
+                events.append(fields)
+            emit(self, name, **fields)
+
+        monkeypatch.setattr(telemetry.Telemetry, "event", spy)
+        with telemetry.recording() as rec:
+            with Session(tmp_path, "characterize") as store:
+                assert not store.active
+                assert store.reuse({"calm": {"design": "calm"}}) == {}
+                store.record([("calm", {"design": "calm"}, {}, False)])
+        assert isinstance(store.error, WarehouseError)
+        assert "newer than this build" in str(store.error)
+        assert rec.snapshot.counter("warehouse.errors") == 1
+        assert events == [{"kind": "characterize", "cause": str(store.error)}]
 
 
 class TestDamagedStore:
